@@ -28,8 +28,10 @@ struct SimBench {
     /// Median across timed replays (robust to CI noise).
     tasks_per_sec: f64,
     ns_per_task: f64,
-    /// Mean per-estimate stage attribution of the unfused staged
-    /// pipeline on the same workload (validate/lower/simulate/summarize).
+    /// Mean per-estimate stage attribution of `Estimator::estimate_staged`
+    /// on the same plan (validate/lower/simulate/summarize); it prices
+    /// the compact graph, so its lower/simulate split is not the
+    /// full-graph replay timed above.
     stage_profile: StageNanos,
 }
 

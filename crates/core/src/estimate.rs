@@ -12,8 +12,16 @@
 //! 3. **simulate** — the Algorithm 1 replay ([`simulate`]);
 //! 4. **summarize** — fold a [`SimReport`] into an [`IterationEstimate`].
 //!
-//! [`Estimator::estimate`] and [`Estimator::measure`] are thin
-//! compositions of the stages. Profiles are memoized in a concurrent
+//! [`Estimator::measure`] and [`Estimator::timeline`] are thin
+//! compositions of the stages over the full task graph: measured-mode
+//! noise keys on task ids, and a timeline needs one span per task.
+//! [`Estimator::estimate`] fuses lowering and replay instead: under the
+//! closed-form network it lowers straight into the run-aggregated compact
+//! graph the sweep uses and replays that, never materializing the task
+//! graph. The report is bit-identical to `lower → simulate` (pinned by
+//! the equivalence tests below and in `compact`), at a fraction of the
+//! time and memory; the fair-sharing backend needs per-task flows and
+//! keeps the full lowering. Profiles are memoized in a concurrent
 //! cache keyed by `(GpuKey, OpSignature)` shared across clones of the
 //! estimator — a design-space sweep profiles each unique signature once,
 //! not once per plan (§III-C, §III-F) — and cached results are
@@ -34,7 +42,7 @@ use vtrain_net::flow::FlowProgram;
 use vtrain_net::{NetworkBackend, Topology};
 use vtrain_obs::{CounterSample, TimelineRecorder, TraceSpan};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule, PlanError};
-use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, Profiler};
+use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, ProfileSet, Profiler};
 
 use crate::compact::{
     lower_plan_delta, replay_lowered, CompactScratch, LowerOutcome, ProfileSource,
@@ -441,12 +449,26 @@ impl Estimator {
     /// Panics if the plan is invalid for the model (run
     /// [`Estimator::validate`] first).
     pub fn lower(&self, model: &ModelConfig, plan: &ParallelConfig) -> TaskGraph {
-        let sigs = plan_signatures(model, plan, &self.graph_opts);
-        let mut profiles = self
-            .cache
-            .resolve(&self.profiler, sigs.iter().filter(|s| s.kind != CompKind::WeightUpdate));
-        for sig in sigs.iter().filter(|s| s.kind == CompKind::WeightUpdate) {
-            profiles.insert(*sig, Arc::new(self.profiler.profile_operator(sig)));
+        self.lower_tallied(model, plan, &mut CacheStats::default())
+    }
+
+    /// [`Estimator::lower`] with this call's profile-cache hits and
+    /// misses tallied into `stats`, so a sweep worker's attribution
+    /// covers full lowerings as exactly as compact ones.
+    fn lower_tallied(
+        &self,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        stats: &mut CacheStats,
+    ) -> TaskGraph {
+        let mut profiles = ProfileSet::default();
+        for sig in plan_signatures(model, plan, &self.graph_opts) {
+            let profile = if sig.kind == CompKind::WeightUpdate {
+                Arc::new(self.profiler.profile_operator(&sig))
+            } else {
+                self.cache.get_with(&self.gpu_key, &self.profiler, &sig, stats)
+            };
+            profiles.insert(sig, profile);
         }
         TaskGraph::lower_fused(model, plan, &self.graph_opts, &profiles, &self.comm)
             .expect("plan_signatures covers all emitted operators")
@@ -461,9 +483,10 @@ impl Estimator {
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
+        stats: &mut CacheStats,
     ) -> (TaskGraph, Vec<Option<FlowProgram>>) {
         let graph = build_op_graph(model, plan, &self.graph_opts);
-        let tg = self.lower(model, plan);
+        let tg = self.lower_tallied(model, plan, stats);
         assert_eq!(tg.len(), graph.num_nodes(), "lowering preserves node count and order");
         let programs = graph
             .nodes()
@@ -503,7 +526,9 @@ impl Estimator {
     }
 
     /// vTrain's prediction for one design point: `validate → lower →
-    /// simulate → summarize`.
+    /// simulate → summarize`, with lowering and replay fused on the
+    /// compact graph under the closed-form network (bit-identical to
+    /// running [`Estimator::lower`] and [`Estimator::simulate`] by hand).
     ///
     /// # Errors
     ///
@@ -515,24 +540,35 @@ impl Estimator {
         plan: &ParallelConfig,
     ) -> Result<IterationEstimate, EstimateError> {
         self.validate(model, plan)?;
-        Ok(self.estimate_validated(model, plan))
+        let mut scratch = EstimatorScratch::default();
+        Ok(self.estimate_validated_delta(model, plan, &mut scratch, false, 1, None))
     }
 
-    /// [`Estimator::estimate`] without re-running stage 1 — for callers
-    /// (the sweep executor) that have already validated the plan.
-    pub(crate) fn estimate_validated(
+    /// The fair-sharing pipeline: full lowering plus the physical-time
+    /// flow replay. The compact graph prices each comm task in isolation
+    /// — exactly the assumption fair sharing drops — so this backend
+    /// always materializes the task graph.
+    fn estimate_flows(
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
+        cache_stats: &mut CacheStats,
+        stages: Option<&mut StageNanos>,
     ) -> IterationEstimate {
-        if self.network() == NetworkBackend::FairSharing {
-            let (tg, programs) = self.lower_with_programs(model, plan);
-            let report = simulate_flows(&tg, &programs, self.topology(), None, None);
-            return self.summarize(model, plan, &report);
+        count_full_lowering("fair_sharing");
+        let t0 = Instant::now();
+        let (tg, programs) = self.lower_with_programs(model, plan, cache_stats);
+        let t1 = Instant::now();
+        let report = simulate_flows(&tg, &programs, self.topology(), None, None);
+        let t2 = Instant::now();
+        let estimate = self.summarize(model, plan, &report);
+        if let Some(stages) = stages {
+            let t3 = Instant::now();
+            stages.lower_ns += (t1 - t0).as_nanos() as u64;
+            stages.simulate_ns += (t2 - t1).as_nanos() as u64;
+            stages.summarize_ns += (t3 - t2).as_nanos() as u64;
         }
-        let tg = self.lower(model, plan);
-        let report = self.simulate(&tg, SimMode::Predicted);
-        self.summarize(model, plan, &report)
+        estimate
     }
 
     /// The sweep's allocation-free hot path: lowers `(model, plan)`
@@ -572,18 +608,8 @@ impl Estimator {
         stages: Option<&mut StageNanos>,
     ) -> IterationEstimate {
         if self.network() == NetworkBackend::FairSharing {
-            // The compact/delta hot path prices each comm task in
-            // isolation — exactly the assumption fair sharing drops — so
-            // every fair-sharing point takes the full lowering + physical
-            // replay. This also keeps the ClosedForm compact path (and
-            // with it the sweep's winners) byte-identical to before the
-            // backend existed.
-            let estimate = match stages {
-                None => self.estimate_validated(model, plan),
-                Some(stages) => self.estimate_validated_staged(model, plan, stages),
-            };
             scratch.delta_fresh += 1;
-            return estimate;
+            return self.estimate_flows(model, plan, &mut scratch.cache_stats, stages);
         }
         let EstimatorScratch { compact, report, cache_stats, delta_fresh, delta_patched } = scratch;
         let mut source = CacheSource {
@@ -695,6 +721,7 @@ impl Estimator {
         noise: &NoiseModel,
     ) -> Result<IterationEstimate, EstimateError> {
         self.validate(model, plan)?;
+        count_full_lowering("measured");
         let tg = self.lower(model, plan);
         let nodes = plan.num_gpus().div_ceil(self.cluster.gpus_per_node);
         let mut report = self.simulate(&tg, SimMode::Measured { noise, nodes });
@@ -708,8 +735,10 @@ impl Estimator {
 
     /// [`Estimator::estimate`] with wall-clock stage attribution: each of
     /// the four pipeline stages is timed individually and accumulated
-    /// into `stages`. The estimate itself is bit-identical to
-    /// [`Estimator::estimate`] — only the composition is unrolled.
+    /// into `stages`, on the same path [`Estimator::estimate`] takes (the
+    /// compact graph under the closed-form network), so the estimate is
+    /// bit-identical and the attribution describes what a prediction
+    /// actually costs.
     ///
     /// # Errors
     ///
@@ -723,50 +752,16 @@ impl Estimator {
         let t0 = Instant::now();
         self.validate(model, plan)?;
         stages.validate_ns += t0.elapsed().as_nanos() as u64;
-        Ok(self.estimate_validated_staged(model, plan, stages))
-    }
-
-    /// The staged estimate for pre-validated plans (the sweep's
-    /// `--stage-profile` path): `lower`, `simulate`, and `summarize` are
-    /// timed individually. Runs the unfused staged pipeline, whose result
-    /// is bit-identical to the compact hot path (pinned by the compact
-    /// equivalence tests) — stage profiling trades speed for attribution.
-    pub(crate) fn estimate_validated_staged(
-        &self,
-        model: &ModelConfig,
-        plan: &ParallelConfig,
-        stages: &mut StageNanos,
-    ) -> IterationEstimate {
-        if self.network() == NetworkBackend::FairSharing {
-            let t0 = Instant::now();
-            let (tg, programs) = self.lower_with_programs(model, plan);
-            let t1 = Instant::now();
-            let report = simulate_flows(&tg, &programs, self.topology(), None, None);
-            let t2 = Instant::now();
-            let estimate = self.summarize(model, plan, &report);
-            let t3 = Instant::now();
-            stages.lower_ns += (t1 - t0).as_nanos() as u64;
-            stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-            stages.summarize_ns += (t3 - t2).as_nanos() as u64;
-            return estimate;
-        }
-        let t0 = Instant::now();
-        let tg = self.lower(model, plan);
+        let mut scratch = EstimatorScratch::default();
+        let estimate =
+            self.estimate_validated_delta(model, plan, &mut scratch, false, 1, Some(stages));
+        // Teardown is attributed to the stage that allocated the buffers
+        // (lowering); otherwise per-estimate deallocation leaks out of
+        // the attribution.
         let t1 = Instant::now();
-        let report = self.simulate(&tg, SimMode::Predicted);
-        let t2 = Instant::now();
-        let estimate = self.summarize(model, plan, &report);
-        drop(report);
-        let t3 = Instant::now();
-        drop(tg);
-        let t4 = Instant::now();
-        // Teardown is attributed to the stage that allocated: the task
-        // graph to `lower`, the report to `summarize` — otherwise per-
-        // point deallocation (µs-scale) leaks out of the attribution.
-        stages.lower_ns += ((t1 - t0) + (t4 - t3)).as_nanos() as u64;
-        stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-        stages.summarize_ns += (t3 - t2).as_nanos() as u64;
-        estimate
+        drop(scratch);
+        stages.lower_ns += t1.elapsed().as_nanos() as u64;
+        Ok(estimate)
     }
 
     /// Captures a fully-labeled per-stream execution timeline of one
@@ -789,6 +784,7 @@ impl Estimator {
         plan: &ParallelConfig,
     ) -> Result<IterationTimeline, EstimateError> {
         self.validate(model, plan)?;
+        count_full_lowering("timeline");
         // Materialize the operator graph once, purely for labels: the
         // fused lowering emits exactly one task per node in node order
         // (pinned by the lowering equivalence tests), so task id == node
@@ -875,6 +871,15 @@ impl Estimator {
             &mut record,
         );
         Ok(IterationTimeline { recorder, report })
+    }
+}
+
+/// Counts one estimate that left the compact fast path for a full task
+/// graph, as `estimate.full_lowering.<reason>` in the metrics registry
+/// (a no-op while observability is disabled).
+fn count_full_lowering(reason: &str) {
+    if vtrain_obs::enabled() {
+        vtrain_obs::global().counter(&format!("estimate.full_lowering.{reason}")).inc();
     }
 }
 
@@ -1072,19 +1077,25 @@ mod tests {
     }
 
     #[test]
-    fn staged_pipeline_composes_to_estimate() {
-        // Running the stages by hand must equal the composed call.
-        let est = Estimator::builder(ClusterSpec::aws_p4d(16)).build();
+    fn full_lowering_paths_are_counted() {
+        let counter = |reason: &str| {
+            vtrain_obs::global().counter(&format!("estimate.full_lowering.{reason}"))
+        };
+        let cluster = ClusterSpec::aws_p4d(16);
         let model = presets::megatron("1.7B");
-        let p = plan(2, 2, 2, 1, 8);
-        est.validate(&model, &p).unwrap();
-        let tg = est.lower(&model, &p);
-        let report = est.simulate(&tg, SimMode::Predicted);
-        let staged = est.summarize(&model, &p, &report);
-        let composed = est.estimate(&model, &p).unwrap();
-        assert_eq!(staged.iteration_time, composed.iteration_time);
-        assert_eq!(staged.busy, composed.busy);
-        assert_eq!(staged.num_gpus, composed.num_gpus);
+        let p = plan(2, 4, 2, 1, 8);
+        let closed = Estimator::builder(cluster.clone()).build();
+        let fair = Estimator::builder(cluster).network(NetworkBackend::FairSharing).build();
+        let before: Vec<u64> =
+            ["fair_sharing", "measured", "timeline"].iter().map(|r| counter(r).get()).collect();
+        vtrain_obs::set_enabled(true);
+        fair.estimate(&model, &p).unwrap();
+        closed.measure(&model, &p).unwrap();
+        closed.timeline(&model, &p).unwrap();
+        vtrain_obs::set_enabled(false);
+        for (reason, before) in ["fair_sharing", "measured", "timeline"].iter().zip(before) {
+            assert!(counter(reason).get() > before, "{reason} exit not counted");
+        }
     }
 
     #[test]
@@ -1292,6 +1303,10 @@ mod tests {
         assert_eq!(composed.iteration_time, compact.iteration_time);
         assert_eq!(composed.busy, compact.busy);
         assert_eq!(scratch.delta_counts(), (1, 0), "fair sharing always lowers fresh");
+        // The full lowering's profile lookups land in the worker's tally
+        // (the estimate above warmed the cache, so all of them hit).
+        let stats = scratch.cache_stats();
+        assert!(stats.hits > 0 && stats.misses == 0, "fair-sharing lookups tallied: {stats:?}");
         let mut stages = StageNanos::default();
         let staged = est.estimate_staged(&model, &p, &mut stages).unwrap();
         assert_eq!(composed.iteration_time, staged.iteration_time);
@@ -1324,6 +1339,60 @@ mod tests {
         );
         let json = timeline.recorder.to_chrome_trace();
         assert!(json.contains("\"ph\":\"C\""), "counters export as Chrome counter events");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 16,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Running the stages by hand must equal the composed call: the
+        /// fused `estimate` (compact lowering + aggregated replay through
+        /// the estimator's own profile source) reproduces `lower →
+        /// simulate → summarize` on the full task graph bit for bit, on
+        /// flat, two-tier and racked interconnects; `estimate_staged`
+        /// agrees with both.
+        #[test]
+        fn staged_pipeline_composes_to_estimate(
+            t_exp in 0usize..=3,
+            d_exp in 0usize..=3,
+            p in 1usize..=6,
+            m_exp in 0usize..=1,
+            n_micro in 1usize..=24,
+            flags in 0u32..12,
+        ) {
+            let (gpipe, bucketing, net) = (flags & 1 != 0, flags & 2 != 0, flags >> 2);
+            let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let p = ParallelConfig::builder()
+                .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+            let cluster = ClusterSpec::aws_p4d(512);
+            let spine = vtrain_net::TierSpec::new(25e9, TimeNs::from_micros(35), 1.0);
+            let est = match net {
+                0 => Estimator::builder(cluster).build(),
+                1 => Estimator::builder(cluster.clone()).topology(cluster.topology(0.9)).build(),
+                _ => Estimator::builder(cluster.clone())
+                    .topology(cluster.topology(1.0).with_rack_tier(2, spine))
+                    .build(),
+            };
+            let model = presets::megatron("1.7B");
+            if est.validate(&model, &p).is_err() {
+                return Ok(());
+            }
+            let report = est.simulate(&est.lower(&model, &p), SimMode::Predicted);
+            let full = est.summarize(&model, &p, &report);
+            let staged = est.estimate_staged(&model, &p, &mut StageNanos::default()).unwrap();
+            for fused in [est.estimate(&model, &p).unwrap(), staged] {
+                proptest::prop_assert_eq!(fused.iteration_time, full.iteration_time);
+                proptest::prop_assert_eq!(fused.busy, full.busy);
+                proptest::prop_assert_eq!(fused.utilization.to_bits(), full.utilization.to_bits());
+                proptest::prop_assert_eq!(fused.occupancy.to_bits(), full.occupancy.to_bits());
+                proptest::prop_assert_eq!(fused.num_gpus, full.num_gpus);
+                proptest::prop_assert_eq!(fused.tokens_per_iteration, full.tokens_per_iteration);
+            }
+        }
     }
 
     #[test]

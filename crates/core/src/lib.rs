@@ -11,7 +11,10 @@
 //! honoring dependencies and computation/communication overlap; stream-
 //! chained graphs take a provably equivalent dataflow fast path) →
 //! **summarize** (fold the replay into an [`IterationEstimate`]).
-//! [`Estimator::estimate`] composes the stages; [`search`] sweeps the
+//! [`Estimator::estimate`] composes the stages with lowering and replay
+//! fused on a run-aggregated compact graph (bit-identical to the full
+//! task-graph replay, which `measure`, `timeline` and the fair-sharing
+//! network backend still run); [`search`] sweeps the
 //! `(t, d, p, m)` design space on a work-stealing executor that shares the
 //! profile cache across workers (each unique operator signature is
 //! profiled once per sweep, §III-C/F) and reports
