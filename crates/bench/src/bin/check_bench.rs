@@ -21,9 +21,10 @@
 //!   observability must stay near-free when enabled and exactly free
 //!   when disabled (records without the A/B fields skip this gate);
 //! * the every-core re-run below `min_parallel_efficiency` (0.6) of
-//!   linear scaling over its warm single-thread twin — the two-level
-//!   executor must not waste its thread budget (reduces to a sanity
-//!   bound on single-core hosts);
+//!   linear scaling over its warm one-thread twin (`points_per_sec_1t`)
+//!   — the two-level executor must not waste its thread budget (reduces
+//!   to a sanity bound on single-core hosts; records without the twin
+//!   skip the gate);
 //! * `delta_equivalent == false` — the delta-lowered sweep must
 //!   reproduce from-scratch lowering bit for bit (records without the
 //!   delta A/B fields skip both gates);
@@ -375,20 +376,18 @@ fn main() -> ExitCode {
 
     // Parallel-efficiency gate: the every-core re-run must deliver at
     // least `min_parallel_efficiency` (0.6) of linear scaling over its
-    // warm single-thread twin. On a single-core host (`threads_mt == 1`)
-    // this reduces to a same-conditions sanity bound; records without
-    // the fields (old producers, `--full` runs) skip the gate.
+    // warm twin run on exactly one thread. On a single-core host
+    // (`threads_mt == 1`) this reduces to a same-conditions sanity bound;
+    // records without the fields (old producers, `--full` runs) skip the
+    // gate.
     let mt_pair = sweep
         .get("points_per_sec_mt")
         .and_then(Value::as_f64)
-        .zip(sweep.get("threads_mt").and_then(Value::as_u64));
+        .zip(sweep.get("threads_mt").and_then(Value::as_u64))
+        .zip(sweep.get("points_per_sec_1t").and_then(Value::as_f64));
     match mt_pair {
         None => println!("parallel efficiency: not recorded in BENCH_sweep.json — not gated"),
-        Some((pps_mt, threads_mt)) => {
-            // The warm obs-off re-run is the apples-to-apples
-            // single-thread comparator; fall back to the cold headline
-            // number for records without the A/B fields.
-            let pps_1t = sweep.get("points_per_sec_obs_off").and_then(Value::as_f64).unwrap_or(pps);
+        Some(((pps_mt, threads_mt), pps_1t)) => {
             let min_eff =
                 baseline.get("min_parallel_efficiency").and_then(Value::as_f64).unwrap_or(0.6);
             let mt_floor = pps_1t * threads_mt as f64 * min_eff;

@@ -59,9 +59,11 @@ struct SweepBench {
     /// enabled; `check_bench` gates `obs_on / obs_off` at the
     /// baseline's `max_obs_on_regression_pct`.
     points_per_sec_obs_on: Option<f64>,
+    /// Warm-cache re-run (best of 3) on exactly one worker thread — the
+    /// single-thread twin of the parallel-efficiency gate.
+    points_per_sec_1t: Option<f64>,
     /// Warm-cache re-run on every available core; `check_bench` gates
-    /// parallel efficiency (`≥ 0.6·N×` single-thread) when `threads_mt
-    /// > 1`.
+    /// parallel efficiency (`≥ 0.6·N×` of `points_per_sec_1t`).
     points_per_sec_mt: Option<f64>,
     /// Thread count of the multi-thread re-run.
     threads_mt: Option<usize>,
@@ -254,8 +256,8 @@ fn main() {
     // Instrumentation-overhead A/B plus stage attribution, all on the
     // now-warm cache so the re-runs are apples-to-apples. Skipped under
     // `--full` (each re-run is a full-grid sweep).
-    let (obs_off, obs_on, mt, delta_off, stage_profile, goal_profile) = if full_mode() {
-        (None, None, None, None, None, None)
+    let (obs_off, obs_on, one_thread, mt, delta_off, stage_profile, goal_profile) = if full_mode() {
+        (None, None, None, None, None, None, None)
     } else {
         let rerun = |obs: bool, profile: bool, goal: SweepGoal, threads: usize, delta: bool| {
             vtrain_obs::set_enabled(obs);
@@ -297,6 +299,7 @@ fn main() {
         let goal_profiled = rerun(false, true, SweepGoal::Best, threads(), true);
         let threads_mt =
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(threads());
+        let one_thread = measure(false, 1, true).stats.points_per_sec();
         let mt = measure(false, threads_mt, true).stats.points_per_sec();
         let delta_off_outcome = measure(false, threads(), false);
         let key = |p: &search::DesignPoint| {
@@ -321,14 +324,15 @@ fn main() {
             (on / off - 1.0) * 100.0
         );
         println!(
-            "parallel / delta A/B (warm cache): {mt:.1} points/s on {threads_mt} threads, \
-             {:.1} points/s delta-off (equivalent: {delta_equivalent})",
+            "parallel / delta A/B (warm cache): {mt:.1} points/s on {threads_mt} threads vs \
+             {one_thread:.1} on one, {:.1} points/s delta-off (equivalent: {delta_equivalent})",
             delta_off_outcome.stats.points_per_sec()
         );
         report::dump_raw("metrics", &vtrain_obs::global().to_json());
         (
             Some(off),
             Some(on),
+            Some(one_thread),
             Some((mt, threads_mt)),
             Some((delta_off_outcome.stats.points_per_sec(), delta_equivalent)),
             profiled.stage_profile,
@@ -360,6 +364,7 @@ fn main() {
             cache_hit_rate: stats.cache_hit_rate(),
             points_per_sec_obs_off: obs_off,
             points_per_sec_obs_on: obs_on,
+            points_per_sec_1t: one_thread,
             points_per_sec_mt: mt.map(|(pps, _)| pps),
             threads_mt: mt.map(|(_, n)| n),
             points_per_sec_delta_off: delta_off.map(|(pps, _)| pps),

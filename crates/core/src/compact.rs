@@ -27,14 +27,24 @@
 //!
 //! Two plans with equal [`PlanShapeKey`]s produce graphs with identical
 //! structure — node counts, run boundaries, edges, and slot assignments —
-//! differing only in slot *values*. When the scratch already holds a
-//! graph for the same key, [`simulate_plan_delta`] skips the builder and
-//! the CSR construction entirely and only refills the runs' value columns
-//! from the re-priced slot table and the cached run *compositions* —
-//! `(slot, multiplicity)` pairs per run, a handful of entries even for
-//! thousand-node chains. Exact integer `value · multiplicity` sums make
-//! the patched graph bit-identical to a fresh lowering (proven by the
-//! A/B property test below).
+//! differing only in slot *values*. Everything that depends on structure
+//! alone is derived once per fresh build, right after the CSR: the
+//! topological order of the runs, each slot's total multiplicity, the
+//! per-device `(slot, multiplicity)` tallies of the compute and TP slots,
+//! and the task count. When the scratch already holds a graph for the
+//! same key, [`simulate_plan_delta`] skips the builder and all of that
+//! derivation, and only refills the one value column — each run's
+//! duration — from the re-priced slot table and the cached run
+//! *compositions* (`(slot, multiplicity)` pairs per run, a handful of
+//! entries even for thousand-node chains).
+//!
+//! The replay is then value-only: one `ready_at` pass over the stored
+//! order yields the iteration time; the busy breakdown and per-device
+//! busy time are `Σ slot_value · multiplicity` over the stored tallies;
+//! the task count is the stored node count. Exact integer sums make both
+//! the patched graph and the tally-derived report bit-identical to a
+//! fresh lowering and to the full replay (proven by the property tests
+//! below).
 //!
 //! The refill distributes over disjoint run ranges, so a single
 //! candidate's patch can be split across `shards` threads (two-level
@@ -87,12 +97,6 @@ const CAT_TP: u8 = 1;
 const CAT_DP: u8 = 2;
 const CAT_PP: u8 = 3;
 
-/// Reusable buffers of the compact lowering + replay, columnar throughout.
-///
-/// The buffers split into *structure* (run boundaries, compositions,
-/// edges, CSR, pristine in-degrees), which survives across points and is
-/// what delta-lowering reuses, and *values* (the slot table and the runs'
-/// duration/category columns), which are refilled per point.
 /// One accepted block replication: `periods` copies (including the
 /// original) of `node_stride` nodes / `run_stride` runs starting at
 /// builder node `start` and run `r0`.
@@ -104,12 +108,19 @@ struct Rep {
     run_stride: u32,
 }
 
+/// Reusable buffers of the compact lowering + replay, columnar throughout.
+///
+/// The buffers split into *structure* (run boundaries, compositions,
+/// edges, CSR, topological order, multiplicity tallies), which survives
+/// across points and is what delta-lowering reuses, and *values* (the
+/// slot table and the runs' duration column), which are refilled per
+/// point.
 #[derive(Default)]
 pub struct CompactScratch {
     // --- structure: valid for `base_key`, reused by the delta path ---
     /// Builder node ids consumed so far (nodes are never stored
     /// individually: each belongs to a run, and its latency slot lands in
-    /// the run's composition).
+    /// the run's composition). Equals the graph's task count.
     nodes: u32,
     /// Run compositions — `(owning run, latency slot, multiplicity)`
     /// triples, in emission order (so `comp_run` is non-decreasing: runs
@@ -121,8 +132,6 @@ pub struct CompactScratch {
     comp_slot: Vec<u32>,
     comp_count: Vec<u32>,
     run_device: Vec<u32>,
-    /// Source tasks aggregated into each run.
-    run_tasks: Vec<u32>,
     /// Builder node ids of each run's chain endpoints.
     run_head: Vec<u32>,
     run_tail: Vec<u32>,
@@ -132,9 +141,19 @@ pub struct CompactScratch {
     counts: Vec<u32>,
     offsets: Vec<u32>,
     targets: Vec<u32>,
-    /// Pristine in-degrees (kept intact so replays can start without
-    /// re-deriving them from the edge list).
-    in_degree0: Vec<u32>,
+    /// In-degree countdown and ready stack of the topological sort.
+    in_degree: Vec<u32>,
+    stack: Vec<u32>,
+    /// Kahn topological order of the runs: the replay walks it as is.
+    order: Vec<u32>,
+    /// Total multiplicity of each slot over the whole graph.
+    slot_mult: Vec<u64>,
+    /// `(device, slot, multiplicity)` of every compute and TP slot a
+    /// device runs — the terms of its busy time.
+    device_tally: Vec<(u32, u32, u64)>,
+    /// Dense `device × slot` accumulator behind `device_tally`, over the
+    /// compute/TP prefix of the slot table.
+    tally_dense: Vec<u64>,
     /// The shape key the structure buffers were built for.
     base_key: Option<PlanShapeKey>,
     /// Moving cursors of [`CompactScratch::run_of_seq`] for edge
@@ -148,6 +167,8 @@ pub struct CompactScratch {
     /// region resolve their run ids by stride instead of per-edge
     /// lookups.
     reps: Vec<Rep>,
+    /// Open (extendable) compute-stream run per device while building.
+    open: Vec<u32>,
     // --- values: refilled per point ---
     /// Latency of each slot of the canonical enumeration.
     slot_values: Vec<TimeNs>,
@@ -155,24 +176,44 @@ pub struct CompactScratch {
     slot_cat: Vec<u8>,
     /// Total chain duration per run (sum of member durations).
     run_duration: Vec<TimeNs>,
-    /// Per-run contributions to the busy breakdown.
-    run_compute: Vec<TimeNs>,
-    run_tp: Vec<TimeNs>,
-    run_dp: Vec<TimeNs>,
-    run_pp: Vec<TimeNs>,
     // --- replay working state ---
-    in_degree: Vec<u32>,
     ready_at: Vec<TimeNs>,
-    stack: Vec<u32>,
-    /// Open (extendable) compute-stream run per device.
-    open: Vec<u32>,
 }
 
 impl CompactScratch {
     /// Number of aggregated runs of the currently lowered graph.
-    #[cfg(test)]
     pub(crate) fn num_runs(&self) -> usize {
         self.run_device.len()
+    }
+
+    /// Bytes reserved by every column of this scratch (capacities, not
+    /// lengths: what the buffers hold on to between points).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.comp_run)
+            + bytes(&self.comp_slot)
+            + bytes(&self.comp_count)
+            + bytes(&self.run_device)
+            + bytes(&self.run_head)
+            + bytes(&self.run_tail)
+            + bytes(&self.edges)
+            + bytes(&self.counts)
+            + bytes(&self.offsets)
+            + bytes(&self.targets)
+            + bytes(&self.in_degree)
+            + bytes(&self.stack)
+            + bytes(&self.order)
+            + bytes(&self.slot_mult)
+            + bytes(&self.device_tally)
+            + bytes(&self.tally_dense)
+            + bytes(&self.reps)
+            + bytes(&self.open)
+            + bytes(&self.slot_values)
+            + bytes(&self.slot_cat)
+            + bytes(&self.run_duration)
+            + bytes(&self.ready_at)
     }
 
     /// Maps a builder node id back to its owning run. Runs own
@@ -256,7 +297,6 @@ impl CompactScratch {
         }
         let r = self.run_device.len() as u32;
         self.run_device.push(device);
-        self.run_tasks.push(0);
         self.run_head.push(first);
         self.run_tail.push(first);
         // Communication nodes join at cross-stream edges, so they are
@@ -282,7 +322,6 @@ impl GraphSink for CompactSink<'_> {
         self.s.nodes += 1;
         let compute = node.stream == StreamKind::Compute;
         let run_id = self.s.open_or_extend(node.device, id, compute);
-        self.s.run_tasks[run_id as usize] += 1;
         self.s.run_tail[run_id as usize] = id;
         self.s.push_comp(run_id, slot, 1);
         id
@@ -300,7 +339,6 @@ impl GraphSink for CompactSink<'_> {
         self.s.nodes += n_new;
         let was_open = self.s.open[device as usize] != NONE;
         let run_id = self.s.open_or_extend(device, first, true);
-        self.s.run_tasks[run_id as usize] += n_new;
         self.s.run_tail[run_id as usize] = first + n_new - 1;
         // The whole block is one composition entry per pattern op — the
         // interior program-order chain is implicit in the run.
@@ -341,7 +379,6 @@ impl GraphSink for CompactSink<'_> {
         // an offset fixup afterwards (a vectorizable add-scalar pass).
         let (n_runs, n_comp) = (run_end - r0, comp_end - comp0);
         s.run_device.reserve(n_runs * copies as usize);
-        s.run_tasks.reserve(n_runs * copies as usize);
         s.run_head.reserve(n_runs * copies as usize);
         s.run_tail.reserve(n_runs * copies as usize);
         s.comp_run.reserve(n_comp * copies as usize);
@@ -354,7 +391,6 @@ impl GraphSink for CompactSink<'_> {
             let node_off = node_stride * q;
             let run_off = run_stride * q;
             s.run_device.extend_from_within(r0..run_end);
-            s.run_tasks.extend_from_within(r0..run_end);
             let base = s.run_head.len();
             s.run_head.extend_from_within(r0..run_end);
             for v in &mut s.run_head[base..] {
@@ -578,31 +614,17 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
         return Err(MissingProfile);
     }
 
-    let devices = plan.pipeline();
     let key = plan_shape_key(model, plan, opts);
     if delta && scratch.base_key == Some(key) {
+        debug_assert_eq!(scratch.slot_mult.len(), scratch.slot_values.len(), "slot table shape");
         refill_runs(scratch, shards);
         return Ok(LowerOutcome::Patched);
     }
-    scratch.base_key = None;
-    scratch.nodes = 0;
-    scratch.comp_run.clear();
-    scratch.comp_slot.clear();
-    scratch.comp_count.clear();
-    scratch.run_device.clear();
-    scratch.run_tasks.clear();
-    scratch.run_head.clear();
-    scratch.run_tail.clear();
-    scratch.edges.clear();
-    scratch.hint_from = 0;
-    scratch.hint_to = 0;
-    scratch.reps.clear();
-    scratch.open.clear();
-    scratch.open.resize(devices, NONE);
-    let mut sink = CompactSink { s: scratch };
-    build_op_graph_into(model, plan, opts, &mut sink);
+    build_graph(model, plan, opts, scratch);
     build_csr(scratch);
-    // Fresh builds price their value columns through the same
+    build_order(scratch);
+    build_tallies(scratch, plan.pipeline());
+    // Fresh builds price their duration column through the same
     // composition refill the patch path uses — one value computation,
     // shared and equally sharded on both paths.
     refill_runs(scratch, shards);
@@ -610,17 +632,42 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
     Ok(LowerOutcome::Fresh)
 }
 
+/// Clears the structure buffers and streams the builder's graph into
+/// them as aggregated runs, compositions and inter-run edges.
+fn build_graph(
+    model: &ModelConfig,
+    plan: &ParallelConfig,
+    opts: &GraphOptions,
+    s: &mut CompactScratch,
+) {
+    s.base_key = None;
+    s.nodes = 0;
+    s.comp_run.clear();
+    s.comp_slot.clear();
+    s.comp_count.clear();
+    s.run_device.clear();
+    s.run_head.clear();
+    s.run_tail.clear();
+    s.edges.clear();
+    s.hint_from = 0;
+    s.hint_to = 0;
+    s.reps.clear();
+    s.open.clear();
+    s.open.resize(plan.pipeline(), NONE);
+    build_op_graph_into(model, plan, opts, &mut CompactSink { s });
+}
+
 /// Builds the inter-run CSR (per-source insertion order preserved) and
-/// the pristine in-degree column from the collected edge list.
+/// the runs' in-degrees from the collected edge list.
 fn build_csr(s: &mut CompactScratch) {
     let n = s.run_device.len();
     s.counts.clear();
     s.counts.resize(n + 1, 0);
-    s.in_degree0.clear();
-    s.in_degree0.resize(n, 0);
+    s.in_degree.clear();
+    s.in_degree.resize(n, 0);
     for &(from, to) in &s.edges {
         s.counts[from as usize + 1] += 1;
-        s.in_degree0[to as usize] += 1;
+        s.in_degree[to as usize] += 1;
     }
     for i in 0..n {
         s.counts[i + 1] += s.counts[i];
@@ -636,22 +683,82 @@ fn build_csr(s: &mut CompactScratch) {
     }
 }
 
-/// (Re)computes the runs' value columns from the (re-priced) slot table
-/// and the run compositions, leaving all structure untouched — the value
+/// Stores a Kahn topological order of the runs in `order`. The ready
+/// set is a stack, so the order follows chains depth-first and the
+/// replay's walk touches neighbouring runs back to back.
+///
+/// # Panics
+///
+/// If the run graph contains a cycle (a builder bug: the aggregation of a
+/// valid plan is always acyclic).
+fn build_order(s: &mut CompactScratch) {
+    let n = s.run_device.len();
+    let CompactScratch { in_degree, stack, offsets, targets, order, .. } = s;
+    order.clear();
+    stack.clear();
+    stack.extend((0..n as u32).filter(|&i| in_degree[i as usize] == 0));
+    while let Some(u) = stack.pop() {
+        order.push(u);
+        let i = u as usize;
+        for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
+            in_degree[c as usize] -= 1;
+            if in_degree[c as usize] == 0 {
+                stack.push(c);
+            }
+        }
+    }
+    let ordered = order.len();
+    assert_eq!(ordered, n, "compact graph contains a cycle: {ordered} of {n} runs ordered");
+}
+
+/// Sums the compositions into each slot's total multiplicity and each
+/// device's compute/TP `(slot, multiplicity)` tallies — the structure
+/// half of the report's busy sums, which the replay scales by the slot
+/// values.
+fn build_tallies(s: &mut CompactScratch, devices: usize) {
+    let n_slots = s.slot_cat.len();
+    // The canonical enumeration lists every compute and TP slot before
+    // the pipeline and DP slots, so device busy time only reads a prefix.
+    let n_busy = s.slot_cat.iter().take_while(|&&c| matches!(c, CAT_COMPUTE | CAT_TP)).count();
+    assert!(
+        s.slot_cat[n_busy..].iter().all(|&c| matches!(c, CAT_DP | CAT_PP)),
+        "compute/TP slots must precede the pipeline and DP slots"
+    );
+    s.slot_mult.clear();
+    s.slot_mult.resize(n_slots, 0);
+    s.tally_dense.clear();
+    s.tally_dense.resize(devices * n_busy, 0);
+    for ((&r, &slot), &count) in s.comp_run.iter().zip(&s.comp_slot).zip(&s.comp_count) {
+        let slot = slot as usize;
+        s.slot_mult[slot] += u64::from(count);
+        if slot < n_busy {
+            let device = s.run_device[r as usize] as usize;
+            s.tally_dense[device * n_busy + slot] += u64::from(count);
+        }
+    }
+    s.device_tally.clear();
+    for device in 0..devices {
+        let row = &s.tally_dense[device * n_busy..(device + 1) * n_busy];
+        for (slot, &mult) in row.iter().enumerate() {
+            if mult != 0 {
+                s.device_tally.push((device as u32, slot as u32, mult));
+            }
+        }
+    }
+}
+
+/// (Re)computes the runs' durations from the (re-priced) slot table and
+/// the run compositions, leaving all structure untouched — the value
 /// half of a fresh lowering and the entirety of a delta patch. With
 /// `shards > 1` the work splits across disjoint contiguous run ranges on
-/// scoped threads; each run's value is the exact integer sum
+/// scoped threads; each run's duration is the exact integer sum
 /// `Σ slot_value · multiplicity` either way, so the result is independent
 /// of the split (and equals per-node accumulation: `u64` addition is
 /// associative).
 fn refill_runs(s: &mut CompactScratch, shards: usize) {
     let n_runs = s.run_device.len();
-    for col in
-        [&mut s.run_duration, &mut s.run_compute, &mut s.run_tp, &mut s.run_dp, &mut s.run_pp]
-    {
-        col.clear();
-        col.resize(n_runs, TimeNs::ZERO);
-    }
+    s.run_duration.clear();
+    s.run_duration.resize(n_runs, TimeNs::ZERO);
     if n_runs == 0 {
         return;
     }
@@ -660,15 +767,10 @@ fn refill_runs(s: &mut CompactScratch, shards: usize) {
         refill_range(
             0,
             &mut s.run_duration,
-            &mut s.run_compute,
-            &mut s.run_tp,
-            &mut s.run_dp,
-            &mut s.run_pp,
             &s.comp_run,
             &s.comp_slot,
             &s.comp_count,
             &s.slot_values,
-            &s.slot_cat,
         );
         return;
     }
@@ -677,126 +779,87 @@ fn refill_runs(s: &mut CompactScratch, shards: usize) {
     // composition range, found by binary search at the run boundary.
     let chunk = n_runs.div_ceil(shards);
     let (comp_run, comp_slot, comp_count) = (&s.comp_run, &s.comp_slot, &s.comp_count);
-    let (slot_values, slot_cat) = (&s.slot_values, &s.slot_cat);
+    let slot_values = &s.slot_values;
     std::thread::scope(|scope| {
-        let columns = s
-            .run_duration
-            .chunks_mut(chunk)
-            .zip(s.run_compute.chunks_mut(chunk))
-            .zip(s.run_tp.chunks_mut(chunk))
-            .zip(s.run_dp.chunks_mut(chunk))
-            .zip(s.run_pp.chunks_mut(chunk));
         let mut run_lo = 0usize;
         let mut comp_lo = 0usize;
-        for ((((dur, comp), tp), dp), pp) in columns {
+        for dur in s.run_duration.chunks_mut(chunk) {
             let run_hi = run_lo + dur.len();
             let comp_hi = comp_lo + comp_run[comp_lo..].partition_point(|&r| (r as usize) < run_hi);
-            let comp_cols = (
+            let (runs, slots, counts) = (
                 &comp_run[comp_lo..comp_hi],
                 &comp_slot[comp_lo..comp_hi],
                 &comp_count[comp_lo..comp_hi],
             );
-            scope.spawn(move || {
-                refill_range(
-                    run_lo as u32,
-                    dur,
-                    comp,
-                    tp,
-                    dp,
-                    pp,
-                    comp_cols.0,
-                    comp_cols.1,
-                    comp_cols.2,
-                    slot_values,
-                    slot_cat,
-                )
-            });
+            scope.spawn(move || refill_range(run_lo as u32, dur, runs, slots, counts, slot_values));
             run_lo = run_hi;
             comp_lo = comp_hi;
         }
     });
 }
 
-/// Accumulates the value columns of runs `[run_base, run_base +
-/// dur.len())` (already zeroed) from their composition triples.
-#[allow(clippy::too_many_arguments)]
+/// Accumulates the durations of runs `[run_base, run_base + dur.len())`
+/// (already zeroed) from their composition triples.
 fn refill_range(
     run_base: u32,
     dur: &mut [TimeNs],
-    comp: &mut [TimeNs],
-    tp: &mut [TimeNs],
-    dp: &mut [TimeNs],
-    pp: &mut [TimeNs],
     comp_run: &[u32],
     comp_slot: &[u32],
     comp_count: &[u32],
     slot_values: &[TimeNs],
-    slot_cat: &[u8],
 ) {
     for ((&r, &slot), &count) in comp_run.iter().zip(comp_slot).zip(comp_count) {
-        let i = (r - run_base) as usize;
-        let v = TimeNs::from_nanos(slot_values[slot as usize].as_nanos() * count as u64);
-        dur[i] += v;
-        match slot_cat[slot as usize] {
-            CAT_COMPUTE => comp[i] += v,
-            CAT_TP => tp[i] += v,
-            CAT_DP => dp[i] += v,
-            _ => pp[i] += v,
-        }
+        dur[(r - run_base) as usize] += scale(slot_values[slot as usize], u64::from(count));
     }
 }
 
-/// The dataflow traversal over the aggregated graph. Compact graphs are
+/// `value · multiplicity`, exact in integer nanoseconds.
+fn scale(value: TimeNs, multiplicity: u64) -> TimeNs {
+    TimeNs::from_nanos(value.as_nanos() * multiplicity)
+}
+
+/// The value-only replay over the lowered graph. Compact graphs are
 /// stream-chained by construction (the builder chains consecutive runs on
-/// every slot), so the plain Kahn traversal reproduces the FIFO replay —
+/// every slot), so the dataflow traversal reproduces the FIFO replay —
 /// the same argument as `simulate`'s fast path, proven bit-identical by
-/// the equivalence tests. The CSR and pristine in-degrees are taken as
-/// built ([`build_csr`]); only working state is touched, so a patched
-/// graph replays without re-deriving structure.
+/// the equivalence tests. It walks the stored topological order once,
+/// propagating finish times into `ready_at`; the busy breakdown, the
+/// per-device busy time and the task count come from the structure
+/// tallies ([`build_tallies`]) scaled by the current slot values, so a
+/// patched graph replays without touching any structure.
 pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mut SimReport) {
-    let n = s.run_device.len();
-    s.in_degree.clear();
-    s.in_degree.extend_from_slice(&s.in_degree0);
-
-    report.busy = BusyBreakdown::default();
-    report.iteration_time = TimeNs::ZERO;
-    report.device_busy.clear();
-    report.device_busy.resize(devices, TimeNs::ZERO);
-    s.ready_at.clear();
-    s.ready_at.resize(n, TimeNs::ZERO);
-    s.stack.clear();
-    s.stack.extend((0..n as u32).filter(|&i| s.in_degree[i as usize] == 0));
-
-    let mut busy = BusyBreakdown::default();
+    let CompactScratch { order, offsets, targets, run_duration, ready_at, .. } = s;
+    ready_at.clear();
+    ready_at.resize(run_duration.len(), TimeNs::ZERO);
     let mut iteration_time = TimeNs::ZERO;
-    let mut executed_runs = 0usize;
-    let mut executed_tasks = 0usize;
-    while let Some(u) = s.stack.pop() {
+    for &u in order.iter() {
         let i = u as usize;
-        let finish = s.ready_at[i] + s.run_duration[i];
+        let finish = ready_at[i] + run_duration[i];
         iteration_time = iteration_time.max(finish);
-        busy.compute += s.run_compute[i];
-        busy.tp_comm += s.run_tp[i];
-        busy.dp_comm += s.run_dp[i];
-        busy.pp_comm += s.run_pp[i];
-        report.device_busy[s.run_device[i] as usize] += s.run_compute[i] + s.run_tp[i];
-        executed_runs += 1;
-        executed_tasks += s.run_tasks[i] as usize;
-
-        let lo = s.offsets[i] as usize;
-        let hi = s.offsets[i + 1] as usize;
-        for &c in &s.targets[lo..hi] {
-            s.ready_at[c as usize] = s.ready_at[c as usize].max(finish);
-            s.in_degree[c as usize] -= 1;
-            if s.in_degree[c as usize] == 0 {
-                s.stack.push(c);
-            }
+        for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
+            let ready = &mut ready_at[c as usize];
+            *ready = (*ready).max(finish);
         }
     }
-    assert_eq!(executed_runs, n, "compact graph contains a cycle: {executed_runs} of {n} runs ran");
+
+    let mut busy = BusyBreakdown::default();
+    for ((&value, &cat), &mult) in s.slot_values.iter().zip(&s.slot_cat).zip(&s.slot_mult) {
+        let total = scale(value, mult);
+        match cat {
+            CAT_COMPUTE => busy.compute += total,
+            CAT_TP => busy.tp_comm += total,
+            CAT_DP => busy.dp_comm += total,
+            _ => busy.pp_comm += total,
+        }
+    }
+    report.device_busy.clear();
+    report.device_busy.resize(devices, TimeNs::ZERO);
+    for &(device, slot, mult) in &s.device_tally {
+        report.device_busy[device as usize] += scale(s.slot_values[slot as usize], mult);
+    }
     report.iteration_time = iteration_time;
     report.busy = busy;
-    report.tasks_executed = executed_tasks;
+    report.tasks_executed = s.nodes as usize;
 }
 
 #[cfg(test)]
@@ -978,6 +1041,57 @@ mod tests {
         assert_eq!(step(1, 1, 16, &mut scratch, 1), LowerOutcome::Fresh);
     }
 
+    /// Runs `plan` through the delta-enabled path on `walk_scratch` and
+    /// through the full lowering + Predicted replay under the same
+    /// communication model, asserting every report field bit for bit.
+    /// Returns the walk path's outcome.
+    fn compare_walk_step_to_full(
+        model: &vtrain_model::ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+        comm: &CommModel,
+        walk_scratch: &mut CompactScratch,
+        shards: usize,
+    ) -> LowerOutcome {
+        let cache = vtrain_profile::ProfileCache::new();
+        let profiler = Profiler::new(GpuSpec::a100_40gb());
+        let sigs = vtrain_graph::plan_signatures(model, plan, opts);
+        let profiles = cache.resolve(&profiler, &sigs);
+        let full = TaskGraph::lower_fused(model, plan, opts, &profiles, comm).unwrap();
+        let expect = simulate(&full, SimMode::Predicted);
+
+        let mut report = SimReport::default();
+        let mut source = SetSource(&profiles);
+        let outcome = simulate_plan_delta(
+            model,
+            plan,
+            opts,
+            &mut source,
+            comm,
+            walk_scratch,
+            &mut report,
+            true,
+            shards,
+        )
+        .unwrap();
+        assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
+        assert_eq!(report.busy, expect.busy, "{plan}");
+        assert_eq!(report.device_busy, expect.device_busy, "{plan}");
+        assert_eq!(report.tasks_executed, expect.tasks_executed, "{plan}");
+        outcome
+    }
+
+    #[test]
+    #[should_panic(expected = "compact graph contains a cycle")]
+    fn cyclic_compact_graph_panics() {
+        // Three runs where 1 -> 2 -> 1 loops behind the source run 0.
+        let mut scratch = CompactScratch::default();
+        scratch.run_device.extend([0, 0, 0]);
+        scratch.edges.extend([(0, 1), (1, 2), (2, 1)]);
+        build_csr(&mut scratch);
+        build_order(&mut scratch);
+    }
+
     #[test]
     #[ignore = "manual profiling aid"]
     fn profile_lower_breakdown() {
@@ -1012,35 +1126,26 @@ mod tests {
                 &mut scratch.slot_cat,
             );
             let t1 = std::time::Instant::now();
-            scratch.base_key = None;
-            scratch.nodes = 0;
-            scratch.comp_run.clear();
-            scratch.comp_slot.clear();
-            scratch.comp_count.clear();
-            scratch.run_device.clear();
-            scratch.run_tasks.clear();
-            scratch.run_head.clear();
-            scratch.run_tail.clear();
-            scratch.edges.clear();
-            scratch.reps.clear();
-            scratch.open.clear();
-            scratch.open.resize(plan.pipeline(), NONE);
-            let mut sink = CompactSink { s: &mut scratch };
-            build_op_graph_into(&model, &plan, &opts, &mut sink);
+            build_graph(&model, &plan, &opts, &mut scratch);
             let t2 = std::time::Instant::now();
             build_csr(&mut scratch);
             let t3 = std::time::Instant::now();
-            refill_runs(&mut scratch, 1);
+            build_order(&mut scratch);
+            build_tallies(&mut scratch, plan.pipeline());
             let t4 = std::time::Instant::now();
-            replay_lowered(&mut scratch, plan.pipeline(), &mut report);
+            refill_runs(&mut scratch, 1);
             let t5 = std::time::Instant::now();
+            replay_lowered(&mut scratch, plan.pipeline(), &mut report);
+            let t6 = std::time::Instant::now();
             eprintln!(
-                "round {round}: slots {:?} build {:?} csr {:?} refill {:?} replay {:?} | nodes {} runs {} comp {} edges {}",
+                "round {round}: slots {:?} build {:?} csr {:?} order+tallies {:?} refill {:?} \
+                 replay {:?} | nodes {} runs {} comp {} edges {}",
                 t1 - t0,
                 t2 - t1,
                 t3 - t2,
                 t4 - t3,
                 t5 - t4,
+                t6 - t5,
                 scratch.nodes,
                 scratch.run_device.len(),
                 scratch.comp_run.len(),
@@ -1104,6 +1209,49 @@ mod tests {
                 compare_delta_step(
                     &model, &plan, &GraphOptions::default(), &mut scratch, shards,
                 );
+            }
+        }
+
+        /// Differential delta walk against the reference: from one base
+        /// `(d, p, n_micro, schedule, bucketing)`, random steps over `t`
+        /// and the micro-batch size (shape-compatible whenever `t > 1` on
+        /// both sides) with random shard splits, on a flat or a two-tier
+        /// interconnect. Every patched and fresh report must equal the
+        /// full lowering's Predicted replay, and the walk must patch
+        /// exactly when the shape keys of consecutive steps agree.
+        #[test]
+        fn delta_walks_match_full_replay(
+            d_exp in 0usize..=1,
+            p in 1usize..=4,
+            n_micro in 1usize..=12,
+            flags in 0u32..8,
+            walk in proptest::collection::vec((0usize..=2, 0usize..=1, 1usize..=4), 2..6),
+        ) {
+            let (gpipe, bucketing, two_tier) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let model = presets::megatron("1.7B");
+            let cluster = ClusterSpec::aws_p4d(512);
+            let comm = if two_tier {
+                CommModel::with_topology_tiers(&cluster, cluster.topology(1.0))
+            } else {
+                CommModel::new(&cluster, 1.0)
+            };
+            let opts = GraphOptions { gpus_per_node: cluster.gpus_per_node, ..GraphOptions::default() };
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let d = 1usize << d_exp;
+            let mut scratch = CompactScratch::default();
+            let mut prev_key = None;
+            for (t_exp, m_exp, shards) in walk {
+                let (t, m) = (1usize << t_exp, 1usize << m_exp);
+                let plan = ParallelConfig::builder()
+                    .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                    .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+                let key = plan_shape_key(&model, &plan, &opts);
+                let outcome =
+                    compare_walk_step_to_full(&model, &plan, &opts, &comm, &mut scratch, shards);
+                let expect =
+                    if prev_key == Some(key) { LowerOutcome::Patched } else { LowerOutcome::Fresh };
+                prop_assert_eq!(outcome, expect);
+                prev_key = Some(key);
             }
         }
     }

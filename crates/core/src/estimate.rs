@@ -663,6 +663,9 @@ impl Estimator {
             LowerOutcome::Fresh => *delta_fresh += 1,
             LowerOutcome::Patched => *delta_patched += 1,
         }
+        if vtrain_obs::enabled() {
+            record_compact_size(compact);
+        }
         estimate
     }
 
@@ -883,6 +886,16 @@ fn count_full_lowering(reason: &str) {
     }
 }
 
+/// Records the size of the compact graph one estimate replayed: its run
+/// count into the `estimate.compact.runs` histogram, and the scratch's
+/// reserved bytes into the `estimate.compact.scratch_bytes` high-water
+/// gauge.
+fn record_compact_size(compact: &CompactScratch) {
+    let metrics = vtrain_obs::global();
+    metrics.histogram("estimate.compact.runs").record(compact.num_runs() as u64);
+    metrics.gauge("estimate.compact.scratch_bytes").set_max(compact.capacity_bytes() as u64);
+}
+
 /// `(name, category)` of a compute span.
 fn compute_label(kind: CompKind) -> (&'static str, &'static str) {
     match kind {
@@ -1076,8 +1089,14 @@ mod tests {
         assert_eq!(eight.tokens_per_iteration, 8 * one.tokens_per_iteration);
     }
 
+    /// Serializes the tests that switch the process-wide observability
+    /// flag, so one test's `set_enabled(false)` cannot land inside
+    /// another's enabled window.
+    static OBS_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn full_lowering_paths_are_counted() {
+        let _flag = OBS_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let counter = |reason: &str| {
             vtrain_obs::global().counter(&format!("estimate.full_lowering.{reason}"))
         };
@@ -1096,6 +1115,27 @@ mod tests {
         for (reason, before) in ["fair_sharing", "measured", "timeline"].iter().zip(before) {
             assert!(counter(reason).get() > before, "{reason} exit not counted");
         }
+    }
+
+    #[test]
+    fn compact_graph_size_is_recorded() {
+        let _flag = OBS_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let metrics = vtrain_obs::global();
+        let runs = metrics.histogram("estimate.compact.runs");
+        let bytes = metrics.gauge("estimate.compact.scratch_bytes");
+        let est = Estimator::builder(ClusterSpec::aws_p4d(16)).build();
+        let model = presets::megatron("1.7B");
+        let p = plan(2, 4, 2, 1, 8);
+        let mut scratch = EstimatorScratch::default();
+        let before = runs.count();
+        vtrain_obs::set_enabled(true);
+        est.estimate_validated_with(&model, &p, &mut scratch);
+        vtrain_obs::set_enabled(false);
+        assert!(runs.count() > before, "run count not recorded");
+        assert!(scratch.compact.num_runs() > 0);
+        let reserved = scratch.compact.capacity_bytes() as u64;
+        assert!(reserved > 0);
+        assert!(bytes.get() >= reserved, "gauge {} below the scratch's {reserved} B", bytes.get());
     }
 
     #[test]

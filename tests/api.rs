@@ -149,6 +149,31 @@ fn capacity_one_cache_keeps_sweep_results_bit_identical() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_bad_request_not_an_abort() {
+    // 100 KB of `[` must fail like any other malformed input, not
+    // overflow the parser's stack and abort the process.
+    let deep = "[".repeat(100_000);
+    let path = scenario_file("deep", &deep);
+    for json_flag in [false, true] {
+        let mut cmd = cli();
+        cmd.arg("validate").arg(&path);
+        if json_flag {
+            cmd.arg("--json");
+        }
+        let output = cmd.output().expect("run CLI");
+        assert_eq!(output.status.code(), Some(2), "deep nesting exits 2: {output:?}");
+    }
+    let _ = std::fs::remove_file(path);
+
+    // The wire decode every daemon frame goes through answers BadRequest.
+    let frame = format!(r#"{{"v":1,"id":"deep","kind":"Validate","scenario":{deep}}}"#);
+    let err = serde_json::from_str::<Request>(&frame).expect_err("over-deep frame is rejected");
+    let body = api::ErrorBody::from_error(&vtrain::Error::from(err));
+    assert_eq!(body.code, api::ErrorCode::BadRequest);
+    assert!(body.message.contains("recursion limit"), "{}", body.message);
+}
+
+#[test]
 fn cli_exit_codes_follow_the_table() {
     // Exit 2: invalid scenario (unknown field).
     let bad = scenario_file("bad", &SCENARIO.replace("\"sweep\"", "\"sweeep\""));

@@ -185,6 +185,41 @@ fn oversized_frames_bounce_but_the_connection_survives() {
     daemon.join().expect("daemon thread");
 }
 
+#[test]
+fn over_deep_frames_bounce_but_the_daemon_survives() {
+    let (addr, daemon) =
+        spawn_server(ServerConfig { workers: 1, threads: Some(1), ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // 100 KB of nesting — well under the frame-size bound — is answered
+    // BadRequest instead of overflowing a worker's stack...
+    let deep = format!("{}\n", "[".repeat(100_000));
+    stream.write_all(deep.as_bytes()).expect("write deep frame");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read bounce");
+    let bounce: Response = serde_json::from_str(line.trim()).expect("bounce parses");
+    match bounce.outcome {
+        Outcome::Err(body) => {
+            assert_eq!(body.code, ErrorCode::BadRequest);
+            assert!(body.message.contains("recursion limit"), "{}", body.message);
+        }
+        other => panic!("over-deep frame must bounce, got {other:?}"),
+    }
+
+    // ...and the daemon keeps serving the same connection.
+    stream.write_all(b"{\"v\":1,\"id\":\"alive\",\"kind\":\"Stats\"}\n").expect("write stats");
+    line.clear();
+    reader.read_line(&mut line).expect("read stats");
+    let stats: Response = serde_json::from_str(line.trim()).expect("stats parses");
+    assert_eq!(stats.id, "alive");
+    assert!(matches!(stats.outcome, Outcome::Ok(Report::Stats(_))));
+
+    let mut control = retrying_client(addr, 0);
+    control.shutdown().expect("daemon drains");
+    daemon.join().expect("daemon thread");
+}
+
 fn temp_snapshot(tag: &str) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("vtrain-chaos-{tag}-{}.snapshot", std::process::id()));
