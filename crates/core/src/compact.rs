@@ -1,6 +1,6 @@
-//! The sweep's compact replay: run-aggregated lowering fused with the
-//! Predicted-mode Algorithm 1 traversal, plus the delta-lowering path
-//! that re-prices a cached graph for a shape-compatible neighbor.
+//! The sweep's compact replay: run-aggregated, periodic lowering fused
+//! with the Predicted-mode Algorithm 1 traversal, plus the delta-lowering
+//! path that re-prices a cached graph for a shape-compatible neighbor.
 //!
 //! The graph builder emits long program-order chains per (device, stream)
 //! whose interior nodes never source or receive cross edges — whole
@@ -12,8 +12,43 @@
 //! the finish-time maximum) distributes over the chain. The compact graph
 //! is therefore one-to-two orders of magnitude smaller than the full task
 //! graph while producing a **bit-identical** [`SimReport`] — proven
-//! against the full lowering + replay by the equivalence property test
+//! against the full lowering + replay by the equivalence property tests
 //! below and by the sweep's golden grid A/B.
+//!
+//! # Periodic graph and max-plus replay
+//!
+//! vTrain's iteration graph repeats each micro-batch's operator sequence
+//! (§III-C), so a stage program is a handful of *sections*, each one slot
+//! block repeated some number of times on that stage — 1F1B's warm-up
+//! forwards, steady pairs, remaining pairs, drain and final backward
+//! ([`PipelineSchedule::stage_sections`]). This sink takes the builder's
+//! periodic form ([`GraphSink::periodic`]): each section is emitted once
+//! per stage, standing for all its copies, and edges from one copy into
+//! the next are *loop-carried*. The structure is `O(p)` slots, however
+//! many micro-batches the plan has.
+//!
+//! The replay walks the sections in order and each section copy by copy;
+//! a device's runs take part in the first `periods` copies of the
+//! section on that device. Copy 0 waits on the earlier sections' final
+//! finish times (`entry` edges), copy `k ≥ 1` on copy `k − 1`'s finish
+//! times (`carried` edges), and the finish times of one copy are the
+//! state vector `x[k]`. In a section every device repeats equally often
+//! — 1F1B's steady pairs, GPipe's forward and backward trains — whose
+//! every run has a predecessor inside the section (checked as
+//! `shift_ok`), the map `x[k − 1] ↦ x[k]` for `k ≥ 1` is max-plus linear
+//! — built from `max` and `+ d` only — and therefore homogeneous:
+//! `A(x + μ) = A x + μ` (Baccelli, Cohen, Olsder & Quadrat,
+//! *Synchronization and Linearity*, 1992). The walk keeps the last
+//! [`MAX_CYCLICITY`] state vectors. As soon as `x[k] = x[k − c] + D`
+//! holds with one integer `D` on every component, induction over
+//! homogeneity gives `x[k + j·c] = x[k] + j·D` for every later `j`,
+//! exactly, and the same shift applies to every per-copy maximum. The
+//! walk then jumps `⌊remaining / c⌋` blocks at once, walks the
+//! `remaining mod c` copies left, and hands the shifted final state to
+//! the next section. If no uniform shift shows up — GPipe's reducible
+//! trains, or a transient longer than the section — every copy is
+//! walked, which is still exact. The other sections repeat at most `p`
+//! times and are always walked.
 //!
 //! # Slots and delta-lowering
 //!
@@ -25,26 +60,25 @@
 //! first (`slot_values`), then each node is an O(1) table lookup instead
 //! of a signature-memo probe.
 //!
-//! Two plans with equal [`PlanShapeKey`]s produce graphs with identical
-//! structure — node counts, run boundaries, edges, and slot assignments —
-//! differing only in slot *values*. Everything that depends on structure
-//! alone is derived once per fresh build, right after the CSR: the
-//! topological order of the runs, each slot's total multiplicity, the
-//! per-device `(slot, multiplicity)` tallies of the compute and TP slots,
-//! and the task count. When the scratch already holds a graph for the
-//! same key, [`simulate_plan_delta`] skips the builder and all of that
-//! derivation, and only refills the one value column — each run's
-//! duration — from the re-priced slot table and the cached run
-//! *compositions* (`(slot, multiplicity)` pairs per run, a handful of
-//! entries even for thousand-node chains).
+//! Two plans with equal [`PlanShapeKey`]s produce periodic graphs with
+//! identical structure — runs, edges, sections and slot assignments —
+//! differing only in slot *values* and section period counts (the key
+//! ignores the micro-batch count once it passes
+//! [`PipelineSchedule::sections_stable_from`]). Everything that
+//! depends on structure alone is derived once per fresh build, right after
+//! the CSR: each section's topological order, its loop-carried and entry
+//! edges, whether it may shift, and the `(section, device, slot,
+//! multiplicity)` tallies of one copy.
+//! When the scratch already holds a graph for the same key,
+//! [`simulate_plan_delta`] skips the builder and all of that derivation,
+//! and only refills the value columns — each run's duration, from the
+//! re-priced slot table and the cached run *compositions*
+//! (`(slot, multiplicity)` pairs per run), and the period counts.
 //!
-//! The replay is then value-only: one `ready_at` pass over the stored
-//! order yields the iteration time; the busy breakdown and per-device
-//! busy time are `Σ slot_value · multiplicity` over the stored tallies;
-//! the task count is the stored node count. Exact integer sums make both
-//! the patched graph and the tally-derived report bit-identical to a
-//! fresh lowering and to the full replay (proven by the property tests
-//! below).
+//! The busy breakdown and per-device busy time are
+//! `Σ slot_value · multiplicity · periods` over the stored tallies and the
+//! task count is `Σ nodes per copy · periods`, all in `u64`, so neither
+//! the periodic replay nor a patched graph changes a bit of the report.
 //!
 //! The refill distributes over disjoint run ranges, so a single
 //! candidate's patch can be split across `shards` threads (two-level
@@ -55,7 +89,11 @@
 //! this path is Predicted-only by construction.
 //!
 //! All buffers live in a caller-owned [`CompactScratch`], so steady-state
-//! sweep evaluation performs no per-point heap allocation here.
+//! sweep evaluation performs no per-point heap allocation here, and none
+//! of them grows with the micro-batch count.
+//!
+//! [`PipelineSchedule::stage_sections`]: vtrain_parallel::PipelineSchedule::stage_sections
+//! [`PipelineSchedule::sections_stable_from`]: vtrain_parallel::PipelineSchedule::sections_stable_from
 
 use vtrain_graph::{
     build_op_graph_into, plan_shape_key, visit_plan_slots, ChainOp, CommKind, GraphOptions,
@@ -90,6 +128,11 @@ pub(crate) enum LowerOutcome {
 /// No open run on this device's compute stream.
 const NONE: u32 = u32::MAX;
 
+/// The largest period `c` of the uniform shift `x[k] = x[k − c] + D` the
+/// section walk looks for (max-plus cyclicity). The walk keeps this many
+/// past state vectors.
+pub(crate) const MAX_CYCLICITY: usize = 4;
+
 /// Busy-category codes of `slot_cat` (which [`BusyBreakdown`] field a
 /// slot's latency lands in).
 const CAT_COMPUTE: u8 = 0;
@@ -97,31 +140,33 @@ const CAT_TP: u8 = 1;
 const CAT_DP: u8 = 2;
 const CAT_PP: u8 = 3;
 
-/// One accepted block replication: `periods` copies (including the
-/// original) of `node_stride` nodes / `run_stride` runs starting at
-/// builder node `start` and run `r0`.
-#[derive(Clone, Copy)]
-struct Rep {
-    start: u32,
-    node_stride: u32,
-    periods: u32,
-    run_stride: u32,
-}
-
 /// Reusable buffers of the compact lowering + replay, columnar throughout.
 ///
 /// The buffers split into *structure* (run boundaries, compositions,
-/// edges, CSR, topological order, multiplicity tallies), which survives
-/// across points and is what delta-lowering reuses, and *values* (the
-/// slot table and the runs' duration column), which are refilled per
-/// point.
+/// sections, edges, CSR, topological order, multiplicity tallies), which
+/// survives across points and is what delta-lowering reuses, and *values*
+/// (the slot table, the runs' duration column and the sections' period
+/// counts), which are refilled per point. None of them grows with the
+/// plan's micro-batch count.
 #[derive(Default)]
 pub struct CompactScratch {
     // --- structure: valid for `base_key`, reused by the delta path ---
     /// Builder node ids consumed so far (nodes are never stored
     /// individually: each belongs to a run, and its latency slot lands in
-    /// the run's composition). Equals the graph's task count.
+    /// the run's composition).
     nodes: u32,
+    /// First run of each section, in section order, closed by the run
+    /// count: section `s` owns runs `sec_runs[s]..sec_runs[s + 1]` (the
+    /// builder emits section-major).
+    sec_runs: Vec<u32>,
+    /// Nodes one copy of each section holds on each device
+    /// (`device × section`, like `sec_periods`).
+    sec_nodes: Vec<u64>,
+    /// Whether each section's copy-to-copy map is homogeneous: every run
+    /// has an intra-copy or loop-carried predecessor. Such a section may
+    /// take the uniform-shift shortcut when all its devices run the same
+    /// number of copies.
+    shift_ok: Vec<bool>,
     /// Run compositions — `(owning run, latency slot, multiplicity)`
     /// triples, in emission order (so `comp_run` is non-decreasing: runs
     /// own consecutive node-id ranges and close before the next run
@@ -135,8 +180,14 @@ pub struct CompactScratch {
     /// Builder node ids of each run's chain endpoints.
     run_head: Vec<u32>,
     run_tail: Vec<u32>,
-    /// Inter-run edges as collected (source-run, target-run).
+    /// Inter-run edges within one copy of a section (source, target).
     edges: Vec<(u32, u32)>,
+    /// Loop-carried edges: source in copy `k − 1`, target in copy `k`
+    /// of the same section; sorted by target after the build.
+    carried: Vec<(u32, u32)>,
+    /// Edges from an earlier section's final copy into copy 0 of a later
+    /// section; sorted by target after the build.
+    entry: Vec<(u32, u32)>,
     /// Counting-sort cursor for the CSR build.
     counts: Vec<u32>,
     offsets: Vec<u32>,
@@ -144,29 +195,15 @@ pub struct CompactScratch {
     /// In-degree countdown and ready stack of the topological sort.
     in_degree: Vec<u32>,
     stack: Vec<u32>,
-    /// Kahn topological order of the runs: the replay walks it as is.
+    /// Kahn topological order of each section's runs under the
+    /// intra-copy edges, section by section (section `s` fills
+    /// `order[sec_runs[s]..sec_runs[s + 1]]`).
     order: Vec<u32>,
-    /// Total multiplicity of each slot over the whole graph.
-    slot_mult: Vec<u64>,
-    /// `(device, slot, multiplicity)` of every compute and TP slot a
-    /// device runs — the terms of its busy time.
-    device_tally: Vec<(u32, u32, u64)>,
-    /// Dense `device × slot` accumulator behind `device_tally`, over the
-    /// compute/TP prefix of the slot table.
-    tally_dense: Vec<u64>,
+    /// `(section, device, slot, multiplicity)` of every slot one copy of
+    /// a section runs on a device — the terms of the busy sums.
+    tally: Vec<(u32, u32, u32, u64)>,
     /// The shape key the structure buffers were built for.
     base_key: Option<PlanShapeKey>,
-    /// Moving cursors of [`CompactScratch::run_of_seq`] for edge
-    /// endpoints that miss the recency fast path (the builder's pass-2
-    /// cross-stage edges, whose sources and targets each arrive in
-    /// near-ascending node order).
-    hint_from: u32,
-    hint_to: u32,
-    /// Replicated block regions of the current build, in ascending node
-    /// order. Arithmetic edge trains whose endpoints stay inside one
-    /// region resolve their run ids by stride instead of per-edge
-    /// lookups.
-    reps: Vec<Rep>,
     /// Open (extendable) compute-stream run per device while building.
     open: Vec<u32>,
     // --- values: refilled per point ---
@@ -176,8 +213,20 @@ pub struct CompactScratch {
     slot_cat: Vec<u8>,
     /// Total chain duration per run (sum of member durations).
     run_duration: Vec<TimeNs>,
+    /// How many copies of each section each device runs
+    /// (`device × section`).
+    sec_periods: Vec<u64>,
     // --- replay working state ---
     ready_at: Vec<TimeNs>,
+    /// Finish time of each run in the latest walked copy of its section.
+    finish: Vec<TimeNs>,
+    /// The last `MAX_CYCLICITY + 1` state vectors of the section being
+    /// walked (ring buffer, one section-sized row per copy) and each
+    /// copy's maximum finish time.
+    hist: Vec<TimeNs>,
+    hist_max: Vec<TimeNs>,
+    /// `(walked, total)` section copies of the latest replay.
+    periods: (u64, u64),
 }
 
 impl CompactScratch {
@@ -186,88 +235,73 @@ impl CompactScratch {
         self.run_device.len()
     }
 
+    /// `(walked, total)` section copies of the latest replay: the total
+    /// counts every copy the plan runs, the walked ones are those the
+    /// replay did not skip by a uniform shift.
+    pub(crate) fn periods(&self) -> (u64, u64) {
+        self.periods
+    }
+
     /// Bytes reserved by every column of this scratch (capacities, not
     /// lengths: what the buffers hold on to between points).
     pub(crate) fn capacity_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        bytes(&self.comp_run)
+        bytes(&self.sec_runs)
+            + bytes(&self.sec_nodes)
+            + bytes(&self.shift_ok)
+            + bytes(&self.comp_run)
             + bytes(&self.comp_slot)
             + bytes(&self.comp_count)
             + bytes(&self.run_device)
             + bytes(&self.run_head)
             + bytes(&self.run_tail)
             + bytes(&self.edges)
+            + bytes(&self.carried)
+            + bytes(&self.entry)
             + bytes(&self.counts)
             + bytes(&self.offsets)
             + bytes(&self.targets)
             + bytes(&self.in_degree)
             + bytes(&self.stack)
             + bytes(&self.order)
-            + bytes(&self.slot_mult)
-            + bytes(&self.device_tally)
-            + bytes(&self.tally_dense)
-            + bytes(&self.reps)
+            + bytes(&self.tally)
             + bytes(&self.open)
             + bytes(&self.slot_values)
             + bytes(&self.slot_cat)
             + bytes(&self.run_duration)
+            + bytes(&self.sec_periods)
             + bytes(&self.ready_at)
+            + bytes(&self.finish)
+            + bytes(&self.hist)
+            + bytes(&self.hist_max)
     }
 
     /// Maps a builder node id back to its owning run. Runs own
     /// consecutive, strictly increasing node-id ranges (asserted at every
     /// extension), so the owner is the last run whose head is at most
     /// `id`. Only edge endpoints ever need this mapping — chain interiors
-    /// are implicit. Pass-1 edges (chain links across cuts, send
-    /// attachments, comm-stream program order) always touch one of the
-    /// few most recent runs, so they resolve with a short backward scan;
-    /// only pass-2 cross-stage edges fall through to the binary search.
-    fn run_of(&self, id: u32, hint: u32) -> (u32, u32) {
-        let n = self.run_head.len();
-        let recent = n.saturating_sub(4);
-        if id >= self.run_head[recent] {
-            let mut r = n - 1;
-            while self.run_head[r] > id {
-                r -= 1;
-            }
-            return (r as u32, hint);
-        }
-        let r = self.run_of_seq(id, hint);
-        (r, r)
-    }
-
-    /// The cold half of [`CompactScratch::run_of`]: resolves `id` near a
-    /// moving cursor — a short forward scan when queries ascend (the
-    /// pass-2 sequences), falling back to binary search on a miss.
-    fn run_of_seq(&self, id: u32, hint: u32) -> u32 {
+    /// are implicit. Program-order edges always touch one of the few most
+    /// recent runs, so they resolve with a short backward scan; the
+    /// cross-stage and loop-carried edges fall through to a binary search.
+    fn run_of(&self, id: u32) -> u32 {
         let heads = &self.run_head;
         let n = heads.len();
-        let mut r = (hint as usize).min(n - 1);
-        if heads[r] <= id {
-            for _ in 0..32 {
-                if r + 1 >= n || heads[r + 1] > id {
-                    return r as u32;
-                }
-                r += 1;
+        let recent = n.saturating_sub(4);
+        if id >= heads[recent] {
+            let mut r = n - 1;
+            while heads[r] > id {
+                r -= 1;
             }
+            return r as u32;
         }
         (heads.partition_point(|&h| h <= id) - 1) as u32
     }
 
-    /// Per-step run-id stride of an arithmetic node train `base + i *
-    /// node_stride` (`i < count`), provided the whole train lies inside a
-    /// single replicated block region advancing by that node stride —
-    /// then consecutive train members land in consecutive copies, whose
-    /// runs are exactly `run_stride` apart. `None` when no region covers
-    /// the train (the caller falls back to per-edge resolution).
-    fn train_run_stride(&self, base: u32, node_stride: u32, count: u32) -> Option<u32> {
-        let i = self.reps.partition_point(|rep| rep.start <= base).checked_sub(1)?;
-        let rep = self.reps[i];
-        let in_region = node_stride == rep.node_stride
-            && base - rep.start + node_stride * (count - 1) < node_stride * rep.periods;
-        in_region.then_some(rep.run_stride)
+    /// The section owning `run`.
+    fn section_of(&self, run: u32) -> usize {
+        self.sec_runs.partition_point(|&start| start <= run) - 1
     }
 
     /// Appends `count` nodes of `slot` to `run`'s composition, merging
@@ -306,10 +340,42 @@ impl CompactScratch {
         }
         r
     }
+
+    /// Resolves the endpoints of an inter-run edge `from → to`: `from`
+    /// must be its run's tail and `to` its run's head. The source run is
+    /// sealed (it must not grow past the edge's source). `None` for a
+    /// program-order link inside one run.
+    fn edge_runs(&mut self, from: u32, to: u32) -> Option<(u32, u32)> {
+        let (rf, rt) = (self.run_of(from), self.run_of(to));
+        if rf == rt {
+            // The only intra-run edges are the builder's program-order
+            // chain links between consecutive members.
+            assert_eq!(to, from + 1, "non-chain edge inside an aggregation run");
+            return None;
+        }
+        assert_eq!(self.run_tail[rf as usize], from, "edge from the interior of a run");
+        assert_eq!(self.run_head[rt as usize], to, "edge into the interior of a run");
+        let src_dev = self.run_device[rf as usize] as usize;
+        if self.open[src_dev] == rf {
+            self.open[src_dev] = NONE;
+        }
+        Some((rf, rt))
+    }
 }
 
 struct CompactSink<'a> {
     s: &'a mut CompactScratch,
+}
+
+impl CompactSink<'_> {
+    /// Counts `n` new nodes on `device` into the open section's per-copy
+    /// total.
+    fn count_nodes(&mut self, device: u32, n: u32) {
+        let s = &mut *self.s;
+        let n_sections = s.sec_nodes.len() / s.open.len();
+        let section = s.sec_runs.len() - 1;
+        s.sec_nodes[device as usize * n_sections + section] += u64::from(n);
+    }
 }
 
 impl GraphSink for CompactSink<'_> {
@@ -320,6 +386,7 @@ impl GraphSink for CompactSink<'_> {
     fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
         let id = self.s.nodes;
         self.s.nodes += 1;
+        self.count_nodes(node.device, 1);
         let compute = node.stream == StreamKind::Compute;
         let run_id = self.s.open_or_extend(node.device, id, compute);
         self.s.run_tail[run_id as usize] = id;
@@ -337,6 +404,7 @@ impl GraphSink for CompactSink<'_> {
         let first = self.s.nodes;
         let n_new = pattern.len() as u32 * repeat;
         self.s.nodes += n_new;
+        self.count_nodes(device, n_new);
         let was_open = self.s.open[device as usize] != NONE;
         let run_id = self.s.open_or_extend(device, first, true);
         self.s.run_tail[run_id as usize] = first + n_new - 1;
@@ -356,137 +424,47 @@ impl GraphSink for CompactSink<'_> {
         first
     }
 
-    fn replicate_block(&mut self, start_node: u32, copies: u32) -> bool {
-        let s = &mut *self.s;
-        // The block began at a cut, so its first node heads the first
-        // block run; everything at or after it belongs to the block.
-        let r0 = s.run_head.partition_point(|&h| h < start_node);
-        assert_eq!(s.run_head[r0], start_node, "replicated block is not cut-aligned");
-        let node_stride = s.nodes - start_node;
-        let run_stride = (s.run_device.len() - r0) as u32;
-        let comp0 = s.comp_run.partition_point(|&r| (r as usize) < r0);
-        // The block's edges are the list's suffix targeting block runs.
-        // Sources before the block are the chain links into the block
-        // head — the builder re-emits those per copy, so skip them here.
-        let mut edge0 = s.edges.len();
-        while edge0 > 0 && s.edges[edge0 - 1].1 as usize >= r0 {
-            edge0 -= 1;
-        }
-        let (run_end, comp_end) = (s.run_device.len(), s.comp_run.len());
-        // The index ranges below keep pointing at period 0 as the
-        // vectors grow, so each extend_from_within is a straight memcpy
-        // of the original block; only the node/run-indexed columns need
-        // an offset fixup afterwards (a vectorizable add-scalar pass).
-        let (n_runs, n_comp) = (run_end - r0, comp_end - comp0);
-        s.run_device.reserve(n_runs * copies as usize);
-        s.run_head.reserve(n_runs * copies as usize);
-        s.run_tail.reserve(n_runs * copies as usize);
-        s.comp_run.reserve(n_comp * copies as usize);
-        s.comp_slot.reserve(n_comp * copies as usize);
-        s.comp_count.reserve(n_comp * copies as usize);
-        let block_edges: Vec<(u32, u32)> =
-            s.edges[edge0..].iter().copied().filter(|&(from, _)| from as usize >= r0).collect();
-        s.edges.reserve(block_edges.len() * copies as usize);
-        for q in 1..=copies {
-            let node_off = node_stride * q;
-            let run_off = run_stride * q;
-            s.run_device.extend_from_within(r0..run_end);
-            let base = s.run_head.len();
-            s.run_head.extend_from_within(r0..run_end);
-            for v in &mut s.run_head[base..] {
-                *v += node_off;
-            }
-            s.run_tail.extend_from_within(r0..run_end);
-            for v in &mut s.run_tail[base..] {
-                *v += node_off;
-            }
-            let cbase = s.comp_run.len();
-            s.comp_run.extend_from_within(comp0..comp_end);
-            for v in &mut s.comp_run[cbase..] {
-                *v += run_off;
-            }
-            s.comp_slot.extend_from_within(comp0..comp_end);
-            s.comp_count.extend_from_within(comp0..comp_end);
-            s.edges.extend(block_edges.iter().map(|&(from, to)| (from + run_off, to + run_off)));
-        }
-        s.nodes += node_stride * copies;
-        s.reps.push(Rep { start: start_node, node_stride, periods: copies + 1, run_stride });
-        // Copies carry the block's internal cut structure; nothing stays
-        // extendable across the replication boundary.
-        s.open[s.run_device[r0] as usize] = NONE;
+    fn periodic(&self) -> bool {
         true
     }
 
-    fn add_edge_train(&mut self, from: u32, from_stride: u32, to: u32, to_stride: u32, count: u32) {
-        if count == 0 {
-            return;
-        }
-        // The first edge takes the ordinary checked path (sealing the
-        // source run if it was still open).
-        self.add_edge(from, to);
-        if count == 1 {
-            return;
-        }
-        let strides = Option::zip(
-            self.s.train_run_stride(from, from_stride, count),
-            self.s.train_run_stride(to, to_stride, count),
-        );
-        let Some((frs, trs)) = strides else {
-            for i in 1..count {
-                self.add_edge(from + i * from_stride, to + i * to_stride);
-            }
-            return;
-        };
+    fn begin_section(&mut self, device: u32, section: u32, periods: u64) {
         let s = &mut *self.s;
-        let (rf0, _) = s.run_of(from, s.hint_from);
-        let (rt0, _) = s.run_of(to, s.hint_to);
-        if rf0 == rt0 {
-            // An intra-run chain link — and so are all its copies:
-            // nothing to store (mirrors the `add_edge` early return).
-            debug_assert_eq!(to, from + 1, "non-chain edge inside an aggregation run");
-            return;
+        s.open[device as usize] = NONE;
+        let n_sections = s.sec_nodes.len() / s.open.len();
+        debug_assert_eq!(s.sec_periods[device as usize * n_sections + section as usize], periods);
+        while s.sec_runs.len() <= section as usize {
+            s.sec_runs.push(s.run_device.len() as u32);
         }
-        s.edges.reserve((count - 1) as usize);
-        for i in 1..count {
-            let (rf, rt) = (rf0 + i * frs, rt0 + i * trs);
-            debug_assert_eq!(
-                s.run_tail[rf as usize],
-                from + i * from_stride,
-                "train edge from the interior of a run"
-            );
-            debug_assert_eq!(
-                s.run_head[rt as usize],
-                to + i * to_stride,
-                "train edge into the interior of a run"
-            );
-            debug_assert_ne!(
-                s.open[s.run_device[rf as usize] as usize], rf,
-                "replicated runs never stay open"
-            );
-            s.edges.push((rf, rt));
-        }
+        assert_eq!(section as usize + 1, s.sec_runs.len(), "sections arrive section-major");
     }
 
     fn add_edge(&mut self, from: u32, to: u32) {
-        let (rf, hint_from) = self.s.run_of(from, self.s.hint_from);
-        let (rt, hint_to) = self.s.run_of(to, self.s.hint_to);
-        self.s.hint_from = hint_from;
-        self.s.hint_to = hint_to;
-        if rf == rt {
-            // The only intra-run edges are the builder's program-order
-            // chain links between consecutive members.
-            assert_eq!(to, from + 1, "non-chain edge inside an aggregation run");
+        let Some((rf, rt)) = self.s.edge_runs(from, to) else {
             return;
+        };
+        let (sf, st) = (self.s.section_of(rf), self.s.section_of(rt));
+        if sf == st {
+            self.s.edges.push((rf, rt));
+        } else {
+            assert!(sf < st, "edge into an earlier section");
+            self.s.entry.push((rf, rt));
         }
-        // An edge may only leave a run at its (current) tail; once it
-        // does, the run must not grow past the tail, so seal it.
-        assert_eq!(self.s.run_tail[rf as usize], from, "edge from the interior of a run");
-        let src_dev = self.s.run_device[rf as usize] as usize;
-        if self.s.open[src_dev] == rf {
-            self.s.open[src_dev] = NONE;
+    }
+
+    fn add_carried_edge(&mut self, from: u32, to: u32, init: Option<u32>) {
+        let (rf, rt) = (self.s.run_of(from), self.s.run_of(to));
+        assert_eq!(self.s.run_tail[rf as usize], from, "carried edge from the interior of a run");
+        assert_eq!(self.s.run_head[rt as usize], to, "carried edge into the interior of a run");
+        let st = self.s.section_of(rt);
+        assert_eq!(self.s.section_of(rf), st, "carried edges join copies of one section");
+        self.s.carried.push((rf, rt));
+        if let Some(init) = init {
+            let ri = self.s.run_of(init);
+            assert_eq!(self.s.run_tail[ri as usize], init, "edge from the interior of a run");
+            assert!(self.s.section_of(ri) < st, "a carried edge's copy-0 source precedes it");
+            self.s.entry.push((ri, rt));
         }
-        assert_eq!(self.s.run_head[rt as usize], to, "edge into the interior of a run");
-        self.s.edges.push((rf, rt));
     }
 
     fn cut(&mut self, device: u32) {
@@ -548,8 +526,8 @@ fn resolve_slots<P: ProfileSource>(
 /// # Panics
 ///
 /// Same conditions as [`vtrain_graph::build_op_graph`], or if the builder
-/// violates its [`GraphSink::cut`] aggregation contract (a bug, caught by
-/// the equivalence property tests).
+/// violates its [`GraphSink::cut`] aggregation contract or its periodic
+/// edge contract (a bug, caught by the equivalence property tests).
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn simulate_plan_compact<P: ProfileSource>(
     model: &ModelConfig,
@@ -565,10 +543,10 @@ pub(crate) fn simulate_plan_compact<P: ProfileSource>(
 
 /// [`simulate_plan_compact`] with delta-lowering: when `delta` is set and
 /// `scratch` holds the graph of a plan with the same [`PlanShapeKey`],
-/// the builder and CSR construction are skipped and only the slot table
-/// and the runs' value columns are recomputed (optionally split across
-/// `shards` threads). The patched graph — and hence the report — is
-/// bit-identical to a fresh lowering.
+/// the builder and CSR construction are skipped and only the slot table,
+/// the runs' value columns and the period counts are recomputed
+/// (optionally split across `shards` threads). The patched graph — and
+/// hence the report — is bit-identical to a fresh lowering.
 #[cfg_attr(not(test), allow(dead_code))]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_plan_delta<P: ProfileSource>(
@@ -588,9 +566,9 @@ pub(crate) fn simulate_plan_delta<P: ProfileSource>(
 }
 
 /// The lowering half of [`simulate_plan_delta`]: prices the slot table
-/// and either patches the cached graph (same shape key) or rebuilds it.
-/// Split from the replay so the sweep's stage profiler can attribute
-/// lower vs. simulate time on the compact path.
+/// and the period counts, and either patches the cached graph (same shape
+/// key) or rebuilds it. Split from the replay so the sweep's stage
+/// profiler can attribute lower vs. simulate time on the compact path.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn lower_plan_delta<P: ProfileSource>(
     model: &ModelConfig,
@@ -613,17 +591,29 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
     ) {
         return Err(MissingProfile);
     }
+    scratch.sec_periods.clear();
+    let (p, n) = (plan.pipeline(), plan.num_micro_batches());
+    for stage in 0..p {
+        let periods = plan.schedule().section_periods(stage, p, n);
+        scratch.sec_periods.extend(periods.map(|n| n as u64));
+    }
 
     let key = plan_shape_key(model, plan, opts);
     if delta && scratch.base_key == Some(key) {
-        debug_assert_eq!(scratch.slot_mult.len(), scratch.slot_values.len(), "slot table shape");
+        debug_assert!(
+            scratch
+                .tally
+                .iter()
+                .all(|&(_, _, slot, _)| (slot as usize) < scratch.slot_values.len()),
+            "slot table shape"
+        );
         refill_runs(scratch, shards);
         return Ok(LowerOutcome::Patched);
     }
     build_graph(model, plan, opts, scratch);
     build_csr(scratch);
     build_order(scratch);
-    build_tallies(scratch, plan.pipeline());
+    build_tallies(scratch);
     // Fresh builds price their duration column through the same
     // composition refill the patch path uses — one value computation,
     // shared and equally sharded on both paths.
@@ -632,8 +622,9 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
     Ok(LowerOutcome::Fresh)
 }
 
-/// Clears the structure buffers and streams the builder's graph into
-/// them as aggregated runs, compositions and inter-run edges.
+/// Clears the structure buffers and streams the builder's periodic graph
+/// into them as sections of aggregated runs, compositions and inter-run
+/// edges.
 fn build_graph(
     model: &ModelConfig,
     plan: &ParallelConfig,
@@ -642,6 +633,9 @@ fn build_graph(
 ) {
     s.base_key = None;
     s.nodes = 0;
+    s.sec_runs.clear();
+    s.sec_nodes.clear();
+    s.sec_nodes.resize(s.sec_periods.len(), 0);
     s.comp_run.clear();
     s.comp_slot.clear();
     s.comp_count.clear();
@@ -649,16 +643,21 @@ fn build_graph(
     s.run_head.clear();
     s.run_tail.clear();
     s.edges.clear();
-    s.hint_from = 0;
-    s.hint_to = 0;
-    s.reps.clear();
+    s.carried.clear();
+    s.entry.clear();
     s.open.clear();
     s.open.resize(plan.pipeline(), NONE);
     build_op_graph_into(model, plan, opts, &mut CompactSink { s });
+    let n_sections = s.sec_periods.len() / plan.pipeline();
+    assert!(s.sec_runs.len() <= n_sections, "builder and schedule agree on sections");
+    // Sections no device runs (and the closing bound) own no runs.
+    s.sec_runs.resize(n_sections + 1, s.run_device.len() as u32);
+    s.carried.sort_unstable_by_key(|&(_, to)| to);
+    s.entry.sort_unstable_by_key(|&(_, to)| to);
 }
 
-/// Builds the inter-run CSR (per-source insertion order preserved) and
-/// the runs' in-degrees from the collected edge list.
+/// Builds the CSR of the intra-copy edges (per-source insertion order
+/// preserved) and the runs' in-degrees under them.
 fn build_csr(s: &mut CompactScratch) {
     let n = s.run_device.len();
     s.counts.clear();
@@ -683,66 +682,79 @@ fn build_csr(s: &mut CompactScratch) {
     }
 }
 
-/// Stores a Kahn topological order of the runs in `order`. The ready
-/// set is a stack, so the order follows chains depth-first and the
-/// replay's walk touches neighbouring runs back to back.
+/// Decides per section whether its copy-to-copy map is homogeneous
+/// (`shift_ok`: every run has an intra-copy or loop-carried
+/// predecessor), then stores a Kahn topological order of each section's
+/// runs in `order`. The ready set is a stack, so the order follows chains
+/// depth-first and the replay's walk touches neighbouring runs back to
+/// back.
 ///
 /// # Panics
 ///
-/// If the run graph contains a cycle (a builder bug: the aggregation of a
-/// valid plan is always acyclic).
+/// If a section's run graph contains a cycle (a builder bug: the
+/// aggregation of a valid plan is always acyclic).
 fn build_order(s: &mut CompactScratch) {
     let n = s.run_device.len();
-    let CompactScratch { in_degree, stack, offsets, targets, order, .. } = s;
+    let CompactScratch {
+        sec_runs,
+        shift_ok,
+        carried,
+        in_degree,
+        stack,
+        offsets,
+        targets,
+        order,
+        ..
+    } = s;
+    shift_ok.clear();
+    for bounds in sec_runs.windows(2) {
+        let carried_into = |r: u32| carried.binary_search_by_key(&r, |&(_, to)| to).is_ok();
+        shift_ok.push((bounds[0]..bounds[1]).all(|r| in_degree[r as usize] > 0 || carried_into(r)));
+    }
     order.clear();
-    stack.clear();
-    stack.extend((0..n as u32).filter(|&i| in_degree[i as usize] == 0));
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        let i = u as usize;
-        for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
-            in_degree[c as usize] -= 1;
-            if in_degree[c as usize] == 0 {
-                stack.push(c);
+    for bounds in sec_runs.windows(2) {
+        stack.clear();
+        stack.extend((bounds[0]..bounds[1]).filter(|&i| in_degree[i as usize] == 0));
+        while let Some(u) = stack.pop() {
+            order.push(u);
+            let i = u as usize;
+            for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
+                in_degree[c as usize] -= 1;
+                if in_degree[c as usize] == 0 {
+                    stack.push(c);
+                }
             }
         }
+        let ordered = order.len();
+        let expect = bounds[1] as usize;
+        assert_eq!(
+            ordered, expect,
+            "compact graph contains a cycle: {ordered} of {n} runs ordered"
+        );
     }
-    let ordered = order.len();
-    assert_eq!(ordered, n, "compact graph contains a cycle: {ordered} of {n} runs ordered");
 }
 
-/// Sums the compositions into each slot's total multiplicity and each
-/// device's compute/TP `(slot, multiplicity)` tallies — the structure
-/// half of the report's busy sums, which the replay scales by the slot
-/// values.
-fn build_tallies(s: &mut CompactScratch, devices: usize) {
-    let n_slots = s.slot_cat.len();
-    // The canonical enumeration lists every compute and TP slot before
-    // the pipeline and DP slots, so device busy time only reads a prefix.
-    let n_busy = s.slot_cat.iter().take_while(|&&c| matches!(c, CAT_COMPUTE | CAT_TP)).count();
-    assert!(
-        s.slot_cat[n_busy..].iter().all(|&c| matches!(c, CAT_DP | CAT_PP)),
-        "compute/TP slots must precede the pipeline and DP slots"
-    );
-    s.slot_mult.clear();
-    s.slot_mult.resize(n_slots, 0);
-    s.tally_dense.clear();
-    s.tally_dense.resize(devices * n_busy, 0);
+/// Sums the compositions into `(section, device, slot, multiplicity)`
+/// tallies of one copy — the structure half of the report's busy sums,
+/// which the replay scales by the slot values and the period counts.
+fn build_tallies(s: &mut CompactScratch) {
+    s.tally.clear();
+    let mut group = (u32::MAX, u32::MAX);
+    let mut group_start = 0;
+    let mut sec = 0;
     for ((&r, &slot), &count) in s.comp_run.iter().zip(&s.comp_slot).zip(&s.comp_count) {
-        let slot = slot as usize;
-        s.slot_mult[slot] += u64::from(count);
-        if slot < n_busy {
-            let device = s.run_device[r as usize] as usize;
-            s.tally_dense[device * n_busy + slot] += u64::from(count);
+        // `comp_run` is non-decreasing and runs are grouped by section,
+        // then by device.
+        while r >= s.sec_runs[sec + 1] {
+            sec += 1;
         }
-    }
-    s.device_tally.clear();
-    for device in 0..devices {
-        let row = &s.tally_dense[device * n_busy..(device + 1) * n_busy];
-        for (slot, &mult) in row.iter().enumerate() {
-            if mult != 0 {
-                s.device_tally.push((device as u32, slot as u32, mult));
-            }
+        let key = (sec as u32, s.run_device[r as usize]);
+        if key != group {
+            (group, group_start) = (key, s.tally.len());
+        }
+        match s.tally[group_start..].iter_mut().find(|t| t.2 == slot) {
+            Some(t) => t.3 += u64::from(count),
+            None => s.tally.push((key.0, key.1, slot, u64::from(count))),
         }
     }
 }
@@ -818,48 +830,180 @@ fn scale(value: TimeNs, multiplicity: u64) -> TimeNs {
     TimeNs::from_nanos(value.as_nanos() * multiplicity)
 }
 
-/// The value-only replay over the lowered graph. Compact graphs are
-/// stream-chained by construction (the builder chains consecutive runs on
-/// every slot), so the dataflow traversal reproduces the FIFO replay —
-/// the same argument as `simulate`'s fast path, proven bit-identical by
-/// the equivalence tests. It walks the stored topological order once,
-/// propagating finish times into `ready_at`; the busy breakdown, the
-/// per-device busy time and the task count come from the structure
-/// tallies ([`build_tallies`]) scaled by the current slot values, so a
-/// patched graph replays without touching any structure.
+/// The edges among `edges` (sorted by target) whose target lies in runs
+/// `lo..hi`.
+fn edges_into(edges: &[(u32, u32)], lo: u32, hi: u32) -> &[(u32, u32)] {
+    let start = edges.partition_point(|&(_, to)| to < lo);
+    let end = edges.partition_point(|&(_, to)| to < hi);
+    &edges[start..end]
+}
+
+/// The value-only replay over the lowered periodic graph. Compact graphs
+/// are stream-chained by construction (the builder chains consecutive
+/// runs on every slot), so the dataflow traversal reproduces the FIFO
+/// replay — the same argument as `simulate`'s fast path, proven
+/// bit-identical by the equivalence tests. Each section is walked copy by
+/// copy over its stored order (see the module docs for the uniform-shift
+/// shortcut); the busy breakdown, the per-device busy time and the task
+/// count come from the structure tallies ([`build_tallies`]) scaled by
+/// the current slot values and period counts, so a patched graph replays
+/// without touching any structure.
 pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mut SimReport) {
-    let CompactScratch { order, offsets, targets, run_duration, ready_at, .. } = s;
-    ready_at.clear();
-    ready_at.resize(run_duration.len(), TimeNs::ZERO);
+    let n_runs = s.run_duration.len();
+    s.ready_at.clear();
+    s.ready_at.resize(n_runs, TimeNs::ZERO);
+    s.finish.clear();
+    s.finish.resize(n_runs, TimeNs::ZERO);
+    let n_sections = s.sec_periods.len() / devices;
     let mut iteration_time = TimeNs::ZERO;
-    for &u in order.iter() {
-        let i = u as usize;
-        let finish = ready_at[i] + run_duration[i];
-        iteration_time = iteration_time.max(finish);
-        for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
-            let ready = &mut ready_at[c as usize];
-            *ready = (*ready).max(finish);
-        }
+    let (mut walked, mut total) = (0, 0);
+    for sec in 0..n_sections {
+        let (time, copies, sec_walked) = walk_section(s, sec, n_sections);
+        iteration_time = iteration_time.max(time);
+        total += copies;
+        walked += sec_walked;
     }
+    s.periods = (walked, total);
 
     let mut busy = BusyBreakdown::default();
-    for ((&value, &cat), &mult) in s.slot_values.iter().zip(&s.slot_cat).zip(&s.slot_mult) {
-        let total = scale(value, mult);
-        match cat {
-            CAT_COMPUTE => busy.compute += total,
-            CAT_TP => busy.tp_comm += total,
+    report.device_busy.clear();
+    report.device_busy.resize(devices, TimeNs::ZERO);
+    for &(sec, device, slot, mult) in &s.tally {
+        let periods = s.sec_periods[device as usize * n_sections + sec as usize];
+        let total = scale(s.slot_values[slot as usize], mult * periods);
+        let device_busy = &mut report.device_busy[device as usize];
+        match s.slot_cat[slot as usize] {
+            CAT_COMPUTE => {
+                busy.compute += total;
+                *device_busy += total;
+            }
+            CAT_TP => {
+                busy.tp_comm += total;
+                *device_busy += total;
+            }
             CAT_DP => busy.dp_comm += total,
             _ => busy.pp_comm += total,
         }
     }
-    report.device_busy.clear();
-    report.device_busy.resize(devices, TimeNs::ZERO);
-    for &(device, slot, mult) in &s.device_tally {
-        report.device_busy[device as usize] += scale(s.slot_values[slot as usize], mult);
-    }
+    let tasks: u64 = s.sec_nodes.iter().zip(&s.sec_periods).map(|(&n, &k)| n * k).sum();
     report.iteration_time = iteration_time;
     report.busy = busy;
-    report.tasks_executed = s.nodes as usize;
+    report.tasks_executed = tasks as usize;
+}
+
+/// Walks the copies of section `sec` — each device's runs take part in
+/// its first `periods` copies — leaving each run's last finish time in
+/// `finish`. When every device with runs in the section repeats it
+/// equally often and its copy-to-copy map is homogeneous, the walk stops
+/// at the first uniform shift and jumps over the remaining whole blocks.
+/// Returns the latest finish time over all copies, the number of copies
+/// and the number walked.
+fn walk_section(s: &mut CompactScratch, sec: usize, n_sections: usize) -> (TimeNs, u64, u64) {
+    let CompactScratch {
+        sec_runs,
+        shift_ok,
+        carried,
+        entry,
+        offsets,
+        targets,
+        order,
+        run_device,
+        run_duration,
+        sec_periods,
+        ready_at,
+        finish,
+        hist,
+        hist_max,
+        ..
+    } = s;
+    let periods_of = |device: u32| sec_periods[device as usize * n_sections + sec];
+    let devices = (sec_periods.len() / n_sections) as u32;
+    let copies = (0..devices).map(periods_of).max().unwrap_or(0);
+    // A device without runs in this section runs no copy of it.
+    let uniform = (0..devices).all(|d| periods_of(d) == 0 || periods_of(d) == copies);
+    let (lo, hi) = (sec_runs[sec], sec_runs[sec + 1]);
+    let (lo_us, hi_us) = (lo as usize, hi as usize);
+    let len = hi_us - lo_us;
+    let carried = edges_into(carried, lo, hi);
+    let entry = edges_into(entry, lo, hi);
+    let order = &order[lo_us..hi_us];
+    let ring = MAX_CYCLICITY + 1;
+    let mut detect = uniform && shift_ok[sec] && copies > 1;
+    if detect {
+        hist.clear();
+        hist.resize(ring * len, TimeNs::ZERO);
+        hist_max.clear();
+        hist_max.resize(ring, TimeNs::ZERO);
+    }
+    let mut latest = TimeNs::ZERO;
+    let mut walked = 0;
+    let mut k = 0u64;
+    while k < copies {
+        ready_at[lo_us..hi_us].fill(TimeNs::ZERO);
+        for &(from, to) in if k == 0 { entry } else { carried } {
+            let ready = &mut ready_at[to as usize];
+            *ready = (*ready).max(finish[from as usize]);
+        }
+        let mut copy_max = TimeNs::ZERO;
+        for &u in order {
+            let i = u as usize;
+            if !uniform && periods_of(run_device[i]) <= k {
+                continue;
+            }
+            let done = ready_at[i] + run_duration[i];
+            finish[i] = done;
+            copy_max = copy_max.max(done);
+            for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
+                let ready = &mut ready_at[c as usize];
+                *ready = (*ready).max(done);
+            }
+        }
+        latest = latest.max(copy_max);
+        walked += 1;
+        if detect {
+            let row = (k % ring as u64) as usize;
+            hist[row * len..(row + 1) * len].copy_from_slice(&finish[lo_us..hi_us]);
+            hist_max[row] = copy_max;
+            if let Some((c, shift)) = uniform_shift(hist, len, k) {
+                detect = false;
+                // x[k + j·c] = x[k] + j·D for every j: jump the whole
+                // blocks left, then walk the remainder.
+                let blocks = (copies - 1 - k) / c;
+                if blocks > 0 {
+                    let jump = TimeNs::from_nanos(shift.as_nanos() * blocks);
+                    let block_max = (k + 1 - c..=k)
+                        .map(|j| hist_max[(j % ring as u64) as usize])
+                        .max()
+                        .expect("c ≥ 1");
+                    latest = latest.max(block_max + jump);
+                    for f in &mut finish[lo_us..hi_us] {
+                        *f += jump;
+                    }
+                    k += blocks * c;
+                }
+            }
+        }
+        k += 1;
+    }
+    (latest, copies, walked)
+}
+
+/// The smallest `c ≤ min(MAX_CYCLICITY, k)` such that state `x[k]` equals
+/// `x[k − c]` shifted by one `D ≥ 0` on every component, with that `D`.
+/// `hist` is the ring of section-sized state rows.
+fn uniform_shift(hist: &[TimeNs], len: usize, k: u64) -> Option<(u64, TimeNs)> {
+    let ring = (MAX_CYCLICITY + 1) as u64;
+    let row = |j: u64| {
+        let r = (j % ring) as usize;
+        &hist[r * len..(r + 1) * len]
+    };
+    let now = row(k);
+    (1..=k.min(MAX_CYCLICITY as u64)).find_map(|c| {
+        let then = row(k - c);
+        let shift = now.first()?.as_nanos().checked_sub(then.first()?.as_nanos())?;
+        let shift = TimeNs::from_nanos(shift);
+        now.iter().zip(then).all(|(&a, &b)| a == b + shift).then_some((c, shift))
+    })
 }
 
 #[cfg(test)]
@@ -882,25 +1026,46 @@ mod tests {
         }
     }
 
+    /// The flat or the two-tier communication model of a 512-GPU
+    /// cluster.
+    fn comm_model(two_tier: bool) -> CommModel {
+        let cluster = ClusterSpec::aws_p4d(512);
+        if two_tier {
+            CommModel::with_topology_tiers(&cluster, cluster.topology(1.0))
+        } else {
+            CommModel::new(&cluster, 1.0)
+        }
+    }
+
     fn compare_point(
         model: &vtrain_model::ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
         scratch: &mut CompactScratch,
     ) {
-        let cluster = ClusterSpec::aws_p4d(512);
-        let comm = CommModel::new(&cluster, 1.0);
+        compare_point_under(model, plan, opts, &comm_model(false), scratch);
+    }
+
+    /// Asserts the compact replay of `plan` under `comm` equals the full
+    /// lowering's Predicted replay in every report field.
+    fn compare_point_under(
+        model: &vtrain_model::ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+        comm: &CommModel,
+        scratch: &mut CompactScratch,
+    ) {
         let cache = vtrain_profile::ProfileCache::new();
         let profiler = Profiler::new(GpuSpec::a100_40gb());
         let sigs = vtrain_graph::plan_signatures(model, plan, opts);
         let profiles = cache.resolve(&profiler, &sigs);
 
-        let full = TaskGraph::lower_fused(model, plan, opts, &profiles, &comm).unwrap();
+        let full = TaskGraph::lower_fused(model, plan, opts, &profiles, comm).unwrap();
         let expect = simulate(&full, SimMode::Predicted);
 
         let mut report = SimReport::default();
         let mut source = SetSource(&profiles);
-        simulate_plan_compact(model, plan, opts, &mut source, &comm, scratch, &mut report).unwrap();
+        simulate_plan_compact(model, plan, opts, &mut source, comm, scratch, &mut report).unwrap();
 
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
@@ -1081,12 +1246,77 @@ mod tests {
         outcome
     }
 
+    /// `(t, d, p, m, b)` under `sched`, as a plan.
+    fn plan_of(
+        (t, d, p, m, b): (usize, usize, usize, usize, usize),
+        sched: PipelineSchedule,
+    ) -> ParallelConfig {
+        ParallelConfig::builder()
+            .tensor(t)
+            .data(d)
+            .pipeline(p)
+            .micro_batch(m)
+            .global_batch(b)
+            .schedule(sched)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn uniform_shift_skips_the_steady_state_of_long_1f1b_pipelines() {
+        // megatron-18.4B on (8, 8, 8), m = 2: 4,096 micro-batches, so the
+        // steady section runs 4,096 − 8 copies, between the warm-up (up to
+        // 7 copies), the remaining pairs (7), the last stage's last
+        // forward (1), the drain (6) and the final backward (1).
+        let model = presets::megatron("18.4B");
+        let plan = plan_of((8, 8, 8, 2, 65_536), PipelineSchedule::OneFOneB);
+        let mut scratch = CompactScratch::default();
+        compare_point(&model, &plan, &GraphOptions::default(), &mut scratch);
+        let (walked, total) = scratch.periods();
+        assert_eq!(total, 7 + (4_096 - 8) + 7 + 1 + 6 + 1);
+        assert!(walked < total / 100, "shortcut did not engage: walked {walked} of {total}");
+    }
+
+    #[test]
+    fn gpipe_walks_every_period_exactly_when_no_shift_shows() {
+        // Uneven stages (24 layers over 5) make GPipe's forward and
+        // backward trains advance at different rates per stage: no
+        // uniform shift ever appears, and every copy is walked.
+        let model = presets::megatron("1.7B");
+        let plan = plan_of((1, 1, 5, 1, 300), PipelineSchedule::GPipe);
+        let mut scratch = CompactScratch::default();
+        compare_point(&model, &plan, &GraphOptions::default(), &mut scratch);
+        assert_eq!(scratch.periods(), (300 + 299 + 1, 300 + 299 + 1));
+    }
+
+    #[test]
+    fn scratch_size_is_flat_in_the_micro_batch_count() {
+        // 1k and 100k micro-batches share one periodic structure: equal
+        // reserved bytes on fresh scratches, and a delta patch across the
+        // two that matches a fresh lowering.
+        let model = presets::megatron("1.7B");
+        let opts = GraphOptions::default();
+        let small = plan_of((2, 1, 4, 1, 1_000), PipelineSchedule::OneFOneB);
+        let large = plan_of((2, 1, 4, 1, 100_000), PipelineSchedule::OneFOneB);
+        let capacity = |plan: &ParallelConfig| {
+            let mut scratch = CompactScratch::default();
+            compare_delta_step(&model, plan, &opts, &mut scratch, 1);
+            scratch.capacity_bytes()
+        };
+        assert_eq!(capacity(&small), capacity(&large));
+        let mut walk = CompactScratch::default();
+        assert_eq!(compare_delta_step(&model, &small, &opts, &mut walk, 1), LowerOutcome::Fresh);
+        assert_eq!(compare_delta_step(&model, &large, &opts, &mut walk, 2), LowerOutcome::Patched);
+        assert_eq!(walk.periods().1, 3 + (100_000 - 4) + 3 + 1 + 2 + 1);
+    }
+
     #[test]
     #[should_panic(expected = "compact graph contains a cycle")]
     fn cyclic_compact_graph_panics() {
         // Three runs where 1 -> 2 -> 1 loops behind the source run 0.
         let mut scratch = CompactScratch::default();
         scratch.run_device.extend([0, 0, 0]);
+        scratch.sec_runs.extend([0, 3]);
         scratch.edges.extend([(0, 1), (1, 2), (2, 1)]);
         build_csr(&mut scratch);
         build_order(&mut scratch);
@@ -1125,13 +1355,19 @@ mod tests {
                 &mut scratch.slot_values,
                 &mut scratch.slot_cat,
             );
+            scratch.sec_periods.clear();
+            let (p, n) = (plan.pipeline(), plan.num_micro_batches());
+            for stage in 0..p {
+                let periods = plan.schedule().section_periods(stage, p, n);
+                scratch.sec_periods.extend(periods.map(|n| n as u64));
+            }
             let t1 = std::time::Instant::now();
             build_graph(&model, &plan, &opts, &mut scratch);
             let t2 = std::time::Instant::now();
             build_csr(&mut scratch);
             let t3 = std::time::Instant::now();
             build_order(&mut scratch);
-            build_tallies(&mut scratch, plan.pipeline());
+            build_tallies(&mut scratch);
             let t4 = std::time::Instant::now();
             refill_runs(&mut scratch, 1);
             let t5 = std::time::Instant::now();
@@ -1157,30 +1393,37 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-        /// Golden equivalence: the aggregated replay reproduces the full
-        /// lowering + Predicted replay bit for bit on sampled design
-        /// points — schedules, bucketing, recompute, uneven partitions.
+        /// Golden equivalence: the aggregated periodic replay reproduces
+        /// the full lowering + Predicted replay bit for bit on sampled
+        /// design points — schedules, bucketing, recompute, uneven
+        /// partitions, flat and two-tier interconnects — at micro-batch
+        /// counts on both sides of the periodic threshold and far past
+        /// it, where the uniform-shift shortcut skips most copies.
         #[test]
         fn compact_replay_is_bit_identical_to_full(
             t_exp in 0usize..=2,
             d_exp in 0usize..=2,
-            p in 1usize..=5,
+            p in 1usize..=8,
             m_exp in 0usize..=1,
-            n_micro in 1usize..=24,
-            flags in 0u32..8,
+            n_micro in 1usize..=300,
+            flags in 0u32..16,
         ) {
-            let (gpipe, bucketing, recompute) =
-                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let (gpipe, bucketing, recompute, two_tier) =
+                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
             let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
-            // Large-ish micro-batch counts exercise the builder's
-            // periodic block replication (warmup/steady/drain splits).
             let b = d * m * n_micro;
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let plan = ParallelConfig::builder()
                 .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(b)
                 .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
             let opts = GraphOptions { recompute, ..GraphOptions::default() };
-            compare_point(&presets::megatron("1.7B"), &plan, &opts, &mut CompactScratch::default());
+            compare_point_under(
+                &presets::megatron("1.7B"),
+                &plan,
+                &opts,
+                &comm_model(two_tier),
+                &mut CompactScratch::default(),
+            );
         }
 
         /// Delta A/B: walking random neighbors with one shared scratch —
@@ -1222,20 +1465,21 @@ mod tests {
         #[test]
         fn delta_walks_match_full_replay(
             d_exp in 0usize..=1,
-            p in 1usize..=4,
-            n_micro in 1usize..=12,
-            flags in 0u32..8,
+            p in 1usize..=8,
+            n_micro in 1usize..=300,
+            flags in 0u32..16,
             walk in proptest::collection::vec((0usize..=2, 0usize..=1, 1usize..=4), 2..6),
         ) {
-            let (gpipe, bucketing, two_tier) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let (gpipe, bucketing, two_tier, recompute) =
+                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
             let model = presets::megatron("1.7B");
             let cluster = ClusterSpec::aws_p4d(512);
-            let comm = if two_tier {
-                CommModel::with_topology_tiers(&cluster, cluster.topology(1.0))
-            } else {
-                CommModel::new(&cluster, 1.0)
+            let comm = comm_model(two_tier);
+            let opts = GraphOptions {
+                gpus_per_node: cluster.gpus_per_node,
+                recompute,
+                ..GraphOptions::default()
             };
-            let opts = GraphOptions { gpus_per_node: cluster.gpus_per_node, ..GraphOptions::default() };
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let d = 1usize << d_exp;
             let mut scratch = CompactScratch::default();

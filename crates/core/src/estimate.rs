@@ -34,8 +34,8 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{
-    build_op_graph, plan_shape_key, plan_signatures, CommKind, CommOp, CompKind, GraphOptions, Op,
-    OpSignature, PlanShapeKey, StreamKind,
+    build_op_graph, plan_shape_key, plan_signatures, plan_task_count, CommKind, CommOp, CompKind,
+    GraphOptions, Op, OpSignature, PlanShapeKey, StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
 use vtrain_net::flow::FlowProgram;
@@ -51,17 +51,41 @@ use crate::flow_replay::simulate_flows;
 use crate::sim::{simulate, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch};
 use crate::task_graph::{TaskGraph, TaskKind};
 
+/// The most tasks a full task graph may hold. [`Estimator::timeline`],
+/// [`Estimator::measure`] and every estimate under the fair-sharing
+/// network materialize one task per operator, so their memory grows with
+/// the micro-batch count (about 180 B per task for the graph and the flow
+/// programs, about 800 B with a timeline's spans). Plans above this bound
+/// are refused with [`EstimateError::GraphTooLarge`] before any lowering;
+/// closed-form predictions use the periodic compact graph and have no
+/// such bound.
+pub const MAX_FULL_GRAPH_TASKS: u64 = 1 << 22;
+
 /// Error produced by [`Estimator::estimate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EstimateError {
     /// The plan is malformed or infeasible on this cluster.
     InvalidPlan(PlanError),
+    /// The request needs a full task graph larger than
+    /// [`MAX_FULL_GRAPH_TASKS`].
+    GraphTooLarge {
+        /// Tasks the full graph would hold.
+        tasks: u64,
+        /// The bound it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for EstimateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EstimateError::InvalidPlan(e) => write!(f, "invalid training plan: {e}"),
+            EstimateError::GraphTooLarge { tasks, limit } => write!(
+                f,
+                "the full task graph of this plan would hold {tasks} tasks, above the limit of \
+                 {limit}; timelines, measured runs and fair-sharing estimates need one task per \
+                 operator (closed-form predictions do not)"
+            ),
         }
     }
 }
@@ -70,6 +94,7 @@ impl std::error::Error for EstimateError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EstimateError::InvalidPlan(e) => Some(e),
+            EstimateError::GraphTooLarge { .. } => None,
         }
     }
 }
@@ -416,19 +441,42 @@ impl Estimator {
 
     /// **Stage 1 — validate.** Checks the plan against the model and
     /// cluster (divisibility, NVLink domain, pipeline depth, GPU count,
-    /// per-GPU memory). Cheap: no allocation, no profiling — the sweep
-    /// executor uses this as its pruning predicate.
+    /// per-GPU memory). Cheap: no profiling, and no allocation under the
+    /// closed-form network — the sweep executor uses this as its pruning
+    /// predicate. Under the fair-sharing network, which always lowers the
+    /// full task graph, it also admits the graph's size (see
+    /// [`MAX_FULL_GRAPH_TASKS`]).
     ///
     /// # Errors
     ///
     /// Returns [`EstimateError::InvalidPlan`] with the first violated
-    /// constraint.
+    /// constraint, or [`EstimateError::GraphTooLarge`] for a fair-sharing
+    /// estimator and a plan whose full graph exceeds the bound.
     pub fn validate(
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
     ) -> Result<(), EstimateError> {
         plan.validate(model, &self.cluster)?;
+        if self.network() == NetworkBackend::FairSharing {
+            self.admit_full_graph(model, plan)?;
+        }
+        Ok(())
+    }
+
+    /// Refuses a validated plan whose full task graph would exceed
+    /// [`MAX_FULL_GRAPH_TASKS`]. The exact task count comes from the
+    /// periodic emission, in time independent of the micro-batch count.
+    fn admit_full_graph(
+        &self,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+    ) -> Result<(), EstimateError> {
+        let tasks = plan_task_count(model, plan, &self.graph_opts);
+        if tasks > MAX_FULL_GRAPH_TASKS {
+            count_full_lowering("refused");
+            return Err(EstimateError::GraphTooLarge { tasks, limit: MAX_FULL_GRAPH_TASKS });
+        }
         Ok(())
     }
 
@@ -724,6 +772,7 @@ impl Estimator {
         noise: &NoiseModel,
     ) -> Result<IterationEstimate, EstimateError> {
         self.validate(model, plan)?;
+        self.admit_full_graph(model, plan)?;
         count_full_lowering("measured");
         let tg = self.lower(model, plan);
         let nodes = plan.num_gpus().div_ceil(self.cluster.gpus_per_node);
@@ -787,6 +836,7 @@ impl Estimator {
         plan: &ParallelConfig,
     ) -> Result<IterationTimeline, EstimateError> {
         self.validate(model, plan)?;
+        self.admit_full_graph(model, plan)?;
         count_full_lowering("timeline");
         // Materialize the operator graph once, purely for labels: the
         // fused lowering emits exactly one task per node in node order
@@ -887,12 +937,18 @@ fn count_full_lowering(reason: &str) {
 }
 
 /// Records the size of the compact graph one estimate replayed: its run
-/// count into the `estimate.compact.runs` histogram, and the scratch's
-/// reserved bytes into the `estimate.compact.scratch_bytes` high-water
-/// gauge.
+/// count into the `estimate.compact.runs` histogram, the section copies
+/// the plan runs and those the replay walked into
+/// `estimate.compact.periods_total` / `estimate.compact.periods_walked`
+/// (equal when the uniform-shift shortcut did not engage), and the
+/// scratch's reserved bytes into the `estimate.compact.scratch_bytes`
+/// high-water gauge.
 fn record_compact_size(compact: &CompactScratch) {
     let metrics = vtrain_obs::global();
     metrics.histogram("estimate.compact.runs").record(compact.num_runs() as u64);
+    let (walked, total) = compact.periods();
+    metrics.histogram("estimate.compact.periods_total").record(total);
+    metrics.histogram("estimate.compact.periods_walked").record(walked);
     metrics.gauge("estimate.compact.scratch_bytes").set_max(compact.capacity_bytes() as u64);
 }
 
@@ -1136,6 +1192,69 @@ mod tests {
         let reserved = scratch.compact.capacity_bytes() as u64;
         assert!(reserved > 0);
         assert!(bytes.get() >= reserved, "gauge {} below the scratch's {reserved} B", bytes.get());
+    }
+
+    #[test]
+    fn full_graph_paths_refuse_oversized_plans() {
+        // 10M sequences: far past what a full task graph can hold, yet a
+        // closed-form prediction on the periodic compact graph is cheap.
+        let cluster = ClusterSpec::aws_p4d(512);
+        let model = presets::megatron("18.4B");
+        let p = plan(8, 8, 8, 1, 10_000_000);
+        let closed = Estimator::builder(cluster.clone()).build();
+        let fair = Estimator::builder(cluster).network(NetworkBackend::FairSharing).build();
+        assert!(closed.estimate(&model, &p).is_ok());
+        let tasks = plan_task_count(&model, &p, &closed.graph_opts);
+        let refused = EstimateError::GraphTooLarge { tasks, limit: MAX_FULL_GRAPH_TASKS };
+        assert!(tasks > MAX_FULL_GRAPH_TASKS);
+        assert_eq!(fair.estimate(&model, &p).unwrap_err(), refused);
+        assert_eq!(fair.validate(&model, &p).unwrap_err(), refused);
+        assert_eq!(closed.measure(&model, &p).unwrap_err(), refused);
+        assert_eq!(closed.timeline(&model, &p).err(), Some(refused));
+        // Small plans still pass admission on every path.
+        let small = plan(8, 8, 8, 1, 512);
+        assert!(fair.estimate(&model, &small).is_ok());
+        assert!(closed.measure(&model, &small).is_ok());
+    }
+
+    #[test]
+    fn compact_periods_are_recorded() {
+        // A long 1F1B pipeline skips most copies of its steady template; a
+        // GPipe plan with uneven stages walks every copy, and the two
+        // histograms say so.
+        let _flag = OBS_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let metrics = vtrain_obs::global();
+        let total = metrics.histogram("estimate.compact.periods_total");
+        let walked = metrics.histogram("estimate.compact.periods_walked");
+        let est = Estimator::builder(ClusterSpec::aws_p4d(16)).build();
+        let model = presets::megatron("1.7B");
+        let one_f_one_b = plan(2, 1, 4, 1, 4096);
+        let gpipe = ParallelConfig::builder()
+            .pipeline(5)
+            .global_batch(300)
+            .schedule(PipelineSchedule::GPipe)
+            .build()
+            .unwrap();
+        let mut periods = Vec::new();
+        for p in [&one_f_one_b, &gpipe] {
+            // Other tests may record concurrently while obs is on, so the
+            // exact numbers come from the scratch and the histograms are
+            // only checked for having grown by at least this estimate.
+            let before = (total.sum(), walked.sum(), total.count(), walked.count());
+            let mut scratch = EstimatorScratch::default();
+            vtrain_obs::set_enabled(true);
+            est.estimate_validated_with(&model, p, &mut scratch);
+            vtrain_obs::set_enabled(false);
+            let (w, t) = scratch.compact.periods();
+            assert!(total.count() > before.2 && walked.count() > before.3, "periods not recorded");
+            assert!(total.sum() >= before.0 + t && walked.sum() >= before.1 + w);
+            periods.push((w, t));
+        }
+        let (w, t) = periods[0];
+        // Warm-up, steady, remaining pairs, last forward, drain, final.
+        assert_eq!(t, 3 + (4096 - 4) + 3 + 1 + 2 + 1);
+        assert!(w < t / 100, "1F1B walked {w} of {t} copies");
+        assert_eq!(periods[1], (600, 600), "GPipe walks every copy");
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod task_graph;
 pub use cost::{CostModel, TrainingProjection};
 pub use estimate::{
     EstimateError, Estimator, EstimatorBuilder, EstimatorScratch, IterationEstimate,
-    IterationTimeline, StageNanos,
+    IterationTimeline, StageNanos, MAX_FULL_GRAPH_TASKS,
 };
 pub use sim::{
     simulate, simulate_into, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch,

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use vtrain_model::{Bytes, ModelConfig, TimeNs};
 use vtrain_net::{GroupPlacement, TierSpec, Topology};
-use vtrain_parallel::{layer_partition, ParallelConfig, Pass, ProcessGroups, StageSlot};
+use vtrain_parallel::{layer_partition, ParallelConfig, Pass, ProcessGroups, Section};
 
 use crate::graph::{OpGraph, OpNode, StreamKind};
 use crate::ops::{CommKind, CommOp, CommScope, CompKind, ComputeOp, Op, OpSignature};
@@ -92,32 +92,43 @@ pub trait GraphSink {
         }
         first.expect("chain patterns emit at least one node")
     }
-    /// Offers the sink a *block replication*: everything emitted since
-    /// node `start_node` — a cut-aligned, single-device window of whole
-    /// schedule slots — repeats `copies` more times with identical
-    /// structure. A sink that accepts returns `true` and must behave as
-    /// if the block's nodes, intra-block edges, and cut boundaries were
-    /// re-emitted with all node indices shifted by the block's node count
-    /// per copy; the builder then accounts for the copies arithmetically
-    /// (records, program-order chain edges *into* each copy, id
-    /// bookkeeping) and emits nothing further for them. A sink that
-    /// returns `false` (the default) receives the copies as ordinary
-    /// per-slot emission instead — graph-materializing sinks stay
-    /// unchanged.
-    fn replicate_block(&mut self, start_node: u32, copies: u32) -> bool {
-        let _ = (start_node, copies);
+    /// Whether this sink takes the *periodic* form of the graph.
+    ///
+    /// Graph-materializing sinks keep the default (`false`) and receive
+    /// every schedule slot of every micro-batch. A periodic sink instead
+    /// receives each stage program as the sections of
+    /// [`PipelineSchedule::stage_sections`], section-major (all stages'
+    /// section 0, then all stages' section 1, ...). Each section with at
+    /// least one period on a stage is opened with
+    /// [`GraphSink::begin_section`] and emitted once, standing for its
+    /// `periods` identical copies; a section without periods emits
+    /// nothing. An edge between two nodes of one section joins them in
+    /// every copy; an edge from one copy into the next arrives through
+    /// [`GraphSink::add_carried_edge`]. Every other edge leaves an
+    /// earlier section's *last* copy (on the source's stage) and enters
+    /// copy 0 of a later section.
+    ///
+    /// [`PipelineSchedule::stage_sections`]: vtrain_parallel::PipelineSchedule::stage_sections
+    fn periodic(&self) -> bool {
         false
     }
 
-    /// Adds `count` dependency edges forming an arithmetic *train*: edge
-    /// `i` connects `from + i * from_stride → to + i * to_stride`.
-    /// Equivalent to the corresponding [`GraphSink::add_edge`] loop (the
-    /// default); aggregating sinks may resolve the endpoints by stride
-    /// when the train stays inside replicated block regions.
-    fn add_edge_train(&mut self, from: u32, from_stride: u32, to: u32, to_stride: u32, count: u32) {
-        for i in 0..count {
-            self.add_edge(from + i * from_stride, to + i * to_stride);
-        }
+    /// Opens section `section` (0-based, ascending) of `device`'s
+    /// program: every node pushed until the next call belongs to it.
+    /// `periods` (at least 1) is the section's repeat count on `device`.
+    /// Only periodic sinks receive this.
+    fn begin_section(&mut self, device: u32, section: u32, periods: u64) {
+        let _ = (device, section, periods);
+    }
+
+    /// Adds a loop-carried edge of distance 1 between two nodes of one
+    /// section repeated more than once: `from` in copy `k - 1` precedes
+    /// `to` in copy `k`. Copy 0 instead waits for `init`, a node of an
+    /// earlier section (its last copy), when there is one. Only periodic
+    /// sinks receive this.
+    fn add_carried_edge(&mut self, from: u32, to: u32, init: Option<u32>) {
+        let _ = (from, to, init);
+        unreachable!("only periodic sinks receive loop-carried edges")
     }
 }
 
@@ -346,23 +357,31 @@ pub fn visit_plan_slots<F: FnMut(SlotOp)>(
 }
 
 /// The structural fingerprint of a lowered graph: two `(model, plan)`
-/// pairs with equal keys (under the same [`GraphOptions`]) produce graphs
-/// with identical node counts, edge lists, slot assignments, and
-/// chain-aggregation cuts — only the slot *values* differ. This is the
-/// applicability test for delta-lowering.
+/// pairs with equal keys (under the same [`GraphOptions`]) produce
+/// periodic graphs ([`GraphSink::periodic`]) with identical node counts
+/// per copy, edge lists, slot assignments, and chain-aggregation cuts —
+/// only the slot *values* and the sections' period counts differ. This
+/// is the applicability test for delta-lowering.
 ///
-/// The key captures exactly what the builder's emission structure reads:
-/// the layer partition (`num_layers`, `pipeline`), the per-stage program
-/// (`schedule`, `n_micro`), whether TP/DP operators exist at all, and the
-/// DP bucket geometry (`per_bucket` layers per bucket, which depends on
-/// the gradient bytes per layer and hence on `t`). Everything else —
-/// micro-batch size, hidden dims, topology tiers — only moves slot
-/// values, which delta-lowering re-prices anyway.
+/// The key captures exactly what the builder's periodic emission
+/// structure reads: the layer partition (`num_layers`, `pipeline`), the
+/// per-stage sections (`schedule`, and the micro-batch count only up to
+/// [`PipelineSchedule::sections_stable_from`] — beyond it the
+/// sections keep their shape and only their period counts grow), whether
+/// TP/DP operators exist at all, and the DP bucket geometry (`per_bucket`
+/// layers per bucket, which depends on the gradient bytes per layer and
+/// hence on `t`). Everything else — micro-batch size and count, hidden
+/// dims, topology tiers — only moves slot values and period counts, which
+/// delta-lowering re-prices anyway.
+///
+/// [`PipelineSchedule::sections_stable_from`]: vtrain_parallel::PipelineSchedule::sections_stable_from
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanShapeKey {
     num_layers: usize,
     pipeline: usize,
     schedule: vtrain_parallel::PipelineSchedule,
+    /// The micro-batch count, capped where the sections stop changing
+    /// shape.
     n_micro: usize,
     tensor_parallel: bool,
     data_parallel: bool,
@@ -388,11 +407,55 @@ pub fn plan_shape_key(
         num_layers: model.num_layers(),
         pipeline: plan.pipeline(),
         schedule: plan.schedule(),
-        n_micro: plan.num_micro_batches(),
+        n_micro: plan
+            .num_micro_batches()
+            .min(plan.schedule().sections_stable_from(plan.pipeline())),
         tensor_parallel: plan.tensor() > 1,
         data_parallel: plan.data() > 1,
         per_bucket,
     }
+}
+
+/// The exact node count of [`build_op_graph`]'s graph — one task per node
+/// once lowered — computed from the periodic emission in
+/// `O(p + layers)` time and memory, whatever the micro-batch count.
+/// Paths that materialize the full graph check it before they do.
+///
+/// # Panics
+///
+/// Same conditions as [`build_op_graph`].
+pub fn plan_task_count(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> u64 {
+    /// Counts nodes, weighting each by its section's period count.
+    #[derive(Default)]
+    struct TaskCounter {
+        next: u32,
+        periods: u64,
+        tasks: u64,
+    }
+    impl GraphSink for TaskCounter {
+        fn push(&mut self, _node: OpNode) -> u32 {
+            self.tasks += self.periods;
+            self.next += 1;
+            self.next - 1
+        }
+        fn push_chain(&mut self, _: u32, _: Option<u32>, pattern: &[ChainOp], repeat: u32) -> u32 {
+            let n = pattern.len() as u32 * repeat;
+            self.tasks += u64::from(n) * self.periods;
+            self.next += n;
+            self.next - n
+        }
+        fn add_edge(&mut self, _from: u32, _to: u32) {}
+        fn periodic(&self) -> bool {
+            true
+        }
+        fn begin_section(&mut self, _device: u32, _section: u32, periods: u64) {
+            self.periods = periods;
+        }
+        fn add_carried_edge(&mut self, _from: u32, _to: u32, _init: Option<u32>) {}
+    }
+    let mut counter = TaskCounter::default();
+    build_op_graph_into(model, plan, opts, &mut counter);
+    counter.tasks
 }
 
 /// Shared constructor of compute-operator signatures, used by both the
@@ -669,33 +732,19 @@ fn stage_params_with_layers(
     params
 }
 
-/// Finds the maximal repeated slot block starting at `i`: returns
-/// `(w, k)` such that slots `[i, i + k·w)` are `k` repetitions of a
-/// `w`-slot pattern, compared by pass alone (two same-pass slots emit
-/// identical structure — the micro-batch index only affects record
-/// bookkeeping), capped so the block never reaches `last_bwd` (the final
-/// backward slot emits differently). `k < 2` means no usable repetition.
-fn repeat_block(program: &[StageSlot], i: usize, last_bwd: Option<usize>) -> (usize, usize) {
-    for w in [1usize, 2] {
-        if i + 2 * w > program.len() {
-            break;
-        }
-        let mut k = 1;
-        while i + (k + 1) * w <= program.len()
-            && (0..w).all(|j| program[i + k * w + j].pass == program[i + j].pass)
-        {
-            k += 1;
-        }
-        if let Some(x) = last_bwd {
-            if x >= i {
-                k = k.min((x - i) / w);
-            }
-        }
-        if k >= 2 {
-            return (w, k);
-        }
-    }
-    (1, 1)
+/// Where `(pass, micro_batch)` sits in one stage's periodic form:
+/// `(section, slot, period)`.
+fn locate(sections: &[Section], pass: Pass, micro_batch: usize) -> (usize, usize, usize) {
+    sections
+        .iter()
+        .enumerate()
+        .find_map(|(section, s)| {
+            s.slots.iter().enumerate().find_map(|(slot, pattern)| {
+                let period = pattern.period_of(micro_batch, s.periods)?;
+                (pattern.pass == pass).then_some((section, slot, period))
+            })
+        })
+        .expect("every slot of the program lies in a section")
 }
 
 struct Builder<'a, S: GraphSink> {
@@ -723,31 +772,34 @@ struct Builder<'a, S: GraphSink> {
     /// Last node per (device, stream) for program-order chaining.
     last_compute: Vec<Option<u32>>,
     last_comm: Vec<Option<u32>>,
-    /// Mirror of the sink's node counter (sinks hand out dense indices
-    /// from 0), letting the builder do id arithmetic for replicated
-    /// blocks without asking the sink.
-    next_node: u32,
+    /// First compute- and comm-stream node emitted since the device's
+    /// chain cursors were last cleared (the heads of a periodic section).
+    head_compute: Option<u32>,
+    head_comm: Option<u32>,
     /// Latency-slot ids (see [`visit_plan_slots`]): the TP All-Reduce
     /// slot (meaningful only when `t > 1`), the first pipeline-send slot
     /// (boundary 0), and the next DP All-Reduce slot to hand out (DP
-    /// slots are consumed in emission order, which `build`'s
-    /// stage-major walk makes identical to enumeration order).
+    /// slots are consumed in emission order, which is stage-major in both
+    /// emission forms and so identical to enumeration order).
     slot_tp: u32,
     slot_send_base: u32,
     next_dp_slot: u32,
 }
 
-/// Per-stage bookkeeping for cross-stage edges.
+/// The endpoints of one emitted schedule slot that cross-stage edges
+/// attach to.
+#[derive(Clone, Copy)]
+struct SlotEnds {
+    /// The slot's first node (receives the upstream stage's send).
+    first: u32,
+    /// Its pipeline send, if the slot has one.
+    send: Option<u32>,
+}
+
+/// What the final backward slot leaves behind for the stage's gradient
+/// synchronization.
 #[derive(Clone, Default)]
-struct StageRecord {
-    /// First node of each micro-batch's forward slot.
-    fwd_first: Vec<Option<u32>>,
-    /// The forward activation send of each micro-batch (stages < p-1).
-    fwd_send: Vec<Option<u32>>,
-    /// First node of each micro-batch's backward slot.
-    bwd_first: Vec<Option<u32>>,
-    /// The backward gradient send of each micro-batch (stages > 0).
-    bwd_send: Vec<Option<u32>>,
+struct SyncRecord {
     /// Node after which each local layer's gradient is final (recorded
     /// while walking the final backward slot), indexed by position within
     /// the stage.
@@ -756,6 +808,25 @@ struct StageRecord {
     embedding_bwd: Option<u32>,
     /// DP All-Reduce nodes of this stage.
     dp_all_reduces: Vec<u32>,
+}
+
+/// Per-stage bookkeeping of the plain form: the endpoints of every
+/// micro-batch's forward and backward slot.
+#[derive(Clone, Default)]
+struct StageRecord {
+    fwd: Vec<Option<SlotEnds>>,
+    bwd: Vec<Option<SlotEnds>>,
+    sync: SyncRecord,
+}
+
+/// Per-stage bookkeeping of the periodic form, constant-size whatever
+/// the micro-batch count.
+#[derive(Clone, Default)]
+struct PeriodicRecord {
+    /// The single emitted copy of each section's slots, by section then
+    /// slot (empty for a section without periods on this stage).
+    ends: Vec<Vec<SlotEnds>>,
+    sync: SyncRecord,
 }
 
 impl<'a, S: GraphSink> Builder<'a, S> {
@@ -803,7 +874,8 @@ impl<'a, S: GraphSink> Builder<'a, S> {
             pp_sends,
             last_compute: vec![None; p],
             last_comm: vec![None; p],
-            next_node: 0,
+            head_compute: None,
+            head_comm: None,
             slot_tp,
             slot_send_base,
             next_dp_slot,
@@ -816,14 +888,13 @@ impl<'a, S: GraphSink> Builder<'a, S> {
     fn emit(&mut self, device: usize, stream: StreamKind, op: Op, latency_slot: u32) -> u32 {
         let idx =
             self.sink.push_slotted(OpNode { device: device as u32, stream, op }, latency_slot);
-        debug_assert_eq!(idx, self.next_node, "sink indices must be dense");
-        self.next_node = idx + 1;
-        let slot = match stream {
-            StreamKind::Compute => &mut self.last_compute[device],
-            StreamKind::Comm => &mut self.last_comm[device],
+        let (last, head) = match stream {
+            StreamKind::Compute => (&mut self.last_compute[device], &mut self.head_compute),
+            StreamKind::Comm => (&mut self.last_comm[device], &mut self.head_comm),
         };
-        if let Some(prev) = slot.replace(idx) {
-            self.sink.add_edge(prev, idx);
+        match last.replace(idx) {
+            Some(prev) => self.sink.add_edge(prev, idx),
+            None => *head = Some(idx),
         }
         idx
     }
@@ -850,10 +921,10 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         let pattern = if backward { &self.bwd_chain } else { &self.fwd_chain };
         let prev = self.last_compute[device];
         let first = self.sink.push_chain(device as u32, prev, pattern, repeat as u32);
-        debug_assert_eq!(first, self.next_node, "sink indices must be dense");
-        let last = first + (pattern.len() * repeat) as u32 - 1;
-        self.next_node = last + 1;
-        self.last_compute[device] = Some(last);
+        if prev.is_none() {
+            self.head_compute = Some(first);
+        }
+        self.last_compute[device] = Some(first + (pattern.len() * repeat) as u32 - 1);
         first
     }
 
@@ -883,220 +954,206 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         self.sigs.stage_local_params(stage, num_layers_here)
     }
 
-    fn build(mut self) {
+    fn build(self) {
+        if self.sink.periodic() {
+            self.build_periodic();
+        } else {
+            self.build_plain();
+        }
+    }
+
+    /// The plain form: every slot of every stage program, stage-major,
+    /// then the cross-stage pipeline edges (same micro-batch precedence,
+    /// Fig. 7 / §III-B) boundary by boundary in micro-batch order.
+    fn build_plain(mut self) {
         let p = self.plan.pipeline();
         let n_micro = self.plan.num_micro_batches();
         let partition = layer_partition(self.model.num_layers(), p);
-        let mut records: Vec<StageRecord> = (0..p)
-            .map(|s| StageRecord {
-                fwd_first: vec![None; n_micro],
-                fwd_send: vec![None; n_micro],
-                bwd_first: vec![None; n_micro],
-                bwd_send: vec![None; n_micro],
-                grad_ready: vec![None; partition[s].len()],
-                ..StageRecord::default()
+        let mut records: Vec<StageRecord> = partition
+            .iter()
+            .map(|layers| StageRecord {
+                fwd: vec![None; n_micro],
+                bwd: vec![None; n_micro],
+                sync: SyncRecord { grad_ready: vec![None; layers.len()], ..SyncRecord::default() },
             })
             .collect();
-
-        // Pass 1: per-stage programs with intra-stage edges. Pipeline
-        // schedules are periodic — most of a stage's program is a short
-        // slot block repeated per micro-batch (1F1B's steady-state
-        // forward/backward pair, GPipe's forward and backward trains) —
-        // and two slots of the same pass emit identical structure: the
-        // micro-batch index only lands in the records. Each maximal
-        // repetition is emitted once and offered to the sink as a block
-        // replication; sinks that decline receive the remaining copies
-        // as ordinary per-slot emission.
         for stage in 0..p {
             let layers_here = partition[stage].len();
             let program = self.plan.schedule().stage_program(stage, p, n_micro);
-            // The final backward slot emits differently (per-layer
-            // gradient anchors and cuts), so no block may cover it.
-            let last_bwd = program.iter().rposition(|s| s.pass == Pass::Backward);
-            let mut bwd_seen = 0usize;
-            let mut i = 0usize;
-            while i < program.len() {
-                let (w, k) = repeat_block(&program, i, last_bwd);
-                if k < 2 {
-                    self.emit_slot(
-                        stage,
-                        &program[i],
-                        layers_here,
-                        p,
-                        &mut bwd_seen,
-                        &mut records[stage],
-                    );
-                    i += 1;
-                    continue;
+            let record = &mut records[stage];
+            for (i, slot) in program.iter().enumerate() {
+                let is_final = i + 1 == program.len();
+                let ends =
+                    self.emit_slot(stage, slot.pass, layers_here, is_final, &mut record.sync);
+                match slot.pass {
+                    Pass::Forward => record.fwd[slot.micro_batch] = Some(ends),
+                    Pass::Backward => record.bwd[slot.micro_batch] = Some(ends),
                 }
-                let block_first = self.next_node;
-                let mut outputs = [(0u32, None); 2];
-                for (j, out) in outputs.iter_mut().enumerate().take(w) {
-                    *out = self.emit_slot(
-                        stage,
-                        &program[i + j],
-                        layers_here,
-                        p,
-                        &mut bwd_seen,
-                        &mut records[stage],
-                    );
-                }
-                let stride = self.next_node - block_first;
-                if self.sink.replicate_block(block_first, (k - 1) as u32) {
-                    self.skip_replicated_slots(
-                        stage,
-                        &program[i..i + k * w],
-                        w,
-                        block_first,
-                        stride,
-                        &outputs[..w],
-                        &mut bwd_seen,
-                        &mut records[stage],
-                    );
-                } else {
-                    for j in w..k * w {
-                        self.emit_slot(
-                            stage,
-                            &program[i + j],
-                            layers_here,
-                            p,
-                            &mut bwd_seen,
-                            &mut records[stage],
-                        );
-                    }
-                }
-                i += k * w;
             }
-            self.emit_gradient_sync_and_update(stage, layers_here, &mut records[stage]);
+            self.emit_gradient_sync_and_update(stage, layers_here, &mut record.sync);
         }
-
-        // Pass 2: cross-stage pipeline edges (same micro-batch precedence,
-        // Fig. 7 / §III-B). Within replicated schedule regions both
-        // endpoints advance by constant node strides across micro-batches,
-        // so the per-pair loops chunk into maximal arithmetic edge trains.
+        let link = |from: &[Option<SlotEnds>], to: &[Option<SlotEnds>], sink: &mut S| {
+            for (from, to) in from.iter().zip(to) {
+                let (from, to) = (from.expect("slot emitted"), to.expect("slot emitted"));
+                sink.add_edge(from.send.expect("cross-stage slot sends"), to.first);
+            }
+        };
         for stage in 1..p {
-            self.cross_stage_trains(&records[stage - 1].fwd_send, &records[stage].fwd_first);
+            link(&records[stage - 1].fwd, &records[stage].fwd, self.sink);
         }
         for stage in 0..p.saturating_sub(1) {
-            self.cross_stage_trains(&records[stage + 1].bwd_send, &records[stage].bwd_first);
+            link(&records[stage + 1].bwd, &records[stage].bwd, self.sink);
         }
     }
 
-    /// Emits the per-micro-batch `send → first` edges of one stage
-    /// boundary, grouping maximal constant-stride spans into
-    /// [`GraphSink::add_edge_train`] calls.
-    fn cross_stage_trains(&mut self, sends: &[Option<u32>], firsts: &[Option<u32>]) {
-        let at = |v: &[Option<u32>], i: usize| v[i].expect("cross-stage endpoint exists");
-        let mut i = 0usize;
-        while i < sends.len() {
-            let (from, to) = (at(sends, i), at(firsts, i));
-            let mut len = 1u32;
-            if i + 1 < sends.len() {
-                let (f1, t1) = (at(sends, i + 1), at(firsts, i + 1));
-                if f1 > from && t1 > to {
-                    let (df, dt) = (f1 - from, t1 - to);
-                    len = 2;
-                    while i + (len as usize) < sends.len()
-                        && sends[i + len as usize] == Some(from + df * len)
-                        && firsts[i + len as usize] == Some(to + dt * len)
-                    {
-                        len += 1;
+    /// The periodic form (see [`GraphSink::periodic`]): each stage's
+    /// [`PipelineSchedule::stage_sections`], section-major, every section
+    /// emitted once with its program-order wrap-around as loop-carried
+    /// edges; then the cross-stage edges, resolved per section slot.
+    ///
+    /// [`PipelineSchedule::stage_sections`]: vtrain_parallel::PipelineSchedule::stage_sections
+    fn build_periodic(mut self) {
+        let p = self.plan.pipeline();
+        let n_micro = self.plan.num_micro_batches();
+        let partition = layer_partition(self.model.num_layers(), p);
+        let sections: Vec<_> =
+            (0..p).map(|s| self.plan.schedule().stage_sections(s, p, n_micro)).collect();
+        let mut records: Vec<PeriodicRecord> = partition
+            .iter()
+            .map(|layers| PeriodicRecord {
+                ends: vec![Vec::new(); sections[0].len()],
+                sync: SyncRecord { grad_ready: vec![None; layers.len()], ..SyncRecord::default() },
+            })
+            .collect();
+        for si in 0..sections[0].len() {
+            for (stage, record) in records.iter_mut().enumerate() {
+                let layers_here = partition[stage].len();
+                self.emit_section(stage, si, &sections[stage], layers_here, record);
+            }
+        }
+        for stage in 1..p {
+            self.link_periodic(&sections, &records, stage - 1, stage, Pass::Forward);
+        }
+        for stage in 0..p.saturating_sub(1) {
+            self.link_periodic(&sections, &records, stage + 1, stage, Pass::Backward);
+        }
+    }
+
+    /// Emits section `si` of `stage`'s program once (and, in the final
+    /// section, the stage's gradient sync and weight update). A stream's
+    /// first node in the section follows the stream's last node of the
+    /// previous copy — a loop-carried edge — and, in copy 0, the
+    /// stream's tail before the section.
+    fn emit_section(
+        &mut self,
+        stage: usize,
+        si: usize,
+        sections: &[Section],
+        layers_here: usize,
+        record: &mut PeriodicRecord,
+    ) {
+        let section = &sections[si];
+        if section.periods == 0 {
+            return;
+        }
+        let last_section = si + 1 == sections.len();
+        self.sink.begin_section(stage as u32, si as u32, section.periods as u64);
+        let before = [self.last_compute[stage].take(), self.last_comm[stage].take()];
+        self.head_compute = None;
+        self.head_comm = None;
+        for (j, slot) in section.slots.iter().enumerate() {
+            let is_final = last_section && j + 1 == section.slots.len();
+            let ends = self.emit_slot(stage, slot.pass, layers_here, is_final, &mut record.sync);
+            record.ends[si].push(ends);
+        }
+        if last_section {
+            self.emit_gradient_sync_and_update(stage, layers_here, &mut record.sync);
+        }
+        let heads = [self.head_compute, self.head_comm];
+        let lasts = [&mut self.last_compute[stage], &mut self.last_comm[stage]];
+        for ((last, head), before) in lasts.into_iter().zip(heads).zip(before) {
+            match (*last, head) {
+                (Some(tail), Some(head)) if section.periods > 1 => {
+                    self.sink.add_carried_edge(tail, head, before);
+                }
+                (Some(_), Some(head)) => {
+                    if let Some(before) = before {
+                        self.sink.add_edge(before, head);
                     }
-                    self.sink.add_edge_train(from, df, to, dt, len);
+                }
+                // The stream has no node in this section.
+                _ => *last = before,
+            }
+        }
+    }
+
+    /// Emits the `pass` edges from `src` stage's sends into `dst` stage's
+    /// slots of the same micro-batch, in periodic form. A slot's source
+    /// is either in the same copy of the same section (an ordinary edge)
+    /// or, for copy 0, in the last copy of an earlier section; the later
+    /// copies of a repeated section then take it from the previous copy
+    /// (a loop-carried edge).
+    fn link_periodic(
+        &mut self,
+        sections: &[Vec<Section>],
+        records: &[PeriodicRecord],
+        src: usize,
+        dst: usize,
+        pass: Pass,
+    ) {
+        let send_of = |(section, slot, _): (usize, usize, usize)| {
+            records[src].ends[section][slot].send.expect("cross-stage slot sends")
+        };
+        for (si, section) in sections[dst].iter().enumerate() {
+            for (j, slot) in section.slots.iter().enumerate() {
+                if slot.pass != pass || section.periods == 0 {
+                    continue;
+                }
+                let to = records[dst].ends[si][j].first;
+                let at0 = locate(&sections[src], pass, slot.at(0).micro_batch);
+                if at0.0 == si {
+                    // Same copy: the source repeats alongside the target.
+                    let last = section.periods - 1;
+                    debug_assert_eq!(
+                        locate(&sections[src], pass, slot.at(last).micro_batch),
+                        (si, at0.1, last),
+                        "a same-copy edge in every copy"
+                    );
+                    self.sink.add_edge(send_of(at0), to);
+                    continue;
+                }
+                assert!(at0.0 < si, "pipeline edges never point back a section");
+                debug_assert_eq!(at0.2 + 1, sections[src][at0.0].periods, "reads the last copy");
+                if section.periods == 1 {
+                    self.sink.add_edge(send_of(at0), to);
+                } else {
+                    let at1 = locate(&sections[src], pass, slot.at(1).micro_batch);
+                    assert_eq!((at1.0, at1.2), (si, 0), "pipeline edges span at most one copy");
+                    self.sink.add_carried_edge(send_of(at1), to, Some(send_of(at0)));
                 }
             }
-            if len == 1 {
-                self.sink.add_edge(from, to);
-            }
-            i += len as usize;
         }
     }
 
-    /// Emits one schedule slot (with its aggregation cut) and records its
-    /// endpoints; returns `(first node, optional send)`.
+    /// Emits one schedule slot (with its aggregation cut); when it is the
+    /// stage's final backward, records its gradient anchors in `sync`.
     fn emit_slot(
         &mut self,
         stage: usize,
-        slot: &StageSlot,
+        pass: Pass,
         layers_here: usize,
-        p: usize,
-        bwd_seen: &mut usize,
-        record: &mut StageRecord,
-    ) -> (u32, Option<u32>) {
+        is_final: bool,
+        sync: &mut SyncRecord,
+    ) -> SlotEnds {
         // Every slot's first node can receive a cross-stage edge.
         self.sink.cut(stage as u32);
-        match slot.pass {
-            Pass::Forward => {
-                let out = self.emit_forward_slot(stage, layers_here, p);
-                record.fwd_first[slot.micro_batch] = Some(out.0);
-                record.fwd_send[slot.micro_batch] = out.1;
-                out
-            }
-            Pass::Backward => {
-                *bwd_seen += 1;
-                let is_final_bwd = *bwd_seen == self.plan.num_micro_batches();
-                let out = self.emit_backward_slot(stage, layers_here, p, is_final_bwd, record);
-                record.bwd_first[slot.micro_batch] = Some(out.0);
-                record.bwd_send[slot.micro_batch] = out.1;
-                out
-            }
-        }
-    }
-
-    /// Accounts for the replicated copies of a block the sink accepted
-    /// without emitting them: advances the id mirror and the chain
-    /// cursors, records each copy's endpoints (the block outputs shifted
-    /// by the copy's node offset), and emits the program-order chain
-    /// edges into each copy from the previous copy's stream tails —
-    /// the only block edges whose source lies outside the block.
-    #[allow(clippy::too_many_arguments)]
-    fn skip_replicated_slots(
-        &mut self,
-        stage: usize,
-        slots: &[StageSlot],
-        w: usize,
-        block_first: u32,
-        stride: u32,
-        outputs: &[(u32, Option<u32>)],
-        bwd_seen: &mut usize,
-        record: &mut StageRecord,
-    ) {
-        let copies = (slots.len() / w - 1) as u32;
-        let first_comm = outputs.iter().find_map(|&(_, send)| send);
-        let last_compute0 = self.last_compute[stage].expect("block emits compute nodes");
-        let last_comm0 =
-            first_comm.map(|_| self.last_comm[stage].expect("block emitted its sends"));
-        self.next_node += stride * copies;
-        // Program-order chain links into each copy, from the previous
-        // copy's stream tails — both endpoints advance by the block
-        // stride, so each stream is one edge train.
-        self.sink.add_edge_train(last_compute0, stride, block_first + stride, stride, copies);
-        if let (Some(fc), Some(lc)) = (first_comm, last_comm0) {
-            self.sink.add_edge_train(lc, stride, fc + stride, stride, copies);
-        }
-        for q in 1..=copies {
-            let off = stride * q;
-            for (j, &(first, send)) in outputs.iter().enumerate() {
-                let slot = &slots[q as usize * w + j];
-                let (first, send) = (first + off, send.map(|s| s + off));
-                match slot.pass {
-                    Pass::Forward => {
-                        record.fwd_first[slot.micro_batch] = Some(first);
-                        record.fwd_send[slot.micro_batch] = send;
-                    }
-                    Pass::Backward => {
-                        *bwd_seen += 1;
-                        record.bwd_first[slot.micro_batch] = Some(first);
-                        record.bwd_send[slot.micro_batch] = send;
-                    }
-                }
-            }
-        }
-        let total = stride * copies;
-        self.last_compute[stage] = Some(last_compute0 + total);
-        if let Some(lc) = last_comm0 {
-            self.last_comm[stage] = Some(lc + total);
-        }
+        let p = self.plan.pipeline();
+        let (first, send) = match pass {
+            Pass::Forward => self.emit_forward_slot(stage, layers_here, p),
+            Pass::Backward => self.emit_backward_slot(stage, layers_here, p, is_final, sync),
+        };
+        debug_assert!(!is_final || pass == Pass::Backward, "programs end with a backward");
+        SlotEnds { first, send }
     }
 
     /// Emits one forward slot; returns (first node, optional activation
@@ -1143,7 +1200,7 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         layers_here: usize,
         p: usize,
         is_final_bwd: bool,
-        record: &mut StageRecord,
+        sync: &mut SyncRecord,
     ) -> (u32, Option<u32>) {
         let mut first = None;
         let track = |idx: u32, first: &mut Option<u32>| {
@@ -1167,7 +1224,7 @@ impl<'a, S: GraphSink> Builder<'a, S> {
                 let last = self.tp_all_reduce(stage).unwrap_or(mha);
                 // The per-layer gradient anchor sources a late edge to its
                 // DP bucket: close the aggregation run at the anchor.
-                record.grad_ready[local_layer] = Some(last);
+                sync.grad_ready[local_layer] = Some(last);
                 self.sink.cut(stage as u32);
             }
         } else if layers_here > 0 {
@@ -1178,7 +1235,7 @@ impl<'a, S: GraphSink> Builder<'a, S> {
             let idx = self.compute(stage, self.vocab_sig(CompKind::EmbeddingBwd));
             track(idx, &mut first);
             if is_final_bwd {
-                record.embedding_bwd = Some(idx);
+                sync.embedding_bwd = Some(idx);
                 self.sink.cut(stage as u32);
             }
             None
@@ -1197,7 +1254,7 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         &mut self,
         stage: usize,
         layers_here: usize,
-        record: &mut StageRecord,
+        record: &mut SyncRecord,
     ) {
         let d = self.plan.data();
         if d > 1 {
@@ -1539,7 +1596,7 @@ mod tests {
                 (2, 4, 5, 1, 8),
                 (8, 2, 4, 2, 16),
                 (1, 8, 1, 1, 16),
-                // Deep micro-batch counts: long replicated trains in both
+                // Deep micro-batch counts: periodic sections in both
                 // schedules (GPipe F/B-trains, 1F1B steady state).
                 (1, 1, 4, 1, 24),
                 (2, 1, 3, 1, 32),
@@ -1588,6 +1645,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn periodic_task_count_matches_the_full_graph() {
+        // Plain and periodic sections, both schedules, micro-batch counts
+        // on either side of the periodic threshold, uneven partitions.
+        let model = presets::megatron("1.7B");
+        for (t, d, p, m, b) in
+            [(1, 1, 1, 1, 4), (2, 2, 3, 1, 8), (2, 1, 3, 1, 40), (1, 2, 5, 2, 64), (4, 1, 8, 1, 11)]
+        {
+            for sched in [Sched::OneFOneB, Sched::GPipe] {
+                for bucketing in [true, false] {
+                    let cfg = ParallelConfig::builder()
+                        .tensor(t)
+                        .data(d)
+                        .pipeline(p)
+                        .micro_batch(m)
+                        .global_batch(b)
+                        .schedule(sched)
+                        .gradient_bucketing(bucketing)
+                        .build()
+                        .unwrap();
+                    let opts = GraphOptions::default();
+                    let full = build_op_graph(&model, &cfg, &opts).num_nodes() as u64;
+                    assert_eq!(plan_task_count(&model, &cfg, &opts), full, "{cfg}");
+                }
+            }
+        }
+        // Far beyond what a full graph can hold, the count is still exact
+        // arithmetic: affine in the micro-batch count.
+        let big = |b| {
+            plan_task_count(&model, &plan(2, 1, 4, 1, b, Sched::OneFOneB), &GraphOptions::default())
+        };
+        assert_eq!(big(30_000_000) - big(20_000_000), big(20_000_000) - big(10_000_000));
+        assert!(big(30_000_000) > u64::from(u32::MAX));
     }
 
     #[test]

@@ -40,4 +40,4 @@ mod schedule;
 pub use cluster::{ClusterSpec, GpuSpec};
 pub use config::{ParallelConfig, ParallelConfigBuilder, PlanError};
 pub use placement::ProcessGroups;
-pub use schedule::{layer_partition, Pass, PipelineSchedule, StageSlot};
+pub use schedule::{layer_partition, Pass, PipelineSchedule, Section, SlotPattern, StageSlot};

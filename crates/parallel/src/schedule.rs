@@ -98,6 +98,112 @@ impl PipelineSchedule {
         program
     }
 
+    /// The micro-batch count from which [`stage_sections`] keeps one
+    /// shape: at or above it, a larger count only raises the steady
+    /// sections' period counts. Below it the period counts of some
+    /// sections are 0 or 1, which changes what a periodic graph holds.
+    ///
+    /// 1F1B needs `p + 2` micro-batches (two steady pairs, so the steady
+    /// section repeats); GPipe needs three (two copies of the backward
+    /// train besides the final backward).
+    ///
+    /// [`stage_sections`]: PipelineSchedule::stage_sections
+    pub fn sections_stable_from(self, pipeline_depth: usize) -> usize {
+        match self {
+            PipelineSchedule::GPipe => 3,
+            PipelineSchedule::OneFOneB => pipeline_depth + 2,
+        }
+    }
+
+    /// The period counts of the sections [`stage_sections`] returns for
+    /// `stage`, in order, without building them. Every stage has the same
+    /// number of sections.
+    ///
+    /// [`stage_sections`]: PipelineSchedule::stage_sections
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PipelineSchedule::stage_program`].
+    pub fn section_periods(
+        self,
+        stage: usize,
+        pipeline_depth: usize,
+        num_micro_batches: usize,
+    ) -> impl Iterator<Item = usize> {
+        let (p, n) = (pipeline_depth, num_micro_batches);
+        assert!(p > 0 && n > 0, "counts must be positive");
+        assert!(stage < p, "stage {stage} out of range {p}");
+        let (periods, len) = match self {
+            PipelineSchedule::GPipe => ([n, n - 1, 1, 0, 0, 0], 3),
+            PipelineSchedule::OneFOneB => {
+                let warmup = (p - 1 - stage).min(n);
+                let steady = n.saturating_sub(p);
+                let last = usize::from(warmup == 0);
+                let pairs = n - warmup - steady - last;
+                ([warmup, steady, pairs, last, warmup.saturating_sub(1), 1], 6)
+            }
+        };
+        periods.into_iter().take(len)
+    }
+
+    /// [`stage_program`] in periodic form: a fixed list of sections whose
+    /// expansion, section by section and period by period, is exactly the
+    /// stage program. Every section holds one or two slot patterns, so the
+    /// list's size depends on neither the micro-batch count nor the
+    /// pipeline depth; only the period counts do.
+    ///
+    /// - 1F1B, with `w = min(p − 1 − stage, n)` warm-up forwards and
+    ///   `N = n − p` (at least 0) steady pairs: the warm-up `F(k)` × `w`;
+    ///   the steady `(F(w + k), B(k))` × `N`, the same on every stage; the
+    ///   remaining pairs `(F(w + N + k), B(N + k))`, but the last one on
+    ///   a stage without warm-up; that stage's last forward `F(n − 1)`;
+    ///   the drain `B(n − w + k)` × `w − 1`; and the final backward
+    ///   `B(n − 1)`.
+    /// - GPipe: the forward train `F(k)` × `n`; the backward train
+    ///   `B(n − 1 − k)` × `n − 1`; and the final backward `B(0)`.
+    ///
+    /// A section may have no period on some stage. The final backward,
+    /// which the graph builder emits differently, is always alone in the
+    /// last section.
+    ///
+    /// [`stage_program`]: PipelineSchedule::stage_program
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PipelineSchedule::stage_program`].
+    pub fn stage_sections(
+        self,
+        stage: usize,
+        pipeline_depth: usize,
+        num_micro_batches: usize,
+    ) -> Vec<Section> {
+        let (p, n) = (pipeline_depth, num_micro_batches);
+        let up = |pass, micro_batch| SlotPattern { pass, micro_batch, descending: false };
+        let patterns: Vec<Vec<SlotPattern>> = match self {
+            PipelineSchedule::GPipe => vec![
+                vec![up(Pass::Forward, 0)],
+                vec![SlotPattern { pass: Pass::Backward, micro_batch: n - 1, descending: true }],
+                vec![up(Pass::Backward, 0)],
+            ],
+            PipelineSchedule::OneFOneB => {
+                let warmup = (p - 1 - stage).min(n);
+                let steady = n.saturating_sub(p);
+                vec![
+                    vec![up(Pass::Forward, 0)],
+                    vec![up(Pass::Forward, warmup), up(Pass::Backward, 0)],
+                    vec![up(Pass::Forward, warmup + steady), up(Pass::Backward, steady)],
+                    vec![up(Pass::Forward, n - 1)],
+                    vec![up(Pass::Backward, n - warmup)],
+                    vec![up(Pass::Backward, n - 1)],
+                ]
+            }
+        };
+        self.section_periods(stage, p, n)
+            .zip(patterns)
+            .map(|(periods, slots)| Section { periods, slots })
+            .collect()
+    }
+
     /// Peak number of micro-batches whose forward activations are live
     /// simultaneously on the most loaded stage (stage 0).
     ///
@@ -109,6 +215,51 @@ impl PipelineSchedule {
             PipelineSchedule::OneFOneB => pipeline_depth.min(num_micro_batches),
         }
     }
+}
+
+/// One slot of a [`Section`]: a pass whose micro-batch is an affine
+/// function of the section's period index `k` — `micro_batch + k`, or
+/// `micro_batch - k` when `descending`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SlotPattern {
+    /// Forward or backward.
+    pub pass: Pass,
+    /// The micro-batch of period 0.
+    pub micro_batch: usize,
+    /// Whether the micro-batch falls by one per period (it rises
+    /// otherwise).
+    pub descending: bool,
+}
+
+impl SlotPattern {
+    /// The concrete slot of period `k`.
+    pub fn at(&self, k: usize) -> StageSlot {
+        let micro_batch = if self.descending { self.micro_batch - k } else { self.micro_batch + k };
+        StageSlot { micro_batch, pass: self.pass }
+    }
+
+    /// The period in which this pattern runs `micro_batch`, if any period
+    /// below `periods` does.
+    pub fn period_of(&self, micro_batch: usize, periods: usize) -> Option<usize> {
+        let k = if self.descending {
+            self.micro_batch.checked_sub(micro_batch)?
+        } else {
+            micro_batch.checked_sub(self.micro_batch)?
+        };
+        (k < periods).then_some(k)
+    }
+}
+
+/// A run of a stage program that repeats one slot block: `periods`
+/// copies of `slots` (possibly none), period `k` running
+/// [`SlotPattern::at`]`(k)` of each slot in order (see
+/// [`PipelineSchedule::stage_sections`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Section {
+    /// How many times the block repeats on this stage.
+    pub periods: usize,
+    /// The slot block of one period.
+    pub slots: Vec<SlotPattern>,
 }
 
 /// Splits `num_layers` decoder layers into `pipeline_depth` contiguous
@@ -236,6 +387,38 @@ mod tests {
             let schedule = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let program = schedule.stage_program(stage, depth, n);
             check_program(&program, n);
+        }
+
+        #[test]
+        fn sections_expand_to_the_stage_program(
+            depth in 1usize..12,
+            n in 1usize..40,
+            gpipe in proptest::bool::ANY,
+        ) {
+            let schedule = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            for stage in 0..depth {
+                let sections = schedule.stage_sections(stage, depth, n);
+                let periods: Vec<usize> = schedule.section_periods(stage, depth, n).collect();
+                let expanded: Vec<StageSlot> = sections
+                    .iter()
+                    .flat_map(|s| (0..s.periods).flat_map(move |k| s.slots.iter().map(move |p| p.at(k))))
+                    .collect();
+                prop_assert_eq!(expanded, schedule.stage_program(stage, depth, n));
+                let stage_periods: Vec<usize> = sections.iter().map(|s| s.periods).collect();
+                prop_assert_eq!(&stage_periods, &periods);
+                // The final backward is alone in the last section.
+                let last = sections.last().expect("sections");
+                prop_assert_eq!(last.periods, 1);
+                prop_assert_eq!(last.slots.len(), 1);
+                for s in &sections {
+                    for pattern in &s.slots {
+                        for k in 0..s.periods {
+                            let mb = pattern.at(k).micro_batch;
+                            prop_assert_eq!(pattern.period_of(mb, s.periods), Some(k));
+                        }
+                    }
+                }
+            }
         }
 
         #[test]

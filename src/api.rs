@@ -306,12 +306,23 @@ pub struct ServerStats {
     pub cache_entries: u64,
     /// Profiles evicted by the capacity bound.
     pub cache_evictions: u64,
-    /// Median request latency, ms (admission to response write).
+    /// Median request latency, ms (admission to response write; the µs
+    /// quantile below, truncated).
     pub latency_p50_ms: u64,
     /// 95th-percentile request latency, ms.
     pub latency_p95_ms: u64,
     /// 99th-percentile request latency, ms.
     pub latency_p99_ms: u64,
+    /// Median request latency, µs (admission to response write; the
+    /// upper bound of its log₂ histogram bucket).
+    #[serde(default)]
+    pub latency_p50_us: u64,
+    /// 95th-percentile request latency, µs.
+    #[serde(default)]
+    pub latency_p95_us: u64,
+    /// 99th-percentile request latency, µs.
+    #[serde(default)]
+    pub latency_p99_us: u64,
     /// Requests whose execution panicked; each was answered `Internal`
     /// with the panic message while the worker respawned.
     #[serde(default)]
@@ -680,6 +691,18 @@ mod tests {
         let back: Request = serde_json::from_str(&json).unwrap();
         assert_eq!(back.id, "r-1");
         assert_eq!(back.kind, RequestKind::Sweep);
+    }
+
+    #[test]
+    fn stats_without_microsecond_latency_still_parse() {
+        // A v1 `Stats` payload from before the µs quantiles existed.
+        let old = r#"{"requests": 3, "completed": 3, "busy_rejections": 0,
+            "deadline_exceeded": 0, "queue_depth": 0, "executing": 0, "cache_hits": 1,
+            "cache_misses": 2, "cache_entries": 2, "cache_evictions": 0,
+            "latency_p50_ms": 1, "latency_p95_ms": 3, "latency_p99_ms": 7}"#;
+        let stats: ServerStats = serde_json::from_str(old).expect("old stats parse");
+        assert_eq!((stats.latency_p50_ms, stats.latency_p99_ms), (1, 7));
+        assert_eq!((stats.latency_p50_us, stats.latency_p95_us, stats.latency_p99_us), (0, 0, 0));
     }
 
     #[test]

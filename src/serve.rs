@@ -63,7 +63,8 @@
 //! `serve.deadline_exceeded`, `serve.panics`, `serve.retries_observed`,
 //! `serve.degraded_responses`, `serve.snapshot_saves`,
 //! `serve.snapshot_loads`, `serve.snapshot_load_failures`,
-//! `serve.queue_depth`, and the `serve.latency_ms` histogram.
+//! `serve.queue_depth`, and the `serve.latency_p95_us` (µs) and
+//! `serve.latency_p95_ms` gauges.
 
 pub mod faults;
 
@@ -204,7 +205,9 @@ struct Shared {
     /// queueing a second writer behind it).
     snapshot_lock: Mutex<()>,
     faults: Option<FaultState>,
-    latency_ms: Histogram,
+    /// Request latency, admission to response write, in µs: warm
+    /// requests finish well inside a millisecond.
+    latency_us: Histogram,
 }
 
 impl Shared {
@@ -232,9 +235,12 @@ impl Shared {
             cache_misses: cache.misses,
             cache_entries: self.cache.len() as u64,
             cache_evictions: self.cache.evictions(),
-            latency_p50_ms: self.latency_ms.p50(),
-            latency_p95_ms: self.latency_ms.p95(),
-            latency_p99_ms: self.latency_ms.p99(),
+            latency_p50_ms: self.latency_us.p50() / 1000,
+            latency_p95_ms: self.latency_us.p95() / 1000,
+            latency_p99_ms: self.latency_us.p99() / 1000,
+            latency_p50_us: self.latency_us.p50(),
+            latency_p95_us: self.latency_us.p95(),
+            latency_p99_us: self.latency_us.p99(),
             panics: self.panics.load(Ordering::Relaxed),
             retries_observed: self.retries_observed.load(Ordering::Relaxed),
             degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
@@ -268,6 +274,7 @@ impl Shared {
         set("serve.snapshot_load_failures", stats.snapshot_load_failures);
         m.gauge("serve.queue_depth").set(stats.queue_depth);
         m.gauge("serve.latency_p95_ms").set(stats.latency_p95_ms);
+        m.gauge("serve.latency_p95_us").set(stats.latency_p95_us);
         self.cache.publish_metrics();
     }
 
@@ -412,7 +419,7 @@ impl Server {
             service_count: AtomicU64::new(0),
             snapshot_lock: Mutex::new(()),
             faults,
-            latency_ms: Histogram::new(),
+            latency_us: Histogram::new(),
         });
         Ok(Server { listener, local_addr, shared })
     }
@@ -745,8 +752,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             shared.service_count.fetch_add(1, Ordering::Relaxed);
         }
         respond(shared, &job.out, &response, true);
-        let elapsed_ms = job.admitted.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-        shared.latency_ms.record(elapsed_ms);
+        let elapsed_us = job.admitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        shared.latency_us.record(elapsed_us);
         shared.publish_metrics();
         if completed_now > 0
             && shared.config.snapshot.is_some()

@@ -228,3 +228,67 @@ fn cli_exit_codes_follow_the_table() {
     assert_eq!(output.status.code(), Some(2), "budget flags misuse is a usage error");
     let _ = std::fs::remove_file(path);
 }
+
+/// megatron-18.4B on 512 GPUs as (8, 8, 8), m = 1, at `batch` sequences
+/// (`batch / 8` micro-batches).
+fn megatron_18b_at(batch: u64) -> String {
+    format!(
+        r#"{{
+            "model": {{ "preset": "megatron-18.4B" }},
+            "cluster": {{ "preset": "aws-p4d", "total_gpus": 512 }},
+            "parallelism": {{ "tensor": 8, "data": 8, "pipeline": 8,
+                             "micro_batch": 1, "global_batch": {batch} }}
+        }}"#
+    )
+}
+
+#[test]
+fn huge_batches_predict_and_stay_exactly_affine() {
+    // 1M, 10M and 100M sequences: 125k to 12.5M micro-batches. The last
+    // two used to abort on allocation; the periodic compact graph does
+    // not grow with the micro-batch count.
+    let batches = [1_000_000u64, 10_000_000, 100_000_000];
+    let compute: Vec<u128> = batches
+        .iter()
+        .map(|&batch| {
+            let path = scenario_file(&format!("huge-{batch}"), &megatron_18b_at(batch));
+            let output = cli().arg("predict").arg(&path).arg("--json").output().expect("run CLI");
+            let _ = std::fs::remove_file(&path);
+            assert!(output.status.success(), "batch {batch}: {output:?}");
+            let stdout = String::from_utf8(output.stdout).expect("utf8 stdout");
+            let response: Response = serde_json::from_str(stdout.trim()).expect("response");
+            let Outcome::Ok(Report::Predict(report)) = response.outcome else {
+                panic!("batch {batch}: not a prediction");
+            };
+            u128::from(report.estimate.busy.compute.as_nanos())
+        })
+        .collect();
+    // busy.compute = a + n·k exactly (integer sums over the copies), so
+    // the two slopes agree in exact integer arithmetic.
+    let n: Vec<u128> = batches.iter().map(|&b| u128::from(b / 8)).collect();
+    assert_eq!(
+        (compute[2] - compute[1]) * (n[1] - n[0]),
+        (compute[1] - compute[0]) * (n[2] - n[1]),
+        "busy.compute is not affine in the micro-batch count: {compute:?}"
+    );
+}
+
+#[test]
+fn oversized_full_graph_requests_exit_2_quickly() {
+    // Timelines and fair-sharing estimates materialize one task per
+    // operator; at 10M sequences admission refuses them up front.
+    let path = scenario_file("huge-full", &megatron_18b_at(10_000_000));
+    let trace = std::env::temp_dir().join(format!("vtrain-api-huge-{}.json", std::process::id()));
+    let timeline = ["--timeline".as_ref(), trace.as_os_str()];
+    let fair = ["--network".as_ref(), "fair-sharing".as_ref()];
+    for extra in [timeline, fair] {
+        let started = std::time::Instant::now();
+        let output = cli().arg("predict").arg(&path).args(extra).output().expect("run CLI");
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("full task graph"), "{extra:?}: {stderr}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "{extra:?} was slow");
+    }
+    assert!(!trace.exists(), "no timeline is written for a refused plan");
+    let _ = std::fs::remove_file(path);
+}

@@ -220,6 +220,54 @@ fn over_deep_frames_bounce_but_the_daemon_survives() {
     daemon.join().expect("daemon thread");
 }
 
+#[test]
+fn oversized_full_graph_requests_bounce_but_the_daemon_survives() {
+    let (addr, daemon) =
+        spawn_server(ServerConfig { workers: 1, threads: Some(1), ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // A fair-sharing prediction at 10M sequences would need a full task
+    // graph of ~4·10⁸ tasks: admission refuses it before any lowering...
+    let scenario = Scenario::from_json(
+        r#"{
+            "model": { "preset": "megatron-18.4B" },
+            "cluster": { "preset": "aws-p4d", "total_gpus": 512 },
+            "network": { "backend": "fair-sharing" },
+            "parallelism": { "tensor": 8, "data": 8, "pipeline": 8,
+                             "micro_batch": 1, "global_batch": 10000000 }
+        }"#,
+    )
+    .expect("fixture parses");
+    let request = vtrain::api::Request::new("huge", vtrain::api::RequestKind::Predict, scenario);
+    let started = Instant::now();
+    stream.write_all(request.to_frame().as_bytes()).expect("write request");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read bounce");
+    let bounce: Response = serde_json::from_str(line.trim()).expect("bounce parses");
+    assert_eq!(bounce.id, "huge");
+    match bounce.outcome {
+        Outcome::Err(body) => {
+            assert_eq!(body.code, ErrorCode::BadRequest);
+            assert!(body.message.contains("full task graph"), "{}", body.message);
+        }
+        other => panic!("oversized request must bounce, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(10), "admission must not lower the graph");
+
+    // ...and the daemon keeps serving the same connection.
+    stream.write_all(b"{\"v\":1,\"id\":\"alive\",\"kind\":\"Stats\"}\n").expect("write stats");
+    line.clear();
+    reader.read_line(&mut line).expect("read stats");
+    let stats: Response = serde_json::from_str(line.trim()).expect("stats parses");
+    assert_eq!(stats.id, "alive");
+    assert!(matches!(stats.outcome, Outcome::Ok(Report::Stats(_))));
+
+    let mut control = retrying_client(addr, 0);
+    control.shutdown().expect("daemon drains");
+    daemon.join().expect("daemon thread");
+}
+
 fn temp_snapshot(tag: &str) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("vtrain-chaos-{tag}-{}.snapshot", std::process::id()));

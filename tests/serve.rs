@@ -271,3 +271,31 @@ fn shutdown_drains_inflight_work_before_acking() {
         }
     }
 }
+
+#[test]
+fn warm_request_latency_resolves_below_a_millisecond() {
+    // Warm 1.7B predictions take well under a millisecond: whole-ms
+    // quantiles read 0, the µs quantiles do not.
+    const PREDICT: &str = r#"{
+        "model": { "preset": "megatron-1.7B" },
+        "cluster": { "preset": "aws-p4d", "total_gpus": 16 },
+        "parallelism": { "tensor": 2, "data": 2, "pipeline": 2,
+                         "micro_batch": 1, "global_batch": 64 }
+    }"#;
+    let (addr, server) =
+        spawn_server(ServerConfig { workers: 1, threads: Some(1), ..ServerConfig::default() });
+    let mut client = Client::connect(addr);
+    for i in 0..5 {
+        client.send(&format!("p{i}"), "Predict", Some(PREDICT), None);
+        let response = client.recv();
+        assert!(matches!(response.outcome, Outcome::Ok(Report::Predict(_))), "{response:?}");
+    }
+    client.send("stats", "Stats", None, None);
+    let stats = stats_of(&client.recv());
+    assert!(stats.latency_p50_us > 0, "{stats:?}");
+    assert!(stats.latency_p50_us <= stats.latency_p95_us);
+    assert!(stats.latency_p95_us <= stats.latency_p99_us);
+    assert_eq!(stats.latency_p50_ms, stats.latency_p50_us / 1000);
+    shutdown(&mut client);
+    server.join().expect("server thread");
+}
