@@ -22,12 +22,12 @@
 //!   when disabled (records without the A/B fields skip this gate);
 //! * the every-core re-run below `min_parallel_efficiency` (0.6) of
 //!   linear scaling over its warm one-thread twin (`points_per_sec_1t`)
-//!   — the two-level executor must not waste its thread budget (reduces
+//!   — the sweep executor must not waste its thread budget (reduces
 //!   to a sanity bound on single-core hosts; records without the twin
 //!   skip the gate);
-//! * `delta_equivalent == false` — the delta-lowered sweep must
-//!   reproduce from-scratch lowering bit for bit (records without the
-//!   delta A/B fields skip both gates);
+//! * `delta_equivalent == false` — every point of the delta-lowered
+//!   sweep must equal a from-scratch `Estimator::estimate` of its plan
+//!   (records without the field skip the gate);
 //! * serve-daemon regressions, when `results/BENCH_serve.json` exists
 //!   (`bench_serve` ran): warm-traffic `requests_per_sec` more than
 //!   `max_serve_regression_pct` (30 %) below the baseline's
@@ -405,17 +405,19 @@ fn main() -> ExitCode {
         }
     }
 
-    // Delta-equivalence gate: when the producer ran the delta-off A/B,
-    // the delta-lowered sweep must have reproduced the from-scratch
-    // points exactly — a `false` here means the patching invariant broke.
+    // Delta-equivalence gate: when the producer re-priced the sweep's
+    // points one by one, the delta-lowered sweep must have reproduced
+    // the from-scratch estimates exactly — a `false` here means the
+    // patching invariant broke.
     match sweep.get("delta_equivalent") {
         None => println!("delta equivalence: not recorded in BENCH_sweep.json — not gated"),
         Some(Value::Bool(true)) => {
-            let delta_pps =
-                sweep.get("points_per_sec_delta_off").and_then(Value::as_f64).unwrap_or(f64::NAN);
+            let patched =
+                sweep.get("stats").and_then(|st| st.get("delta_patched")).and_then(Value::as_u64);
             println!(
-                "delta equivalence: delta-on points match from-scratch lowering \
-                 (delta-off twin ran at {delta_pps:.1} points/s)"
+                "delta equivalence: sweep points match per-point from-scratch estimates \
+                 ({} delta-patched)",
+                patched.map_or_else(|| "unknown".to_owned(), |n| n.to_string())
             );
         }
         Some(other) => failures.push(format!(

@@ -67,12 +67,9 @@ struct SweepBench {
     points_per_sec_mt: Option<f64>,
     /// Thread count of the multi-thread re-run.
     threads_mt: Option<usize>,
-    /// Warm-cache re-run with delta-lowering disabled — every point
-    /// lowered from scratch.
-    points_per_sec_delta_off: Option<f64>,
-    /// Whether the delta-off re-run reproduced the delta-on points
-    /// exactly (same plans, same predicted iteration times);
-    /// `check_bench` requires `true` when present.
+    /// Whether every point of the warm sweep, delta-patched or not,
+    /// equals a from-scratch [`Estimator::estimate`] of the same plan in
+    /// every field; `check_bench` requires `true` when present.
     delta_equivalent: Option<bool>,
     /// Per-stage CPU-time attribution of a stage-profiled re-run
     /// (absent under `--full`).
@@ -256,17 +253,16 @@ fn main() {
     // Instrumentation-overhead A/B plus stage attribution, all on the
     // now-warm cache so the re-runs are apples-to-apples. Skipped under
     // `--full` (each re-run is a full-grid sweep).
-    let (obs_off, obs_on, one_thread, mt, delta_off, stage_profile, goal_profile) = if full_mode() {
+    let (obs_off, obs_on, one_thread, mt, delta_ok, stage_profile, goal_profile) = if full_mode() {
         (None, None, None, None, None, None, None)
     } else {
-        let rerun = |obs: bool, profile: bool, goal: SweepGoal, threads: usize, delta: bool| {
+        let rerun = |obs: bool, profile: bool, goal: SweepGoal, threads: usize| {
             vtrain_obs::set_enabled(obs);
             let outcome = search::Sweep::on(&estimator, &model)
                 .candidates(std::sync::Arc::clone(&candidates))
                 .threads(threads)
                 .goal(goal)
                 .stage_profile(profile)
-                .delta_lowering(delta)
                 .run()
                 .into_outcome();
             vtrain_obs::set_enabled(false);
@@ -275,48 +271,40 @@ fn main() {
         // Warm-up: the first re-run after the report dump still pays
         // page-cache and allocator transients; burn them here so the
         // measured A/B passes see identical conditions.
-        let _ = rerun(false, false, goal, threads(), true);
+        let _ = rerun(false, false, goal, threads());
         // Every throughput arm is best-of-3: a single ~0.06 s smoke
         // re-run can lose >10% to one scheduler hiccup on the 1-core CI
         // host, and noise only ever subtracts, so the max is the
         // low-variance estimator the ratio gates need.
-        let measure = |obs: bool, threads: usize, delta: bool| {
-            let mut best = rerun(obs, false, goal, threads, delta);
+        let measure = |obs: bool, threads: usize| {
+            let mut best = rerun(obs, false, goal, threads);
             for _ in 0..2 {
-                let outcome = rerun(obs, false, goal, threads, delta);
+                let outcome = rerun(obs, false, goal, threads);
                 if outcome.stats.points_per_sec() > best.stats.points_per_sec() {
                     best = outcome;
                 }
             }
             best
         };
-        let off_outcome = measure(false, threads(), true);
+        let off_outcome = measure(false, threads());
         let off = off_outcome.stats.points_per_sec();
-        let on = measure(true, threads(), true).stats.points_per_sec();
-        let profiled = rerun(false, true, goal, threads(), true);
+        let on = measure(true, threads()).stats.points_per_sec();
+        let profiled = rerun(false, true, goal, threads());
         // Bound-guided attribution: floor pricing must show up as
         // `bound_ns`, whatever goal the CLI ran with.
-        let goal_profiled = rerun(false, true, SweepGoal::Best, threads(), true);
+        let goal_profiled = rerun(false, true, SweepGoal::Best, threads());
         let threads_mt =
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(threads());
-        let one_thread = measure(false, 1, true).stats.points_per_sec();
-        let mt = measure(false, threads_mt, true).stats.points_per_sec();
-        let delta_off_outcome = measure(false, threads(), false);
-        let key = |p: &search::DesignPoint| {
-            (
-                p.plan.tensor(),
-                p.plan.data(),
-                p.plan.pipeline(),
-                p.plan.micro_batch(),
-                p.estimate.iteration_time,
-            )
-        };
-        let delta_equivalent = off_outcome.points.len() == delta_off_outcome.points.len()
-            && off_outcome
-                .points
-                .iter()
-                .zip(&delta_off_outcome.points)
-                .all(|(a, b)| key(a) == key(b));
+        let one_thread = measure(false, 1).stats.points_per_sec();
+        let mt = measure(false, threads_mt).stats.points_per_sec();
+        // Delta equivalence: the warm sweep patches shape-compatible
+        // neighbors; a from-scratch estimate of each returned plan
+        // must reproduce its point exactly.
+        let patched = off_outcome.stats.delta_patched;
+        let delta_equivalent = off_outcome
+            .points
+            .iter()
+            .all(|p| estimator.estimate(&model, &p.plan).as_ref() == Ok(&p.estimate));
         assert!(delta_equivalent, "delta-lowered sweep must reproduce from-scratch lowering");
         println!(
             "\ninstrumentation A/B (warm cache): {off:.1} points/s off, {on:.1} points/s on \
@@ -324,9 +312,9 @@ fn main() {
             (on / off - 1.0) * 100.0
         );
         println!(
-            "parallel / delta A/B (warm cache): {mt:.1} points/s on {threads_mt} threads vs \
-             {one_thread:.1} on one, {:.1} points/s delta-off (equivalent: {delta_equivalent})",
-            delta_off_outcome.stats.points_per_sec()
+            "parallel / delta check (warm cache): {mt:.1} points/s on {threads_mt} threads vs \
+             {one_thread:.1} on one; points match from-scratch estimates: {delta_equivalent} \
+             ({patched} delta-patched)"
         );
         report::dump_raw("metrics", &vtrain_obs::global().to_json());
         (
@@ -334,7 +322,7 @@ fn main() {
             Some(on),
             Some(one_thread),
             Some((mt, threads_mt)),
-            Some((delta_off_outcome.stats.points_per_sec(), delta_equivalent)),
+            Some(delta_equivalent),
             profiled.stage_profile,
             goal_profiled.stage_profile,
         )
@@ -367,8 +355,7 @@ fn main() {
             points_per_sec_1t: one_thread,
             points_per_sec_mt: mt.map(|(pps, _)| pps),
             threads_mt: mt.map(|(_, n)| n),
-            points_per_sec_delta_off: delta_off.map(|(pps, _)| pps),
-            delta_equivalent: delta_off.map(|(_, eq)| eq),
+            delta_equivalent: delta_ok,
             stage_profile,
             stage_profile_goal: goal_profile,
         },

@@ -1,6 +1,6 @@
 //! The sweep's compact replay: run-aggregated, periodic lowering fused
-//! with the Predicted-mode Algorithm 1 traversal, plus the delta-lowering
-//! path that re-prices a cached graph for a shape-compatible neighbor.
+//! with the Predicted-mode Algorithm 1 traversal, which re-prices a
+//! cached graph in place whenever the next plan has the same shape.
 //!
 //! The graph builder emits long program-order chains per (device, stream)
 //! whose interior nodes never source or receive cross edges — whole
@@ -50,7 +50,7 @@
 //! walked, which is still exact. The other sections repeat at most `p`
 //! times and are always walked.
 //!
-//! # Slots and delta-lowering
+//! # Slots and delta patching
 //!
 //! Every node the builder emits carries a *latency slot*
 //! ([`vtrain_graph::visit_plan_slots`]): an index into the plan's
@@ -70,20 +70,18 @@
 //! edges, whether it may shift, and the `(section, device, slot,
 //! multiplicity)` tallies of one copy.
 //! When the scratch already holds a graph for the same key,
-//! [`simulate_plan_delta`] skips the builder and all of that derivation,
-//! and only refills the value columns — each run's duration, from the
-//! re-priced slot table and the cached run *compositions*
-//! (`(slot, multiplicity)` pairs per run), and the period counts.
+//! [`lower_plan`] skips the builder and all of that derivation, and only
+//! refills the value columns — each run's duration, from the re-priced
+//! slot table and the cached run *compositions* (`(slot, multiplicity)`
+//! pairs per run), and the period counts. A fresh scratch always
+//! builds, and a sweep worker patches whenever its previous candidate
+//! shares the key, which the executor's shape-grouped visit order makes
+//! the common case.
 //!
 //! The busy breakdown and per-device busy time are
 //! `Σ slot_value · multiplicity · periods` over the stored tallies and the
 //! task count is `Σ nodes per copy · periods`, all in `u64`, so neither
 //! the periodic replay nor a patched graph changes a bit of the report.
-//!
-//! The refill distributes over disjoint run ranges, so a single
-//! candidate's patch can be split across `shards` threads (two-level
-//! sweep parallelism); shard boundaries never change the values, so
-//! N-way output is byte-identical to serial.
 //!
 //! Measured mode keys noise on task ids and must replay the full graph;
 //! this path is Predicted-only by construction.
@@ -116,7 +114,7 @@ pub(crate) trait ProfileSource {
     fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)>;
 }
 
-/// How [`simulate_plan_delta`] obtained the replayed graph.
+/// How [`lower_plan`] obtained the replayed graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LowerOutcome {
     /// Built from scratch through the graph builder.
@@ -144,7 +142,7 @@ const CAT_PP: u8 = 3;
 ///
 /// The buffers split into *structure* (run boundaries, compositions,
 /// sections, edges, CSR, topological order, multiplicity tallies), which
-/// survives across points and is what delta-lowering reuses, and *values*
+/// survives across points and is what a delta patch reuses, and *values*
 /// (the slot table, the runs' duration column and the sections' period
 /// counts), which are refilled per point. None of them grows with the
 /// plan's micro-batch count.
@@ -511,12 +509,16 @@ fn resolve_slots<P: ProfileSource>(
     missing
 }
 
-/// Lowers `(model, plan)` straight into an aggregated replay graph and
-/// replays it in Predicted mode, writing the result into `report` — the
-/// sweep's fused lower + simulate hot path. Produces a report
-/// bit-identical to `simulate(&TaskGraph::lower_fused(..)?,
-/// SimMode::Predicted)`. Always lowers from scratch; see
-/// [`simulate_plan_delta`] for the neighbor-patching variant.
+/// The lowering half of the sweep's fused lower + simulate hot path:
+/// prices the slot table and the period counts of `(model, plan)`, then
+/// either patches the cached graph or builds it from scratch. When
+/// `scratch` holds the graph of a plan with the same [`PlanShapeKey`],
+/// the builder and all structure derivation are skipped and only the
+/// runs' durations are refilled. Either way, [`replay_lowered`] then
+/// produces a report bit-identical to
+/// `simulate(&TaskGraph::lower_fused(..)?, SimMode::Predicted)`. Split
+/// from the replay so the stage profiler can attribute lower vs.
+/// simulate time.
 ///
 /// # Errors
 ///
@@ -528,57 +530,13 @@ fn resolve_slots<P: ProfileSource>(
 /// Same conditions as [`vtrain_graph::build_op_graph`], or if the builder
 /// violates its [`GraphSink::cut`] aggregation contract or its periodic
 /// edge contract (a bug, caught by the equivalence property tests).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn simulate_plan_compact<P: ProfileSource>(
+pub(crate) fn lower_plan<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
     opts: &GraphOptions,
     profiles: &mut P,
     comm: &CommModel,
     scratch: &mut CompactScratch,
-    report: &mut SimReport,
-) -> Result<(), MissingProfile> {
-    simulate_plan_delta(model, plan, opts, profiles, comm, scratch, report, false, 1).map(|_| ())
-}
-
-/// [`simulate_plan_compact`] with delta-lowering: when `delta` is set and
-/// `scratch` holds the graph of a plan with the same [`PlanShapeKey`],
-/// the builder and CSR construction are skipped and only the slot table,
-/// the runs' value columns and the period counts are recomputed
-/// (optionally split across `shards` threads). The patched graph — and
-/// hence the report — is bit-identical to a fresh lowering.
-#[cfg_attr(not(test), allow(dead_code))]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_plan_delta<P: ProfileSource>(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-    profiles: &mut P,
-    comm: &CommModel,
-    scratch: &mut CompactScratch,
-    report: &mut SimReport,
-    delta: bool,
-    shards: usize,
-) -> Result<LowerOutcome, MissingProfile> {
-    let outcome = lower_plan_delta(model, plan, opts, profiles, comm, scratch, delta, shards)?;
-    replay_lowered(scratch, plan.pipeline(), report);
-    Ok(outcome)
-}
-
-/// The lowering half of [`simulate_plan_delta`]: prices the slot table
-/// and the period counts, and either patches the cached graph (same shape
-/// key) or rebuilds it. Split from the replay so the sweep's stage
-/// profiler can attribute lower vs. simulate time on the compact path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lower_plan_delta<P: ProfileSource>(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-    profiles: &mut P,
-    comm: &CommModel,
-    scratch: &mut CompactScratch,
-    delta: bool,
-    shards: usize,
 ) -> Result<LowerOutcome, MissingProfile> {
     if resolve_slots(
         model,
@@ -599,7 +557,7 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
     }
 
     let key = plan_shape_key(model, plan, opts);
-    if delta && scratch.base_key == Some(key) {
+    if scratch.base_key == Some(key) {
         debug_assert!(
             scratch
                 .tally
@@ -607,7 +565,7 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
                 .all(|&(_, _, slot, _)| (slot as usize) < scratch.slot_values.len()),
             "slot table shape"
         );
-        refill_runs(scratch, shards);
+        refill_runs(scratch);
         return Ok(LowerOutcome::Patched);
     }
     build_graph(model, plan, opts, scratch);
@@ -615,9 +573,9 @@ pub(crate) fn lower_plan_delta<P: ProfileSource>(
     build_order(scratch);
     build_tallies(scratch);
     // Fresh builds price their duration column through the same
-    // composition refill the patch path uses — one value computation,
-    // shared and equally sharded on both paths.
-    refill_runs(scratch, shards);
+    // composition refill the patch path uses: one value computation,
+    // shared by both paths.
+    refill_runs(scratch);
     scratch.base_key = Some(key);
     Ok(LowerOutcome::Fresh)
 }
@@ -761,67 +719,14 @@ fn build_tallies(s: &mut CompactScratch) {
 
 /// (Re)computes the runs' durations from the (re-priced) slot table and
 /// the run compositions, leaving all structure untouched — the value
-/// half of a fresh lowering and the entirety of a delta patch. With
-/// `shards > 1` the work splits across disjoint contiguous run ranges on
-/// scoped threads; each run's duration is the exact integer sum
-/// `Σ slot_value · multiplicity` either way, so the result is independent
-/// of the split (and equals per-node accumulation: `u64` addition is
-/// associative).
-fn refill_runs(s: &mut CompactScratch, shards: usize) {
-    let n_runs = s.run_device.len();
+/// half of a fresh lowering and the entirety of a delta patch. Each run's
+/// duration is the exact integer sum `Σ slot_value · multiplicity`, equal
+/// to per-node accumulation (`u64` addition is associative).
+fn refill_runs(s: &mut CompactScratch) {
     s.run_duration.clear();
-    s.run_duration.resize(n_runs, TimeNs::ZERO);
-    if n_runs == 0 {
-        return;
-    }
-    let shards = shards.clamp(1, n_runs);
-    if shards == 1 {
-        refill_range(
-            0,
-            &mut s.run_duration,
-            &s.comp_run,
-            &s.comp_slot,
-            &s.comp_count,
-            &s.slot_values,
-        );
-        return;
-    }
-    // Deterministic split: ceil(n_runs / shards) runs per shard.
-    // `comp_run` is non-decreasing, so each shard owns one contiguous
-    // composition range, found by binary search at the run boundary.
-    let chunk = n_runs.div_ceil(shards);
-    let (comp_run, comp_slot, comp_count) = (&s.comp_run, &s.comp_slot, &s.comp_count);
-    let slot_values = &s.slot_values;
-    std::thread::scope(|scope| {
-        let mut run_lo = 0usize;
-        let mut comp_lo = 0usize;
-        for dur in s.run_duration.chunks_mut(chunk) {
-            let run_hi = run_lo + dur.len();
-            let comp_hi = comp_lo + comp_run[comp_lo..].partition_point(|&r| (r as usize) < run_hi);
-            let (runs, slots, counts) = (
-                &comp_run[comp_lo..comp_hi],
-                &comp_slot[comp_lo..comp_hi],
-                &comp_count[comp_lo..comp_hi],
-            );
-            scope.spawn(move || refill_range(run_lo as u32, dur, runs, slots, counts, slot_values));
-            run_lo = run_hi;
-            comp_lo = comp_hi;
-        }
-    });
-}
-
-/// Accumulates the durations of runs `[run_base, run_base + dur.len())`
-/// (already zeroed) from their composition triples.
-fn refill_range(
-    run_base: u32,
-    dur: &mut [TimeNs],
-    comp_run: &[u32],
-    comp_slot: &[u32],
-    comp_count: &[u32],
-    slot_values: &[TimeNs],
-) {
-    for ((&r, &slot), &count) in comp_run.iter().zip(comp_slot).zip(comp_count) {
-        dur[(r - run_base) as usize] += scale(slot_values[slot as usize], u64::from(count));
+    s.run_duration.resize(s.run_device.len(), TimeNs::ZERO);
+    for ((&r, &slot), &count) in s.comp_run.iter().zip(&s.comp_slot).zip(&s.comp_count) {
+        s.run_duration[r as usize] += scale(s.slot_values[slot as usize], u64::from(count));
     }
 }
 
@@ -1026,6 +931,23 @@ mod tests {
         }
     }
 
+    /// The fused lower + replay: lowers `plan` on `scratch` (patching
+    /// when the scratch holds a graph of the same shape key) and replays
+    /// it into `report`.
+    fn simulate_plan<P: ProfileSource>(
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+        profiles: &mut P,
+        comm: &CommModel,
+        scratch: &mut CompactScratch,
+        report: &mut SimReport,
+    ) -> Result<LowerOutcome, MissingProfile> {
+        let outcome = lower_plan(model, plan, opts, profiles, comm, scratch)?;
+        replay_lowered(scratch, plan.pipeline(), report);
+        Ok(outcome)
+    }
+
     /// The flat or the two-tier communication model of a 512-GPU
     /// cluster.
     fn comm_model(two_tier: bool) -> CommModel {
@@ -1065,7 +987,7 @@ mod tests {
 
         let mut report = SimReport::default();
         let mut source = SetSource(&profiles);
-        simulate_plan_compact(model, plan, opts, &mut source, comm, scratch, &mut report).unwrap();
+        simulate_plan(model, plan, opts, &mut source, comm, scratch, &mut report).unwrap();
 
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
@@ -1108,7 +1030,7 @@ mod tests {
         let comm = CommModel::new(&ClusterSpec::aws_p4d(8), 1.0);
         let empty = ProfileSet::default();
         let mut source = SetSource(&empty);
-        let err = simulate_plan_compact(
+        let err = simulate_plan(
             &model,
             &plan,
             &GraphOptions::default(),
@@ -1121,7 +1043,7 @@ mod tests {
         assert_eq!(err, MissingProfile);
     }
 
-    /// Runs `plan` through the delta-enabled path on `walk_scratch` and
+    /// Runs `plan` on `walk_scratch` (patched when the shape matches) and
     /// through a from-scratch lowering on a throwaway scratch, asserting
     /// bit-identical reports. Returns the walk path's outcome.
     fn compare_delta_step(
@@ -1129,7 +1051,6 @@ mod tests {
         plan: &ParallelConfig,
         opts: &GraphOptions,
         walk_scratch: &mut CompactScratch,
-        shards: usize,
     ) -> LowerOutcome {
         let cluster = ClusterSpec::aws_p4d(512);
         let comm = CommModel::new(&cluster, 1.0);
@@ -1141,7 +1062,7 @@ mod tests {
         let mut fresh_report = SimReport::default();
         let mut fresh_scratch = CompactScratch::default();
         let mut source = SetSource(&profiles);
-        simulate_plan_compact(
+        let outcome = simulate_plan(
             model,
             plan,
             opts,
@@ -1151,21 +1072,13 @@ mod tests {
             &mut fresh_report,
         )
         .unwrap();
+        assert_eq!(outcome, LowerOutcome::Fresh, "a fresh scratch always builds");
 
         let mut walk_report = SimReport::default();
         let mut source = SetSource(&profiles);
-        let outcome = simulate_plan_delta(
-            model,
-            plan,
-            opts,
-            &mut source,
-            &comm,
-            walk_scratch,
-            &mut walk_report,
-            true,
-            shards,
-        )
-        .unwrap();
+        let outcome =
+            simulate_plan(model, plan, opts, &mut source, &comm, walk_scratch, &mut walk_report)
+                .unwrap();
 
         assert_eq!(walk_report.iteration_time, fresh_report.iteration_time, "{plan}");
         assert_eq!(walk_report.busy, fresh_report.busy, "{plan}");
@@ -1182,7 +1095,7 @@ mod tests {
         // n_micro held fixed.
         let model = presets::megatron("1.7B");
         let mut scratch = CompactScratch::default();
-        let step = |t, m, b, scratch: &mut CompactScratch, shards| {
+        let step = |t, m, b, scratch: &mut CompactScratch| {
             let plan = ParallelConfig::builder()
                 .tensor(t)
                 .data(2)
@@ -1191,22 +1104,22 @@ mod tests {
                 .global_batch(b)
                 .build()
                 .unwrap();
-            compare_delta_step(&model, &plan, &GraphOptions::default(), scratch, shards)
+            compare_delta_step(&model, &plan, &GraphOptions::default(), scratch)
         };
-        assert_eq!(step(2, 1, 8, &mut scratch, 1), LowerOutcome::Fresh);
+        assert_eq!(step(2, 1, 8, &mut scratch), LowerOutcome::Fresh);
         // t changes within t > 1 keep the shape (the TP slot exists
         // either way); only slot values move.
-        assert_eq!(step(4, 1, 8, &mut scratch, 3), LowerOutcome::Patched);
+        assert_eq!(step(4, 1, 8, &mut scratch), LowerOutcome::Patched);
         // Same n_micro (4), larger micro-batch: still a patch.
-        assert_eq!(step(4, 2, 16, &mut scratch, 2), LowerOutcome::Patched);
+        assert_eq!(step(4, 2, 16, &mut scratch), LowerOutcome::Patched);
         // n_micro changes (8): the stage programs differ, so re-lower.
-        assert_eq!(step(4, 1, 16, &mut scratch, 1), LowerOutcome::Fresh);
-        assert_eq!(step(2, 1, 16, &mut scratch, 4), LowerOutcome::Patched);
+        assert_eq!(step(4, 1, 16, &mut scratch), LowerOutcome::Fresh);
+        assert_eq!(step(2, 1, 16, &mut scratch), LowerOutcome::Patched);
         // Dropping to t = 1 removes the TP slot: re-lower again.
-        assert_eq!(step(1, 1, 16, &mut scratch, 1), LowerOutcome::Fresh);
+        assert_eq!(step(1, 1, 16, &mut scratch), LowerOutcome::Fresh);
     }
 
-    /// Runs `plan` through the delta-enabled path on `walk_scratch` and
+    /// Runs `plan` on `walk_scratch` (patched when the shape matches) and
     /// through the full lowering + Predicted replay under the same
     /// communication model, asserting every report field bit for bit.
     /// Returns the walk path's outcome.
@@ -1216,7 +1129,6 @@ mod tests {
         opts: &GraphOptions,
         comm: &CommModel,
         walk_scratch: &mut CompactScratch,
-        shards: usize,
     ) -> LowerOutcome {
         let cache = vtrain_profile::ProfileCache::new();
         let profiler = Profiler::new(GpuSpec::a100_40gb());
@@ -1227,18 +1139,8 @@ mod tests {
 
         let mut report = SimReport::default();
         let mut source = SetSource(&profiles);
-        let outcome = simulate_plan_delta(
-            model,
-            plan,
-            opts,
-            &mut source,
-            comm,
-            walk_scratch,
-            &mut report,
-            true,
-            shards,
-        )
-        .unwrap();
+        let outcome =
+            simulate_plan(model, plan, opts, &mut source, comm, walk_scratch, &mut report).unwrap();
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
         assert_eq!(report.device_busy, expect.device_busy, "{plan}");
@@ -1300,13 +1202,13 @@ mod tests {
         let large = plan_of((2, 1, 4, 1, 100_000), PipelineSchedule::OneFOneB);
         let capacity = |plan: &ParallelConfig| {
             let mut scratch = CompactScratch::default();
-            compare_delta_step(&model, plan, &opts, &mut scratch, 1);
+            compare_delta_step(&model, plan, &opts, &mut scratch);
             scratch.capacity_bytes()
         };
         assert_eq!(capacity(&small), capacity(&large));
         let mut walk = CompactScratch::default();
-        assert_eq!(compare_delta_step(&model, &small, &opts, &mut walk, 1), LowerOutcome::Fresh);
-        assert_eq!(compare_delta_step(&model, &large, &opts, &mut walk, 2), LowerOutcome::Patched);
+        assert_eq!(compare_delta_step(&model, &small, &opts, &mut walk), LowerOutcome::Fresh);
+        assert_eq!(compare_delta_step(&model, &large, &opts, &mut walk), LowerOutcome::Patched);
         assert_eq!(walk.periods().1, 3 + (100_000 - 4) + 3 + 1 + 2 + 1);
     }
 
@@ -1369,7 +1271,7 @@ mod tests {
             build_order(&mut scratch);
             build_tallies(&mut scratch);
             let t4 = std::time::Instant::now();
-            refill_runs(&mut scratch, 1);
+            refill_runs(&mut scratch);
             let t5 = std::time::Instant::now();
             replay_lowered(&mut scratch, plan.pipeline(), &mut report);
             let t6 = std::time::Instant::now();
@@ -1427,20 +1329,18 @@ mod tests {
         }
 
         /// Delta A/B: walking random neighbors with one shared scratch —
-        /// patched whenever shapes line up, re-lowered otherwise, with
-        /// random shard splits — always reproduces a from-scratch
-        /// lowering bit for bit.
+        /// patched whenever shapes line up, re-lowered otherwise — always
+        /// reproduces a from-scratch lowering bit for bit.
         #[test]
         fn delta_lowering_matches_fresh_on_random_walks(
             walk in proptest::collection::vec(
-                (0usize..=2, 0usize..=2, 1usize..=4, 0usize..=1, 0u32..4,
-                 (1usize..=4, 1usize..=12)),
+                (0usize..=2, 0usize..=2, 1usize..=4, 0usize..=1, 0u32..4, 1usize..=12),
                 2..6,
             ),
         ) {
             let model = presets::megatron("1.7B");
             let mut scratch = CompactScratch::default();
-            for (t_exp, d_exp, p, m_exp, flags, (shards, n_micro)) in walk {
+            for (t_exp, d_exp, p, m_exp, flags, n_micro) in walk {
                 let (gpipe, bucketing) = (flags & 1 != 0, flags & 2 != 0);
                 let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
                 let b = d * m * n_micro;
@@ -1449,17 +1349,14 @@ mod tests {
                 let plan = ParallelConfig::builder()
                     .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(b)
                     .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
-                compare_delta_step(
-                    &model, &plan, &GraphOptions::default(), &mut scratch, shards,
-                );
+                compare_delta_step(&model, &plan, &GraphOptions::default(), &mut scratch);
             }
         }
 
         /// Differential delta walk against the reference: from one base
         /// `(d, p, n_micro, schedule, bucketing)`, random steps over `t`
         /// and the micro-batch size (shape-compatible whenever `t > 1` on
-        /// both sides) with random shard splits, on a flat or a two-tier
-        /// interconnect. Every patched and fresh report must equal the
+        /// both sides), on a flat or a two-tier interconnect. Every patched and fresh report must equal the
         /// full lowering's Predicted replay, and the walk must patch
         /// exactly when the shape keys of consecutive steps agree.
         #[test]
@@ -1468,7 +1365,7 @@ mod tests {
             p in 1usize..=8,
             n_micro in 1usize..=300,
             flags in 0u32..16,
-            walk in proptest::collection::vec((0usize..=2, 0usize..=1, 1usize..=4), 2..6),
+            walk in proptest::collection::vec((0usize..=2, 0usize..=1), 2..6),
         ) {
             let (gpipe, bucketing, two_tier, recompute) =
                 (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
@@ -1484,14 +1381,13 @@ mod tests {
             let d = 1usize << d_exp;
             let mut scratch = CompactScratch::default();
             let mut prev_key = None;
-            for (t_exp, m_exp, shards) in walk {
+            for (t_exp, m_exp) in walk {
                 let (t, m) = (1usize << t_exp, 1usize << m_exp);
                 let plan = ParallelConfig::builder()
                     .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
                     .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
                 let key = plan_shape_key(&model, &plan, &opts);
-                let outcome =
-                    compare_walk_step_to_full(&model, &plan, &opts, &comm, &mut scratch, shards);
+                let outcome = compare_walk_step_to_full(&model, &plan, &opts, &comm, &mut scratch);
                 let expect =
                     if prev_key == Some(key) { LowerOutcome::Patched } else { LowerOutcome::Fresh };
                 prop_assert_eq!(outcome, expect);

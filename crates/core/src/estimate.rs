@@ -44,9 +44,7 @@ use vtrain_obs::{CounterSample, TimelineRecorder, TraceSpan};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule, PlanError};
 use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, ProfileSet, Profiler};
 
-use crate::compact::{
-    lower_plan_delta, replay_lowered, CompactScratch, LowerOutcome, ProfileSource,
-};
+use crate::compact::{lower_plan, replay_lowered, CompactScratch, LowerOutcome, ProfileSource};
 use crate::flow_replay::simulate_flows;
 use crate::sim::{simulate, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch};
 use crate::task_graph::{TaskGraph, TaskKind};
@@ -150,6 +148,14 @@ impl StageNanos {
         self.lower_ns += other.lower_ns;
         self.simulate_ns += other.simulate_ns;
         self.summarize_ns += other.summarize_ns;
+    }
+
+    /// Adds the lower, simulate and summarize windows between four
+    /// consecutive clock reads.
+    fn add_laps(&mut self, [t0, t1, t2, t3]: [Instant; 4]) {
+        self.lower_ns += (t1 - t0).as_nanos() as u64;
+        self.simulate_ns += (t2 - t1).as_nanos() as u64;
+        self.summarize_ns += (t3 - t2).as_nanos() as u64;
     }
 }
 
@@ -589,7 +595,7 @@ impl Estimator {
     ) -> Result<IterationEstimate, EstimateError> {
         self.validate(model, plan)?;
         let mut scratch = EstimatorScratch::default();
-        Ok(self.estimate_validated_delta(model, plan, &mut scratch, false, 1, None))
+        Ok(self.estimate_compact(model, plan, &mut scratch, None))
     }
 
     /// The fair-sharing pipeline: full lowering plus the physical-time
@@ -611,10 +617,7 @@ impl Estimator {
         let t2 = Instant::now();
         let estimate = self.summarize(model, plan, &report);
         if let Some(stages) = stages {
-            let t3 = Instant::now();
-            stages.lower_ns += (t1 - t0).as_nanos() as u64;
-            stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-            stages.summarize_ns += (t3 - t2).as_nanos() as u64;
+            stages.add_laps([t0, t1, t2, Instant::now()]);
         }
         estimate
     }
@@ -636,23 +639,24 @@ impl Estimator {
         plan: &ParallelConfig,
         scratch: &mut EstimatorScratch,
     ) -> IterationEstimate {
-        self.estimate_validated_delta(model, plan, scratch, true, 1, None)
+        self.estimate_compact(model, plan, scratch, None)
     }
 
-    /// The full-control compact hot path: [`Estimator::estimate_validated_with`]
-    /// plus the delta-lowering switch, the two-level replay shard count,
-    /// and optional per-stage wall-clock attribution (timed *inside* the
-    /// fused pipeline, so the delta path's lower/simulate split is
-    /// observable). The estimate is bit-identical across every knob
-    /// combination — delta patches and shard splits are exact
-    /// re-pricings, proven by the compact A/B property tests.
-    pub(crate) fn estimate_validated_delta(
+    /// The one compact path behind [`Estimator::estimate`],
+    /// [`Estimator::estimate_validated_with`],
+    /// [`Estimator::estimate_staged`] and the sweep executor: lowers
+    /// `(model, plan)` into the scratch's aggregated replay graph (a delta
+    /// patch when the scratch already holds a graph of the same shape
+    /// key), replays it and summarizes. With `stages`, the three steps
+    /// are timed from inside the fused pipeline, so a patch shows up as a
+    /// shrunken `lower_ns`; without, no clock is read. The estimate is
+    /// bit-identical whether the graph was patched or built, proven by
+    /// the compact A/B property tests.
+    pub(crate) fn estimate_compact(
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
         scratch: &mut EstimatorScratch,
-        delta: bool,
-        shards: usize,
         stages: Option<&mut StageNanos>,
     ) -> IterationEstimate {
         if self.network() == NetworkBackend::FairSharing {
@@ -666,47 +670,18 @@ impl Estimator {
             gpu_key: &self.gpu_key,
             stats: cache_stats,
         };
-        let outcome;
-        let estimate = match stages {
-            None => {
-                outcome = lower_plan_delta(
-                    model,
-                    plan,
-                    &self.graph_opts,
-                    &mut source,
-                    &self.comm,
-                    compact,
-                    delta,
-                    shards,
-                )
-                .expect("estimator profile source resolves every signature");
-                replay_lowered(compact, plan.pipeline(), report);
-                self.summarize(model, plan, report)
-            }
-            Some(stages) => {
-                let t0 = Instant::now();
-                outcome = lower_plan_delta(
-                    model,
-                    plan,
-                    &self.graph_opts,
-                    &mut source,
-                    &self.comm,
-                    compact,
-                    delta,
-                    shards,
-                )
-                .expect("estimator profile source resolves every signature");
-                let t1 = Instant::now();
-                replay_lowered(compact, plan.pipeline(), report);
-                let t2 = Instant::now();
-                let estimate = self.summarize(model, plan, report);
-                let t3 = Instant::now();
-                stages.lower_ns += (t1 - t0).as_nanos() as u64;
-                stages.simulate_ns += (t2 - t1).as_nanos() as u64;
-                stages.summarize_ns += (t3 - t2).as_nanos() as u64;
-                estimate
-            }
-        };
+        let timed = stages.is_some();
+        let clock = || timed.then(Instant::now);
+        let t0 = clock();
+        let outcome = lower_plan(model, plan, &self.graph_opts, &mut source, &self.comm, compact)
+            .expect("estimator profile source resolves every signature");
+        let t1 = clock();
+        replay_lowered(compact, plan.pipeline(), report);
+        let t2 = clock();
+        let estimate = self.summarize(model, plan, report);
+        if let (Some(stages), Some(t0), Some(t1), Some(t2)) = (stages, t0, t1, t2) {
+            stages.add_laps([t0, t1, t2, Instant::now()]);
+        }
         match outcome {
             LowerOutcome::Fresh => *delta_fresh += 1,
             LowerOutcome::Patched => *delta_patched += 1,
@@ -805,8 +780,7 @@ impl Estimator {
         self.validate(model, plan)?;
         stages.validate_ns += t0.elapsed().as_nanos() as u64;
         let mut scratch = EstimatorScratch::default();
-        let estimate =
-            self.estimate_validated_delta(model, plan, &mut scratch, false, 1, Some(stages));
+        let estimate = self.estimate_compact(model, plan, &mut scratch, Some(stages));
         // Teardown is attributed to the stage that allocated the buffers
         // (lowering); otherwise per-estimate deallocation leaks out of
         // the attribution.

@@ -212,17 +212,13 @@ pub struct SweepStats {
     #[serde(default)]
     pub delta_fresh: u64,
     /// Evaluated points delta-patched from a shape-compatible neighbor's
-    /// cached graph structure (always 0 with
-    /// [`Sweep::delta_lowering`]`(false)`).
+    /// cached graph structure (always 0 under the fair-sharing network,
+    /// which lowers every point in full).
     #[serde(default)]
     pub delta_patched: u64,
-    /// Worker threads used.
+    /// Worker threads used: the requested count, capped at the number of
+    /// candidates.
     pub threads: usize,
-    /// Replay shards each worker splits a candidate's value refill
-    /// across — greater than 1 only when the candidate count is small
-    /// relative to the thread budget (the two-level split).
-    #[serde(default)]
-    pub shards: usize,
     /// Wall-clock seconds.
     pub wall_s: f64,
 }
@@ -444,13 +440,8 @@ impl Watermarks {
 /// skipped entirely, and the outcome is filtered to exactly the goal's
 /// winners — provably the same winners the exhaustive sweep returns.
 ///
-/// Parallelism is two-level: when the candidate count is smaller than
-/// the thread budget (the `vtrain serve` shape — few points, many
-/// cores), the leftover threads split each candidate's value refill
-/// into `shards = threads / workers` deterministic chunks instead of
-/// idling. Shard splits are exact re-pricings (proven by the compact
-/// shard property tests), so output stays byte-identical to one thread.
-#[allow(clippy::too_many_arguments)]
+/// Workers split the candidate axis only: threads beyond the candidate
+/// count stay idle.
 fn run_sweep(
     estimator: &Estimator,
     model: &ModelConfig,
@@ -458,16 +449,11 @@ fn run_sweep(
     threads: usize,
     goal: SweepGoal,
     profile: bool,
-    delta: bool,
     cancel: Option<&CancelToken>,
 ) -> SweepOutcome {
     let started = Instant::now();
     let _sweep_span = vtrain_obs::span!("sweep.run", candidates = candidates.len() as u64);
-    let requested = threads.max(1);
-    let threads = requested.min(candidates.len().max(1));
-    // Level two: threads the candidate axis cannot absorb split each
-    // candidate's refill instead of idling.
-    let shards = (requested / threads).max(1);
+    let threads = threads.clamp(1, candidates.len().max(1));
     let pruned = AtomicUsize::new(0);
     let bound_pruned = AtomicUsize::new(0);
     // First abort reason wins; 0 = running. Workers poll this (and the
@@ -492,15 +478,16 @@ fn run_sweep(
     // slow small-GPU tail prunes instead of being evaluated. The stable
     // sort keeps candidate order within a GPU count.
     //
-    // Exhaustive delta sweeps instead group candidates by graph shape
-    // (stable within a group), so shape-compatible neighbors land back
-    // to back in each worker's scratch and lower as patches rather than
-    // from scratch. Either reordering only changes *visit* order:
-    // results are re-sorted by candidate index below, so the outcome is
-    // byte-identical to the unordered sweep.
+    // Exhaustive sweeps instead group candidates by graph shape (stable
+    // within a group), so shape-compatible neighbors land back to back in
+    // each worker's scratch and lower as patches rather than from
+    // scratch. Either reordering only changes *visit* order: results are
+    // re-sorted by candidate index below, so the outcome is byte-identical
+    // to the unordered sweep.
     let order_t0 = profile.then(Instant::now);
-    let order: Option<Vec<u32>> = match goal {
-        SweepGoal::Exhaustive => delta.then(|| {
+    let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
+    match goal {
+        SweepGoal::Exhaustive => {
             let mut group_of = HashMap::new();
             let groups: Vec<u32> = candidates
                 .iter()
@@ -509,18 +496,11 @@ fn run_sweep(
                     *group_of.entry(estimator.shape_key(model, c)).or_insert(next)
                 })
                 .collect();
-            let mut idx: Vec<u32> = (0..candidates.len() as u32).collect();
-            idx.sort_by_key(|&i| groups[i as usize]);
-            idx
-        }),
-        _ => {
-            let mut idx: Vec<u32> = (0..candidates.len() as u32).collect();
-            idx.sort_by_key(|&i| std::cmp::Reverse(candidates[i as usize].num_gpus()));
-            Some(idx)
+            order.sort_by_key(|&i| groups[i as usize]);
         }
-    };
+        _ => order.sort_by_key(|&i| std::cmp::Reverse(candidates[i as usize].num_gpus())),
+    }
     let order_ns = order_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    let order = order.as_deref();
 
     // Contiguous per-worker ranges: (cursor, end). A worker drains its own
     // range, then scans the others for leftover work; `fetch_add` claims
@@ -556,7 +536,7 @@ fn run_sweep(
                 if i >= *end {
                     break;
                 }
-                let i = order.map_or(i, |o| o[i] as usize);
+                let i = order[i] as usize;
                 let plan = candidates[i];
                 let t0 = profile.then(Instant::now);
                 let feasible = estimator.validate(model, &plan).is_ok();
@@ -594,12 +574,10 @@ fn run_sweep(
                 // profiled variant times lower/simulate/summarize from
                 // inside it, so delta patches show up as shrunken
                 // `lower_ns` rather than a separate path.
-                let estimate = estimator.estimate_validated_delta(
+                let estimate = estimator.estimate_compact(
                     model,
                     &plan,
                     &mut scratch,
-                    delta,
-                    shards,
                     profile.then_some(&mut stages),
                 );
                 if let Some(marks) = watermarks.as_ref() {
@@ -681,7 +659,6 @@ fn run_sweep(
         delta_fresh,
         delta_patched,
         threads,
-        shards,
         wall_s: started.elapsed().as_secs_f64(),
     };
     if vtrain_obs::enabled() {
@@ -790,7 +767,6 @@ fn bound_only_sweep(
             delta_fresh: 0,
             delta_patched: 0,
             threads: 1,
-            shards: 1,
             wall_s: started.elapsed().as_secs_f64(),
         },
         stage_profile: None,
@@ -806,51 +782,6 @@ pub struct PlacementSweep {
     pub label: String,
     /// The sweep over this placement.
     pub outcome: SweepOutcome,
-}
-
-/// The placement-axis executor: the same candidate plans priced under
-/// several interconnect topologies, all variants sharing one profile
-/// cache (compute profiles are topology-independent, so every unique
-/// operator signature is profiled once for the *entire* placement sweep;
-/// bounds are priced per variant — communication costs differ between
-/// placements).
-#[allow(clippy::too_many_arguments)]
-fn run_placements(
-    cluster: &ClusterSpec,
-    alpha: Option<f64>,
-    network: NetworkBackend,
-    cache: &Arc<ProfileCache>,
-    topologies: &[(String, Topology)],
-    model: &ModelConfig,
-    candidates: &[ParallelConfig],
-    threads: usize,
-    goal: SweepGoal,
-    profile: bool,
-    delta: bool,
-    cancel: Option<&CancelToken>,
-) -> Vec<PlacementSweep> {
-    let mut sweeps = Vec::with_capacity(topologies.len());
-    for (label, topo) in topologies {
-        let mut builder = Estimator::builder(cluster.clone())
-            .topology(topo.clone())
-            .network(network)
-            .cache(Arc::clone(cache));
-        if let Some(alpha) = alpha {
-            builder = builder.alpha(alpha);
-        }
-        let estimator = builder.build();
-        let outcome =
-            run_sweep(&estimator, model, candidates, threads, goal, profile, delta, cancel);
-        let stop = outcome.aborted.is_some();
-        sweeps.push(PlacementSweep { label: label.clone(), outcome });
-        if stop {
-            // A fired token stops the placement axis too: later variants
-            // are omitted entirely rather than returned empty-but-
-            // unlabeled-as-aborted.
-            break;
-        }
-    }
-    sweeps
 }
 
 /// Declarative design-space sweep — the one entry point (the former
@@ -900,7 +831,6 @@ pub struct Sweep {
     goal: SweepGoal,
     threads: Option<usize>,
     stage_profile: bool,
-    delta_lowering: bool,
     cancel: Option<CancelToken>,
     /// Shared, not owned: cloning a configured sweep (e.g. to re-run it
     /// under another goal) must not copy the candidate grid.
@@ -926,7 +856,6 @@ impl Sweep {
             goal: SweepGoal::default(),
             threads: None,
             stage_profile: false,
-            delta_lowering: true,
             cancel: None,
             candidates: None,
         }
@@ -998,18 +927,6 @@ impl Sweep {
         self
     }
 
-    /// Enables or disables delta-lowering (default on): with it on,
-    /// exhaustive sweeps visit candidates grouped by graph shape and
-    /// each worker patches only the changed values of its previously
-    /// lowered graph when the shape matches, instead of rebuilding the
-    /// structure per point. Results are bit-identical either way
-    /// (proven by the delta A/B property tests); turn it off only to
-    /// measure or gate that equivalence.
-    pub fn delta_lowering(mut self, enabled: bool) -> Self {
-        self.delta_lowering = enabled;
-        self
-    }
-
     /// Threads a [`CancelToken`] into the executor's candidate loop:
     /// explicit cancellation, an elapsed deadline, or an exhausted point
     /// budget stops every worker at its next candidate claim, and the
@@ -1045,9 +962,9 @@ impl Sweep {
     /// Selects the network-cost regime every evaluated point runs
     /// under (default [`NetworkBackend::ClosedForm`]). Under
     /// [`NetworkBackend::FairSharing`] each point is priced by the
-    /// physical-time contention replay; the compact delta-lowering fast
-    /// path only applies to the closed form, so expect fair-sharing
-    /// sweeps to cost full lowering per point.
+    /// physical-time contention replay; the compact fast path and its
+    /// delta patches only apply to the closed form, so expect
+    /// fair-sharing sweeps to cost full lowering per point.
     pub fn network(mut self, network: NetworkBackend) -> Self {
         self.network = network;
         self
@@ -1083,53 +1000,18 @@ impl Sweep {
         let threads = self
             .threads
             .unwrap_or_else(|| std::thread::available_parallelism().map(Into::into).unwrap_or(8));
-        let candidates: Arc<[ParallelConfig]> = match self.candidates {
-            Some(c) => c,
-            None => {
-                let batch =
-                    self.batch.expect("Sweep: set .batch(..) or .candidates(..) before .run()");
-                enumerate_candidates(&self.model, &self.cluster, batch, self.schedule, &self.limits)
-                    .into()
-            }
-        };
-        let cache = self.cache.unwrap_or_default();
-        let sweeps = if self.placements.is_empty() {
-            let mut builder = Estimator::builder(self.cluster).network(self.network).cache(cache);
-            if let Some(alpha) = self.alpha {
-                builder = builder.alpha(alpha);
-            }
-            if let Some(topology) = self.topology {
-                builder = builder.topology(topology);
-            }
-            let estimator = builder.build();
-            let outcome = run_sweep(
-                &estimator,
+        let candidates = self.grid("run");
+        self.run_placements(|estimator| {
+            run_sweep(
+                estimator,
                 &self.model,
                 &candidates,
                 threads,
                 self.goal,
                 self.stage_profile,
-                self.delta_lowering,
-                self.cancel.as_ref(),
-            );
-            vec![PlacementSweep { label: String::new(), outcome }]
-        } else {
-            run_placements(
-                &self.cluster,
-                self.alpha,
-                self.network,
-                &cache,
-                &self.placements,
-                &self.model,
-                &candidates,
-                threads,
-                self.goal,
-                self.stage_profile,
-                self.delta_lowering,
                 self.cancel.as_ref(),
             )
-        };
-        SweepRun { sweeps }
+        })
     }
 
     /// Degraded bound-only evaluation: enumerates (if needed) and prices
@@ -1151,47 +1033,63 @@ impl Sweep {
     /// Panics if neither [`batch`](Sweep::batch) nor
     /// [`candidates`](Sweep::candidates) was set, like [`run`](Sweep::run).
     pub fn bound_only(self) -> SweepRun {
-        let candidates: Arc<[ParallelConfig]> = match self.candidates {
-            Some(c) => c,
+        let candidates = self.grid("bound_only");
+        self.run_placements(|estimator| {
+            bound_only_sweep(estimator, &self.model, &candidates, self.goal)
+        })
+    }
+
+    /// The candidate grid: the explicit one, or the enumeration of
+    /// [`batch`](Sweep::batch) under [`limits`](Sweep::limits).
+    fn grid(&self, entry: &str) -> Arc<[ParallelConfig]> {
+        match &self.candidates {
+            Some(c) => Arc::clone(c),
             None => {
-                let batch = self
-                    .batch
-                    .expect("Sweep: set .batch(..) or .candidates(..) before .bound_only()");
+                let batch = self.batch.unwrap_or_else(|| {
+                    panic!("Sweep: set .batch(..) or .candidates(..) before .{entry}()")
+                });
                 enumerate_candidates(&self.model, &self.cluster, batch, self.schedule, &self.limits)
                     .into()
             }
+        }
+    }
+
+    /// The placement-axis executor: prices the grid with `evaluate` once
+    /// per topology variant, all variants sharing one profile cache
+    /// (compute profiles are topology-independent, so every unique
+    /// operator signature is profiled once for the *entire* placement
+    /// sweep; bounds are priced per variant — communication costs differ
+    /// between placements). A sweep without a placement axis is the one
+    /// variant labelled `""` under its optional
+    /// [`topology`](Sweep::topology).
+    fn run_placements(&self, evaluate: impl Fn(&Estimator) -> SweepOutcome) -> SweepRun {
+        let cache = self.cache.clone().unwrap_or_default();
+        let variants: Vec<(&str, Option<&Topology>)> = if self.placements.is_empty() {
+            vec![("", self.topology.as_ref())]
+        } else {
+            self.placements.iter().map(|(label, topo)| (label.as_str(), Some(topo))).collect()
         };
-        let cache = self.cache.unwrap_or_default();
-        let sweeps = if self.placements.is_empty() {
-            let mut builder = Estimator::builder(self.cluster).network(self.network).cache(cache);
+        let mut sweeps = Vec::with_capacity(variants.len());
+        for (label, topology) in variants {
+            let mut builder = Estimator::builder(self.cluster.clone())
+                .network(self.network)
+                .cache(Arc::clone(&cache));
             if let Some(alpha) = self.alpha {
                 builder = builder.alpha(alpha);
             }
-            if let Some(topology) = self.topology {
-                builder = builder.topology(topology);
+            if let Some(topology) = topology {
+                builder = builder.topology(topology.clone());
             }
-            let estimator = builder.build();
-            let outcome = bound_only_sweep(&estimator, &self.model, &candidates, self.goal);
-            vec![PlacementSweep { label: String::new(), outcome }]
-        } else {
-            self.placements
-                .iter()
-                .map(|(label, topo)| {
-                    let mut builder = Estimator::builder(self.cluster.clone())
-                        .topology(topo.clone())
-                        .network(self.network)
-                        .cache(Arc::clone(&cache));
-                    if let Some(alpha) = self.alpha {
-                        builder = builder.alpha(alpha);
-                    }
-                    let estimator = builder.build();
-                    PlacementSweep {
-                        label: label.clone(),
-                        outcome: bound_only_sweep(&estimator, &self.model, &candidates, self.goal),
-                    }
-                })
-                .collect()
-        };
+            let outcome = evaluate(&builder.build());
+            let stop = outcome.aborted.is_some();
+            sweeps.push(PlacementSweep { label: label.to_owned(), outcome });
+            if stop {
+                // A fired token stops the placement axis too: later
+                // variants are omitted entirely rather than returned
+                // empty-but-unlabeled-as-aborted.
+                break;
+            }
+        }
         SweepRun { sweeps }
     }
 }
@@ -1426,47 +1324,41 @@ mod tests {
     }
 
     #[test]
-    fn delta_lowering_is_bit_identical_and_actually_patches() {
+    fn exhaustive_sweep_points_equal_fresh_estimates_and_patch() {
         let cluster = ClusterSpec::aws_p4d(32);
         let model = presets::megatron("1.7B");
         let limits =
             SearchLimits { max_tensor: 4, max_data: 8, max_pipeline: 4, max_micro_batch: 4 };
         let cands = enumerate_candidates(&model, &cluster, 32, PipelineSchedule::OneFOneB, &limits);
-        let run = |delta: bool| {
-            Sweep::over(&model, &cluster)
-                .candidates(cands.clone())
-                .threads(1)
-                .delta_lowering(delta)
-                .run()
-                .into_outcome()
-        };
-        let fresh = run(false);
-        let patched = run(true);
-        assert_eq!(fresh.stats.delta_patched, 0, "delta off must never patch");
-        assert_eq!(fresh.stats.delta_fresh as usize, fresh.stats.evaluated);
+        let estimator = Estimator::builder(cluster).build();
+        let outcome =
+            Sweep::on(&estimator, &model).candidates(cands.clone()).threads(1).run().into_outcome();
         assert!(
-            patched.stats.delta_patched > 0,
+            outcome.stats.delta_patched > 0,
             "shape-grouped visit order must produce patches on a {}-point grid",
-            patched.stats.evaluated
+            outcome.stats.evaluated
         );
         assert_eq!(
-            patched.stats.delta_fresh + patched.stats.delta_patched,
-            patched.stats.evaluated as u64
+            outcome.stats.delta_fresh + outcome.stats.delta_patched,
+            outcome.stats.evaluated as u64
         );
-        // Patching must not change a single bit of any estimate, nor the
-        // candidate-order output contract.
-        assert_eq!(fresh.points.len(), patched.points.len());
-        for (a, b) in fresh.points.iter().zip(&patched.points) {
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(a.estimate.iteration_time, b.estimate.iteration_time);
-            assert_eq!(a.estimate.utilization.to_bits(), b.estimate.utilization.to_bits());
-            assert_eq!(a.estimate.occupancy.to_bits(), b.estimate.occupancy.to_bits());
-            assert_eq!(a.estimate.busy, b.estimate.busy);
+        // Every feasible candidate, in candidate order, priced exactly as
+        // a from-scratch estimate prices it: patching must not change a
+        // single bit.
+        let feasible: Vec<_> =
+            cands.iter().filter(|c| estimator.validate(&model, c).is_ok()).collect();
+        assert_eq!(outcome.points.len(), feasible.len());
+        for (point, plan) in outcome.points.iter().zip(feasible) {
+            assert_eq!(&point.plan, plan);
+            let fresh = estimator.estimate(&model, plan).unwrap();
+            assert_eq!(point.estimate, fresh, "{plan}");
+            assert_eq!(point.estimate.utilization.to_bits(), fresh.utilization.to_bits());
+            assert_eq!(point.estimate.occupancy.to_bits(), fresh.occupancy.to_bits());
         }
     }
 
     #[test]
-    fn two_level_split_shards_small_grids_without_changing_output() {
+    fn threads_beyond_the_candidate_count_stay_idle() {
         let cluster = ClusterSpec::aws_p4d(16);
         let model = presets::megatron("1.7B");
         let plan = |t: usize, d: usize, p: usize| {
@@ -1482,19 +1374,13 @@ mod tests {
         let cands = vec![plan(1, 2, 2), plan(2, 2, 2), plan(2, 4, 1)];
         let serial =
             Sweep::over(&model, &cluster).candidates(cands.clone()).threads(1).run().into_outcome();
-        let sharded =
-            Sweep::over(&model, &cluster).candidates(cands).threads(16).run().into_outcome();
-        assert_eq!(serial.stats.shards, 1);
-        assert!(
-            sharded.stats.shards > 1,
-            "{} candidates on 16 threads must shard refills",
-            sharded.stats.candidates
-        );
-        assert_eq!(sharded.stats.threads, sharded.stats.candidates);
-        assert_eq!(serial.points.len(), sharded.points.len());
-        for (a, b) in serial.points.iter().zip(&sharded.points) {
+        let wide = Sweep::over(&model, &cluster).candidates(cands).threads(16).run().into_outcome();
+        assert_eq!(serial.stats.threads, 1);
+        assert_eq!(wide.stats.threads, 3, "one worker per candidate, the rest idle");
+        assert_eq!(serial.points.len(), wide.points.len());
+        for (a, b) in serial.points.iter().zip(&wide.points) {
             assert_eq!(a.plan, b.plan);
-            assert_eq!(a.estimate.iteration_time, b.estimate.iteration_time);
+            assert_eq!(a.estimate, b.estimate);
             assert_eq!(a.estimate.utilization.to_bits(), b.estimate.utilization.to_bits());
         }
     }
