@@ -6,7 +6,8 @@
 //!
 //! * **Equivalence anchor** — a serial-communication plan priced under
 //!   both backends; `single_flow_ppm` is the relative deviation in parts
-//!   per million (gated at ≤ 1 ppm; in practice the drain is bit-exact).
+//!   per million (gated, see the `crates/bench/BASELINES.md` gate
+//!   table; in practice the drain is bit-exact).
 //! * **Contention cost** — a pipeline-heavy overlap plan priced under
 //!   both backends; the two iteration times are deterministic model
 //!   outputs, golden-gated like the collective costs, and the producer

@@ -1,8 +1,8 @@
 //! Replay-hot-loop smoke: times the Algorithm 1 dataflow replay over a
 //! fixed pre-lowered task graph and writes `results/BENCH_sim.json` for
 //! the CI perf-regression gate (`check_bench` compares its
-//! `tasks_per_sec` against `crates/bench/baselines/ci_baseline.json`,
-//! alongside the sweep-throughput and collective-cost gates).
+//! `tasks_per_sec` against `crates/bench/baselines/ci_baseline.json`;
+//! the threshold is in the gate table of `crates/bench/BASELINES.md`).
 //!
 //! The workload is the replay alone — lowering runs once up front — so
 //! the gate isolates regressions in the simulate stage from the rest of

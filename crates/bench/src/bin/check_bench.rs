@@ -1,681 +1,753 @@
-//! CI perf-regression gate.
-//!
-//! Compares the freshly generated `results/BENCH_sweep.json` (sweep
-//! throughput), `results/BENCH_sim.json` (replay hot-loop throughput),
-//! and `results/BENCH_collectives.json` (deterministic collective costs)
-//! against the committed baseline
-//! `crates/bench/baselines/ci_baseline.json` and exits non-zero on:
-//!
-//! * sweep `points_per_sec` more than `max_throughput_regression_pct`
-//!   (25 %) below the baseline — a perf regression (the sweep must also
-//!   be an *exhaustive*-goal run: bound-pruned sweeps are not throughput
-//!   comparable);
-//! * replay `tasks_per_sec` more than `max_sim_regression_pct` (30 %)
-//!   below the baseline — a regression in the simulate stage alone;
-//! * any collective cost drifting more than `collective_tolerance_rel`
-//!   (1 ppm) from the baseline — these are deterministic model outputs,
-//!   so any drift is an unintended semantic change (golden gate);
-//! * the sweep record's warm-cache obs-on re-run more than
-//!   `max_obs_on_regression_pct` (8 % in the committed baseline; both
-//!   arms are best-of-3) slower than its obs-off twin —
-//!   observability must stay near-free when enabled and exactly free
-//!   when disabled (records without the A/B fields skip this gate);
-//! * the every-core re-run below `min_parallel_efficiency` (0.6) of
-//!   linear scaling over its warm one-thread twin (`points_per_sec_1t`)
-//!   — the sweep executor must not waste its thread budget (reduces
-//!   to a sanity bound on single-core hosts; records without the twin
-//!   skip the gate);
-//! * `delta_equivalent == false` — every point of the delta-lowered
-//!   sweep must equal a from-scratch `Estimator::estimate` of its plan
-//!   (records without the field skip the gate);
-//! * serve-daemon regressions, when `results/BENCH_serve.json` exists
-//!   (`bench_serve` ran): warm-traffic `requests_per_sec` more than
-//!   `max_serve_regression_pct` (30 %) below the baseline's
-//!   `serve_requests_per_sec`, or a warm cross-request `cache_hit_rate`
-//!   below `min_serve_hit_rate` (0.96) — the shared profile cache is
-//!   the daemon's reason to exist. Absent record or baseline field
-//!   skips the throughput gate. Records carrying the fault-tolerance
-//!   fields additionally gate degraded-mode throughput
-//!   (`degraded_requests_per_sec` against the baseline's
-//!   `serve_degraded_requests_per_sec`, same regression budget — the
-//!   load-shedding fallback must stay cheap) and the snapshot
-//!   warm-restart hit-rate (`snapshot_warm_hit_rate` at least
-//!   `min_snapshot_warm_hit_rate`, 0.9) — a restarted daemon must
-//!   answer its first batch from the restored cache. Absent fields
-//!   skip; `--write-baseline` carries old values forward.
-//! * fair-sharing network-model regressions, when
-//!   `results/BENCH_flow.json` exists (`bench_flow` ran):
-//!   `single_flow_ppm` above 1 ppm — the contention replay must
-//!   reproduce the closed form exactly when only one flow is in flight;
-//!   the overlap plan's `overlap_closed_form_ns` /
-//!   `overlap_fair_sharing_ns` drifting more than
-//!   `collective_tolerance_rel` from the baseline's golden values
-//!   (deterministic model outputs, like the collective costs), or fair
-//!   sharing not pricing the overlap plan strictly above the closed
-//!   form; and `flow_events_per_sec` more than
-//!   `max_flow_regression_pct` (40 %) below the baseline — a perf
-//!   regression in the flow kernel itself. Absent record or baseline
-//!   fields skip; `--write-baseline` carries old values forward.
-//!
-//! Run the three producers first (`fig10_design_space --smoke`,
-//! `bench_sim`, `bench_collectives`; optionally `bench_serve` and
-//! `bench_flow` for their gates). Pass `--write-baseline` to
-//! regenerate the baseline from the current results after an intentional
-//! change (and say why in `crates/bench/BASELINES.md`).
-//!
-//! ```sh
-//! cargo run --release -p vtrain-bench --bin check_bench [-- --write-baseline]
-//! ```
+//! CI perf-regression gate. Run the producers (`fig10_design_space -- --smoke`,
+//! `bench_sim`, `bench_collectives`; optionally `bench_serve`, `bench_flow`),
+//! then `cargo run --release -p vtrain-bench --bin check_bench`. It checks their
+//! `results/BENCH_*.json` records against `crates/bench/baselines/ci_baseline.json`
+//! and exits 1 if any gate fails; the gates are the [`GATES`] table below. After
+//! an intentional change, `-- --write-baseline` regenerates the baseline from the
+//! records (say why in `crates/bench/BASELINES.md`).
 
+use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 use serde::Value;
 use vtrain_bench::report::results_dir;
 
-fn baseline_path() -> PathBuf {
-    let dir = std::env::var("VTRAIN_BASELINE_DIR")
-        .unwrap_or_else(|_| "crates/bench/baselines".to_owned());
-    PathBuf::from(dir).join("ci_baseline.json")
+/// The records `results/BENCH_<name>.json` and whether each is optional (older
+/// pipelines never ran `bench_serve` or `bench_flow`): an absent one's gates skip.
+const RECORDS: [(&str, bool); 5] =
+    [("sweep", false), ("sim", false), ("collectives", false), ("serve", true), ("flow", true)];
+
+/// The loaded records by name; a missing or unparsable one holds its verdict.
+type Records = HashMap<&'static str, Result<Value, Verdict>>;
+
+/// What a missing (or mistyped) input does to a gate.
+#[derive(Clone, Copy, PartialEq)]
+enum Need {
+    /// Any missing field skips the gate.
+    Optional,
+    /// The record field must be present; a missing baseline field skips.
+    Field,
+    /// The record field, baseline field and threshold must all be present.
+    Both,
 }
 
-fn load(path: &PathBuf) -> Value {
-    let text = fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {} ({e}); run the producers first", path.display())
-    });
-    serde_json::value_from_str(&text)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e:?}", path.display()))
+/// A gate's comparator. A [`Threshold`] is read from the baseline.
+#[derive(Clone, Copy)]
+enum Check {
+    /// The tag equals this literal; a mismatch stops the run.
+    Is(&'static str),
+    /// The tag equals the baseline's string field; a mismatch stops the run.
+    Same(&'static str),
+    /// value ≥ baseline field × (1 − threshold / 100), written with these decimals.
+    Floor(&'static str, usize, Threshold),
+    /// value ≥ same-record twin × (1 − threshold / 100).
+    Twin(&'static str, Threshold),
+    /// value ≥ same-record one-thread twin × same-record thread count × threshold.
+    Scaling(&'static str, &'static str, Threshold),
+    /// value ≥ threshold.
+    AtLeast(Threshold),
+    /// value ≤ a fixed bound.
+    AtMost(f64),
+    /// value is `true`.
+    True,
+    /// value > a same-record field.
+    Above(&'static str),
+    /// Same labels as the baseline field, each within threshold relative drift.
+    Golden(&'static str, Threshold),
 }
 
-fn points_per_sec(sweep: &Value) -> f64 {
-    sweep.get("points_per_sec").and_then(Value::as_f64).expect("BENCH_sweep.points_per_sec")
+struct Gate {
+    name: &'static str,
+    /// A [`RECORDS`] name, and a dotted path into that record.
+    record: &'static str,
+    path: &'static str,
+    need: Need,
+    check: Check,
 }
 
-/// The grid tag (`"smoke"` / `"coarse"` / `"full"`) a sweep record was
-/// produced with. Throughput is only comparable within one grid, so the
-/// gate (and the baseline writer) refuse to mix them.
-fn sweep_grid(sweep: &Value) -> String {
-    match sweep.get("grid") {
-        Some(Value::String(g)) => g.clone(),
-        other => panic!("BENCH_sweep.grid: {other:?}"),
-    }
+/// A baseline threshold field and its one default, used when the baseline lacks the
+/// field (unless [`Need::Both`]); [`THRESHOLDS`] lists them in baseline order.
+type Threshold = (&'static str, f64);
+
+const MAX_SWEEP: Threshold = ("max_throughput_regression_pct", 25.0);
+const MAX_SIM: Threshold = ("max_sim_regression_pct", 30.0);
+const MAX_OBS: Threshold = ("max_obs_on_regression_pct", 5.0);
+const MIN_EFF: Threshold = ("min_parallel_efficiency", 0.6);
+const TOL: Threshold = ("collective_tolerance_rel", 1e-6);
+const MAX_SERVE: Threshold = ("max_serve_regression_pct", 30.0);
+const MIN_HIT: Threshold = ("min_serve_hit_rate", 0.96);
+const MIN_SNAP_HIT: Threshold = ("min_snapshot_warm_hit_rate", 0.9);
+const MAX_FLOW: Threshold = ("max_flow_regression_pct", 40.0);
+const THRESHOLDS: [Threshold; 9] =
+    [MAX_SWEEP, MAX_SIM, MAX_OBS, MIN_EFF, TOL, MAX_SERVE, MIN_HIT, MIN_SNAP_HIT, MAX_FLOW];
+
+/// The gates in evaluation order. Rows reading a baseline field come first, in
+/// baseline order: `--write-baseline` writes the baseline by walking them.
+#[rustfmt::skip]
+static GATES: &[Gate] = {
+    use Check::*;
+    use Need::*;
+    &[
+        Gate { name: "sweep goal", record: "sweep", path: "goal",
+               need: Optional, check: Is("exhaustive") },
+        Gate { name: "sweep grid", record: "sweep", path: "grid",
+               need: Both, check: Same("sweep_grid") },
+        Gate { name: "sweep points/s", record: "sweep", path: "points_per_sec",
+               need: Both, check: Floor("sweep_points_per_sec", 1, MAX_SWEEP) },
+        Gate { name: "replay tasks/s", record: "sim", path: "tasks_per_sec",
+               need: Field, check: Floor("sim_tasks_per_sec", 0, MAX_SIM) },
+        Gate { name: "serve req/s", record: "serve", path: "requests_per_sec",
+               need: Field, check: Floor("serve_requests_per_sec", 1, MAX_SERVE) },
+        Gate { name: "serve degraded req/s", record: "serve", path: "degraded_requests_per_sec",
+               need: Optional, check: Floor("serve_degraded_requests_per_sec", 1, MAX_SERVE) },
+        Gate { name: "flow kernel events/s", record: "flow", path: "flow_events_per_sec",
+               need: Field, check: Floor("flow_events_per_sec", 0, MAX_FLOW) },
+        Gate { name: "flow closed-form ns", record: "flow", path: "overlap_closed_form_ns",
+               need: Field, check: Golden("flow_overlap_closed_form_ns", TOL) },
+        Gate { name: "flow fair-sharing ns", record: "flow", path: "overlap_fair_sharing_ns",
+               need: Field, check: Golden("flow_overlap_fair_sharing_ns", TOL) },
+        Gate { name: "collective costs ns", record: "collectives", path: "collectives",
+               need: Both, check: Golden("collectives", TOL) },
+        Gate { name: "obs-on points/s", record: "sweep", path: "points_per_sec_obs_on",
+               need: Optional, check: Twin("points_per_sec_obs_off", MAX_OBS) },
+        Gate { name: "parallel points/s", record: "sweep", path: "points_per_sec_mt",
+               need: Optional, check: Scaling("points_per_sec_1t", "threads_mt", MIN_EFF) },
+        Gate { name: "delta equivalence", record: "sweep", path: "delta_equivalent",
+               need: Optional, check: True },
+        Gate { name: "serve warm hit-rate", record: "serve", path: "cache_hit_rate",
+               need: Field, check: AtLeast(MIN_HIT) },
+        Gate { name: "snapshot warm hit-rate", record: "serve", path: "snapshot_warm_hit_rate",
+               need: Optional, check: AtLeast(MIN_SNAP_HIT) },
+        Gate { name: "flow single-flow ppm", record: "flow", path: "single_flow_ppm",
+               need: Field, check: AtMost(1.0) },
+        Gate { name: "flow fair > closed", record: "flow", path: "overlap_fair_sharing_ns",
+               need: Field, check: Above("overlap_closed_form_ns") },
+    ]
+};
+
+#[derive(Clone, Debug, PartialEq)]
+enum Verdict {
+    Pass(String),
+    Skip(String),
+    Fail(String),
 }
 
-/// The goal tag of a sweep record. Records predating the `goal` field
-/// were always exhaustive.
-fn sweep_goal(sweep: &Value) -> String {
-    match sweep.get("goal") {
-        Some(Value::String(g)) => g.clone(),
-        None => "exhaustive".to_owned(),
-        other => panic!("BENCH_sweep.goal: {other:?}"),
-    }
+/// The value at a dotted `path`.
+fn at<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(v, |v, key| v.get(key))
 }
 
-fn sim_tasks_per_sec(sim: &Value) -> f64 {
-    sim.get("tasks_per_sec").and_then(Value::as_f64).expect("BENCH_sim.tasks_per_sec")
-}
-
-/// `(label, total_ns)` rows of `BENCH_collectives.json`.
-fn collective_rows(bench: &Value) -> Vec<(String, u64)> {
-    let Some(Value::Array(rows)) = bench.get("collectives") else {
-        panic!("BENCH_collectives.collectives missing");
-    };
-    rows.iter()
-        .map(|r| {
-            let label = match r.get("label") {
-                Some(Value::String(s)) => s.clone(),
-                other => panic!("collective row label: {other:?}"),
-            };
-            let total = r.get("total_ns").and_then(Value::as_u64).expect("total_ns");
-            (label, total)
-        })
-        .collect()
-}
-
-fn write_baseline(
-    grid: &str,
-    pps: f64,
-    sim_tps: f64,
-    serve_rps: Option<f64>,
-    degraded_rps: Option<f64>,
-    flow: Option<(f64, u64, u64)>,
-    rows: &[(String, u64)],
-) {
-    // Carry tuned thresholds forward from the committed baseline; fall
-    // back to the defaults only when no baseline exists yet.
-    let (max_reg, max_sim_reg, max_obs_reg, min_eff, tol, max_serve_reg, min_hit, min_snap_hit) =
-        match fs::read_to_string(baseline_path()) {
-            Ok(text) => {
-                let old = serde_json::value_from_str(&text).expect("existing baseline parses");
-                (
-                    old.get("max_throughput_regression_pct")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(25.0),
-                    old.get("max_sim_regression_pct").and_then(Value::as_f64).unwrap_or(30.0),
-                    old.get("max_obs_on_regression_pct").and_then(Value::as_f64).unwrap_or(5.0),
-                    old.get("min_parallel_efficiency").and_then(Value::as_f64).unwrap_or(0.6),
-                    old.get("collective_tolerance_rel").and_then(Value::as_f64).unwrap_or(1e-6),
-                    old.get("max_serve_regression_pct").and_then(Value::as_f64).unwrap_or(30.0),
-                    old.get("min_serve_hit_rate").and_then(Value::as_f64).unwrap_or(0.96),
-                    old.get("min_snapshot_warm_hit_rate").and_then(Value::as_f64).unwrap_or(0.9),
-                )
-            }
-            Err(_) => (25.0, 30.0, 5.0, 0.6, 1e-6, 30.0, 0.96, 0.9),
+/// `(label, value)` pairs of a golden field: a bare integer (label `""`),
+/// a record's `{label, total_ns}` objects, or the baseline's `[label, total]`.
+fn labelled(v: &Value) -> Option<Vec<(String, u64)>> {
+    let Value::Array(items) = v else { return Some(vec![(String::new(), v.as_u64()?)]) };
+    let pair = |item: &Value| {
+        let (label, total) = match item {
+            Value::Array(kv) if kv.len() == 2 => (&kv[0], &kv[1]),
+            _ => (item.get("label")?, item.get("total_ns")?),
         };
-    let max_flow_reg = fs::read_to_string(baseline_path())
-        .ok()
-        .and_then(|text| {
-            serde_json::value_from_str(&text)
-                .ok()?
-                .get("max_flow_regression_pct")
-                .and_then(Value::as_f64)
-        })
-        .unwrap_or(40.0);
-    // A baseline refresh without a fresh serve (or flow) record keeps
-    // the old numbers instead of silently dropping those gates.
-    let old_serve_field = |field: &'static str| {
-        fs::read_to_string(baseline_path()).ok().and_then(|text| {
-            serde_json::value_from_str(&text).ok()?.get(field).and_then(Value::as_f64)
-        })
+        let Value::String(label) = label else { return None };
+        Some((label.clone(), total.as_u64()?))
     };
-    let old_u64_field = |field: &'static str| {
-        fs::read_to_string(baseline_path()).ok().and_then(|text| {
-            serde_json::value_from_str(&text).ok()?.get(field).and_then(Value::as_u64)
-        })
+    items.iter().map(pair).collect()
+}
+
+/// Golden mismatches: a label on one side only, or a relative drift above `tol`.
+fn drift(got: &[(String, u64)], want: &[(String, u64)], tol: f64) -> Vec<String> {
+    let find = |rows: &[(String, u64)], l: &str| rows.iter().find(|r| r.0 == l).map(|r| r.1);
+    let dropped = want.iter().filter(|(label, _)| find(got, label).is_none());
+    let mut issues: Vec<_> =
+        dropped.map(|(label, _)| format!("baseline `{label}` is no longer produced")).collect();
+    for (label, got) in got {
+        let Some(want) = find(want, label) else {
+            issues.push(format!("`{label}` missing from the baseline"));
+            continue;
+        };
+        let rel = (*got as f64 - want as f64).abs() / (want as f64).max(1.0);
+        if rel > tol {
+            issues.push(format!("`{label}` drifted: {got} vs {want} (rel {rel:.2e})"));
+        }
+    }
+    issues
+}
+
+/// `v`, or the skip (failure, if `required`) that its absence leads to.
+fn need<T>(v: Option<T>, what: String, required: bool) -> Result<T, Verdict> {
+    v.ok_or_else(|| match required {
+        true => Verdict::Fail(format!("{what} missing")),
+        false => Verdict::Skip(format!("{what} not recorded, not gated")),
+    })
+}
+
+/// The gate's verdict; `Err` is the skip or failure a missing (or mistyped) input leads to.
+fn judge(g: &Gate, records: &Records, base: &Value) -> Result<Verdict, Verdict> {
+    let rec = records[g.record].as_ref().map_err(Verdict::clone)?;
+    let file = format!("BENCH_{}.json", g.record);
+    let (req, base_req) = (g.need != Need::Optional, g.need == Need::Both);
+    let fresh = |path: &str| need(at(rec, path), format!("{file} {path}"), req);
+    let num = |path| need(fresh(path)?.as_f64(), format!("{file} {path}"), req);
+    let old = |name| need(base.get(name), format!("baseline {name}"), base_req);
+    let old_num = |name| need(old(name)?.as_f64(), format!("baseline {name}"), base_req);
+    let limit = |(name, default): Threshold| {
+        let value = base.get(name).and_then(Value::as_f64).or((!base_req).then_some(default));
+        need(value, format!("baseline {name}"), true)
     };
-    let serve_rps = serve_rps.or_else(|| old_serve_field("serve_requests_per_sec"));
-    let degraded_rps = degraded_rps.or_else(|| old_serve_field("serve_degraded_requests_per_sec"));
-    let flow_eps = flow.map(|f| f.0).or_else(|| old_serve_field("flow_events_per_sec"));
-    let flow_closed = flow.map(|f| f.1).or_else(|| old_u64_field("flow_overlap_closed_form_ns"));
-    let flow_fair = flow.map(|f| f.2).or_else(|| old_u64_field("flow_overlap_fair_sharing_ns"));
-    // Hand-rolled JSON keeps the committed baseline diff-stable
-    // (one collective per line, fixed field order).
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"max_throughput_regression_pct\": {max_reg},\n"));
-    out.push_str(&format!("  \"max_sim_regression_pct\": {max_sim_reg},\n"));
-    out.push_str(&format!("  \"max_obs_on_regression_pct\": {max_obs_reg},\n"));
-    out.push_str(&format!("  \"min_parallel_efficiency\": {min_eff},\n"));
-    out.push_str(&format!("  \"collective_tolerance_rel\": {tol:e},\n"));
-    out.push_str(&format!("  \"max_serve_regression_pct\": {max_serve_reg},\n"));
-    out.push_str(&format!("  \"min_serve_hit_rate\": {min_hit},\n"));
-    out.push_str(&format!("  \"min_snapshot_warm_hit_rate\": {min_snap_hit},\n"));
-    out.push_str(&format!("  \"max_flow_regression_pct\": {max_flow_reg},\n"));
-    out.push_str(&format!("  \"sweep_grid\": \"{grid}\",\n"));
-    out.push_str(&format!("  \"sweep_points_per_sec\": {pps:.1},\n"));
-    out.push_str(&format!("  \"sim_tasks_per_sec\": {sim_tps:.0},\n"));
-    if let Some(rps) = serve_rps {
-        out.push_str(&format!("  \"serve_requests_per_sec\": {rps:.1},\n"));
+    let at_least = |got: f64, floor: f64| (got >= floor, format!("{got:.4}, floor {floor:.4}"));
+    let below = |pct: f64| 1.0 - pct / 100.0;
+    let (pass, detail) = match g.check {
+        Check::Is(want) => {
+            let got = fresh(g.path)?;
+            (*got == Value::String(want.into()), format!("{got:?}, must be `{want}`"))
+        }
+        Check::Same(name) => {
+            let (got, want) = (fresh(g.path)?, old(name)?);
+            (matches!(got, Value::String(_)) && got == want, format!("{got:?}, baseline {want:?}"))
+        }
+        Check::True => (*fresh(g.path)? == Value::Bool(true), "must be true".to_owned()),
+        Check::Floor(name, _, t) => at_least(num(g.path)?, old_num(name)? * below(limit(t)?)),
+        Check::Twin(twin, t) => at_least(num(g.path)?, num(twin)? * below(limit(t)?)),
+        Check::Scaling(one, n, t) => at_least(num(g.path)?, num(one)? * num(n)? * limit(t)?),
+        Check::AtLeast(t) => at_least(num(g.path)?, limit(t)?),
+        Check::AtMost(max) => num(g.path).map(|got| (got <= max, format!("{got}, bound {max}")))?,
+        Check::Above(other) => {
+            let (got, low) = (num(g.path)?, num(other)?);
+            (got > low, format!("{got}, above {other} {low}"))
+        }
+        Check::Golden(name, t) => {
+            let got = need(labelled(fresh(g.path)?), format!("{file} {}", g.path), req)?;
+            let want = need(labelled(old(name)?), format!("baseline {name}"), base_req)?;
+            let tol = limit(t)?;
+            let mut issues = vec![format!("{} value(s), tolerance {tol:e}", got.len())];
+            issues.extend(drift(&got, &want, tol));
+            (issues.len() == 1, issues.join("; "))
+        }
+    };
+    Ok(if pass { Verdict::Pass(detail) } else { Verdict::Fail(detail) })
+}
+
+/// Evaluates the gates in order, up to the first failed tag gate. With
+/// `write`, only the tag gates that need no baseline run.
+fn run(write: bool, records: &Records, base: &Value) -> Vec<(&'static Gate, Verdict)> {
+    let gates = GATES.iter().filter(|g| !write || matches!(g.check, Check::Is(_)));
+    let mut verdicts: Vec<_> =
+        gates.map(|g| (g, judge(g, records, base).unwrap_or_else(|v| v))).collect();
+    let tag_failed = |(g, v): &(&Gate, Verdict)| {
+        matches!((g.check, v), (Check::Is(_) | Check::Same(_), Verdict::Fail(_)))
+    };
+    if let Some(i) = verdicts.iter().position(tag_failed) {
+        verdicts.truncate(i + 1);
     }
-    if let Some(rps) = degraded_rps {
-        out.push_str(&format!("  \"serve_degraded_requests_per_sec\": {rps:.1},\n"));
+    verdicts
+}
+
+/// `v` as the baseline stores the field that `check` reads.
+fn render(v: &Value, check: Check) -> Option<String> {
+    Some(match (check, v) {
+        (Check::Same(_), Value::String(s)) => format!("\"{s}\""),
+        (Check::Floor(_, digits, _), _) => format!("{:.*}", digits, v.as_f64()?),
+        (Check::Golden(..), Value::Array(_)) => {
+            let rows = labelled(v)?.into_iter().map(|(l, t)| format!("\n    [\"{l}\", {t}]"));
+            format!("[{}\n  ]", rows.collect::<Vec<_>>().join(","))
+        }
+        (Check::Golden(..), _) => v.as_u64()?.to_string(),
+        _ => return None,
+    })
+}
+
+/// The baseline for `records`, one field per line in a fixed, diff-stable order.
+/// Fields of a required record must be fresh; the rest carry `old`'s forward.
+fn baseline_text(records: &Records, old: &Value) -> Result<String, String> {
+    let mut fields = Vec::new();
+    for (name, default) in THRESHOLDS {
+        let x = old.get(name).and_then(Value::as_f64).unwrap_or(default); // 1e-6, not 0.000001
+        let text = if x != 0.0 && x.abs() < 1e-3 { format!("{x:e}") } else { format!("{x}") };
+        fields.push(format!("  \"{name}\": {text}"));
     }
-    if let Some(eps) = flow_eps {
-        out.push_str(&format!("  \"flow_events_per_sec\": {eps:.0},\n"));
+    for g in GATES {
+        let (Check::Same(name) | Check::Floor(name, ..) | Check::Golden(name, _)) = g.check else {
+            continue;
+        };
+        let record = match &records[g.record] {
+            Err(Verdict::Fail(e)) => return Err(e.clone()),
+            record => record.as_ref().ok(),
+        };
+        let optional = RECORDS.iter().any(|&(r, optional)| r == g.record && optional);
+        let fresh = record.and_then(|r| at(r, g.path)).and_then(|v| render(v, g.check));
+        let carried = || old.get(name).filter(|_| optional).and_then(|v| render(v, g.check));
+        match fresh.or_else(carried) {
+            Some(text) => fields.push(format!("  \"{name}\": {text}")),
+            None if optional => {}
+            None => return Err(format!("BENCH_{}.json {} missing", g.record, g.path)),
+        }
     }
-    if let Some(ns) = flow_closed {
-        out.push_str(&format!("  \"flow_overlap_closed_form_ns\": {ns},\n"));
+    Ok(format!("{{\n{}\n}}\n", fields.join(",\n")))
+}
+
+/// Reads a JSON file; `Ok(None)` when it cannot be read.
+fn load(path: &Path) -> Result<Option<Value>, String> {
+    let Ok(text) = fs::read_to_string(path) else { return Ok(None) };
+    let parsed = serde_json::value_from_str(&text);
+    parsed.map(Some).map_err(|e| format!("cannot parse {}: {e:?}", path.display()))
+}
+
+/// Runs the gates, then with `write` writes the baseline; the closing message.
+fn check(write: bool) -> Result<String, String> {
+    let load_record = |(name, optional): (&'static str, bool)| {
+        let file = format!("BENCH_{name}.json");
+        let found = load(&results_dir().join(&file)).map_err(Verdict::Fail);
+        (name, found.and_then(|found| need(found, file, !optional)))
+    };
+    let records = Records::from(RECORDS.map(load_record));
+    let dir = std::env::var("VTRAIN_BASELINE_DIR").unwrap_or("crates/bench/baselines".into());
+    let path = Path::new(&dir).join("ci_baseline.json");
+    let empty = write.then(|| Value::Object(Vec::new()));
+    let baseline = load(&path)?.or(empty).ok_or(format!("cannot read {}", path.display()))?;
+    let mut failures = 0;
+    for (g, verdict) in run(write, &records, &baseline) {
+        match verdict {
+            Verdict::Pass(detail) => println!("ok    {}: {detail}", g.name),
+            Verdict::Skip(detail) => println!("skip  {}: {detail}", g.name),
+            Verdict::Fail(detail) => {
+                failures += 1;
+                eprintln!("perf gate FAILURE: {}: {detail}", g.name);
+            }
+        }
     }
-    if let Some(ns) = flow_fair {
-        out.push_str(&format!("  \"flow_overlap_fair_sharing_ns\": {ns},\n"));
+    if failures > 0 {
+        let next = if write { "no baseline written" } else { "if intended, --write-baseline" };
+        return Err(format!("{failures} gate(s) failed; {next}"));
     }
-    out.push_str("  \"collectives\": [\n");
-    for (i, (label, total)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!("    [\"{label}\", {total}]{comma}\n"));
+    if !write {
+        return Ok("perf gate: PASS".to_owned());
     }
-    out.push_str("  ]\n}\n");
-    let path = baseline_path();
-    fs::create_dir_all(path.parent().expect("baseline dir")).expect("baseline dir creatable");
-    fs::write(&path, out).expect("baseline writable");
-    println!("wrote {}", path.display());
+    let text = baseline_text(&records, &baseline)?;
+    fs::create_dir_all(&dir).and_then(|()| fs::write(&path, text)).map_err(|e| e.to_string())?;
+    Ok(format!("wrote {}", path.display()))
 }
 
 fn main() -> ExitCode {
-    let sweep = load(&results_dir().join("BENCH_sweep.json"));
-    let sim = load(&results_dir().join("BENCH_sim.json"));
-    let bench = load(&results_dir().join("BENCH_collectives.json"));
-    // The serve record is optional: bench_serve is a separate producer
-    // and older pipelines never ran it.
-    let serve = fs::read_to_string(results_dir().join("BENCH_serve.json"))
-        .ok()
-        .map(|text| serde_json::value_from_str(&text).expect("BENCH_serve.json parses"));
-    // The flow record is likewise optional: bench_flow is a separate
-    // producer and older pipelines never ran it.
-    let flow = fs::read_to_string(results_dir().join("BENCH_flow.json"))
-        .ok()
-        .map(|text| serde_json::value_from_str(&text).expect("BENCH_flow.json parses"));
-    let pps = points_per_sec(&sweep);
-    let grid = sweep_grid(&sweep);
-    let goal = sweep_goal(&sweep);
-    let sim_tps = sim_tasks_per_sec(&sim);
-    let rows = collective_rows(&bench);
+    match check(std::env::args().any(|a| a == "--write-baseline")) {
+        Ok(message) => println!("{message}"),
+        Err(message) => {
+            eprintln!("perf gate: FAIL: {message}");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
 
-    if goal != "exhaustive" {
-        eprintln!(
-            "perf gate FAILURE: BENCH_sweep.json came from a `{goal}`-goal sweep — bound \
-             pruning skips evaluations, so its throughput is not comparable to the exhaustive \
-             baseline. Re-run `fig10_design_space -- --smoke` without `--goal` before gating."
-        );
-        return ExitCode::FAILURE;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn json(text: &str) -> Value {
+        serde_json::value_from_str(text).expect("test JSON parses")
     }
 
-    if std::env::args().any(|a| a == "--write-baseline") {
-        let serve_rps =
-            serve.as_ref().and_then(|s| s.get("requests_per_sec").and_then(Value::as_f64));
-        let degraded_rps =
-            serve.as_ref().and_then(|s| s.get("degraded_requests_per_sec").and_then(Value::as_f64));
-        let flow_triple = flow.as_ref().and_then(|f| {
-            Some((
-                f.get("flow_events_per_sec").and_then(Value::as_f64)?,
-                f.get("overlap_closed_form_ns").and_then(Value::as_u64)?,
-                f.get("overlap_fair_sharing_ns").and_then(Value::as_u64)?,
-            ))
-        });
-        write_baseline(&grid, pps, sim_tps, serve_rps, degraded_rps, flow_triple, &rows);
-        return ExitCode::SUCCESS;
+    /// Records that pass every gate against [`baseline`], none by skipping.
+    fn fixture() -> Records {
+        Records::from([
+            (
+                "sweep",
+                Ok(json(
+                    r#"{"grid": "smoke", "goal": "exhaustive", "points_per_sec": 400.0,
+                        "points_per_sec_obs_off": 1000.0, "points_per_sec_obs_on": 990.0,
+                        "points_per_sec_1t": 100.0, "points_per_sec_mt": 150.0,
+                        "threads_mt": 2, "delta_equivalent": true}"#,
+                )),
+            ),
+            ("sim", Ok(json(r#"{"tasks_per_sec": 10000000.0}"#))),
+            (
+                "collectives",
+                Ok(json(
+                    r#"{"collectives": [{"label": "a", "total_ns": 1000000},
+                                        {"label": "b", "total_ns": 2000}]}"#,
+                )),
+            ),
+            (
+                "serve",
+                Ok(json(
+                    r#"{"requests_per_sec": 100.0, "cache_hit_rate": 1.0,
+                        "degraded_requests_per_sec": 200.0, "snapshot_warm_hit_rate": 1.0}"#,
+                )),
+            ),
+            (
+                "flow",
+                Ok(json(
+                    r#"{"flow_events_per_sec": 1000000.0, "single_flow_ppm": 0,
+                        "overlap_closed_form_ns": 1000000, "overlap_fair_sharing_ns": 2000000}"#,
+                )),
+            ),
+        ])
     }
 
-    let baseline = load(&baseline_path());
-    let base_grid = match baseline.get("sweep_grid") {
-        Some(Value::String(g)) => g.clone(),
-        other => panic!("baseline.sweep_grid: {other:?}"),
-    };
-    if grid != base_grid {
-        eprintln!(
-            "perf gate FAILURE: BENCH_sweep.json came from the `{grid}` grid but the baseline \
-             records `{base_grid}` — throughput is only comparable within one grid. Re-run \
-             `fig10_design_space -- --{base_grid}` before gating."
-        );
-        return ExitCode::FAILURE;
+    const BASELINE: &str = r#"{
+  "max_throughput_regression_pct": 25,
+  "max_sim_regression_pct": 30,
+  "max_obs_on_regression_pct": 8,
+  "min_parallel_efficiency": 0.6,
+  "collective_tolerance_rel": 1e-6,
+  "max_serve_regression_pct": 50,
+  "min_serve_hit_rate": 0.96,
+  "min_snapshot_warm_hit_rate": 0.9,
+  "max_flow_regression_pct": 40,
+  "sweep_grid": "smoke",
+  "sweep_points_per_sec": 400.0,
+  "sim_tasks_per_sec": 10000000,
+  "serve_requests_per_sec": 100.0,
+  "serve_degraded_requests_per_sec": 200.0,
+  "flow_events_per_sec": 1000000,
+  "flow_overlap_closed_form_ns": 1000000,
+  "flow_overlap_fair_sharing_ns": 2000000,
+  "collectives": [
+    ["a", 1000000],
+    ["b", 2000]
+  ]
+}
+"#;
+
+    fn baseline() -> Value {
+        json(BASELINE)
     }
-    let max_reg_pct = baseline
-        .get("max_throughput_regression_pct")
-        .and_then(Value::as_f64)
-        .expect("baseline.max_throughput_regression_pct");
-    let tol = baseline
-        .get("collective_tolerance_rel")
-        .and_then(Value::as_f64)
-        .expect("baseline.collective_tolerance_rel");
-    let base_pps = baseline
-        .get("sweep_points_per_sec")
-        .and_then(Value::as_f64)
-        .expect("baseline.sweep_points_per_sec");
 
-    let mut failures = Vec::new();
+    /// Sets (or with `None` removes) `field` of an object.
+    fn set(v: &mut Value, field: &str, to: Option<&str>) {
+        let Value::Object(fields) = v else { panic!("not an object: {v:?}") };
+        fields.retain(|(k, _)| k != field);
+        fields.extend(to.map(|text| (field.to_owned(), json(text))));
+    }
 
-    let floor = base_pps * (1.0 - max_reg_pct / 100.0);
-    println!(
-        "sweep throughput: {pps:.1} points/s (baseline {base_pps:.1}, floor {floor:.1} at \
-         -{max_reg_pct:.0}%)"
+    fn record<'a>(records: &'a mut Records, name: &str) -> &'a mut Value {
+        records.get_mut(name).expect("a record").as_mut().expect("a loaded record")
+    }
+
+    fn failing(records: &Records, base: &Value) -> Vec<&'static str> {
+        let verdicts = run(false, records, base);
+        verdicts
+            .into_iter()
+            .filter(|(_, v)| matches!(v, Verdict::Fail(_)))
+            .map(|(g, _)| g.name)
+            .collect()
+    }
+
+    fn verdict_of(name: &str, records: &Records, base: &Value) -> Verdict {
+        let g = GATES.iter().find(|g| g.name == name).expect("a gate row");
+        judge(g, records, base).unwrap_or_else(|v| v)
+    }
+
+    #[test]
+    fn the_fixture_passes_every_gate() {
+        let verdicts = run(false, &fixture(), &baseline());
+        assert_eq!(verdicts.len(), GATES.len());
+        for (g, verdict) in verdicts {
+            assert!(matches!(verdict, Verdict::Pass(_)), "{}: {verdict:?}", g.name);
+        }
+    }
+
+    /// `(gate, edits that keep it passing, edits just past its threshold)`;
+    /// an edit is `(record or "baseline", field, JSON)`.
+    type Case = (
+        &'static str,
+        &'static [(&'static str, &'static str, &'static str)],
+        &'static [(&'static str, &'static str, &'static str)],
     );
-    if pps < floor {
-        failures.push(format!(
-            "sweep throughput regressed: {pps:.1} points/s < floor {floor:.1} \
-             ({:.1}% below the {base_pps:.1} baseline)",
-            (1.0 - pps / base_pps) * 100.0
-        ));
+
+    const CASES: &[Case] = &[
+        ("sweep goal", &[("sweep", "goal", r#""exhaustive""#)], &[("sweep", "goal", r#""best""#)]),
+        ("sweep grid", &[("sweep", "grid", r#""smoke""#)], &[("sweep", "grid", r#""full""#)]),
+        // 400 × (1 − 25 %) = 300.
+        (
+            "sweep points/s",
+            &[("sweep", "points_per_sec", "300.0")],
+            &[("sweep", "points_per_sec", "299.9")],
+        ),
+        // 1e7 × (1 − 30 %) = 7e6.
+        (
+            "replay tasks/s",
+            &[("sim", "tasks_per_sec", "7000001")],
+            &[("sim", "tasks_per_sec", "6999999")],
+        ),
+        // 100 × (1 − 50 %) = 50.
+        (
+            "serve req/s",
+            &[("serve", "requests_per_sec", "50.01")],
+            &[("serve", "requests_per_sec", "49.99")],
+        ),
+        (
+            "serve degraded req/s",
+            &[("serve", "degraded_requests_per_sec", "100.01")],
+            &[("serve", "degraded_requests_per_sec", "99.99")],
+        ),
+        // 1e6 × (1 − 40 %) = 6e5.
+        (
+            "flow kernel events/s",
+            &[("flow", "flow_events_per_sec", "600001")],
+            &[("flow", "flow_events_per_sec", "599999")],
+        ),
+        // Drift within 1e-6 of 1e6 ns is at most 1 ns.
+        (
+            "flow closed-form ns",
+            &[("flow", "overlap_closed_form_ns", "1000001")],
+            &[("flow", "overlap_closed_form_ns", "1000002")],
+        ),
+        (
+            "flow fair-sharing ns",
+            &[("flow", "overlap_fair_sharing_ns", "2000002")],
+            &[("flow", "overlap_fair_sharing_ns", "2000003")],
+        ),
+        (
+            "collective costs ns",
+            &[(
+                "collectives",
+                "collectives",
+                r#"[{"label": "a", "total_ns": 999999}, {"label": "b", "total_ns": 2000}]"#,
+            )],
+            &[(
+                "collectives",
+                "collectives",
+                r#"[{"label": "a", "total_ns": 999998}, {"label": "b", "total_ns": 2000}]"#,
+            )],
+        ),
+        // 1000 × (1 − 8 %) = 920.
+        (
+            "obs-on points/s",
+            &[("sweep", "points_per_sec_obs_on", "920.1")],
+            &[("sweep", "points_per_sec_obs_on", "919.9")],
+        ),
+        // 100 × 2 threads × 0.6 = 120.
+        (
+            "parallel points/s",
+            &[("sweep", "points_per_sec_mt", "120.1")],
+            &[("sweep", "points_per_sec_mt", "119.9")],
+        ),
+        (
+            "delta equivalence",
+            &[("sweep", "delta_equivalent", "true")],
+            &[("sweep", "delta_equivalent", "false")],
+        ),
+        (
+            "serve warm hit-rate",
+            &[("serve", "cache_hit_rate", "0.96")],
+            &[("serve", "cache_hit_rate", "0.9599")],
+        ),
+        (
+            "snapshot warm hit-rate",
+            &[("serve", "snapshot_warm_hit_rate", "0.9")],
+            &[("serve", "snapshot_warm_hit_rate", "0.8999")],
+        ),
+        (
+            "flow single-flow ppm",
+            &[("flow", "single_flow_ppm", "1.0")],
+            &[("flow", "single_flow_ppm", "1.001")],
+        ),
+        // Move the closed-form golden along so only the ordering moves.
+        (
+            "flow fair > closed",
+            &[
+                ("flow", "overlap_closed_form_ns", "1999999"),
+                ("baseline", "flow_overlap_closed_form_ns", "1999999"),
+            ],
+            &[
+                ("flow", "overlap_closed_form_ns", "2000000"),
+                ("baseline", "flow_overlap_closed_form_ns", "2000000"),
+            ],
+        ),
+    ];
+
+    fn edited(edits: &[(&str, &str, &str)]) -> (Records, Value) {
+        let (mut records, mut base) = (fixture(), baseline());
+        for &(target, field, to) in edits {
+            let v = if target == "baseline" { &mut base } else { record(&mut records, target) };
+            set(v, field, Some(to));
+        }
+        (records, base)
     }
 
-    // Replay hot-loop gate (absent from pre-PR-4 baselines: then skipped
-    // with a warning so `--write-baseline` can bootstrap the field).
-    match baseline.get("sim_tasks_per_sec").and_then(Value::as_f64) {
-        None => println!("replay throughput: {sim_tps:.0} tasks/s (no baseline yet — not gated)"),
-        Some(base_sim) => {
-            let max_sim_reg =
-                baseline.get("max_sim_regression_pct").and_then(Value::as_f64).unwrap_or(30.0);
-            let sim_floor = base_sim * (1.0 - max_sim_reg / 100.0);
-            println!(
-                "replay throughput: {:.2} Mtasks/s (baseline {:.2}, floor {:.2} at -{:.0}%)",
-                sim_tps / 1e6,
-                base_sim / 1e6,
-                sim_floor / 1e6,
-                max_sim_reg
+    #[test]
+    fn every_gate_passes_inside_and_fails_just_past_its_threshold() {
+        assert_eq!(CASES.len(), GATES.len());
+        for &(name, inside, past) in CASES {
+            let (records, base) = edited(inside);
+            assert_eq!(failing(&records, &base), Vec::<&str>::new(), "{name} inside");
+            let (records, base) = edited(past);
+            assert_eq!(failing(&records, &base), vec![name], "{name} past");
+        }
+    }
+
+    #[test]
+    fn golden_labels_must_match_on_both_sides() {
+        let extra = r#"[{"label": "a", "total_ns": 1000000}, {"label": "b", "total_ns": 2000},
+                        {"label": "c", "total_ns": 1}]"#;
+        let dropped = r#"[{"label": "a", "total_ns": 1000000}]"#;
+        for collectives in [extra, dropped] {
+            let (records, base) = edited(&[("collectives", "collectives", collectives)]);
+            assert_eq!(failing(&records, &base), vec!["collective costs ns"]);
+        }
+    }
+
+    #[test]
+    fn a_failed_tag_gate_stops_the_run() {
+        let (records, base) =
+            edited(&[("sweep", "grid", r#""full""#), ("sim", "tasks_per_sec", "1")]);
+        let verdicts = run(false, &records, &base);
+        assert_eq!(verdicts.len(), 2);
+        assert_eq!(failing(&records, &base), vec!["sweep grid"]);
+    }
+
+    fn is_skip(v: &Verdict) -> bool {
+        matches!(v, Verdict::Skip(_))
+    }
+
+    fn is_fail(v: &Verdict) -> bool {
+        matches!(v, Verdict::Fail(_))
+    }
+
+    /// The record fields a gate reads beside its own path.
+    fn twins(check: Check) -> Vec<&'static str> {
+        match check {
+            Check::Twin(twin, _) | Check::Above(twin) => vec![twin],
+            Check::Scaling(one, threads, _) => vec![one, threads],
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn missing_inputs_skip_optional_gates_and_fail_required_ones() {
+        for g in GATES {
+            let optional = RECORDS.iter().any(|&(r, optional)| r == g.record && optional);
+            let mut records = fixture();
+            records.insert(g.record, need(None, format!("BENCH_{}.json", g.record), !optional));
+            let v = verdict_of(g.name, &records, &baseline());
+            assert!(
+                if optional { is_skip(&v) } else { is_fail(&v) },
+                "{} without its record: {v:?}",
+                g.name
             );
-            if sim_tps < sim_floor {
-                failures.push(format!(
-                    "replay throughput regressed: {:.2} Mtasks/s < floor {:.2} \
-                     ({:.1}% below the {:.2} Mtasks/s baseline)",
-                    sim_tps / 1e6,
-                    sim_floor / 1e6,
-                    (1.0 - sim_tps / base_sim) * 100.0,
-                    base_sim / 1e6
-                ));
-            }
-        }
-    }
 
-    // Instrumentation-overhead gate: the warm-cache obs-on re-run must
-    // stay within `max_obs_on_regression_pct` of its obs-off twin. Both
-    // fields come from the same BENCH_sweep.json record, so the pair is
-    // always apples-to-apples; `--full` runs (and pre-obs producers)
-    // omit them and skip the gate.
-    let obs_pair = sweep
-        .get("points_per_sec_obs_off")
-        .and_then(Value::as_f64)
-        .zip(sweep.get("points_per_sec_obs_on").and_then(Value::as_f64));
-    match obs_pair {
-        None => println!("instrumentation overhead: not recorded in BENCH_sweep.json — not gated"),
-        Some((obs_off, obs_on)) => {
-            let max_obs_reg =
-                baseline.get("max_obs_on_regression_pct").and_then(Value::as_f64).unwrap_or(5.0);
-            let obs_floor = obs_off * (1.0 - max_obs_reg / 100.0);
-            println!(
-                "instrumentation overhead: {obs_on:.1} points/s with obs on vs {obs_off:.1} off \
-                 (floor {obs_floor:.1} at -{max_obs_reg:.0}%)"
-            );
-            if obs_on < obs_floor {
-                failures.push(format!(
-                    "instrumentation overhead too high: {obs_on:.1} points/s with obs on < floor \
-                     {obs_floor:.1} ({:.1}% below the {obs_off:.1} points/s obs-off twin)",
-                    (1.0 - obs_on / obs_off) * 100.0
-                ));
-            }
-        }
-    }
-
-    // Parallel-efficiency gate: the every-core re-run must deliver at
-    // least `min_parallel_efficiency` (0.6) of linear scaling over its
-    // warm twin run on exactly one thread. On a single-core host
-    // (`threads_mt == 1`) this reduces to a same-conditions sanity bound;
-    // records without the fields (old producers, `--full` runs) skip the
-    // gate.
-    let mt_pair = sweep
-        .get("points_per_sec_mt")
-        .and_then(Value::as_f64)
-        .zip(sweep.get("threads_mt").and_then(Value::as_u64))
-        .zip(sweep.get("points_per_sec_1t").and_then(Value::as_f64));
-    match mt_pair {
-        None => println!("parallel efficiency: not recorded in BENCH_sweep.json — not gated"),
-        Some(((pps_mt, threads_mt), pps_1t)) => {
-            let min_eff =
-                baseline.get("min_parallel_efficiency").and_then(Value::as_f64).unwrap_or(0.6);
-            let mt_floor = pps_1t * threads_mt as f64 * min_eff;
-            println!(
-                "parallel efficiency: {pps_mt:.1} points/s on {threads_mt} thread(s) vs \
-                 {pps_1t:.1} on one (floor {mt_floor:.1} at {min_eff}x linear)"
-            );
-            if pps_mt < mt_floor {
-                failures.push(format!(
-                    "parallel efficiency too low: {pps_mt:.1} points/s on {threads_mt} thread(s) \
-                     < floor {mt_floor:.1} ({min_eff}x linear over the {pps_1t:.1} points/s \
-                     single-thread twin)"
-                ));
-            }
-        }
-    }
-
-    // Delta-equivalence gate: when the producer re-priced the sweep's
-    // points one by one, the delta-lowered sweep must have reproduced
-    // the from-scratch estimates exactly — a `false` here means the
-    // patching invariant broke.
-    match sweep.get("delta_equivalent") {
-        None => println!("delta equivalence: not recorded in BENCH_sweep.json — not gated"),
-        Some(Value::Bool(true)) => {
-            let patched =
-                sweep.get("stats").and_then(|st| st.get("delta_patched")).and_then(Value::as_u64);
-            println!(
-                "delta equivalence: sweep points match per-point from-scratch estimates \
-                 ({} delta-patched)",
-                patched.map_or_else(|| "unknown".to_owned(), |n| n.to_string())
-            );
-        }
-        Some(other) => failures.push(format!(
-            "delta-lowered sweep diverged from from-scratch lowering \
-             (BENCH_sweep.delta_equivalent = {other:?})"
-        )),
-    }
-
-    // Serve-daemon gate: only when bench_serve produced a record. The
-    // hit-rate bound is unconditional (warm traffic over an identical
-    // scenario is deterministic up to scheduling); the throughput floor
-    // additionally needs a baseline field, which `--write-baseline`
-    // bootstraps.
-    match &serve {
-        None => println!("serve throughput: BENCH_serve.json not present — not gated"),
-        Some(record) => {
-            let rps =
-                record.get("requests_per_sec").and_then(Value::as_f64).expect("serve rps recorded");
-            let hit_rate =
-                record.get("cache_hit_rate").and_then(Value::as_f64).expect("serve hit rate");
-            let min_hit =
-                baseline.get("min_serve_hit_rate").and_then(Value::as_f64).unwrap_or(0.96);
-            if hit_rate < min_hit {
-                failures.push(format!(
-                    "serve warm hit-rate too low: {hit_rate:.4} < {min_hit} — repeat traffic is \
-                     not being answered from the shared profile cache"
-                ));
-            }
-            match baseline.get("serve_requests_per_sec").and_then(Value::as_f64) {
-                None => println!(
-                    "serve throughput: {rps:.1} req/s, warm hit-rate {hit_rate:.4} \
-                     (no baseline yet — throughput not gated)"
-                ),
-                Some(base_rps) => {
-                    let max_serve_reg = baseline
-                        .get("max_serve_regression_pct")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(30.0);
-                    let serve_floor = base_rps * (1.0 - max_serve_reg / 100.0);
-                    println!(
-                        "serve throughput: {rps:.1} req/s, warm hit-rate {hit_rate:.4} \
-                         (baseline {base_rps:.1}, floor {serve_floor:.1} at -{max_serve_reg:.0}%)"
-                    );
-                    if rps < serve_floor {
-                        failures.push(format!(
-                            "serve throughput regressed: {rps:.1} req/s < floor {serve_floor:.1} \
-                             ({:.1}% below the {base_rps:.1} baseline)",
-                            (1.0 - rps / base_rps) * 100.0
-                        ));
-                    }
-                }
+            for field in [g.path].into_iter().chain(twins(g.check)) {
+                let mut records = fixture();
+                set(record(&mut records, g.record), field, None);
+                let v = verdict_of(g.name, &records, &baseline());
+                let expect_fail = g.need != Need::Optional;
+                assert!(
+                    if expect_fail { is_fail(&v) } else { is_skip(&v) },
+                    "{} without {field}: {v:?}",
+                    g.name
+                );
             }
 
-            // Degraded-mode throughput: the bound-only fallback is what a
-            // saturated daemon answers with, so it regressing defeats the
-            // point of degrading instead of shedding. Same regression
-            // budget as the healthy path; absent fields (older producers
-            // or baselines) skip.
-            let degraded_pair = record
-                .get("degraded_requests_per_sec")
-                .and_then(Value::as_f64)
-                .zip(baseline.get("serve_degraded_requests_per_sec").and_then(Value::as_f64));
-            match degraded_pair {
-                None => println!(
-                    "serve degraded throughput: record or baseline field absent — not gated"
-                ),
-                Some((deg_rps, base_deg)) => {
-                    let max_serve_reg = baseline
-                        .get("max_serve_regression_pct")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(30.0);
-                    let deg_floor = base_deg * (1.0 - max_serve_reg / 100.0);
-                    println!(
-                        "serve degraded throughput: {deg_rps:.1} req/s (baseline {base_deg:.1}, \
-                         floor {deg_floor:.1} at -{max_serve_reg:.0}%)"
-                    );
-                    if deg_rps < deg_floor {
-                        failures.push(format!(
-                            "degraded-mode throughput regressed: {deg_rps:.1} req/s < floor \
-                             {deg_floor:.1} ({:.1}% below the {base_deg:.1} baseline)",
-                            (1.0 - deg_rps / base_deg) * 100.0
-                        ));
-                    }
-                }
-            }
-
-            // Snapshot warm-restart hit-rate: like the warm-cache bound,
-            // this is deterministic up to scheduling, so it gates
-            // unconditionally whenever the producer recorded it.
-            match record.get("snapshot_warm_hit_rate").and_then(Value::as_f64) {
-                None => println!("snapshot warm hit-rate: not recorded — not gated"),
-                Some(snap_hit) => {
-                    let min_snap_hit = baseline
-                        .get("min_snapshot_warm_hit_rate")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.9);
-                    println!("snapshot warm hit-rate: {snap_hit:.4} (floor {min_snap_hit})");
-                    if snap_hit < min_snap_hit {
-                        failures.push(format!(
-                            "snapshot warm-restart hit-rate too low: {snap_hit:.4} < \
-                             {min_snap_hit} — a restarted daemon is not answering its first \
-                             batch from the restored cache"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // Flow-model gate: only when bench_flow produced a record. The
-    // equivalence anchor and the fair-above-closed ordering are
-    // deterministic model outputs and gate unconditionally; the overlap
-    // costs are golden-gated against the baseline like the collectives,
-    // and the kernel throughput floor needs a baseline field, which
-    // `--write-baseline` bootstraps.
-    match &flow {
-        None => println!("flow model: BENCH_flow.json not present — not gated"),
-        Some(record) => {
-            let ppm = record
-                .get("single_flow_ppm")
-                .and_then(Value::as_f64)
-                .expect("single-flow ppm recorded");
-            println!("flow single-flow anchor: {ppm:.3} ppm vs closed form (bound 1 ppm)");
-            if ppm > 1.0 {
-                failures.push(format!(
-                    "fair sharing diverges from the closed form on a single flow: {ppm:.3} ppm \
-                     > 1 ppm — the progressive-filling drain no longer matches the analytic cost"
-                ));
-            }
-
-            let closed = record
-                .get("overlap_closed_form_ns")
-                .and_then(Value::as_u64)
-                .expect("overlap closed-form cost recorded");
-            let fair = record
-                .get("overlap_fair_sharing_ns")
-                .and_then(Value::as_u64)
-                .expect("overlap fair-sharing cost recorded");
-            if fair <= closed {
-                failures.push(format!(
-                    "fair sharing no longer prices contention: overlap plan {fair} ns <= \
-                     closed-form {closed} ns"
-                ));
-            }
-            let golden = [
-                ("closed-form", closed, "flow_overlap_closed_form_ns"),
-                ("fair-sharing", fair, "flow_overlap_fair_sharing_ns"),
-            ];
-            for (label, got, field) in golden {
-                match baseline.get(field).and_then(Value::as_u64) {
-                    None => println!(
-                        "flow overlap ({label}): {got} ns (no baseline yet — drift not gated)"
-                    ),
-                    Some(want) => {
-                        let rel = (got as f64 - want as f64).abs() / (want as f64).max(1.0);
-                        println!(
-                            "flow overlap ({label}): {got} ns (baseline {want} ns, drift {rel:.2e})"
-                        );
-                        if rel > tol {
-                            failures.push(format!(
-                                "flow overlap cost ({label}) drifted: {got} ns vs baseline \
-                                 {want} ns (rel {rel:.2e} > {tol:.0e})"
-                            ));
-                        }
-                    }
-                }
-            }
-
-            let eps = record
-                .get("flow_events_per_sec")
-                .and_then(Value::as_f64)
-                .expect("flow kernel throughput recorded");
-            match baseline.get("flow_events_per_sec").and_then(Value::as_f64) {
-                None => println!(
-                    "flow kernel: {:.2} Mevents/s (no baseline yet — throughput not gated)",
-                    eps / 1e6
-                ),
-                Some(base_eps) => {
-                    let max_flow_reg = baseline
-                        .get("max_flow_regression_pct")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(40.0);
-                    let flow_floor = base_eps * (1.0 - max_flow_reg / 100.0);
-                    println!(
-                        "flow kernel: {:.2} Mevents/s (baseline {:.2}, floor {:.2} at \
-                         -{max_flow_reg:.0}%)",
-                        eps / 1e6,
-                        base_eps / 1e6,
-                        flow_floor / 1e6
-                    );
-                    if eps < flow_floor {
-                        failures.push(format!(
-                            "flow kernel throughput regressed: {:.2} Mevents/s < floor {:.2} \
-                             ({:.1}% below the {:.2} Mevents/s baseline)",
-                            eps / 1e6,
-                            flow_floor / 1e6,
-                            (1.0 - eps / base_eps) * 100.0,
-                            base_eps / 1e6
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    let Some(Value::Array(base_rows)) = baseline.get("collectives") else {
-        panic!("baseline.collectives missing");
-    };
-    let lookup = |label: &str| -> Option<u64> {
-        base_rows.iter().find_map(|pair| match pair {
-            Value::Array(kv) if kv.len() == 2 => match (&kv[0], kv[1].as_u64()) {
-                (Value::String(l), Some(t)) if l == label => Some(t),
+            let base_field = match g.check {
+                Check::Same(name) | Check::Floor(name, ..) | Check::Golden(name, _) => Some(name),
                 _ => None,
-            },
-            _ => None,
-        })
-    };
-    for (label, got) in &rows {
-        match lookup(label) {
-            None => failures.push(format!("collective `{label}` missing from the baseline")),
-            Some(want) => {
-                let rel = (*got as f64 - want as f64).abs() / (want as f64).max(1.0);
-                if rel > tol {
-                    failures.push(format!(
-                        "collective `{label}` drifted: {got} ns vs baseline {want} ns \
-                         (rel {rel:.2e} > {tol:.0e})"
-                    ));
-                }
+            };
+            if let Some(field) = base_field {
+                let mut base = baseline();
+                set(&mut base, field, None);
+                let v = verdict_of(g.name, &fixture(), &base);
+                let expect_fail = g.need == Need::Both;
+                assert!(
+                    if expect_fail { is_fail(&v) } else { is_skip(&v) },
+                    "{} without baseline {field}: {v:?}",
+                    g.name
+                );
             }
         }
     }
-    // Symmetric check: a scenario silently dropped from the producer is
-    // a gating hole, not a pass.
-    for pair in base_rows {
-        if let Value::Array(kv) = pair {
-            if let Value::String(label) = &kv[0] {
-                if !rows.iter().any(|(l, _)| l == label) {
-                    failures.push(format!(
-                        "baseline collective `{label}` is no longer produced by bench_collectives"
-                    ));
-                }
-            }
-        }
-    }
-    println!("collective costs: {} scenarios checked against the baseline", rows.len());
 
-    if failures.is_empty() {
-        println!("perf gate: PASS");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("perf gate FAILURE: {f}");
+    #[test]
+    fn thresholds_default_unless_every_input_is_required() {
+        for (name, _) in THRESHOLDS {
+            let mut base = baseline();
+            set(&mut base, name, None);
+            let failed = failing(&fixture(), &base);
+            let required =
+                matches!(name, "max_throughput_regression_pct" | "collective_tolerance_rel");
+            assert_eq!(!failed.is_empty(), required, "baseline without {name}: {failed:?}");
         }
-        eprintln!(
-            "perf gate: FAIL ({} issue(s)). If intentional, regenerate with \
-             `check_bench -- --write-baseline` and document it in crates/bench/BASELINES.md.",
-            failures.len()
+    }
+
+    #[test]
+    fn the_required_rows_are_the_ones_the_gate_always_needed() {
+        let required: Vec<&str> =
+            GATES.iter().filter(|g| g.need != Need::Optional).map(|g| g.name).collect();
+        assert_eq!(
+            required,
+            [
+                "sweep grid",
+                "sweep points/s",
+                "replay tasks/s",
+                "serve req/s",
+                "flow kernel events/s",
+                "flow closed-form ns",
+                "flow fair-sharing ns",
+                "collective costs ns",
+                "serve warm hit-rate",
+                "flow single-flow ppm",
+                "flow fair > closed",
+            ]
         );
-        ExitCode::FAILURE
+    }
+
+    #[test]
+    fn an_unparsable_record_fails_its_gates() {
+        let mut records = fixture();
+        records.insert("serve", Err(Verdict::Fail("cannot parse BENCH_serve.json".into())));
+        let failed = failing(&records, &baseline());
+        let serve_gates: Vec<&str> =
+            GATES.iter().filter(|g| g.record == "serve").map(|g| g.name).collect();
+        assert_eq!(failed, serve_gates);
+        assert_eq!(
+            baseline_text(&records, &baseline()),
+            Err("cannot parse BENCH_serve.json".into())
+        );
+    }
+
+    #[test]
+    fn a_written_baseline_matches_the_fixture_and_passes_its_records() {
+        let text = baseline_text(&fixture(), &baseline()).expect("a baseline");
+        assert_eq!(text, BASELINE);
+        let fresh = baseline_text(&fixture(), &Value::Object(Vec::new())).expect("a baseline");
+        assert!(fresh.starts_with("{\n  \"max_throughput_regression_pct\": 25,\n"));
+        assert!(fresh.contains("\"max_obs_on_regression_pct\": 5,\n"));
+        assert!(fresh.contains("\"collective_tolerance_rel\": 1e-6,\n"));
+        assert!(fresh.contains("\"max_serve_regression_pct\": 30,\n"));
+        assert_eq!(failing(&fixture(), &json(&fresh)), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn a_written_baseline_carries_thresholds_and_absent_records_forward() {
+        let mut records = fixture();
+        set(record(&mut records, "sweep"), "points_per_sec", Some("800.24"));
+        for optional in ["serve", "flow"] {
+            records.insert(optional, need(None, String::new(), false));
+        }
+        let mut old = baseline();
+        set(&mut old, "min_parallel_efficiency", Some("0.55"));
+        let text = baseline_text(&records, &old).expect("a baseline");
+        assert_eq!(text, BASELINE.replace("400.0", "800.2").replace("0.6,", "0.55,"));
+
+        let mut none = old.clone();
+        for field in ["serve_requests_per_sec", "flow_overlap_fair_sharing_ns"] {
+            set(&mut none, field, None);
+        }
+        let text = baseline_text(&records, &none).expect("a baseline");
+        assert!(!text.contains("serve_requests_per_sec") && !text.contains("flow_overlap_fair"));
+        assert!(text.contains("\"serve_degraded_requests_per_sec\": 200.0,"));
+    }
+
+    #[test]
+    fn a_baseline_is_only_written_from_complete_exhaustive_records() {
+        let (records, base) = edited(&[("sweep", "goal", r#""best""#)]);
+        let verdicts = run(true, &records, &base);
+        assert_eq!(verdicts.len(), 1);
+        assert!(is_fail(&verdicts[0].1));
+        let mut records = fixture();
+        records.insert("sim", need(None, "BENCH_sim.json".into(), true));
+        assert!(baseline_text(&records, &baseline()).is_err());
+        let mut records = fixture();
+        set(record(&mut records, "sweep"), "points_per_sec", None);
+        assert!(baseline_text(&records, &baseline()).is_err());
     }
 }

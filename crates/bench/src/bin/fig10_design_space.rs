@@ -56,20 +56,19 @@ struct SweepBench {
     /// `--full`).
     points_per_sec_obs_off: Option<f64>,
     /// The same warm-cache re-run with the metrics registry and spans
-    /// enabled; `check_bench` gates `obs_on / obs_off` at the
-    /// baseline's `max_obs_on_regression_pct`.
+    /// enabled; a `check_bench` gate compares it with the obs-off twin.
     points_per_sec_obs_on: Option<f64>,
     /// Warm-cache re-run (best of 3) on exactly one worker thread — the
     /// single-thread twin of the parallel-efficiency gate.
     points_per_sec_1t: Option<f64>,
-    /// Warm-cache re-run on every available core; `check_bench` gates
-    /// parallel efficiency (`≥ 0.6·N×` of `points_per_sec_1t`).
+    /// Warm-cache re-run on every available core; a `check_bench` gate
+    /// compares it with `points_per_sec_1t` × `threads_mt`.
     points_per_sec_mt: Option<f64>,
     /// Thread count of the multi-thread re-run.
     threads_mt: Option<usize>,
     /// Whether every point of the warm sweep, delta-patched or not,
     /// equals a from-scratch [`Estimator::estimate`] of the same plan in
-    /// every field; `check_bench` requires `true` when present.
+    /// every field; a `check_bench` gate requires `true` when present.
     delta_equivalent: Option<bool>,
     /// Per-stage CPU-time attribution of a stage-profiled re-run
     /// (absent under `--full`).
