@@ -1,7 +1,7 @@
-//! Criterion benchmarks of the replay hot loop in isolation: the
-//! allocating `simulate` entry point vs the scratch-reusing
-//! `simulate_into` the sweep workers drive, across graph sizes — the
-//! micro-level companion to the `bench_sim` CI gate.
+//! Criterion benchmarks of the full-graph replay hot loop in isolation:
+//! the allocating `simulate` entry point vs the scratch-reusing
+//! `simulate_into`, across graph sizes — the micro-level companion to the
+//! `bench_sim` CI gate. (Sweeps run the compact replay, not this one.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vtrain_core::{simulate, simulate_into, Estimator, SimMode, SimReport, SimScratch, TaskGraph};

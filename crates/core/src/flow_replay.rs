@@ -16,12 +16,14 @@
 //! task readiness and fixed-duration finishes are engine events, and the
 //! network contributes a single re-armed `NetTick` event at the flow
 //! simulator's next join/drain boundary, invalidated by a generation
-//! counter whenever the flow set changes. With zero concurrent flows the
-//! physical-time schedule coincides with the logical-time one, so a
-//! contention-free replay reproduces the closed-form report exactly (see
-//! the equivalence tests in `estimate.rs`).
-
-use std::collections::VecDeque;
+//! counter whenever the flow set changes. The input is stream-chained (it
+//! comes from [`TaskGraph::lower_fused`]), so a task's stream predecessor
+//! is one of its dependencies and the stream is always free when the task
+//! becomes ready: a ready task starts at once, with no per-stream queue.
+//! With zero concurrent flows the physical-time schedule coincides with
+//! the logical-time one, so a contention-free replay reproduces the
+//! closed-form report exactly (see the equivalence tests in `estimate.rs`
+//! and the differential property test in `sim.rs`).
 
 use vtrain_engine::{Handler, Simulation};
 use vtrain_graph::CommKind;
@@ -57,9 +59,6 @@ struct FlowReplay<'a, 't> {
     flow_task: Vec<u32>,
     in_degree: Vec<u32>,
     started_at: Vec<TimeNs>,
-    /// Per-(device, stream) FIFO of ready tasks and the running task.
-    queues: Vec<VecDeque<u32>>,
-    running: Vec<Option<u32>>,
     device_busy: Vec<TimeNs>,
     busy: BusyBreakdown,
     iteration_time: TimeNs,
@@ -72,12 +71,6 @@ struct FlowReplay<'a, 't> {
 }
 
 impl<'a, 't> FlowReplay<'a, 't> {
-    fn lane(&self, task: u32) -> usize {
-        let dev = self.graph.devices()[task as usize] as usize;
-        let stream = self.graph.streams()[task as usize] as usize;
-        dev * 2 + stream
-    }
-
     /// Re-arms the network tick after a flow-set mutation and samples the
     /// observers.
     fn rearm(&mut self, sim: &mut Simulation<FlowEvent>) {
@@ -99,7 +92,7 @@ impl<'a, 't> FlowReplay<'a, 't> {
         }
     }
 
-    /// Starts `task` on its stream at the current time.
+    /// Starts `task` on its (free) stream at the current time.
     fn start_task(&mut self, task: u32, sim: &mut Simulation<FlowEvent>) {
         let now = sim.now();
         self.started_at[task as usize] = now;
@@ -132,7 +125,7 @@ impl<'a, 't> FlowReplay<'a, 't> {
         }
     }
 
-    /// Books the finished task and releases its stream and children.
+    /// Books the finished task and releases its children.
     fn finish_task(&mut self, task: u32, sim: &mut Simulation<FlowEvent>) {
         let i = task as usize;
         let now = sim.now();
@@ -164,29 +157,13 @@ impl<'a, 't> FlowReplay<'a, 't> {
                 sim.schedule(now, FlowEvent::Ready(c));
             }
         }
-
-        // The stream is free: start its next queued task.
-        let lane = self.lane(task);
-        self.running[lane] = None;
-        if let Some(next) = self.queues[lane].pop_front() {
-            self.running[lane] = Some(next);
-            self.start_task(next, sim);
-        }
     }
 }
 
 impl Handler<FlowEvent> for FlowReplay<'_, '_> {
     fn handle(&mut self, event: FlowEvent, sim: &mut Simulation<FlowEvent>) {
         match event {
-            FlowEvent::Ready(task) => {
-                let lane = self.lane(task);
-                if self.running[lane].is_none() {
-                    self.running[lane] = Some(task);
-                    self.start_task(task, sim);
-                } else {
-                    self.queues[lane].push_back(task);
-                }
-            }
+            FlowEvent::Ready(task) => self.start_task(task, sim),
             FlowEvent::Finish(task) => self.finish_task(task, sim),
             FlowEvent::NetTick(generation) => {
                 if generation != self.generation {
@@ -207,6 +184,9 @@ impl Handler<FlowEvent> for FlowReplay<'_, '_> {
 /// per executed task; `net_trace` observes `(time, per-tier utilization)`
 /// at every refill.
 ///
+/// `graph` must be [stream-chained](TaskGraph::is_stream_chained), as
+/// every [`TaskGraph::lower_fused`] graph is (checked in debug builds).
+///
 /// # Panics
 ///
 /// Panics if `programs.len() != graph.len()` or the graph has a cycle.
@@ -218,7 +198,7 @@ pub(crate) fn simulate_flows<'t>(
     net_trace: Option<NetTrace<'t>>,
 ) -> SimReport {
     assert_eq!(programs.len(), graph.len(), "one program slot per task");
-    let lanes = graph.num_devices() as usize * 2;
+    debug_assert!(graph.is_stream_chained(), "the flow replay needs a stream-chained graph");
     let mut in_degree = Vec::new();
     graph.fill_in_degrees(&mut in_degree);
 
@@ -237,8 +217,6 @@ pub(crate) fn simulate_flows<'t>(
         flow_task: Vec::new(),
         in_degree,
         started_at: vec![TimeNs::ZERO; graph.len()],
-        queues: vec![VecDeque::new(); lanes],
-        running: vec![None; lanes],
         device_busy: vec![TimeNs::ZERO; graph.num_devices() as usize],
         busy: BusyBreakdown::default(),
         iteration_time: TimeNs::ZERO,

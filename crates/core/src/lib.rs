@@ -7,9 +7,10 @@
 //! **lower** (necessary-operator signatures resolved against a shared
 //! concurrent profile cache, then graph construction fused with lowering
 //! into a [`TaskGraph`]) → **simulate** ([`simulate`] replays **Algorithm
-//! 1** — a FIFO ready-queue traversal over per-(GPU, stream) timelines
-//! honoring dependencies and computation/communication overlap; stream-
-//! chained graphs take a provably equivalent dataflow fast path) →
+//! 1** — the paper's FIFO ready-queue traversal over per-(GPU, stream)
+//! timelines honoring dependencies and computation/communication overlap,
+//! run as a provably equivalent dataflow pass because every lowered graph
+//! is stream-chained, the one input contract) →
 //! **summarize** (fold the replay into an [`IterationEstimate`]).
 //! [`Estimator::estimate`] composes the stages with lowering and replay
 //! fused on a run-aggregated compact graph (bit-identical to the full

@@ -1,19 +1,16 @@
 //! Algorithm 1: estimating single-iteration training time by replaying the
 //! task-granularity execution graph over per-GPU timelines.
 //!
-//! The replay runs on the shared [`vtrain_engine`] discrete-event kernel:
-//! tasks become engine events, per-GPU compute/communication streams become
-//! [`TimelineSet`] resources. Algorithm 1 is a *logical-time* replay — the
-//! paper processes the ready queue in FIFO order, not in physical-time
-//! order — so every readiness event is scheduled at the same logical tick
-//! and the engine's sequence-number tie-break reproduces the FIFO queue
-//! exactly, while physical start/finish times accumulate on the stream
-//! timelines. This keeps the port bit-identical to the paper's pseudocode
-//! (proven by the golden-equivalence property test below).
+//! The replay's contract is a [stream-chained](TaskGraph::is_stream_chained)
+//! graph: each task depends on the task before it on its (device, stream).
+//! Every graph the builder emits is chained, and on a chained graph the
+//! paper's FIFO ready queue cannot influence any start time — a task's
+//! stream is free by the time its dependencies are met. So the replay is a
+//! dataflow longest-path relaxation over the DAG, with no stream timelines,
+//! and a literal FIFO transcription of the pseudocode stays behind as the
+//! test oracle it is proven bit-identical to.
 
 use serde::{Deserialize, Serialize};
-use vtrain_engine::resource::TimelineSet;
-use vtrain_engine::{Handler, Simulation};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{CommKind, CommScope};
 use vtrain_model::TimeNs;
@@ -83,85 +80,20 @@ impl SimReport {
     }
 }
 
-/// The engine event of the replay: task `0..n` has all dependencies
-/// satisfied and enters the ready queue.
-struct TaskReady(u32);
-
 /// Per-task observer of a traced replay: `(task id, start, finish)` on
 /// the simulated clock, invoked once per executed task.
 pub type TaskTrace<'t> = &'t mut dyn FnMut(u32, TimeNs, TimeNs);
 
 /// Reusable buffers of the replay — Algorithm 1's `ref`/`ready` arrays,
-/// the dataflow traversal stack, the chain-check scratch, and the engine
-/// simulation itself. A sweep worker threads one of these through every
-/// point it evaluates, so steady-state replays perform no per-point heap
-/// allocation in either the dataflow or the engine path.
+/// the dataflow traversal stack and the chain-check scratch. Repeated
+/// replays through one scratch perform no per-graph heap allocation once
+/// the buffers have grown to the largest graph.
 #[derive(Default)]
 pub struct SimScratch {
     in_degree: Vec<u32>,
     ready_at: Vec<TimeNs>,
     stack: Vec<u32>,
     chain_last: Vec<Option<u32>>,
-    engine: Simulation<TaskReady>,
-    streams: TimelineSet,
-}
-
-/// Engine handler executing ready tasks over the per-(device, stream)
-/// timelines.
-struct Replay<'a, 'b, 't> {
-    graph: &'a TaskGraph,
-    mode: SimMode<'a>,
-    in_degree: &'b mut [u32],
-    /// Dependency-completion time per task (Algorithm 1's `ready`).
-    ready_at: &'b mut [TimeNs],
-    /// Per-(device, stream) availability — the engine resources.
-    streams: &'b mut TimelineSet,
-    device_busy: &'b mut [TimeNs],
-    busy: BusyBreakdown,
-    iteration_time: TimeNs,
-    executed: usize,
-    trace: Option<TaskTrace<'t>>,
-}
-
-impl Handler<TaskReady> for Replay<'_, '_, '_> {
-    fn handle(&mut self, TaskReady(u): TaskReady, sim: &mut Simulation<TaskReady>) {
-        let i = u as usize;
-        let kind = self.graph.kinds()[i];
-        let duration = effective_duration(u, self.graph.durations()[i], &kind, &self.mode);
-        let dev = self.graph.devices()[i] as usize;
-        let stream = self.graph.streams()[i] as usize;
-        let reservation = self.streams.reserve(dev, stream, self.ready_at[i], duration);
-        self.iteration_time = self.iteration_time.max(reservation.finish);
-        if let Some(trace) = self.trace.as_mut() {
-            trace(u, reservation.start, reservation.finish);
-        }
-
-        match kind {
-            TaskKind::Compute { .. } => {
-                self.busy.compute += duration;
-                self.device_busy[dev] += duration;
-            }
-            TaskKind::Comm { kind, .. } => match kind {
-                CommKind::TpAllReduce => {
-                    self.busy.tp_comm += duration;
-                    self.device_busy[dev] += duration;
-                }
-                CommKind::DpAllReduce => self.busy.dp_comm += duration,
-                CommKind::PpSendRecv => self.busy.pp_comm += duration,
-            },
-        }
-
-        for &c in self.graph.children(u) {
-            self.ready_at[c as usize] = self.ready_at[c as usize].max(reservation.finish);
-            self.in_degree[c as usize] -= 1;
-            if self.in_degree[c as usize] == 0 {
-                // All readiness events share one logical tick; the queue's
-                // sequence tie-break makes dispatch order exactly FIFO.
-                sim.schedule(TimeNs::ZERO, TaskReady(c));
-            }
-        }
-        self.executed += 1;
-    }
 }
 
 /// Replays the task graph (Algorithm 1 of the paper).
@@ -172,17 +104,17 @@ impl Handler<TaskReady> for Replay<'_, '_, '_> {
 /// its children. The per-device compute and communication streams advance
 /// independently, modeling computation/communication overlap (Fig. 5).
 ///
-/// When the graph is [stream-chained](TaskGraph::is_stream_chained) — true
-/// for everything the graph builder produces — the FIFO schedule is fully
-/// determined by the DAG and the replay runs on the allocation-light
-/// dataflow fast path; otherwise it runs on the discrete-event engine.
-/// Both paths produce bit-identical reports on chained graphs (see the
-/// equivalence property test).
+/// The graph must be [stream-chained](TaskGraph::is_stream_chained), as
+/// everything the graph builder produces is. Then a task's stream is free
+/// whenever its dependencies are, and the replay runs as a dataflow
+/// relaxation bit-identical to the paper's FIFO queue (see the differential
+/// property test).
 ///
 /// # Panics
 ///
-/// Panics if the graph contains a dependency cycle (some task never becomes
-/// ready).
+/// Panics if the graph is not stream-chained (a deserialized or
+/// hand-built graph can break the contract), or if it contains a
+/// dependency cycle (some task never becomes ready).
 pub fn simulate(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
     let mut report = SimReport::default();
     simulate_into(graph, mode, &mut SimScratch::default(), &mut report);
@@ -192,6 +124,10 @@ pub fn simulate(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
 /// [`simulate`] over caller-owned scratch buffers, writing the result into
 /// `report` (whose `device_busy` vector is reused). Repeated calls on
 /// graphs of non-increasing size perform no heap allocation.
+///
+/// # Panics
+///
+/// As [`simulate`]: on a graph that is not stream-chained or has a cycle.
 pub fn simulate_into(
     graph: &TaskGraph,
     mode: SimMode<'_>,
@@ -209,6 +145,10 @@ pub fn simulate_into(
 /// graph's columns, which for [`TaskGraph::lower`]ed graphs also
 /// index the originating `OpGraph`'s nodes, so a caller can join spans
 /// back to operator names — the timeline exporter's labeling path.
+///
+/// # Panics
+///
+/// As [`simulate`]: on a graph that is not stream-chained or has a cycle.
 pub fn simulate_into_traced(
     graph: &TaskGraph,
     mode: SimMode<'_>,
@@ -219,25 +159,7 @@ pub fn simulate_into_traced(
     simulate_into_with(graph, mode, scratch, report, Some(trace));
 }
 
-fn simulate_into_with(
-    graph: &TaskGraph,
-    mode: SimMode<'_>,
-    scratch: &mut SimScratch,
-    report: &mut SimReport,
-    trace: Option<TaskTrace<'_>>,
-) {
-    report.busy = BusyBreakdown::default();
-    report.iteration_time = TimeNs::ZERO;
-    report.device_busy.clear();
-    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
-    if graph.is_stream_chained_with(&mut scratch.chain_last) {
-        simulate_dataflow(graph, mode, scratch, report, trace);
-    } else {
-        simulate_engine_into(graph, mode, scratch, report, trace);
-    }
-}
-
-/// The dataflow fast path: longest-path relaxation over the DAG.
+/// The replay proper: longest-path relaxation over the DAG.
 ///
 /// Correctness argument. On a stream-chained graph, tasks reserve each
 /// (device, stream) timeline in chain order, and a task's chain
@@ -248,14 +170,21 @@ fn simulate_into_with(
 /// the FIFO dispatch order cannot influence any start time, and every
 /// quantity the report aggregates (max finish, commutative busy sums) is
 /// traversal-order independent. Hence this traversal — plain Kahn with a
-/// stack — reproduces the engine replay bit for bit.
-fn simulate_dataflow(
+/// stack — reproduces the FIFO replay bit for bit.
+fn simulate_into_with(
     graph: &TaskGraph,
     mode: SimMode<'_>,
     scratch: &mut SimScratch,
     report: &mut SimReport,
     mut trace: Option<TaskTrace<'_>>,
 ) {
+    assert!(
+        graph.is_stream_chained_with(&mut scratch.chain_last),
+        "task graph is not stream-chained: each task must depend on the previous task on its \
+         (device, stream)"
+    );
+    report.device_busy.clear();
+    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
     let n = graph.len();
     graph.fill_in_degrees(&mut scratch.in_degree);
     let in_degree = &mut scratch.in_degree;
@@ -320,61 +249,6 @@ fn simulate_dataflow(
     report.tasks_executed = executed;
 }
 
-/// The general path: Algorithm 1 on the shared discrete-event engine.
-fn simulate_engine_into(
-    graph: &TaskGraph,
-    mode: SimMode<'_>,
-    scratch: &mut SimScratch,
-    report: &mut SimReport,
-    trace: Option<TaskTrace<'_>>,
-) {
-    let n = graph.len();
-    let devices = graph.num_devices() as usize;
-    graph.fill_in_degrees(&mut scratch.in_degree);
-    scratch.ready_at.clear();
-    scratch.ready_at.resize(n, TimeNs::ZERO);
-    scratch.streams.reset(devices, 2);
-    let mut replay = Replay {
-        graph,
-        mode,
-        in_degree: &mut scratch.in_degree,
-        ready_at: &mut scratch.ready_at,
-        streams: &mut scratch.streams,
-        device_busy: &mut report.device_busy,
-        busy: BusyBreakdown::default(),
-        iteration_time: TimeNs::ZERO,
-        executed: 0,
-        trace,
-    };
-
-    let sim = &mut scratch.engine;
-    sim.reset();
-    for i in 0..n as u32 {
-        if replay.in_degree[i as usize] == 0 {
-            sim.schedule(TimeNs::ZERO, TaskReady(i));
-        }
-    }
-    sim.run(&mut replay);
-
-    assert_eq!(
-        replay.executed, n,
-        "task graph contains a cycle: {} of {n} tasks ran",
-        replay.executed
-    );
-    report.iteration_time = replay.iteration_time;
-    report.busy = replay.busy;
-    report.tasks_executed = replay.executed;
-}
-
-/// The engine path with fresh buffers (test comparison hook).
-#[cfg(test)]
-fn simulate_engine(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
-    let mut report = SimReport::default();
-    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
-    simulate_engine_into(graph, mode, &mut SimScratch::default(), &mut report, None);
-    report
-}
-
 /// Applies the mode's perturbations to one task's clean duration.
 fn effective_duration(task_id: u32, clean: TimeNs, kind: &TaskKind, mode: &SimMode<'_>) -> TimeNs {
     match mode {
@@ -402,9 +276,10 @@ fn effective_duration(task_id: u32, clean: TimeNs, kind: &TaskKind, mode: &SimMo
     }
 }
 
-/// The paper's pseudocode transcribed literally (the pre-engine,
-/// pre-columnar implementation), kept as the golden reference both the
-/// engine port and the columnar refactor are tested against: it walks the
+/// The paper's pseudocode transcribed literally — a FIFO ready queue over
+/// per-(device, stream) availability (the pre-columnar implementation) —
+/// kept as the golden reference every full-graph replay is tested against:
+/// it walks the
 /// CSR through the assembled per-task [`TaskGraph::task`] view (the old
 /// array-of-structs access pattern), so any misalignment the column split
 /// could introduce shows up as a report divergence here.
@@ -475,6 +350,7 @@ mod tests {
     use vtrain_profile::{CommModel, Profiler};
 
     use super::*;
+    use crate::flow_replay::simulate_flows;
 
     fn lower(
         t: usize,
@@ -520,13 +396,11 @@ mod tests {
 
     #[test]
     fn two_runs_produce_bit_identical_reports() {
-        // Regression test for replay-ordering nondeterminism: the engine
-        // queue's sequence tie-break guarantees equal-timestamp events pop
-        // in insertion order, so the whole serialized report must match
-        // byte for byte run-to-run. Same-process heap behavior alone would
-        // also repeat, so each run is additionally pinned to the reference
-        // VecDeque replay — a genuinely FIFO structure — which breaks if
-        // the tie-break is ever removed.
+        // Regression test for replay-ordering nondeterminism: the whole
+        // serialized report must match byte for byte run-to-run. Repeating
+        // within one process alone proves little, so each run is
+        // additionally pinned to the reference VecDeque replay — a
+        // genuinely FIFO structure.
         let tg = lower(2, 2, 2, 1, 8, PipelineSchedule::OneFOneB, true);
         let noise = NoiseModel::new(NoiseConfig::default());
         for mode in [SimMode::Predicted, SimMode::Measured { noise: &noise, nodes: 2 }] {
@@ -627,12 +501,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-        /// Golden equivalence: on sampled `(t, d, p, m)` design points, the
-        /// engine-backed replay reproduces the legacy FIFO replay *exactly*
-        /// — iteration time, busy breakdown, per-device busy vectors — in
-        /// both Predicted and Measured modes.
+        /// Golden equivalence of the full-graph replays: on sampled
+        /// `(t, d, p, m)` design points, the dataflow replay reproduces the
+        /// literal FIFO pseudocode *exactly* — iteration time, busy
+        /// breakdown, per-device busy vectors — in both Predicted and
+        /// Measured modes, and so does the fair-sharing replay when no task
+        /// carries a flow program (Predicted only: it replays clean
+        /// durations).
         #[test]
-        fn engine_replay_matches_legacy_exactly(
+        fn full_graph_replays_match_the_reference_exactly(
             t_exp in 0usize..=1,
             d_exp in 0usize..=1,
             p_exp in 0usize..=2,
@@ -646,22 +523,15 @@ mod tests {
             let tg = lower(t, d, p, m, b, sched, bucketing);
             assert!(tg.is_stream_chained(), "builder graphs are stream-chained");
 
-            // All three replays — dataflow fast path (what simulate picks
-            // for chained graphs), engine replay, legacy pseudocode — must
-            // agree exactly.
-            let fast = simulate(&tg, SimMode::Predicted);
-            let engine = simulate_engine(&tg, SimMode::Predicted);
             let legacy = simulate_reference(&tg, SimMode::Predicted);
-            assert_reports_identical(&fast, &engine);
-            assert_reports_identical(&engine, &legacy);
+            assert_reports_identical(&simulate(&tg, SimMode::Predicted), &legacy);
+            let topology = ClusterSpec::aws_p4d(256).topology(1.0);
+            let flows = simulate_flows(&tg, &vec![None; tg.len()], &topology, None, None);
+            assert_reports_identical(&flows, &legacy);
 
             let noise = NoiseModel::new(NoiseConfig::default());
             let mode = SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) };
-            let fast = simulate(&tg, mode);
-            let engine = simulate_engine(&tg, mode);
-            let legacy = simulate_reference(&tg, mode);
-            assert_reports_identical(&fast, &engine);
-            assert_reports_identical(&engine, &legacy);
+            assert_reports_identical(&simulate(&tg, mode), &simulate_reference(&tg, mode));
         }
 
         /// Tracing is pure observation: a traced replay produces a

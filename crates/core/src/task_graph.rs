@@ -263,8 +263,8 @@ impl TaskGraph {
 
     /// True if every per-(device, stream) program is totally ordered by
     /// dependency edges — the structural property under which the FIFO
-    /// replay's schedule is fully determined by the DAG alone, licensing
-    /// the simulator's dataflow fast path.
+    /// replay's schedule is fully determined by the DAG alone — the
+    /// contract [`simulate`](crate::simulate) requires of its input.
     ///
     /// Verified by an O(edges) scan on every call (graphs the builder
     /// produces always pass): the property is *checked*, never trusted —
@@ -442,6 +442,14 @@ mod tests {
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig};
     use vtrain_profile::{ProfileCache, Profiler};
 
+    /// A 1 µs single-kernel compute task on device 0's compute stream.
+    const UNIT_TASK: Task = Task {
+        device: 0,
+        stream: 0,
+        duration: TimeNs::from_micros(1),
+        kind: TaskKind::Compute { kernels: 1 },
+    };
+
     fn lower_plan(t: usize, d: usize, p: usize) -> TaskGraph {
         let model = presets::megatron("1.7B");
         let plan = ParallelConfig::builder()
@@ -569,20 +577,22 @@ mod tests {
 
     #[test]
     fn hand_built_unchained_graph_is_detected() {
-        // Two tasks on one stream with no edge between them: not chained.
-        let task = Task {
-            device: 0,
-            stream: 0,
-            duration: TimeNs::from_micros(1),
-            kind: TaskKind::Compute { kernels: 1 },
-        };
-        let tg = TaskGraph::assemble(vec![task, task], vec![0, 0, 0], vec![], 1);
+        let tg = TaskGraph::assemble(vec![UNIT_TASK, UNIT_TASK], vec![0, 0, 0], vec![], 1);
         assert!(!tg.is_stream_chained());
         // Adding the chain edge restores the property.
-        let tg = TaskGraph::assemble(vec![task, task], vec![0, 1, 1], vec![1], 1);
+        let tg = TaskGraph::assemble(vec![UNIT_TASK, UNIT_TASK], vec![0, 1, 1], vec![1], 1);
         assert!(tg.is_stream_chained());
         let mut deg = Vec::new();
         tg.fill_in_degrees(&mut deg);
         assert_eq!(deg, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task graph is not stream-chained")]
+    fn replaying_an_unchained_graph_panics() {
+        // Two tasks on one stream with no edge between them: the replay
+        // rejects the graph instead of guessing a stream order.
+        let tg = TaskGraph::assemble(vec![UNIT_TASK, UNIT_TASK], vec![0, 0, 0], vec![], 1);
+        crate::sim::simulate(&tg, crate::sim::SimMode::Predicted);
     }
 }

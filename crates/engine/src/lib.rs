@@ -1,25 +1,23 @@
 //! # vtrain-engine
 //!
-//! The deterministic discrete-event simulation kernel shared by both of
-//! the workspace's simulators: the Algorithm 1 single-iteration replayer
-//! (`vtrain-core::simulate`) and the multi-tenant cluster scheduler
-//! (`vtrain-cluster::simulate_cluster`).
+//! The deterministic discrete-event simulation kernel shared by the
+//! workspace's physical-time simulators: the fair-sharing network replay
+//! of one training iteration (`vtrain-core`'s flow replay) and the
+//! multi-tenant cluster scheduler (`vtrain-cluster::simulate_cluster`).
+//! The closed-form Algorithm 1 replay (`vtrain-core::simulate`) needs no
+//! event queue: its graphs are stream-chained, so it is a dataflow pass.
 //!
 //! The kernel provides three things:
 //!
 //! * **A time-ordered event queue** ([`EventQueue`]) — a binary heap keyed
 //!   by `(time, sequence)`. The explicit monotonically increasing sequence
 //!   number makes equal-timestamp pops follow *insertion order*, so replay
-//!   is bit-identical run to run regardless of heap internals. Scheduling
-//!   every event at the same instant degrades the queue to an exact FIFO,
-//!   which is precisely how the Algorithm 1 port preserves the paper's
-//!   ready-queue semantics.
+//!   is bit-identical run to run regardless of heap internals.
 //! * **Typed events and pluggable handlers** — the event payload is a
 //!   caller-chosen type `E`; a [`Handler`] consumes popped events and
 //!   schedules follow-ups through the [`Simulation`] it is handed.
-//! * **Resources** ([`resource`]) — serially reusable timelines such as a
-//!   GPU's compute or communication stream, plus a counting [`resource::
-//!   CapacityPool`] for cluster-style whole-GPU accounting.
+//! * **Resources** ([`resource`]) — a counting [`resource::CapacityPool`]
+//!   for cluster-style whole-GPU accounting.
 //!
 //! A [`Simulation`] owns the clock, the queue, run statistics
 //! ([`RunStats`]), and an optional tracing hook observing every dispatched

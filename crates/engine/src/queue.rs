@@ -42,18 +42,17 @@ impl<E> Ord for EventEntry<E> {
 ///
 /// Events pop in ascending `(time, seq)` order, where `seq` is assigned at
 /// insertion. Equal-timestamp events therefore pop in exactly the order
-/// they were scheduled — the property the Algorithm 1 port relies on to
-/// reproduce the paper's FIFO ready queue, and the property that makes
-/// whole-simulation replays bit-identical.
+/// they were scheduled — the property that makes whole-simulation replays
+/// bit-identical.
 #[derive(Clone, Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
     /// Same-timestamp fast lane: a run of entries all sharing one dispatch
     /// time, in ascending `seq` order (guaranteed because `seq` is assigned
     /// monotonically and entries only append). Consecutive same-time pushes
-    /// — the shape Algorithm 1 produces, where *every* readiness event
-    /// lands on one logical tick — bypass the heap entirely, making them
-    /// O(1) instead of O(log n).
+    /// — the shape a finishing task produces when it releases several
+    /// children at once — bypass the heap entirely, making them O(1)
+    /// instead of O(log n).
     ///
     /// Correctness: pop takes the global `(time, seq)` minimum of the heap
     /// top and the lane front. The lane front is the lane's minimum (sorted
@@ -62,8 +61,7 @@ pub struct EventQueue<E> {
     /// in exactly the order a single heap would.
     fifo: VecDeque<EventEntry<E>>,
     next_seq: u64,
-    /// Deepest the queue has ever been (pending events), across the
-    /// queue's lifetime until [`EventQueue::clear`].
+    /// Deepest the queue has ever been (pending events).
     max_depth: usize,
 }
 
@@ -151,19 +149,9 @@ impl<E> EventQueue<E> {
     }
 
     /// The deepest the queue has ever been (maximum simultaneous pending
-    /// events) since construction or the last [`EventQueue::clear`].
+    /// events) since construction.
     pub fn high_watermark(&self) -> usize {
         self.max_depth
-    }
-
-    /// Empties the queue and restarts sequence numbering, keeping the
-    /// allocations of both the heap and the FIFO lane — the reuse hook for
-    /// callers that run many simulations back to back.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.fifo.clear();
-        self.next_seq = 0;
-        self.max_depth = 0;
     }
 }
 
@@ -254,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn high_watermark_tracks_peak_depth_and_clears() {
+    fn high_watermark_tracks_peak_depth() {
         let mut q = EventQueue::new();
         assert_eq!(q.high_watermark(), 0);
         q.push(TimeNs::ZERO, 1);
@@ -263,14 +251,9 @@ mod tests {
         assert_eq!(q.high_watermark(), 3);
         q.pop();
         q.pop();
-        // Draining does not lower the watermark …
+        // Draining does not lower the watermark.
         assert_eq!(q.high_watermark(), 3);
         q.push(TimeNs::from_micros(2), 4);
         assert_eq!(q.high_watermark(), 3, "depth 2 never beats the old peak");
-        // … but a clear restarts it with the sequence numbering.
-        q.clear();
-        assert_eq!(q.high_watermark(), 0);
-        q.push(TimeNs::ZERO, 5);
-        assert_eq!(q.high_watermark(), 1);
     }
 }

@@ -1,131 +1,5 @@
-//! Serially reusable resources simulated entities contend for.
-//!
-//! The replayer models each GPU as a small fixed set of *streams* (compute
-//! and communication), each a [`StreamTimeline`]: work placed on a stream
-//! starts no earlier than both its own readiness and the stream's previous
-//! completion. The cluster scheduler models the shared GPU fleet as a
-//! [`CapacityPool`].
-
-use vtrain_model::TimeNs;
-
-/// The `[start, finish)` window a timeline granted to one piece of work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Reservation {
-    /// When the work begins on the stream.
-    pub start: TimeNs,
-    /// When the stream becomes free again.
-    pub finish: TimeNs,
-}
-
-/// A serially reusable timeline (one GPU stream): work executes one item
-/// at a time, in reservation order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StreamTimeline {
-    available: TimeNs,
-    busy: TimeNs,
-}
-
-impl StreamTimeline {
-    /// A timeline that is free from time zero.
-    pub fn new() -> Self {
-        StreamTimeline::default()
-    }
-
-    /// Reserves the stream for `duration` starting no earlier than
-    /// `ready`: the work begins at `max(ready, available)` and occupies
-    /// the stream until `start + duration`.
-    pub fn reserve(&mut self, ready: TimeNs, duration: TimeNs) -> Reservation {
-        let start = ready.max(self.available);
-        let finish = start + duration;
-        self.available = finish;
-        self.busy += duration;
-        Reservation { start, finish }
-    }
-
-    /// Earliest time new work could begin.
-    pub fn available_at(&self) -> TimeNs {
-        self.available
-    }
-
-    /// Total time the stream has spent executing work.
-    pub fn busy_time(&self) -> TimeNs {
-        self.busy
-    }
-}
-
-/// The per-device stream timelines of a simulated machine: `devices ×
-/// streams_per_device` independent [`StreamTimeline`]s.
-#[derive(Clone, Debug)]
-pub struct TimelineSet {
-    streams_per_device: usize,
-    timelines: Vec<StreamTimeline>,
-}
-
-impl Default for TimelineSet {
-    /// An empty set (no devices); re-shape with [`TimelineSet::reset`].
-    fn default() -> Self {
-        TimelineSet::new(0, 0)
-    }
-}
-
-impl TimelineSet {
-    /// Creates timelines for `devices` devices with `streams_per_device`
-    /// streams each.
-    pub fn new(devices: usize, streams_per_device: usize) -> Self {
-        TimelineSet {
-            streams_per_device,
-            timelines: vec![StreamTimeline::new(); devices * streams_per_device],
-        }
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.timelines.len().checked_div(self.streams_per_device).unwrap_or(0)
-    }
-
-    /// Re-shapes the set to `devices × streams_per_device` fresh (free
-    /// from time zero) timelines, keeping the backing allocation — the
-    /// reuse hook for replay loops that simulate many machines back to
-    /// back.
-    pub fn reset(&mut self, devices: usize, streams_per_device: usize) {
-        self.streams_per_device = streams_per_device;
-        self.timelines.clear();
-        self.timelines.resize(devices * streams_per_device, StreamTimeline::new());
-    }
-
-    /// Reserves `duration` on `(device, stream)` starting no earlier than
-    /// `ready`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` or `stream` is out of range.
-    pub fn reserve(
-        &mut self,
-        device: usize,
-        stream: usize,
-        ready: TimeNs,
-        duration: TimeNs,
-    ) -> Reservation {
-        assert!(stream < self.streams_per_device, "stream {stream} out of range");
-        self.timelines[device * self.streams_per_device + stream].reserve(ready, duration)
-    }
-
-    /// The `(device, stream)` timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` or `stream` is out of range.
-    pub fn get(&self, device: usize, stream: usize) -> &StreamTimeline {
-        assert!(stream < self.streams_per_device, "stream {stream} out of range");
-        &self.timelines[device * self.streams_per_device + stream]
-    }
-
-    /// Latest completion over all timelines — the makespan of everything
-    /// reserved so far.
-    pub fn horizon(&self) -> TimeNs {
-        self.timelines.iter().map(StreamTimeline::available_at).max().unwrap_or(TimeNs::ZERO)
-    }
-}
+//! Resources simulated entities contend for: the cluster scheduler models
+//! the shared GPU fleet as a [`CapacityPool`].
 
 /// A counting resource: `total` interchangeable units (the cluster's
 /// GPUs), of which some are granted out.
@@ -186,36 +60,6 @@ impl CapacityPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_serializes_work() {
-        let mut s = StreamTimeline::new();
-        let a = s.reserve(TimeNs::ZERO, TimeNs::from_micros(10));
-        assert_eq!(a.start, TimeNs::ZERO);
-        assert_eq!(a.finish, TimeNs::from_micros(10));
-        // Ready earlier than the stream frees up: waits.
-        let b = s.reserve(TimeNs::from_micros(2), TimeNs::from_micros(5));
-        assert_eq!(b.start, TimeNs::from_micros(10));
-        assert_eq!(b.finish, TimeNs::from_micros(15));
-        // Ready after the stream frees up: starts at readiness (idle gap).
-        let c = s.reserve(TimeNs::from_micros(20), TimeNs::from_micros(1));
-        assert_eq!(c.start, TimeNs::from_micros(20));
-        assert_eq!(s.busy_time(), TimeNs::from_micros(16));
-        assert_eq!(s.available_at(), TimeNs::from_micros(21));
-    }
-
-    #[test]
-    fn timeline_set_isolates_streams() {
-        let mut set = TimelineSet::new(2, 2);
-        set.reserve(0, 0, TimeNs::ZERO, TimeNs::from_micros(10));
-        let comm = set.reserve(0, 1, TimeNs::ZERO, TimeNs::from_micros(3));
-        assert_eq!(comm.start, TimeNs::ZERO, "streams on one device are independent");
-        let other = set.reserve(1, 0, TimeNs::ZERO, TimeNs::from_micros(4));
-        assert_eq!(other.start, TimeNs::ZERO, "devices are independent");
-        assert_eq!(set.horizon(), TimeNs::from_micros(10));
-        assert_eq!(set.get(0, 0).busy_time(), TimeNs::from_micros(10));
-        assert_eq!(set.num_devices(), 2);
-    }
 
     #[test]
     fn capacity_pool_accounts_units() {

@@ -101,18 +101,6 @@ impl<E> Simulation<E> {
         RunStats { events_scheduled: self.queue.total_scheduled(), ..self.stats }
     }
 
-    /// Resets the simulation to time zero with an empty queue and fresh
-    /// statistics, keeping the queue's allocations. Equivalent to
-    /// replacing the simulation with a new one, minus the reallocation —
-    /// the reuse hook for replay loops that simulate many graphs back to
-    /// back (the design-space sweep's per-thread scratch).
-    pub fn reset(&mut self) {
-        self.queue.clear();
-        self.now = TimeNs::ZERO;
-        self.stats = RunStats::default();
-        self.stopped = false;
-    }
-
     /// Dispatches the single earliest event to `handler`. Returns false if
     /// the queue was empty or the simulation was stopped.
     pub fn step(&mut self, handler: &mut impl Handler<E>) -> bool {
@@ -241,33 +229,6 @@ mod tests {
         sim.run(&mut rec);
         assert_eq!(*log.borrow(), vec![(TimeNs::from_micros(1), 0), (TimeNs::from_micros(1), 1)]);
         assert!(sim.take_trace().is_some());
-    }
-
-    #[test]
-    fn recycled_simulation_pending_never_underflows() {
-        let mut sim = Simulation::new();
-        sim.schedule(TimeNs::from_micros(1), Ev::Tick(1));
-        let mut rec = Recorder::default();
-        let first = sim.run(&mut rec); // 4 events
-        assert_eq!(first.events_pending(), 0);
-
-        // Recycle the simulation for a second, smaller run.
-        sim.reset();
-        assert_eq!(sim.stats().events_pending(), 0);
-        sim.schedule(TimeNs::from_micros(1), Ev::Tick(4));
-        let second = sim.run(&mut rec); // 1 event
-        assert_eq!(second.events_pending(), 0);
-
-        // Aggregate accounting across the recycle — processed carried
-        // forward against the restarted schedule counter — must saturate
-        // to zero rather than underflow (this wrapped before the
-        // `saturating_sub` hardening).
-        let aggregate = RunStats {
-            events_processed: first.events_processed + second.events_processed,
-            ..second
-        };
-        assert!(aggregate.events_processed > aggregate.events_scheduled);
-        assert_eq!(aggregate.events_pending(), 0);
     }
 
     #[test]

@@ -18,11 +18,11 @@ impl RunStats {
     /// Events still pending when the run stopped (a run that drained the
     /// queue reports zero).
     ///
-    /// Saturating: `Simulation::reset` restarts the queue's sequence
-    /// numbering while a caller may still hold counters from before the
-    /// reset, so a recycled simulation can legitimately observe
-    /// `events_scheduled < events_processed` mid-composition. That reads
-    /// as "nothing pending", never as an underflowed huge count.
+    /// Saturating: a caller composing counters from several runs (summing
+    /// `events_processed` across them against one run's
+    /// `events_scheduled`) can build `events_scheduled < events_processed`.
+    /// That reads as "nothing pending", never as an underflowed huge
+    /// count.
     pub fn events_pending(&self) -> u64 {
         self.events_scheduled.saturating_sub(self.events_processed)
     }
@@ -40,8 +40,8 @@ mod tests {
 
     #[test]
     fn pending_saturates_instead_of_underflowing() {
-        // The shape a recycled simulation can produce: processed counted
-        // across runs, scheduled restarted by a queue clear.
+        // The shape an aggregate over several runs can produce: processed
+        // summed across runs, scheduled taken from the last one.
         let stats = RunStats { events_processed: 10, events_scheduled: 4, horizon: TimeNs::ZERO };
         assert_eq!(stats.events_pending(), 0);
     }
