@@ -86,6 +86,26 @@
 //! Measured mode keys noise on task ids and must replay the full graph;
 //! this path is Predicted-only by construction.
 //!
+//! # Fair sharing: the unrolled graph
+//!
+//! Under the fair-sharing network, lowering is the same [`lower_plan`]
+//! (so shape-equal plans patch), plus each slot's flow program, priced
+//! next to the slot table. The replay cannot take the uniform shift:
+//! concurrent flows split a link's bandwidth, so a flow's duration
+//! depends on which other flows overlap it, and the copy-to-copy map is no
+//! longer built from `max` and `+ d` alone. It is not max-plus linear, and
+//! `x[k] = x[k − c] + D` no longer licenses a jump. Instead
+//! [`lower_unrolled`] unrolls the periodic graph into one task per
+//! (section copy, run), with exactly the edges [`walk_section`] relaxes,
+//! and [`replay_unrolled`] runs the flow replay over it. Compute runs stay
+//! aggregated, and only communication-stream runs, one node each, become
+//! flows. The unrolled graph has one task per run of every section copy
+//! (~200 on the shipped 1.7B sweep's plans, against ~3,700 in the full
+//! task graph), and the report is bit-identical to the full graph's flow
+//! replay. Its buffers live in an [`Unrolled`] reused point to point;
+//! unlike the periodic graph's, they grow with the number of section
+//! copies, and each point's flow programs are priced afresh.
+//!
 //! All buffers live in a caller-owned [`CompactScratch`], so steady-state
 //! sweep evaluation performs no per-point heap allocation here, and none
 //! of them grows with the micro-batch count.
@@ -98,11 +118,14 @@ use vtrain_graph::{
     GraphSink, OpNode, OpSignature, PlanShapeKey, SlotOp, StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
+use vtrain_net::flow::FlowProgram;
+use vtrain_net::Topology;
 use vtrain_parallel::ParallelConfig;
 use vtrain_profile::CommModel;
 
+use crate::flow_replay::{simulate_flows, FlowScratch, Programs};
 use crate::sim::{BusyBreakdown, SimReport};
-use crate::task_graph::MissingProfile;
+use crate::task_graph::{comm_kind, MissingProfile, TaskGraph, TaskKind};
 
 /// Resolves compute-operator signatures to `(total latency, kernel
 /// count)` during compact lowering. Implemented by the estimator over the
@@ -471,8 +494,10 @@ impl GraphSink for CompactSink<'_> {
 }
 
 /// Prices every slot of the plan's canonical enumeration into
-/// `slot_values`/`slot_cat`. Returns `true` if any compute signature
-/// could not be resolved.
+/// `slot_values`/`slot_cat`, handing each slot's operator and kernel
+/// count (0 for communication) to `on_slot` in slot order. Returns `true`
+/// if any compute signature could not be resolved.
+#[allow(clippy::too_many_arguments)]
 fn resolve_slots<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
@@ -481,6 +506,7 @@ fn resolve_slots<P: ProfileSource>(
     comm: &CommModel,
     slot_values: &mut Vec<TimeNs>,
     slot_cat: &mut Vec<u8>,
+    mut on_slot: impl FnMut(&SlotOp, u32),
 ) -> bool {
     slot_values.clear();
     slot_cat.clear();
@@ -488,9 +514,13 @@ fn resolve_slots<P: ProfileSource>(
     visit_plan_slots(model, plan, opts, |op| match op {
         SlotOp::Compute(sig) => {
             let total = match profiles.op_latency(&sig) {
-                Some((total, _)) => total,
+                Some((total, kernels)) => {
+                    on_slot(&op, kernels);
+                    total
+                }
                 None => {
                     missing = true;
+                    on_slot(&op, 0);
                     TimeNs::ZERO
                 }
             };
@@ -498,6 +528,7 @@ fn resolve_slots<P: ProfileSource>(
             slot_cat.push(CAT_COMPUTE);
         }
         SlotOp::Comm(c) => {
+            on_slot(&op, 0);
             slot_values.push(comm.latency(&c));
             slot_cat.push(match c.kind {
                 CommKind::TpAllReduce => CAT_TP,
@@ -538,6 +569,20 @@ pub(crate) fn lower_plan<P: ProfileSource>(
     comm: &CommModel,
     scratch: &mut CompactScratch,
 ) -> Result<LowerOutcome, MissingProfile> {
+    lower_plan_with(model, plan, opts, profiles, comm, scratch, |_, _| {})
+}
+
+/// [`lower_plan`] handing every slot's operator and kernel count to
+/// `on_slot` while the slot table is priced.
+fn lower_plan_with<P: ProfileSource>(
+    model: &ModelConfig,
+    plan: &ParallelConfig,
+    opts: &GraphOptions,
+    profiles: &mut P,
+    comm: &CommModel,
+    scratch: &mut CompactScratch,
+    on_slot: impl FnMut(&SlotOp, u32),
+) -> Result<LowerOutcome, MissingProfile> {
     if resolve_slots(
         model,
         plan,
@@ -546,6 +591,7 @@ pub(crate) fn lower_plan<P: ProfileSource>(
         comm,
         &mut scratch.slot_values,
         &mut scratch.slot_cat,
+        on_slot,
     ) {
         return Err(MissingProfile);
     }
@@ -769,11 +815,30 @@ pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mu
         walked += sec_walked;
     }
     s.periods = (walked, total);
+    fold_tallies(s, devices, report, |_| true);
+    report.iteration_time = iteration_time;
+}
 
+/// Writes the report's busy breakdown, per-device busy time and task
+/// count from the structure tallies: `Σ slot_value · multiplicity ·
+/// periods` over the slots `fixed` admits, and `Σ nodes per copy ·
+/// periods`, all in `u64`. The closed form admits every slot; the flow
+/// replay adds the slots it drains as flows itself.
+#[inline(always)]
+fn fold_tallies(
+    s: &CompactScratch,
+    devices: usize,
+    report: &mut SimReport,
+    fixed: impl Fn(usize) -> bool,
+) {
+    let n_sections = s.sec_periods.len() / devices;
     let mut busy = BusyBreakdown::default();
     report.device_busy.clear();
     report.device_busy.resize(devices, TimeNs::ZERO);
     for &(sec, device, slot, mult) in &s.tally {
+        if !fixed(slot as usize) {
+            continue;
+        }
         let periods = s.sec_periods[device as usize * n_sections + sec as usize];
         let total = scale(s.slot_values[slot as usize], mult * periods);
         let device_busy = &mut report.device_busy[device as usize];
@@ -791,7 +856,6 @@ pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mu
         }
     }
     let tasks: u64 = s.sec_nodes.iter().zip(&s.sec_periods).map(|(&n, &k)| n * k).sum();
-    report.iteration_time = iteration_time;
     report.busy = busy;
     report.tasks_executed = tasks as usize;
 }
@@ -909,6 +973,247 @@ fn uniform_shift(hist: &[TimeNs], len: usize, k: u64) -> Option<(u64, TimeNs)> {
         let shift = TimeNs::from_nanos(shift);
         now.iter().zip(then).all(|(&a, &b)| a == b + shift).then_some((c, shift))
     })
+}
+
+/// The fair-sharing half of the compact path: each latency slot's flow
+/// program and task kind, priced next to the slot table, and the
+/// periodic graph unrolled into one task per (section copy, run) for the
+/// flow replay. Filled only under the fair-sharing network, and reused
+/// point to point like [`CompactScratch`].
+#[derive(Default)]
+pub(crate) struct Unrolled {
+    /// Flow program of each latency slot (`None`: a fixed duration).
+    slot_program: Vec<Option<FlowProgram>>,
+    /// Task kind of each latency slot: a compute slot's profiled kernel
+    /// count, a communication slot's collective.
+    slot_kind: Vec<TaskKind>,
+    /// Each run's stream (0 = compute, 1 = comm), task kind and
+    /// program-table slot.
+    run_stream: Vec<u8>,
+    run_kind: Vec<TaskKind>,
+    run_slot: Vec<u32>,
+    /// The unrolled graph: instances numbered section-major, then
+    /// copy-major, each copy in its section's topological order.
+    graph: TaskGraph,
+    /// Program-table slot of each instance.
+    inst_slot: Vec<u32>,
+    /// Instance edges, gathered before the CSR.
+    edges: Vec<(u32, u32)>,
+    /// Each run's latest instance before the copy being unrolled, and
+    /// its instance in that copy (`NONE`: none).
+    last: Vec<u32>,
+    cur: Vec<u32>,
+}
+
+impl Unrolled {
+    /// Tasks of the latest unrolled graph.
+    #[cfg(test)]
+    pub(crate) fn num_tasks(&self) -> usize {
+        self.graph.len()
+    }
+
+    /// Records slot `op`'s flow program under `comm` and its task kind
+    /// (`kernels`: its profiled kernel count, 0 for communication).
+    fn price_slot(&mut self, op: &SlotOp, kernels: u32, comm: &CommModel) {
+        match op {
+            SlotOp::Compute(_) => {
+                self.slot_program.push(None);
+                self.slot_kind.push(TaskKind::Compute { kernels });
+            }
+            SlotOp::Comm(c) => {
+                let program = comm.flow_program(c);
+                // `validate` keeps TP inside the NVLink domain, so the TP
+                // All-Reduces folded into compute runs never drain as flows.
+                assert!(
+                    program.is_none() || c.kind != CommKind::TpAllReduce,
+                    "a TP All-Reduce carries a flow program"
+                );
+                self.slot_program.push(program);
+                self.slot_kind.push(comm_kind(c));
+            }
+        }
+    }
+
+    /// Derives each run's stream, task kind and program-table slot from
+    /// its composition. Communication-stream nodes (pipeline sends, DP
+    /// All-Reduces) never extend a run, so such a run is one node. A
+    /// one-node run takes its slot's kind; a longer compute-stream run
+    /// sums its compute members' kernel counts (its TP All-Reduces add
+    /// none). The program-table slot is the run's first slot, which
+    /// carries the program of a one-node communication run and none
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// If a communication-stream run is not exactly one node, or a
+    /// compute-stream run holds a slot with a flow program.
+    fn classify_runs(&mut self, s: &CompactScratch) {
+        self.run_stream.clear();
+        self.run_kind.clear();
+        self.run_slot.clear();
+        let mut e = 0;
+        for r in 0..s.run_device.len() as u32 {
+            let start = e;
+            while e < s.comp_run.len() && s.comp_run[e] == r {
+                e += 1;
+            }
+            let head = s.comp_slot[start] as usize;
+            let one_node = e - start == 1 && s.comp_count[start] == 1;
+            let comm_stream = matches!(s.slot_cat[head], CAT_DP | CAT_PP);
+            assert!(one_node || !comm_stream, "a communication-stream run is exactly one node");
+            let mut kernels = 0;
+            for i in start..e {
+                let slot = s.comp_slot[i] as usize;
+                assert!(
+                    comm_stream || self.slot_program[slot].is_none(),
+                    "only communication-stream runs carry flow programs"
+                );
+                if let TaskKind::Compute { kernels: k } = self.slot_kind[slot] {
+                    kernels += k * s.comp_count[i];
+                }
+            }
+            self.run_stream.push(u8::from(comm_stream));
+            self.run_kind.push(if one_node {
+                self.slot_kind[head]
+            } else {
+                TaskKind::Compute { kernels }
+            });
+            self.run_slot.push(head as u32);
+        }
+    }
+
+    /// Unrolls the lowered periodic graph into [`Unrolled::graph`],
+    /// mirroring [`walk_section`] copy by copy: a device's runs take part
+    /// only in its first `periods` copies of a section; copy 0 takes the
+    /// `entry` edges from each source run's last executed instance, copy
+    /// `k ≥ 1` the `carried` edges from the source's last instance before
+    /// `k`, and edges out of a run with no such instance, or into a
+    /// skipped run, are dropped. Instances are numbered section-major,
+    /// then copy-major, so the graph is stream-chained. Returns the number
+    /// of section copies unrolled.
+    fn unroll(&mut self, s: &CompactScratch, devices: usize) -> u64 {
+        self.classify_runs(s);
+        let n_runs = s.run_device.len();
+        let n_sections = s.sec_periods.len() / devices;
+        let Unrolled { run_stream, run_kind, run_slot, graph, inst_slot, edges, last, cur, .. } =
+            self;
+        graph.clear(devices as u32);
+        inst_slot.clear();
+        edges.clear();
+        last.clear();
+        last.resize(n_runs, NONE);
+        cur.clear();
+        cur.resize(n_runs, NONE);
+        let mut total = 0;
+        for sec in 0..n_sections {
+            let periods_of = |device: usize| s.sec_periods[device * n_sections + sec];
+            let copies = (0..devices).map(periods_of).max().unwrap_or(0);
+            let (lo, hi) = (s.sec_runs[sec], s.sec_runs[sec + 1]);
+            let carried = edges_into(&s.carried, lo, hi);
+            let entry = edges_into(&s.entry, lo, hi);
+            let order = &s.order[lo as usize..hi as usize];
+            for k in 0..copies {
+                for &r in order {
+                    let i = r as usize;
+                    let device = s.run_device[i];
+                    cur[i] = if periods_of(device as usize) > k {
+                        inst_slot.push(run_slot[i]);
+                        graph.push_task(device, run_stream[i], s.run_duration[i], run_kind[i]);
+                        (graph.len() - 1) as u32
+                    } else {
+                        NONE
+                    };
+                }
+                for &(from, to) in if k == 0 { entry } else { carried } {
+                    let (f, t) = (last[from as usize], cur[to as usize]);
+                    if f != NONE && t != NONE {
+                        edges.push((f, t));
+                    }
+                }
+                for &r in order {
+                    let i = r as usize;
+                    if cur[i] == NONE {
+                        continue;
+                    }
+                    for &c in &s.targets[s.offsets[i] as usize..s.offsets[i + 1] as usize] {
+                        if cur[c as usize] != NONE {
+                            edges.push((cur[i], cur[c as usize]));
+                        }
+                    }
+                    last[i] = cur[i];
+                }
+            }
+            total += copies;
+        }
+        graph.set_edges(edges);
+        total
+    }
+}
+
+/// [`lower_plan`] for the fair-sharing network: also prices each slot's
+/// flow program and task kind next to the slot table, then unrolls the
+/// periodic graph into `unrolled` for [`replay_unrolled`]. Shape-equal
+/// plans patch the compact graph exactly as under the closed form; the
+/// unrolled graph is rebuilt from it every time.
+///
+/// # Errors
+///
+/// Same conditions as [`lower_plan`].
+///
+/// # Panics
+///
+/// Same conditions as [`lower_plan`], or if a flow program lands on a
+/// run that is not one communication-stream node.
+pub(crate) fn lower_unrolled<P: ProfileSource>(
+    model: &ModelConfig,
+    plan: &ParallelConfig,
+    opts: &GraphOptions,
+    profiles: &mut P,
+    comm: &CommModel,
+    scratch: &mut CompactScratch,
+    unrolled: &mut Unrolled,
+) -> Result<LowerOutcome, MissingProfile> {
+    unrolled.slot_program.clear();
+    unrolled.slot_kind.clear();
+    let outcome = lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels| {
+        unrolled.price_slot(op, kernels, comm)
+    })?;
+    let copies = unrolled.unroll(scratch, plan.pipeline());
+    scratch.periods = (copies, copies);
+    Ok(outcome)
+}
+
+/// The fair-sharing replay of the unrolled graph. [`simulate_flows`]
+/// over the run instances gives the iteration time and each flow's
+/// contended duration; the busy breakdown, per-device busy time and task
+/// count of the fixed-duration slots come from the structure tallies, as
+/// in [`replay_lowered`] (compute runs fold TP All-Reduces in, so the
+/// replay's own per-instance booking cannot split them). The report is
+/// bit-identical to the flow replay of the full task graph.
+pub(crate) fn replay_unrolled(
+    s: &CompactScratch,
+    u: &Unrolled,
+    topology: &Topology,
+    flows: &mut FlowScratch,
+    report: &mut SimReport,
+) {
+    let mut drained = BusyBreakdown::default();
+    let mut book = |task: u32, start: TimeNs, finish: TimeNs| {
+        let slot = u.inst_slot[task as usize] as usize;
+        if u.slot_program[slot].is_some() {
+            // Flows are DP or PP transfers: TP slots carry none.
+            match s.slot_cat[slot] {
+                CAT_DP => drained.dp_comm += finish - start,
+                _ => drained.pp_comm += finish - start,
+            }
+        }
+    };
+    let programs = Programs::Indexed { table: &u.slot_program, index: &u.inst_slot };
+    simulate_flows(&u.graph, programs, topology, Some(&mut book), None, flows, report);
+    let devices = u.graph.num_devices() as usize;
+    fold_tallies(s, devices, report, |slot| u.slot_program[slot].is_none());
+    report.busy.dp_comm += drained.dp_comm;
+    report.busy.pp_comm += drained.pp_comm;
 }
 
 #[cfg(test)]
@@ -1256,6 +1561,7 @@ mod tests {
                 &comm,
                 &mut scratch.slot_values,
                 &mut scratch.slot_cat,
+                |_, _| {},
             );
             scratch.sec_periods.clear();
             let (p, n) = (plan.pipeline(), plan.num_micro_batches());

@@ -16,14 +16,19 @@
 //! task readiness and fixed-duration finishes are engine events, and the
 //! network contributes a single re-armed `NetTick` event at the flow
 //! simulator's next join/drain boundary, invalidated by a generation
-//! counter whenever the flow set changes. The input is stream-chained (it
-//! comes from [`TaskGraph::lower_fused`]), so a task's stream predecessor
-//! is one of its dependencies and the stream is always free when the task
-//! becomes ready: a ready task starts at once, with no per-stream queue.
-//! With zero concurrent flows the physical-time schedule coincides with
-//! the logical-time one, so a contention-free replay reproduces the
-//! closed-form report exactly (see the equivalence tests in `estimate.rs`
-//! and the differential property test in `sim.rs`).
+//! counter whenever the flow set changes. The input is stream-chained, so
+//! a task's stream predecessor is one of its dependencies and the stream
+//! is always free when the task becomes ready: a ready task starts at
+//! once, with no per-stream queue. It comes from one of two places:
+//! [`TaskGraph::lower_fused`] (the timeline, one task per operator) or the
+//! compact graph unrolled into one task per (section copy, run)
+//! ([`crate::compact`], every fair-sharing estimate). Aggregating a
+//! compute chain into one task moves no start time, because chain
+//! interiors neither start flows nor wait on them. With zero concurrent
+//! flows the physical-time schedule coincides with the logical-time one,
+//! so a contention-free replay reproduces the closed-form report exactly
+//! (see the equivalence tests in `estimate.rs` and the differential
+//! property test in `sim.rs`).
 
 use vtrain_engine::{Handler, Simulation};
 use vtrain_graph::CommKind;
@@ -48,9 +53,51 @@ enum FlowEvent {
     NetTick(u64),
 }
 
+/// The flow programs of a replayed graph's tasks.
+#[derive(Clone, Copy)]
+pub(crate) enum Programs<'a> {
+    /// Task `i` drains `.0[i]` (one entry per task).
+    PerTask(&'a [Option<FlowProgram>]),
+    /// Task `i` drains `table[index[i]]`: the unrolled compact graph,
+    /// whose instances share their latency slot's program.
+    Indexed {
+        /// One entry per latency slot.
+        table: &'a [Option<FlowProgram>],
+        /// The table entry of each task.
+        index: &'a [u32],
+    },
+}
+
+impl<'a> Programs<'a> {
+    /// Task `task`'s bandwidth demand, or `None` for a fixed duration.
+    fn of(self, task: u32) -> Option<&'a FlowProgram> {
+        match self {
+            Programs::PerTask(programs) => programs[task as usize].as_ref(),
+            Programs::Indexed { table, index } => table[index[task as usize] as usize].as_ref(),
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Programs::PerTask(programs) => programs.len(),
+            Programs::Indexed { index, .. } => index.len(),
+        }
+    }
+}
+
+/// Reusable working vectors of [`simulate_flows`]: repeated replays
+/// through one scratch reuse them once they have grown to the largest
+/// graph.
+#[derive(Default)]
+pub(crate) struct FlowScratch {
+    in_degree: Vec<u32>,
+    started_at: Vec<TimeNs>,
+    flow_task: Vec<u32>,
+}
+
 struct FlowReplay<'a, 't> {
     graph: &'a TaskGraph,
-    programs: &'a [Option<FlowProgram>],
+    programs: Programs<'a>,
     net: FlowSim,
     /// Bumped on every flow-set mutation; pending `NetTick`s with an
     /// older generation are stale and ignored.
@@ -96,7 +143,7 @@ impl<'a, 't> FlowReplay<'a, 't> {
     fn start_task(&mut self, task: u32, sim: &mut Simulation<FlowEvent>) {
         let now = sim.now();
         self.started_at[task as usize] = now;
-        match &self.programs[task as usize] {
+        match self.programs.of(task) {
             Some(program) => {
                 // Process any flow boundary landing exactly now before
                 // the join, then admit the new flow.
@@ -177,30 +224,44 @@ impl Handler<FlowEvent> for FlowReplay<'_, '_> {
     }
 }
 
-/// Replays `graph` in physical time with fair-shared network flows.
+/// Replays `graph` in physical time with fair-shared network flows,
+/// writing the report into `report` (its vector is reused) and working
+/// in `scratch`.
 ///
-/// `programs[i]` is task `i`'s bandwidth demand ([`None`] keeps the
+/// `programs` gives each task's bandwidth demand ([`None`] keeps the
 /// closed-form fixed duration). `trace` observes `(task, start, finish)`
 /// per executed task; `net_trace` observes `(time, per-tier utilization)`
 /// at every refill.
 ///
 /// `graph` must be [stream-chained](TaskGraph::is_stream_chained), as
-/// every [`TaskGraph::lower_fused`] graph is (checked in debug builds).
+/// every [`TaskGraph::lower_fused`] graph and every unrolled compact graph
+/// is (checked in debug builds).
 ///
 /// # Panics
 ///
-/// Panics if `programs.len() != graph.len()` or the graph has a cycle.
+/// Panics if `programs` does not cover exactly the graph's tasks or the
+/// graph has a cycle.
 pub(crate) fn simulate_flows<'t>(
     graph: &TaskGraph,
-    programs: &[Option<FlowProgram>],
+    programs: Programs<'_>,
     topology: &Topology,
     trace: Option<TaskTrace<'t>>,
     net_trace: Option<NetTrace<'t>>,
-) -> SimReport {
+    scratch: &mut FlowScratch,
+    report: &mut SimReport,
+) {
     assert_eq!(programs.len(), graph.len(), "one program slot per task");
     debug_assert!(graph.is_stream_chained(), "the flow replay needs a stream-chained graph");
-    let mut in_degree = Vec::new();
+    let mut in_degree = std::mem::take(&mut scratch.in_degree);
     graph.fill_in_degrees(&mut in_degree);
+    let mut started_at = std::mem::take(&mut scratch.started_at);
+    started_at.clear();
+    started_at.resize(graph.len(), TimeNs::ZERO);
+    let mut flow_task = std::mem::take(&mut scratch.flow_task);
+    flow_task.clear();
+    let mut device_busy = std::mem::take(&mut report.device_busy);
+    device_busy.clear();
+    device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
 
     let metrics = vtrain_obs::enabled().then(|| {
         let reg = vtrain_obs::global();
@@ -214,10 +275,10 @@ pub(crate) fn simulate_flows<'t>(
         programs,
         net: FlowSim::new(topology),
         generation: 0,
-        flow_task: Vec::new(),
+        flow_task,
         in_degree,
-        started_at: vec![TimeNs::ZERO; graph.len()],
-        device_busy: vec![TimeNs::ZERO; graph.num_devices() as usize],
+        started_at,
+        device_busy,
         busy: BusyBreakdown::default(),
         iteration_time: TimeNs::ZERO,
         executed: 0,
@@ -246,10 +307,11 @@ pub(crate) fn simulate_flows<'t>(
         reg.gauge("net.flows_active").set_max(replay.net.max_active() as u64);
         reg.counter("net.refills").add(replay.net.refills());
     }
-    SimReport {
-        iteration_time: replay.iteration_time,
-        busy: replay.busy,
-        device_busy: replay.device_busy,
-        tasks_executed: replay.executed,
-    }
+    scratch.in_degree = replay.in_degree;
+    scratch.started_at = replay.started_at;
+    scratch.flow_task = replay.flow_task;
+    report.iteration_time = replay.iteration_time;
+    report.busy = replay.busy;
+    report.device_busy = replay.device_busy;
+    report.tasks_executed = replay.executed;
 }

@@ -212,8 +212,7 @@ pub struct SweepStats {
     #[serde(default)]
     pub delta_fresh: u64,
     /// Evaluated points delta-patched from a shape-compatible neighbor's
-    /// cached graph structure (always 0 under the fair-sharing network,
-    /// which lowers every point in full).
+    /// cached graph structure (under either network backend).
     #[serde(default)]
     pub delta_patched: u64,
     /// Worker threads used: the requested count, capped at the number of
@@ -962,9 +961,10 @@ impl Sweep {
     /// Selects the network-cost regime every evaluated point runs
     /// under (default [`NetworkBackend::ClosedForm`]). Under
     /// [`NetworkBackend::FairSharing`] each point is priced by the
-    /// physical-time contention replay; the compact fast path and its
-    /// delta patches only apply to the closed form, so expect
-    /// fair-sharing sweeps to cost full lowering per point.
+    /// physical-time contention replay over the compact graph unrolled
+    /// into one task per (section copy, run). Delta patches apply under
+    /// both backends; the fair-sharing replay walks every section copy,
+    /// so its cost grows with the micro-batch count.
     pub fn network(mut self, network: NetworkBackend) -> Self {
         self.network = network;
         self

@@ -350,7 +350,7 @@ mod tests {
     use vtrain_profile::{CommModel, Profiler};
 
     use super::*;
-    use crate::flow_replay::simulate_flows;
+    use crate::flow_replay::{simulate_flows, FlowScratch, Programs};
 
     fn lower(
         t: usize,
@@ -526,7 +526,17 @@ mod tests {
             let legacy = simulate_reference(&tg, SimMode::Predicted);
             assert_reports_identical(&simulate(&tg, SimMode::Predicted), &legacy);
             let topology = ClusterSpec::aws_p4d(256).topology(1.0);
-            let flows = simulate_flows(&tg, &vec![None; tg.len()], &topology, None, None);
+            let mut flows = SimReport::default();
+            let programs = vec![None; tg.len()];
+            simulate_flows(
+                &tg,
+                Programs::PerTask(&programs),
+                &topology,
+                None,
+                None,
+                &mut FlowScratch::default(),
+                &mut flows,
+            );
             assert_reports_identical(&flows, &legacy);
 
             let noise = NoiseModel::new(NoiseConfig::default());

@@ -175,25 +175,35 @@ impl TaskGraph {
             return Err(MissingProfile);
         }
         let LoweringSink { cols, edges, num_devices, .. } = sink;
-        // CSR from the flat edge list, preserving per-source insertion
-        // order (a counting sort over sources is stable in edge order).
-        let n = cols.len();
-        let mut counts = vec![0u32; n + 1];
-        for &(from, _) in &edges {
-            counts[from as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0u32; edges.len()];
-        for &(from, to) in &edges {
-            let slot = &mut cursor[from as usize];
-            targets[*slot as usize] = to;
-            *slot += 1;
-        }
+        let (mut offsets, mut targets) = (Vec::new(), Vec::new());
+        fill_csr(cols.len(), &edges, &mut offsets, &mut targets);
         Ok(cols.into_graph(offsets, targets, num_devices))
+    }
+
+    /// Empties every column for an in-place refill over `num_devices`
+    /// devices, keeping the columns' capacity.
+    pub(crate) fn clear(&mut self, num_devices: u32) {
+        self.device.clear();
+        self.stream.clear();
+        self.duration.clear();
+        self.kind.clear();
+        self.offsets.clear();
+        self.targets.clear();
+        self.num_devices = num_devices;
+    }
+
+    /// Appends a task with no edges yet.
+    pub(crate) fn push_task(&mut self, device: u32, stream: u8, duration: TimeNs, kind: TaskKind) {
+        self.device.push(device);
+        self.stream.push(stream);
+        self.duration.push(duration);
+        self.kind.push(kind);
+    }
+
+    /// Replaces the graph's edges with `edges` (per-source insertion
+    /// order preserved), in place.
+    pub(crate) fn set_edges(&mut self, edges: &[(u32, u32)]) {
+        fill_csr(self.len(), edges, &mut self.offsets, &mut self.targets);
     }
 
     #[cfg(test)]
@@ -351,6 +361,33 @@ impl Columns {
     }
 }
 
+/// Fills `offsets`/`targets` with the CSR of `edges` over `n` tasks,
+/// preserving per-source insertion order (a counting sort over sources is
+/// stable in edge order).
+fn fill_csr(n: usize, edges: &[(u32, u32)], offsets: &mut Vec<u32>, targets: &mut Vec<u32>) {
+    offsets.clear();
+    offsets.resize(n + 1, 0);
+    for &(from, _) in edges {
+        offsets[from as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    targets.clear();
+    targets.resize(edges.len(), 0);
+    for &(from, to) in edges {
+        let cursor = &mut offsets[from as usize];
+        targets[*cursor as usize] = to;
+        *cursor += 1;
+    }
+    // Each source's cursor now sits at the start of the next source's
+    // range: shift them back by one source.
+    for i in (1..=n).rev() {
+        offsets[i] = offsets[i - 1];
+    }
+    offsets[0] = 0;
+}
+
 fn stream_index(stream: StreamKind) -> u8 {
     match stream {
         StreamKind::Compute => 0,
@@ -358,7 +395,8 @@ fn stream_index(stream: StreamKind) -> u8 {
     }
 }
 
-fn comm_kind(c: &CommOp) -> TaskKind {
+/// The task kind of communication operator `c`.
+pub(crate) fn comm_kind(c: &CommOp) -> TaskKind {
     TaskKind::Comm {
         kind: c.kind,
         scope: c.scope,

@@ -17,8 +17,9 @@
 ///
 /// `caps[l]` is link `l`'s capacity (bytes/s, must be positive);
 /// `flows[i]` is the set of links flow `i` crosses (non-empty, indices
-/// into `caps`). Rates are written into `rates` (cleared first; reusing
-/// the buffer keeps the per-refill path allocation-free).
+/// into `caps`). Rates are written into `rates` (cleared first). Each
+/// call allocates its working vectors; [`FlowSim`](super::FlowSim) keeps
+/// them between refills instead, so its refills allocate nothing.
 ///
 /// Runs in `O(rounds × (flows × links_per_flow + links))` with at least
 /// one flow frozen per round, i.e. `O(flows × links)` overall.
@@ -27,15 +28,42 @@
 ///
 /// Panics if any flow has an empty link set or a link index out of range.
 pub fn max_min_rates<L: AsRef<[usize]>>(caps: &[f64], flows: &[L], rates: &mut Vec<f64>) {
+    max_min_rates_with(caps, flows, rates, &mut FairScratch::default());
+}
+
+/// The working vectors of one progressive filling, kept by a caller that
+/// refills often.
+#[derive(Debug, Default)]
+pub(crate) struct FairScratch {
+    used: Vec<f64>,
+    unfrozen: Vec<usize>,
+    frozen: Vec<bool>,
+    newly: Vec<usize>,
+}
+
+/// [`max_min_rates`] over caller-owned working vectors (cleared and
+/// refilled), so repeated calls allocate nothing once the vectors have
+/// grown to the largest flow and link counts seen.
+pub(crate) fn max_min_rates_with<L: AsRef<[usize]>>(
+    caps: &[f64],
+    flows: &[L],
+    rates: &mut Vec<f64>,
+    scratch: &mut FairScratch,
+) {
     rates.clear();
     rates.resize(flows.len(), 0.0);
     if flows.is_empty() {
         return;
     }
     let n_links = caps.len();
-    let mut used = vec![0.0f64; n_links];
-    let mut unfrozen = vec![0usize; n_links];
-    let mut frozen = vec![false; flows.len()];
+    let FairScratch { used, unfrozen, frozen, newly } = scratch;
+    used.clear();
+    used.resize(n_links, 0.0);
+    unfrozen.clear();
+    unfrozen.resize(n_links, 0);
+    frozen.clear();
+    frozen.resize(flows.len(), false);
+    newly.resize(n_links, 0);
     for f in flows {
         let links = f.as_ref();
         assert!(!links.is_empty(), "every flow must cross at least one link");
@@ -46,7 +74,6 @@ pub fn max_min_rates<L: AsRef<[usize]>>(caps: &[f64], flows: &[L], rates: &mut V
     }
 
     let mut remaining = flows.len();
-    let mut newly = vec![0usize; n_links];
     while remaining > 0 {
         // The water level this round: the smallest equal share any
         // still-contended link can offer.

@@ -2,7 +2,7 @@
 //!
 //! [`FlowSim`] tracks every in-flight [`FlowProgram`] against one
 //! [`Topology`]'s link tiers. Each join, leave, or phase change triggers
-//! a *refill*: rates are reallocated by [`max_min_rates`] and every
+//! a *refill*: rates are reallocated by [`max_min_rates`](super::max_min_rates) and every
 //! draining flow's completion is re-projected linearly from its remaining
 //! work — no per-byte stepping, `O(flows × links)` per refill.
 //!
@@ -13,7 +13,7 @@
 
 use vtrain_model::TimeNs;
 
-use super::fair::max_min_rates;
+use super::fair::{max_min_rates_with, FairScratch};
 use super::program::FlowProgram;
 use crate::topology::{TierSpec, Topology};
 
@@ -48,10 +48,13 @@ pub struct FlowSim {
     refills: u64,
     active: usize,
     max_active: usize,
+    /// Each link's capacity: its tier's effective bandwidth.
+    caps: Vec<f64>,
     // Scratch buffers reused across refills.
     link_sets: Vec<[usize; 1]>,
     drain_slots: Vec<usize>,
     drain_rates: Vec<f64>,
+    fair: FairScratch,
 }
 
 impl FlowSim {
@@ -59,8 +62,10 @@ impl FlowSim {
     /// `tiers[l].effective_bandwidth()`.
     pub fn new(topology: &Topology) -> Self {
         let tiers: Vec<TierSpec> = (0..topology.num_tiers()).map(|t| *topology.tier(t)).collect();
+        let caps = tiers.iter().map(|t| t.effective_bandwidth()).collect();
         FlowSim {
             tiers,
+            caps,
             flows: Vec::new(),
             free: Vec::new(),
             rates: Vec::new(),
@@ -71,6 +76,7 @@ impl FlowSim {
             link_sets: Vec::new(),
             drain_slots: Vec::new(),
             drain_rates: Vec::new(),
+            fair: FairScratch::default(),
         }
     }
 
@@ -264,8 +270,7 @@ impl FlowSim {
                 }
             }
         }
-        let caps: Vec<f64> = self.tiers.iter().map(|t| t.effective_bandwidth()).collect();
-        max_min_rates(&caps, &self.link_sets, &mut self.drain_rates);
+        max_min_rates_with(&self.caps, &self.link_sets, &mut self.drain_rates, &mut self.fair);
         for (&slot, &rate) in self.drain_slots.iter().zip(&self.drain_rates) {
             self.rates[slot] = rate;
             let now = self.now;
