@@ -42,6 +42,8 @@ enum Check {
     Same(&'static str),
     /// value ≥ baseline field × (1 − threshold / 100), written with these decimals.
     Floor(&'static str, usize, Threshold),
+    /// value ≤ baseline field, exactly: for deterministic work counts.
+    Ceil(&'static str),
     /// value ≥ same-record twin × (1 − threshold / 100).
     Twin(&'static str, Threshold),
     /// value ≥ same-record one-thread twin × same-record thread count × threshold.
@@ -96,6 +98,8 @@ static GATES: &[Gate] = {
                need: Both, check: Same("sweep_grid") },
         Gate { name: "sweep points/s", record: "sweep", path: "points_per_sec",
                need: Both, check: Floor("sweep_points_per_sec", 1, MAX_SWEEP) },
+        Gate { name: "sweep walked copies", record: "sweep", path: "periods_walked",
+               need: Field, check: Ceil("sweep_periods_walked") },
         Gate { name: "replay tasks/s", record: "sim", path: "tasks_per_sec",
                need: Field, check: Floor("sim_tasks_per_sec", 0, MAX_SIM) },
         Gate { name: "serve req/s", record: "serve", path: "requests_per_sec",
@@ -207,6 +211,10 @@ fn judge(g: &Gate, records: &Records, base: &Value) -> Result<Verdict, Verdict> 
         }
         Check::True => (*fresh(g.path)? == Value::Bool(true), "must be true".to_owned()),
         Check::Floor(name, _, t) => at_least(num(g.path)?, old_num(name)? * below(limit(t)?)),
+        Check::Ceil(name) => {
+            let (got, ceiling) = (num(g.path)?, old_num(name)?);
+            (got <= ceiling, format!("{got}, ceiling {ceiling}"))
+        }
         Check::Twin(twin, t) => at_least(num(g.path)?, num(twin)? * below(limit(t)?)),
         Check::Scaling(one, n, t) => at_least(num(g.path)?, num(one)? * num(n)? * limit(t)?),
         Check::AtLeast(t) => at_least(num(g.path)?, limit(t)?),
@@ -247,6 +255,7 @@ fn render(v: &Value, check: Check) -> Option<String> {
     Some(match (check, v) {
         (Check::Same(_), Value::String(s)) => format!("\"{s}\""),
         (Check::Floor(_, digits, _), _) => format!("{:.*}", digits, v.as_f64()?),
+        (Check::Ceil(_), _) => v.as_u64()?.to_string(),
         (Check::Golden(..), Value::Array(_)) => {
             let rows = labelled(v)?.into_iter().map(|(l, t)| format!("\n    [\"{l}\", {t}]"));
             format!("[{}\n  ]", rows.collect::<Vec<_>>().join(","))
@@ -266,7 +275,11 @@ fn baseline_text(records: &Records, old: &Value) -> Result<String, String> {
         fields.push(format!("  \"{name}\": {text}"));
     }
     for g in GATES {
-        let (Check::Same(name) | Check::Floor(name, ..) | Check::Golden(name, _)) = g.check else {
+        let (Check::Same(name)
+        | Check::Floor(name, ..)
+        | Check::Ceil(name)
+        | Check::Golden(name, _)) = g.check
+        else {
             continue;
         };
         let record = match &records[g.record] {
@@ -353,6 +366,7 @@ mod tests {
                 "sweep",
                 Ok(json(
                     r#"{"grid": "smoke", "goal": "exhaustive", "points_per_sec": 400.0,
+                        "periods_walked": 500,
                         "points_per_sec_obs_off": 1000.0, "points_per_sec_obs_on": 990.0,
                         "points_per_sec_1t": 100.0, "points_per_sec_mt": 150.0,
                         "threads_mt": 2, "delta_equivalent": true}"#,
@@ -395,6 +409,7 @@ mod tests {
   "max_flow_regression_pct": 40,
   "sweep_grid": "smoke",
   "sweep_points_per_sec": 400.0,
+  "sweep_periods_walked": 500,
   "sim_tasks_per_sec": 10000000,
   "serve_requests_per_sec": 100.0,
   "serve_degraded_requests_per_sec": 200.0,
@@ -462,6 +477,12 @@ mod tests {
             "sweep points/s",
             &[("sweep", "points_per_sec", "300.0")],
             &[("sweep", "points_per_sec", "299.9")],
+        ),
+        // Exact: no slack above the baseline's 500.
+        (
+            "sweep walked copies",
+            &[("sweep", "periods_walked", "500")],
+            &[("sweep", "periods_walked", "501")],
         ),
         // 1e7 × (1 − 30 %) = 7e6.
         (
@@ -639,7 +660,10 @@ mod tests {
             }
 
             let base_field = match g.check {
-                Check::Same(name) | Check::Floor(name, ..) | Check::Golden(name, _) => Some(name),
+                Check::Same(name)
+                | Check::Floor(name, ..)
+                | Check::Ceil(name)
+                | Check::Golden(name, _) => Some(name),
                 _ => None,
             };
             if let Some(field) = base_field {
@@ -677,6 +701,7 @@ mod tests {
             [
                 "sweep grid",
                 "sweep points/s",
+                "sweep walked copies",
                 "replay tasks/s",
                 "serve req/s",
                 "flow kernel events/s",

@@ -17,8 +17,9 @@
 //! byte-identical by construction.
 //!
 //! Every run also writes `results/BENCH_sweep.json` with the sweep's
-//! throughput report (wall time, points/s, cache hit-rate) so the perf
-//! trajectory is tracked across PRs.
+//! throughput report (wall time, points/s, cache hit-rate) and the
+//! section copies the compact replay walks over one obs-on sweep of the
+//! grid, so the perf trajectory is tracked across PRs.
 //!
 //! ```sh
 //! cargo run --release -p vtrain-bench --bin fig10_design_space [-- --full | --smoke]
@@ -70,6 +71,14 @@ struct SweepBench {
     /// equals a from-scratch [`Estimator::estimate`] of the same plan in
     /// every field; a `check_bench` gate requires `true` when present.
     delta_equivalent: Option<bool>,
+    /// Σ `estimate.compact.periods_walked` over one exhaustive obs-on
+    /// re-run of the grid: the section copies the compact replay walked
+    /// rather than extrapolated. Deterministic for a grid; a
+    /// `check_bench` gate caps it at its baseline.
+    periods_walked: u64,
+    /// Σ `estimate.compact.periods_total` over the same re-run: every
+    /// section copy the grid's plans run.
+    periods_total: u64,
     /// Per-stage CPU-time attribution of a stage-profiled re-run
     /// (absent under `--full`).
     stage_profile: Option<StageProfile>,
@@ -78,6 +87,28 @@ struct SweepBench {
     /// pre-fix regression silently folded into lowering), observable in
     /// the benchmark record regardless of the CLI goal.
     stage_profile_goal: Option<StageProfile>,
+}
+
+/// `(walked, total)` section copies of one exhaustive sweep of
+/// `candidates` with observability on, read as the growth of the
+/// `estimate.compact.periods_*` histograms.
+fn walked_copies(
+    estimator: &Estimator,
+    model: &vtrain_model::ModelConfig,
+    candidates: &std::sync::Arc<[ParallelConfig]>,
+) -> (u64, u64) {
+    let metrics = vtrain_obs::global();
+    let walked = metrics.histogram("estimate.compact.periods_walked");
+    let total = metrics.histogram("estimate.compact.periods_total");
+    let before = (walked.sum(), total.sum());
+    vtrain_obs::set_enabled(true);
+    search::Sweep::on(estimator, model)
+        .candidates(std::sync::Arc::clone(candidates))
+        .threads(threads())
+        .goal(SweepGoal::Exhaustive)
+        .run();
+    vtrain_obs::set_enabled(false);
+    (walked.sum() - before.0, total.sum() - before.1)
 }
 
 fn smoke_mode() -> bool {
@@ -249,6 +280,12 @@ fn main() {
     }
     report::dump_json("fig10_design_space", &rows);
 
+    let (periods_walked, periods_total) = walked_copies(&estimator, &model, &candidates);
+    println!(
+        "\nreplay work (one obs-on exhaustive sweep): walked {periods_walked} of \
+         {periods_total} section copies"
+    );
+
     // Instrumentation-overhead A/B plus stage attribution, all on the
     // now-warm cache so the re-runs are apples-to-apples. Skipped under
     // `--full` (each re-run is a full-grid sweep).
@@ -355,6 +392,8 @@ fn main() {
             points_per_sec_mt: mt.map(|(pps, _)| pps),
             threads_mt: mt.map(|(_, n)| n),
             delta_equivalent: delta_ok,
+            periods_walked,
+            periods_total,
             stage_profile,
             stage_profile_goal: goal_profile,
         },

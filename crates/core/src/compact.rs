@@ -27,28 +27,58 @@
 //! the next are *loop-carried*. The structure is `O(p)` slots, however
 //! many micro-batches the plan has.
 //!
-//! The replay walks the sections in order and each section copy by copy;
-//! a device's runs take part in the first `periods` copies of the
-//! section on that device. Copy 0 waits on the earlier sections' final
-//! finish times (`entry` edges), copy `k ≥ 1` on copy `k − 1`'s finish
-//! times (`carried` edges), and the finish times of one copy are the
-//! state vector `x[k]`. In a section every device repeats equally often
-//! — 1F1B's steady pairs, GPipe's forward and backward trains — whose
-//! every run has a predecessor inside the section (checked as
-//! `shift_ok`), the map `x[k − 1] ↦ x[k]` for `k ≥ 1` is max-plus linear
-//! — built from `max` and `+ d` only — and therefore homogeneous:
-//! `A(x + μ) = A x + μ` (Baccelli, Cohen, Olsder & Quadrat,
-//! *Synchronization and Linearity*, 1992). The walk keeps the last
-//! [`MAX_CYCLICITY`] state vectors. As soon as `x[k] = x[k − c] + D`
-//! holds with one integer `D` on every component, induction over
-//! homogeneity gives `x[k + j·c] = x[k] + j·D` for every later `j`,
-//! exactly, and the same shift applies to every per-copy maximum. The
-//! walk then jumps `⌊remaining / c⌋` blocks at once, walks the
-//! `remaining mod c` copies left, and hands the shifted final state to
-//! the next section. If no uniform shift shows up — GPipe's reducible
-//! trains, or a transient longer than the section — every copy is
-//! walked, which is still exact. The other sections repeat at most `p`
-//! times and are always walked.
+//! The replay walks the sections in order and each section copy by copy.
+//! A run takes part in the first `P` copies of its section, where `P` is
+//! the section's *period count* on the run's device; a run that sits a
+//! copy out keeps its last finish time. Copy 0 waits on the earlier
+//! sections' final finish times (`entry` edges), copy `k ≥ 1` on copy
+//! `k − 1`'s finish times (`carried` edges), and the finish times of the
+//! runs *active* in copy `k` (those with `P > k`) are the state vector
+//! `x[k]`.
+//!
+//! **Nested sections.** A section is nested when no run reads a run that
+//! stopped earlier than it: `P(u) ≥ P(v)` for every intra-copy edge
+//! `u → v`, and `P(u) + 1 ≥ P(v)` for every carried one ([`nested`],
+//! checked per point in O(edges)). A section every device repeats
+//! equally often (1F1B's steady pairs, GPipe's trains) is nested
+//! trivially. So are 1F1B's warm-up, remaining pairs and drain, whose
+//! period counts step by one from stage to stage: in the warm-up each
+//! stage's forwards feed the next stage, which runs one copy fewer, and
+//! in the remaining pairs and the drain every edge into a stage with one
+//! copy more than its source's is carried. In a nested section an active
+//! run of copy `k ≥ 1` reads only runs active in copy `k` (intra-copy)
+//! and copy `k − 1` (carried), never a stale finish time, so `x[k]` is
+//! one fixed map `A` of `x[k − 1]`, restricted to the rows still active.
+//! `A` is built from `max` and `+ d` only.
+//!
+//! **Induction.** Suppose `x[k] = x[k − c] + D` holds on every run active
+//! in copy `k`, for some `c ≤ k` and integer `D ≥ 0`. Take a run `v`
+//! active in copy `k + 1`, and its inputs in topological order: a
+//! carried predecessor `u` has `P(u) ≥ P(v) − 1 > k`, so it is active in
+//! copy `k` and the hypothesis covers it; an intra-copy predecessor is
+//! active in copy `k + 1` and comes earlier in the order. So
+//! `x[k + 1]_v = (A x[k])_v = (A (x[k − c] + D))_v = x[k + 1 − c]_v + D`.
+//! The last step is max-plus homogeneity, `A(x + μ) = A x + μ`
+//! (Baccelli, Cohen, Olsder & Quadrat, *Synchronization and Linearity*,
+//! 1992), which needs every active run to wait on some predecessor. A
+//! run without one finishes at its constant duration in every copy, so a
+//! positive common shift never holds on it; with `D = 0` the step needs
+//! no homogeneity at all. By induction, `x[m] = x[m − c] + D` on the
+//! runs active in copy `m`, for every `m > k`.
+//!
+//! **Per-run extrapolation.** The walk keeps the last [`MAX_CYCLICITY`]
+//! state vectors and stops at the first copy `k` where such a shift
+//! shows ([`common_shift`]). A run whose last copy `L = P − 1` lies past
+//! `k` then finishes last at `x[k′] + ((L − k′) / c)·D`, where `k′` is
+//! the walked copy in `(k − c, k]` congruent to `L` mod `c`. The graph
+//! is stream-chained, so a run's copy `k + 1` waits on its copy `k` and
+//! a run's last copy is its latest. The section's latest finish time is
+//! therefore the maximum of these last finishes and of the copies
+//! walked. A section thus costs `k + 1` walked copies, however often it
+//! repeats on each device: O(p) for a plan of depth `p`, not O(p²). If
+//! no shift shows (GPipe's reducible trains, or a transient longer than
+//! the section), or the section is not nested, every copy is walked,
+//! which is still exact.
 //!
 //! # Slots and delta patching
 //!
@@ -67,8 +97,9 @@
 //! [`PipelineSchedule::sections_stable_from`]). Everything that
 //! depends on structure alone is derived once per fresh build, right after
 //! the CSR: each section's topological order, its loop-carried and entry
-//! edges, whether it may shift, and the `(section, device, slot,
-//! multiplicity)` tallies of one copy.
+//! edges, and the `(section, device, slot, multiplicity)` tallies of one
+//! copy. Whether a section is nested depends on the period counts too,
+//! so the replay checks it per point.
 //! When the scratch already holds a graph for the same key,
 //! [`lower_plan`] skips the builder and all of that derivation, and only
 //! refills the value columns — each run's duration, from the re-priced
@@ -90,7 +121,7 @@
 //!
 //! Under the fair-sharing network, lowering is the same [`lower_plan`]
 //! (so shape-equal plans patch), plus each slot's flow program, priced
-//! next to the slot table. The replay cannot take the uniform shift:
+//! next to the slot table. The replay cannot take the common shift:
 //! concurrent flows split a link's bandwidth, so a flow's duration
 //! depends on which other flows overlap it, and the copy-to-copy map is no
 //! longer built from `max` and `+ d` alone. It is not max-plus linear, and
@@ -149,7 +180,7 @@ pub(crate) enum LowerOutcome {
 /// No open run on this device's compute stream.
 const NONE: u32 = u32::MAX;
 
-/// The largest period `c` of the uniform shift `x[k] = x[k − c] + D` the
+/// The largest period `c` of the common shift `x[k] = x[k − c] + D` the
 /// section walk looks for (max-plus cyclicity). The walk keeps this many
 /// past state vectors.
 pub(crate) const MAX_CYCLICITY: usize = 4;
@@ -183,11 +214,6 @@ pub struct CompactScratch {
     /// Nodes one copy of each section holds on each device
     /// (`device × section`, like `sec_periods`).
     sec_nodes: Vec<u64>,
-    /// Whether each section's copy-to-copy map is homogeneous: every run
-    /// has an intra-copy or loop-carried predecessor. Such a section may
-    /// take the uniform-shift shortcut when all its devices run the same
-    /// number of copies.
-    shift_ok: Vec<bool>,
     /// Run compositions — `(owning run, latency slot, multiplicity)`
     /// triples, in emission order (so `comp_run` is non-decreasing: runs
     /// own consecutive node-id ranges and close before the next run
@@ -242,10 +268,8 @@ pub struct CompactScratch {
     /// Finish time of each run in the latest walked copy of its section.
     finish: Vec<TimeNs>,
     /// The last `MAX_CYCLICITY + 1` state vectors of the section being
-    /// walked (ring buffer, one section-sized row per copy) and each
-    /// copy's maximum finish time.
+    /// walked (ring buffer, one section-sized row per copy).
     hist: Vec<TimeNs>,
-    hist_max: Vec<TimeNs>,
     /// `(walked, total)` section copies of the latest replay.
     periods: (u64, u64),
 }
@@ -258,7 +282,7 @@ impl CompactScratch {
 
     /// `(walked, total)` section copies of the latest replay: the total
     /// counts every copy the plan runs, the walked ones are those the
-    /// replay did not skip by a uniform shift.
+    /// replay did not extrapolate by a common max-plus shift.
     pub(crate) fn periods(&self) -> (u64, u64) {
         self.periods
     }
@@ -271,7 +295,6 @@ impl CompactScratch {
         }
         bytes(&self.sec_runs)
             + bytes(&self.sec_nodes)
-            + bytes(&self.shift_ok)
             + bytes(&self.comp_run)
             + bytes(&self.comp_slot)
             + bytes(&self.comp_count)
@@ -296,7 +319,6 @@ impl CompactScratch {
             + bytes(&self.ready_at)
             + bytes(&self.finish)
             + bytes(&self.hist)
-            + bytes(&self.hist_max)
     }
 
     /// Maps a builder node id back to its owning run. Runs own
@@ -686,12 +708,9 @@ fn build_csr(s: &mut CompactScratch) {
     }
 }
 
-/// Decides per section whether its copy-to-copy map is homogeneous
-/// (`shift_ok`: every run has an intra-copy or loop-carried
-/// predecessor), then stores a Kahn topological order of each section's
-/// runs in `order`. The ready set is a stack, so the order follows chains
-/// depth-first and the replay's walk touches neighbouring runs back to
-/// back.
+/// Stores a Kahn topological order of each section's runs in `order`.
+/// The ready set is a stack, so the order follows chains depth-first and
+/// the replay's walk touches neighbouring runs back to back.
 ///
 /// # Panics
 ///
@@ -699,22 +718,7 @@ fn build_csr(s: &mut CompactScratch) {
 /// aggregation of a valid plan is always acyclic).
 fn build_order(s: &mut CompactScratch) {
     let n = s.run_device.len();
-    let CompactScratch {
-        sec_runs,
-        shift_ok,
-        carried,
-        in_degree,
-        stack,
-        offsets,
-        targets,
-        order,
-        ..
-    } = s;
-    shift_ok.clear();
-    for bounds in sec_runs.windows(2) {
-        let carried_into = |r: u32| carried.binary_search_by_key(&r, |&(_, to)| to).is_ok();
-        shift_ok.push((bounds[0]..bounds[1]).all(|r| in_degree[r as usize] > 0 || carried_into(r)));
-    }
+    let CompactScratch { sec_runs, in_degree, stack, offsets, targets, order, .. } = s;
     order.clear();
     for bounds in sec_runs.windows(2) {
         stack.clear();
@@ -792,13 +796,14 @@ fn edges_into(edges: &[(u32, u32)], lo: u32, hi: u32) -> &[(u32, u32)] {
 /// The value-only replay over the lowered periodic graph. Compact graphs
 /// are stream-chained by construction (the builder chains consecutive
 /// runs on every slot), so the dataflow traversal reproduces the FIFO
-/// replay — the same argument as `simulate`'s fast path, proven
-/// bit-identical by the equivalence tests. Each section is walked copy by
-/// copy over its stored order (see the module docs for the uniform-shift
-/// shortcut); the busy breakdown, the per-device busy time and the task
-/// count come from the structure tallies ([`build_tallies`]) scaled by
-/// the current slot values and period counts, so a patched graph replays
-/// without touching any structure.
+/// replay — the same argument as [`simulate`](crate::sim::simulate)'s
+/// dataflow pass, proven bit-identical by the equivalence tests. Each
+/// section is walked copy by copy over its stored order until a nested
+/// section's common shift shows (see the module docs); the busy
+/// breakdown, the per-device busy time and the task count come from the
+/// structure tallies ([`build_tallies`]) scaled by the current slot
+/// values and period counts, so a patched graph replays without touching
+/// any structure.
 pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mut SimReport) {
     let n_runs = s.run_duration.len();
     s.ready_at.clear();
@@ -862,15 +867,14 @@ fn fold_tallies(
 
 /// Walks the copies of section `sec` — each device's runs take part in
 /// its first `periods` copies — leaving each run's last finish time in
-/// `finish`. When every device with runs in the section repeats it
-/// equally often and its copy-to-copy map is homogeneous, the walk stops
-/// at the first uniform shift and jumps over the remaining whole blocks.
-/// Returns the latest finish time over all copies, the number of copies
-/// and the number walked.
+/// `finish`. In a [`nested`] section the walk stops at the first copy
+/// whose active runs repeat an earlier copy's finish times shifted by one
+/// `D`, and extrapolates every run still active to its last copy (see the
+/// module docs). Returns the latest finish time over all copies, the
+/// number of copies and the number walked.
 fn walk_section(s: &mut CompactScratch, sec: usize, n_sections: usize) -> (TimeNs, u64, u64) {
     let CompactScratch {
         sec_runs,
-        shift_ok,
         carried,
         entry,
         offsets,
@@ -882,85 +886,98 @@ fn walk_section(s: &mut CompactScratch, sec: usize, n_sections: usize) -> (TimeN
         ready_at,
         finish,
         hist,
-        hist_max,
         ..
     } = s;
-    let periods_of = |device: u32| sec_periods[device as usize * n_sections + sec];
-    let devices = (sec_periods.len() / n_sections) as u32;
-    let copies = (0..devices).map(periods_of).max().unwrap_or(0);
-    // A device without runs in this section runs no copy of it.
-    let uniform = (0..devices).all(|d| periods_of(d) == 0 || periods_of(d) == copies);
+    let devices = sec_periods.len() / n_sections;
+    let copies = (0..devices).map(|d| sec_periods[d * n_sections + sec]).max().unwrap_or(0);
+    // How many copies of the section run `i` takes part in.
+    let periods = |i: usize| sec_periods[run_device[i] as usize * n_sections + sec];
     let (lo, hi) = (sec_runs[sec], sec_runs[sec + 1]);
     let (lo_us, hi_us) = (lo as usize, hi as usize);
     let len = hi_us - lo_us;
     let carried = edges_into(carried, lo, hi);
     let entry = edges_into(entry, lo, hi);
     let order = &order[lo_us..hi_us];
-    let ring = MAX_CYCLICITY + 1;
-    let mut detect = uniform && shift_ok[sec] && copies > 1;
+    let ring = (MAX_CYCLICITY + 1) as u64;
+    let detect = copies > 1 && nested(lo_us..hi_us, offsets, targets, carried, periods);
     if detect {
         hist.clear();
-        hist.resize(ring * len, TimeNs::ZERO);
-        hist_max.clear();
-        hist_max.resize(ring, TimeNs::ZERO);
+        hist.resize(ring as usize * len, TimeNs::ZERO);
     }
     let mut latest = TimeNs::ZERO;
-    let mut walked = 0;
-    let mut k = 0u64;
-    while k < copies {
+    for k in 0..copies {
         ready_at[lo_us..hi_us].fill(TimeNs::ZERO);
         for &(from, to) in if k == 0 { entry } else { carried } {
             let ready = &mut ready_at[to as usize];
             *ready = (*ready).max(finish[from as usize]);
         }
-        let mut copy_max = TimeNs::ZERO;
         for &u in order {
             let i = u as usize;
-            if !uniform && periods_of(run_device[i]) <= k {
+            if periods(i) <= k {
                 continue;
             }
             let done = ready_at[i] + run_duration[i];
             finish[i] = done;
-            copy_max = copy_max.max(done);
+            latest = latest.max(done);
             for &c in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
                 let ready = &mut ready_at[c as usize];
                 *ready = (*ready).max(done);
             }
         }
-        latest = latest.max(copy_max);
-        walked += 1;
-        if detect {
-            let row = (k % ring as u64) as usize;
-            hist[row * len..(row + 1) * len].copy_from_slice(&finish[lo_us..hi_us]);
-            hist_max[row] = copy_max;
-            if let Some((c, shift)) = uniform_shift(hist, len, k) {
-                detect = false;
-                // x[k + j·c] = x[k] + j·D for every j: jump the whole
-                // blocks left, then walk the remainder.
-                let blocks = (copies - 1 - k) / c;
-                if blocks > 0 {
-                    let jump = TimeNs::from_nanos(shift.as_nanos() * blocks);
-                    let block_max = (k + 1 - c..=k)
-                        .map(|j| hist_max[(j % ring as u64) as usize])
-                        .max()
-                        .expect("c ≥ 1");
-                    latest = latest.max(block_max + jump);
-                    for f in &mut finish[lo_us..hi_us] {
-                        *f += jump;
-                    }
-                    k += blocks * c;
-                }
-            }
+        if !detect {
+            continue;
         }
-        k += 1;
+        let row = (k % ring) as usize;
+        hist[row * len..(row + 1) * len].copy_from_slice(&finish[lo_us..hi_us]);
+        let Some((c, shift)) = common_shift(hist, len, k, |r| periods(lo_us + r) > k) else {
+            continue;
+        };
+        // x[k + j] = x[k + j − c] + D for every j ≥ 1 on the runs active
+        // at copy k + j: a run's last copy is its walked copy of the same
+        // residue mod c, shifted once per block ahead of it.
+        for i in lo_us..hi_us {
+            let ahead = periods(i).saturating_sub(k + 1);
+            if ahead == 0 {
+                continue;
+            }
+            let blocks = ahead.div_ceil(c);
+            let then = ((k + ahead - blocks * c) % ring) as usize;
+            let jump = TimeNs::from_nanos(shift.as_nanos() * blocks);
+            finish[i] = hist[then * len + i - lo_us] + jump;
+            latest = latest.max(finish[i]);
+        }
+        return (latest, copies, k + 1);
     }
-    (latest, copies, walked)
+    (latest, copies, copies)
+}
+
+/// Whether the section's runs `runs` are nested under their period
+/// counts `periods`: no run reads a run that stopped earlier than it.
+/// That is `P(u) ≥ P(v)` for every intra-copy edge `u → v` (from the
+/// CSR) and `P(u) + 1 ≥ P(v)` for every carried edge, so every input of
+/// a run's copy `k ≥ 1` is its source's copy `k` or `k − 1`.
+fn nested(
+    runs: std::ops::Range<usize>,
+    offsets: &[u32],
+    targets: &[u32],
+    carried: &[(u32, u32)],
+    periods: impl Fn(usize) -> u64,
+) -> bool {
+    let intra = |u: usize| &targets[offsets[u] as usize..offsets[u + 1] as usize];
+    runs.into_iter().all(|u| intra(u).iter().all(|&v| periods(u) >= periods(v as usize)))
+        && carried.iter().all(|&(u, v)| periods(u as usize) + 1 >= periods(v as usize))
 }
 
 /// The smallest `c ≤ min(MAX_CYCLICITY, k)` such that state `x[k]` equals
-/// `x[k − c]` shifted by one `D ≥ 0` on every component, with that `D`.
-/// `hist` is the ring of section-sized state rows.
-fn uniform_shift(hist: &[TimeNs], len: usize, k: u64) -> Option<(u64, TimeNs)> {
+/// `x[k − c]` shifted by one `D ≥ 0` on every run `active` at copy `k`
+/// (by offset into the section), with that `D`. `hist` is the ring of
+/// section-sized state rows.
+fn common_shift(
+    hist: &[TimeNs],
+    len: usize,
+    k: u64,
+    active: impl Fn(usize) -> bool,
+) -> Option<(u64, TimeNs)> {
     let ring = (MAX_CYCLICITY + 1) as u64;
     let row = |j: u64| {
         let r = (j % ring) as usize;
@@ -969,9 +986,14 @@ fn uniform_shift(hist: &[TimeNs], len: usize, k: u64) -> Option<(u64, TimeNs)> {
     let now = row(k);
     (1..=k.min(MAX_CYCLICITY as u64)).find_map(|c| {
         let then = row(k - c);
-        let shift = now.first()?.as_nanos().checked_sub(then.first()?.as_nanos())?;
-        let shift = TimeNs::from_nanos(shift);
-        now.iter().zip(then).all(|(&a, &b)| a == b + shift).then_some((c, shift))
+        let mut shift = None;
+        for r in (0..len).filter(|&r| active(r)) {
+            let d = now[r].as_nanos().checked_sub(then[r].as_nanos())?;
+            if *shift.get_or_insert(d) != d {
+                return None;
+            }
+        }
+        Some((c, TimeNs::from_nanos(shift.unwrap_or(0))))
     })
 }
 
@@ -1485,6 +1507,110 @@ mod tests {
     }
 
     #[test]
+    fn nested_sections_jump_on_deep_mtnlg_pipelines() {
+        // MT-NLG 530B at p = 105, one layer per stage: the warm-up,
+        // remaining pairs and drain run up to 104, 104 and 103 copies,
+        // one fewer or one more from stage to stage. Below p − 1
+        // micro-batches (96) the warm-up saturates on the first stages.
+        let model = presets::mt_nlg_530b();
+        let comm = CommModel::new(&ClusterSpec::dgx_a100_80gb(8 * 105), 1.0);
+        let mut scratch = CompactScratch::default();
+        for (n, total) in [(96, 96 + 95 + 1 + 95 + 1), (480, 104 + 375 + 104 + 1 + 103 + 1)] {
+            let plan = plan_of((8, 1, 105, 1, n), PipelineSchedule::OneFOneB);
+            compare_point_under(&model, &plan, &GraphOptions::default(), &comm, &mut scratch);
+            let (walked, copies) = scratch.periods();
+            assert_eq!(copies, total, "n = {n}");
+            // Two copies or fewer in each of the six sections.
+            assert!(walked < 12, "n = {n}: walked {walked} of {copies} copies");
+        }
+    }
+
+    #[test]
+    fn real_sections_are_nested() {
+        // Every section of both schedules, at every depth up to one layer
+        // per stage and micro-batch counts around p − 1 and p + 2.
+        let model = presets::megatron("1.7B");
+        let comm = comm_model(false);
+        let cache = vtrain_profile::ProfileCache::new();
+        let profiler = Profiler::new(GpuSpec::a100_40gb());
+        let mut scratch = CompactScratch::default();
+        for p in 1usize..=24 {
+            for n in [1, p.saturating_sub(2).max(1), p, p + 2, 3 * p + 1] {
+                for sched in [PipelineSchedule::OneFOneB, PipelineSchedule::GPipe] {
+                    let plan = plan_of((1, 1, p, 1, n), sched);
+                    let opts = GraphOptions::default();
+                    let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
+                    let profiles = cache.resolve(&profiler, &sigs);
+                    let mut source = SetSource(&profiles);
+                    lower_plan(&model, &plan, &opts, &mut source, &comm, &mut scratch).unwrap();
+                    let s = &scratch;
+                    let n_sections = s.sec_periods.len() / p;
+                    for sec in 0..n_sections {
+                        let periods =
+                            |i: usize| s.sec_periods[s.run_device[i] as usize * n_sections + sec];
+                        let (lo, hi) = (s.sec_runs[sec], s.sec_runs[sec + 1]);
+                        let carried = edges_into(&s.carried, lo, hi);
+                        let runs = lo as usize..hi as usize;
+                        assert!(
+                            nested(runs, &s.offsets, &s.targets, carried, periods),
+                            "{plan}: section {sec} is not nested"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Walks a hand-built one-section graph of two runs, run `i` on
+    /// device `i` with `periods[i]` copies of `durations[i]` ns, joined by
+    /// `carried` edges only. Returns whether it is nested, the walk's
+    /// `(latest, copies, walked)` and each run's last finish, in ns.
+    fn walk_two_runs(
+        carried: &[(u32, u32)],
+        periods: [u64; 2],
+        durations: [u64; 2],
+    ) -> (bool, (u64, u64, u64), Vec<u64>) {
+        let mut s = CompactScratch::default();
+        s.run_device.extend([0, 1]);
+        s.sec_runs.extend([0, 2]);
+        s.carried.extend_from_slice(carried);
+        s.carried.sort_unstable_by_key(|&(_, to)| to);
+        s.run_duration.extend(durations.map(TimeNs::from_nanos));
+        s.sec_periods.extend(periods);
+        build_csr(&mut s);
+        build_order(&mut s);
+        let is_nested = nested(0..2, &s.offsets, &s.targets, &s.carried, |i| periods[i]);
+        s.ready_at.resize(2, TimeNs::ZERO);
+        s.finish.resize(2, TimeNs::ZERO);
+        let (latest, copies, walked) = walk_section(&mut s, 0, 1);
+        let finish = s.finish.iter().map(|f| f.as_nanos()).collect();
+        (is_nested, (latest.as_nanos(), copies, walked), finish)
+    }
+
+    #[test]
+    fn a_nested_section_jumps_by_a_two_copy_cycle() {
+        // Run 0 (6 copies, 3 ns) and run 1 (5 copies, 1 ns) feed each
+        // other through carried edges, so finishes alternate: run 0 at 3,
+        // 4, 7, 8, 11, 12 and run 1 at 1, 4, 5, 8, 9. Copy 2 is copy 0
+        // shifted by 4 on both runs (c = 2), and each run's last copy is
+        // its walked copy of the same parity.
+        let walk = walk_two_runs(&[(1, 0), (0, 1)], [6, 5], [3, 1]);
+        assert_eq!(walk, (true, (12, 6, 3), vec![12, 9]));
+    }
+
+    #[test]
+    fn a_section_that_is_not_nested_is_walked_copy_by_copy() {
+        // No real plan fails the predicate, so this section is built by
+        // hand: run 0 (2 copies, 100 ns) feeds run 1 (6 copies, 1 ns)
+        // through a carried edge, and each run chains to its own next
+        // copy. From copy 2 on, run 1 reads run 0's stale copy-1 finish
+        // (200): 1, 101, 201, 202, 203, 204. Copy 1 is copy 0 shifted by
+        // 100 on both runs, so a jump there would claim 101 + 4 · 100.
+        let walk = walk_two_runs(&[(0, 0), (0, 1), (1, 1)], [2, 6], [100, 1]);
+        assert_eq!(walk, (false, (204, 6, 6), vec![200, 204]));
+    }
+
+    #[test]
     fn gpipe_walks_every_period_exactly_when_no_shift_shows() {
         // Uneven stages (24 layers over 5) make GPipe's forward and
         // backward trains advance at different rates per stage: no
@@ -1599,26 +1725,34 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
         /// Golden equivalence: the aggregated periodic replay reproduces
         /// the full lowering + Predicted replay bit for bit on sampled
         /// design points — schedules, bucketing, recompute, uneven
-        /// partitions, flat and two-tier interconnects — at micro-batch
-        /// counts on both sides of the periodic threshold and far past
-        /// it, where the uniform-shift shortcut skips most copies.
+        /// partitions, flat and two-tier interconnects, up to one layer
+        /// per stage — at micro-batch counts within two of `p − 1` (where
+        /// 1F1B's warm-up stops saturating) and of `p + 2` (where the
+        /// sections' shape settles) and anywhere up to 300, where the
+        /// nested sections and the steady state are jumped.
         #[test]
         fn compact_replay_is_bit_identical_to_full(
             t_exp in 0usize..=2,
             d_exp in 0usize..=2,
-            p in 1usize..=8,
+            p in 1usize..=24,
             m_exp in 0usize..=1,
-            n_micro in 1usize..=300,
+            n_pick in (0usize..3, 0usize..=4, 1usize..=300),
             flags in 0u32..16,
         ) {
             let (gpipe, bucketing, recompute, two_tier) =
                 (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
             let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+            let (regime, offset, far) = n_pick;
+            let n_micro = match regime {
+                0 => (p + offset).saturating_sub(3).max(1),
+                1 => p + offset,
+                _ => far,
+            };
             let b = d * m * n_micro;
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let plan = ParallelConfig::builder()

@@ -681,11 +681,18 @@ impl Estimator {
         if let (Some(stages), Some(t0), Some(t1), Some(t2)) = (stages, t0, t1, t2) {
             stages.add_laps([t0, t1, t2, Instant::now()]);
         }
-        match outcome {
-            LowerOutcome::Fresh => *delta_fresh += 1,
-            LowerOutcome::Patched => *delta_patched += 1,
-        }
+        let counter = match outcome {
+            LowerOutcome::Fresh => {
+                *delta_fresh += 1;
+                "estimate.compact.fresh"
+            }
+            LowerOutcome::Patched => {
+                *delta_patched += 1;
+                "estimate.compact.patched"
+            }
+        };
         if vtrain_obs::enabled() {
+            vtrain_obs::global().counter(counter).inc();
             record_compact_size(compact);
         }
         estimate
@@ -915,7 +922,7 @@ fn count_full_lowering(reason: &str) {
 /// count into the `estimate.compact.runs` histogram, the section copies
 /// the plan runs and those the replay walked into
 /// `estimate.compact.periods_total` / `estimate.compact.periods_walked`
-/// (equal when the uniform-shift shortcut did not engage), and the
+/// (equal when no section's common shift showed), and the
 /// scratch's reserved bytes into the `estimate.compact.scratch_bytes`
 /// high-water gauge.
 fn record_compact_size(compact: &CompactScratch) {
@@ -1202,15 +1209,18 @@ mod tests {
 
     #[test]
     fn compact_periods_are_recorded() {
-        // A long 1F1B pipeline skips most copies of its steady template; a
-        // GPipe plan with uneven stages walks every copy, and the two
-        // histograms say so.
+        // A long 1F1B pipeline skips most copies of its steady template,
+        // and a deep one most copies of its warm-up, remaining pairs and
+        // drain too; a GPipe plan with uneven stages walks every copy,
+        // and the two histograms say so.
         let _flag = OBS_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let metrics = vtrain_obs::global();
         let total = metrics.histogram("estimate.compact.periods_total");
         let walked = metrics.histogram("estimate.compact.periods_walked");
         let est = Estimator::builder(ClusterSpec::aws_p4d(16)).build();
+        let deep_est = Estimator::builder(ClusterSpec::dgx_a100_80gb(8 * 105)).build();
         let model = presets::megatron("1.7B");
+        let mt_nlg = presets::mt_nlg_530b();
         let one_f_one_b = plan(2, 1, 4, 1, 4096);
         let gpipe = ParallelConfig::builder()
             .pipeline(5)
@@ -1218,15 +1228,18 @@ mod tests {
             .schedule(PipelineSchedule::GPipe)
             .build()
             .unwrap();
+        let deep = plan(8, 1, 105, 1, 1920);
         let mut periods = Vec::new();
-        for p in [&one_f_one_b, &gpipe] {
+        for (est, model, p) in
+            [(&est, &model, &one_f_one_b), (&est, &model, &gpipe), (&deep_est, &mt_nlg, &deep)]
+        {
             // Other tests may record concurrently while obs is on, so the
             // exact numbers come from the scratch and the histograms are
             // only checked for having grown by at least this estimate.
             let before = (total.sum(), walked.sum(), total.count(), walked.count());
             let mut scratch = EstimatorScratch::default();
             vtrain_obs::set_enabled(true);
-            est.estimate_validated_with(&model, p, &mut scratch);
+            est.estimate_validated_with(model, p, &mut scratch);
             vtrain_obs::set_enabled(false);
             let (w, t) = scratch.compact.periods();
             assert!(total.count() > before.2 && walked.count() > before.3, "periods not recorded");
@@ -1238,6 +1251,11 @@ mod tests {
         assert_eq!(t, 3 + (4096 - 4) + 3 + 1 + 2 + 1);
         assert!(w < t / 100, "1F1B walked {w} of {t} copies");
         assert_eq!(periods[1], (600, 600), "GPipe walks every copy");
+        let (w, t) = periods[2];
+        // 104 warm-up, 1,815 steady, 104 remaining-pair, 1 last-forward,
+        // 103 drain and 1 final copies.
+        assert_eq!(t, 104 + (1920 - 105) + 104 + 1 + 103 + 1);
+        assert!(w < 12, "p = 105 walked {w} of {t} copies");
     }
 
     #[test]

@@ -140,7 +140,13 @@ fn sweep_metrics_flag_writes_a_registry_snapshot() {
         assert!(snapshot.get(key).is_some(), "snapshot must carry `{key}`:\n{text}");
     }
     let counters = snapshot.get("counters").unwrap();
-    assert!(counters.get("sweep.runs").and_then(serde_json::Value::as_u64).unwrap_or(0) > 0);
+    let count = |name| counters.get(name).and_then(serde_json::Value::as_u64).unwrap_or(0);
+    assert!(count("sweep.runs") > 0);
+    // Each sweep point builds its compact graph or patches the previous
+    // point's; shape-grouped neighbours make both happen.
+    for outcome in ["estimate.compact.fresh", "estimate.compact.patched"] {
+        assert!(count(outcome) > 0, "`{outcome}` not counted:\n{text}");
+    }
 }
 
 #[test]
