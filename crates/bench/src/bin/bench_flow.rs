@@ -12,6 +12,10 @@
 //!   both backends; the two iteration times are deterministic model
 //!   outputs, golden-gated like the collective costs, and the producer
 //!   itself asserts fair sharing is strictly slower on this plan.
+//!   `overlap_refills` counts the flow simulator's refills (the
+//!   `net.refills` counter) over one obs-on fair-sharing estimate of that
+//!   plan: a work count, exact on every host, that the gate holds at or
+//!   below its baseline.
 //! * **Flow-kernel throughput** — a [`FlowSim`] microbench: a bounded
 //!   window of concurrent inter-node flows joining and draining;
 //!   `flow_events_per_sec` is refills per wall-second, best of 3.
@@ -40,6 +44,9 @@ struct FlowBench {
     overlap_closed_form_ns: u64,
     /// Deterministic overlap-plan iteration time, fair sharing.
     overlap_fair_sharing_ns: u64,
+    /// Flow-simulator refills of one fair-sharing estimate of the
+    /// overlap plan.
+    overlap_refills: u64,
 }
 
 fn plan(t: usize, d: usize, p: usize, m: usize, b: usize) -> ParallelConfig {
@@ -60,6 +67,17 @@ fn price(gpus: usize, plan: &ParallelConfig, backend: NetworkBackend) -> u64 {
     estimator.estimate(&model, plan).unwrap().iteration_time.as_nanos()
 }
 
+/// `net.refills` over one obs-on fair-sharing estimate of `plan` on
+/// `gpus` A100s.
+fn refills(gpus: usize, plan: &ParallelConfig) -> u64 {
+    let counter = vtrain_obs::global().counter("net.refills");
+    let before = counter.get();
+    vtrain_obs::set_enabled(true);
+    price(gpus, plan, NetworkBackend::FairSharing);
+    vtrain_obs::set_enabled(false);
+    counter.get() - before
+}
+
 /// One pass of the flow-kernel microbench: `total` single-phase
 /// inter-node flows pushed through a window of at most `flight`
 /// concurrent flows. Returns `(refills, wall seconds)`.
@@ -69,14 +87,15 @@ fn flow_kernel_pass(total: usize, flight: usize) -> (u64, f64) {
         phases: vec![FlowPhase { tier: 1, work: 64.0 * 1024.0 * 1024.0, latency_rounds: 1 }],
     };
     let mut sim = FlowSim::new(&topo);
+    let mut done = Vec::new();
     let start = Instant::now();
     for _ in 0..total {
         while sim.active() >= flight {
             let at = sim.next_event().expect("active flows have a next boundary");
-            sim.advance(at);
+            sim.advance(at, &mut done);
         }
         let now = sim.now();
-        sim.start(now, program.clone());
+        sim.start(now, &program);
     }
     sim.drain_all();
     (sim.refills(), start.elapsed().as_secs_f64())
@@ -103,6 +122,8 @@ fn main() {
         overlap_fair > overlap_closed,
         "fair sharing must price overlap-heavy communication above the closed form"
     );
+    let overlap_refills = refills(32, &overlap);
+    println!("overlap plan: {overlap_refills} flow refills (one fair-sharing estimate)");
 
     let mut flow_events_per_sec = 0.0f64;
     for _ in 0..3 {
@@ -118,6 +139,7 @@ fn main() {
             single_flow_ppm,
             overlap_closed_form_ns: overlap_closed,
             overlap_fair_sharing_ns: overlap_fair,
+            overlap_refills,
         },
     );
 }

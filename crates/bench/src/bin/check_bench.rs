@@ -112,6 +112,8 @@ static GATES: &[Gate] = {
                need: Field, check: Golden("flow_overlap_closed_form_ns", TOL) },
         Gate { name: "flow fair-sharing ns", record: "flow", path: "overlap_fair_sharing_ns",
                need: Field, check: Golden("flow_overlap_fair_sharing_ns", TOL) },
+        Gate { name: "flow overlap refills", record: "flow", path: "overlap_refills",
+               need: Field, check: Ceil("flow_overlap_refills") },
         Gate { name: "collective costs ns", record: "collectives", path: "collectives",
                need: Both, check: Golden("collectives", TOL) },
         Gate { name: "obs-on points/s", record: "sweep", path: "points_per_sec_obs_on",
@@ -391,7 +393,8 @@ mod tests {
                 "flow",
                 Ok(json(
                     r#"{"flow_events_per_sec": 1000000.0, "single_flow_ppm": 0,
-                        "overlap_closed_form_ns": 1000000, "overlap_fair_sharing_ns": 2000000}"#,
+                        "overlap_closed_form_ns": 1000000, "overlap_fair_sharing_ns": 2000000,
+                        "overlap_refills": 100}"#,
                 )),
             ),
         ])
@@ -416,6 +419,7 @@ mod tests {
   "flow_events_per_sec": 1000000,
   "flow_overlap_closed_form_ns": 1000000,
   "flow_overlap_fair_sharing_ns": 2000000,
+  "flow_overlap_refills": 100,
   "collectives": [
     ["a", 1000000],
     ["b", 2000]
@@ -517,6 +521,12 @@ mod tests {
             "flow fair-sharing ns",
             &[("flow", "overlap_fair_sharing_ns", "2000002")],
             &[("flow", "overlap_fair_sharing_ns", "2000003")],
+        ),
+        // Exact: no slack above the baseline's 100.
+        (
+            "flow overlap refills",
+            &[("flow", "overlap_refills", "100")],
+            &[("flow", "overlap_refills", "101")],
         ),
         (
             "collective costs ns",
@@ -707,6 +717,7 @@ mod tests {
                 "flow kernel events/s",
                 "flow closed-form ns",
                 "flow fair-sharing ns",
+                "flow overlap refills",
                 "collective costs ns",
                 "serve warm hit-rate",
                 "flow single-flow ppm",

@@ -4,7 +4,7 @@
 //! The simulation runs on the shared [`vtrain_engine`] kernel: job
 //! arrivals, predicted completions, and deadline expirations are typed
 //! engine events, and the GPU fleet is a counting
-//! [`CapacityPool`](vtrain_engine::resource::CapacityPool) resource.
+//! [`vtrain_engine::resource::CapacityPool`] resource.
 //! Because elastic reallocation changes every running job's completion
 //! time at every event, completion predictions carry the epoch of the
 //! reallocation that computed them and are lazily invalidated: a stale

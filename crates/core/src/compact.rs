@@ -131,11 +131,15 @@
 //! and [`replay_unrolled`] runs the flow replay over it. Compute runs stay
 //! aggregated, and only communication-stream runs, one node each, become
 //! flows. The unrolled graph has one task per run of every section copy
-//! (~200 on the shipped 1.7B sweep's plans, against ~3,700 in the full
+//! (~215 on the shipped 1.7B sweep's plans, against ~3,700 in the full
 //! task graph), and the report is bit-identical to the full graph's flow
-//! replay. Its buffers live in an [`Unrolled`] reused point to point;
-//! unlike the periodic graph's, they grow with the number of section
-//! copies, and each point's flow programs are priced afresh.
+//! replay. That replay resolves the ~175 fixed-duration instances by
+//! dataflow as their parents finish; only the ~40 flow instances wait in
+//! its heap of pending joins, time-ordered against the network's
+//! boundaries ([`crate::flow_replay`]). The unrolled graph's buffers live
+//! in an [`Unrolled`] reused point to point; unlike the periodic graph's,
+//! they grow with the number of section copies, and each point's flow
+//! programs are priced afresh.
 //!
 //! All buffers live in a caller-owned [`CompactScratch`], so steady-state
 //! sweep evaluation performs no per-point heap allocation here, and none
@@ -1032,6 +1036,13 @@ impl Unrolled {
     #[cfg(test)]
     pub(crate) fn num_tasks(&self) -> usize {
         self.graph.len()
+    }
+
+    /// The latest unrolled graph and its tasks' flow programs: the
+    /// input [`replay_unrolled`] hands the flow replay.
+    #[cfg(test)]
+    pub(crate) fn replay_input(&self) -> (&TaskGraph, Programs<'_>) {
+        (&self.graph, Programs::Indexed { table: &self.slot_program, index: &self.inst_slot })
     }
 
     /// Records slot `op`'s flow program under `comm` and its task kind

@@ -346,15 +346,15 @@ impl EstimatorBuilder {
 /// Thread one of these through [`Estimator::estimate_validated_with`] and
 /// steady-state closed-form evaluation performs no per-point heap
 /// allocation; under fair sharing the unrolled graph and the flow
-/// replay's vectors are reused too, while each point's flow programs and
-/// flow simulator are built afresh.
+/// replay's vectors, join heap and flow simulator are reused too, while
+/// each point's flow programs are priced afresh.
 #[derive(Default)]
 pub struct EstimatorScratch {
     compact: CompactScratch,
     /// The fair-sharing network's per-slot flow programs and unrolled
     /// graph (untouched under the closed form).
     unrolled: Unrolled,
-    /// The flow replay's working vectors.
+    /// The flow replay's working state.
     flows: FlowScratch,
     report: SimReport,
     /// Profile-cache hits/misses attributable to this scratch's owner.
@@ -950,7 +950,7 @@ fn compute_label(kind: CompKind) -> (&'static str, &'static str) {
 }
 
 /// `(name, category, args)` of a communication span: payload geometry
-/// plus the comm model's per-tier cost attribution ([`CostBreakdown`]
+/// plus the comm model's per-tier cost attribution ([`CostBreakdown`](vtrain_net::collective::CostBreakdown)
 /// phases summed by tier).
 fn comm_label(op: &CommOp, comm: &CommModel) -> (&'static str, &'static str, Vec<(String, u64)>) {
     let name = match op.kind {
@@ -1600,6 +1600,128 @@ mod tests {
         }
     }
 
+    /// A fair-sharing estimator over the `net`-th of four interconnects:
+    /// flat, two-tier with α = 0.8, racked behind a 25 GB/s spine, and
+    /// racked behind a 12.5 GB/s spine.
+    fn fair_estimator(net: u32) -> Estimator {
+        let cluster = ClusterSpec::aws_p4d(512);
+        let spine = |bandwidth| vtrain_net::TierSpec::new(bandwidth, TimeNs::from_micros(35), 1.0);
+        let builder = Estimator::builder(cluster.clone()).network(NetworkBackend::FairSharing);
+        match net {
+            0 => builder.build(),
+            1 => builder.topology(cluster.topology(0.8)).build(),
+            2 => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(25e9))).build(),
+            _ => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(12.5e9))).build(),
+        }
+    }
+
+    /// What one flow replay shows: the report, each task's span, the
+    /// last network sample at each timestamp (utilization bits), and the
+    /// flow simulator's refill count and flow high-water mark.
+    type FlowReplayView = (SimReport, Vec<(u64, u64)>, Vec<(u64, Vec<u64>)>, (u64, usize));
+
+    /// Replays `graph` with both observers attached, on the engine
+    /// oracle if `engine`.
+    fn observe_flow_replay(
+        graph: &TaskGraph,
+        programs: Programs<'_>,
+        topology: &Topology,
+        engine: bool,
+    ) -> FlowReplayView {
+        let mut spans = vec![(u64::MAX, u64::MAX); graph.len()];
+        let mut samples: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        let (mut scratch, mut report) = (FlowScratch::default(), SimReport::default());
+        let mut trace = |task: u32, start: TimeNs, finish: TimeNs| {
+            assert_eq!(spans[task as usize].0, u64::MAX, "task {task} booked twice");
+            spans[task as usize] = (start.as_nanos(), finish.as_nanos());
+        };
+        let mut last = TimeNs::ZERO;
+        let mut net_trace = |at: TimeNs, util: &[f64]| {
+            assert!(at >= last, "network samples run forward in time");
+            last = at;
+            samples.insert(at.as_nanos(), util.iter().map(|u| u.to_bits()).collect());
+        };
+        let (trace, net_trace) = (Some(&mut trace as _), Some(&mut net_trace as _));
+        if engine {
+            crate::flow_replay::engine_oracle::simulate_flows_on_engine(
+                graph,
+                programs,
+                topology,
+                trace,
+                net_trace,
+                &mut scratch,
+                &mut report,
+            );
+        } else {
+            simulate_flows(graph, programs, topology, trace, net_trace, &mut scratch, &mut report);
+        }
+        let net = scratch.net_counters();
+        (report, spans, samples.into_iter().collect(), net)
+    }
+
+    /// Asserts the dataflow flow replay of `graph` matches the engine
+    /// oracle in every report field (in `u64`), every task's span, the
+    /// last network sample at each timestamp and the refill count.
+    fn assert_flow_replay_matches_engine(
+        graph: &TaskGraph,
+        programs: Programs<'_>,
+        topology: &Topology,
+    ) {
+        let got = observe_flow_replay(graph, programs, topology, false);
+        let want = observe_flow_replay(graph, programs, topology, true);
+        let nanos =
+            |b: &BusyBreakdown| [b.compute, b.tp_comm, b.dp_comm, b.pp_comm].map(|t| t.as_nanos());
+        let device = |r: &SimReport| r.device_busy.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
+        let (r, w) = (&got.0, &want.0);
+        assert_eq!(r.iteration_time.as_nanos(), w.iteration_time.as_nanos());
+        assert_eq!(nanos(&r.busy), nanos(&w.busy));
+        assert_eq!(device(r), device(w));
+        assert_eq!(r.tasks_executed as u64, w.tasks_executed as u64);
+        assert_eq!(got.1, want.1, "task spans");
+        assert_eq!(got.2, want.2, "last network sample at each timestamp");
+        assert_eq!(got.3, want.3, "refills and flow high-water mark");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Differential test of the dataflow flow replay against the
+        /// discrete-event engine replay it replaced, on random plans over
+        /// the four interconnects of [`fair_estimator`], on both inputs the
+        /// replay takes: the full task graph (one program per task) and the
+        /// unrolled compact graph (programs by latency slot).
+        #[test]
+        fn flow_replay_matches_the_engine_oracle(
+            t_exp in 0usize..=3,
+            d_exp in 0usize..=3,
+            p in 1usize..=6,
+            m_exp in 0usize..=1,
+            n_micro in 1usize..=16,
+            flags in 0u32..16,
+        ) {
+            let (gpipe, bucketing, net) = (flags & 1 != 0, flags & 2 != 0, flags >> 2);
+            let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let plan = ParallelConfig::builder()
+                .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+            let est = fair_estimator(net);
+            let model = presets::megatron("1.7B");
+            if est.validate(&model, &plan).is_err() {
+                return Ok(());
+            }
+            let (tg, programs) = est.lower_with_programs(&model, &plan);
+            assert_flow_replay_matches_engine(&tg, Programs::PerTask(&programs), est.topology());
+            let mut scratch = EstimatorScratch::default();
+            est.estimate_validated_with(&model, &plan, &mut scratch);
+            let (unrolled, programs) = scratch.unrolled.replay_input();
+            assert_flow_replay_matches_engine(unrolled, programs, est.topology());
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 24,
@@ -1629,15 +1751,7 @@ mod tests {
                     .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
                     .schedule(sched).gradient_bucketing(bucketing).build().unwrap()
             };
-            let cluster = ClusterSpec::aws_p4d(512);
-            let spine = |bandwidth| vtrain_net::TierSpec::new(bandwidth, TimeNs::from_micros(35), 1.0);
-            let builder = Estimator::builder(cluster.clone()).network(NetworkBackend::FairSharing);
-            let est = match net {
-                0 => builder.build(),
-                1 => builder.topology(cluster.topology(0.8)).build(),
-                2 => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(25e9))).build(),
-                _ => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(12.5e9))).build(),
-            };
+            let est = fair_estimator(net);
             let model = presets::megatron("1.7B");
             let (first, second) = (plan_m(m), plan_m(3 - m));
             if est.validate(&model, &first).is_err() {

@@ -818,7 +818,7 @@ pub struct Sweep {
     model: ModelConfig,
     cluster: ClusterSpec,
     /// `None` until [`Sweep::alpha`] is called: unset, the topology's
-    /// own inter-node tier α is inherited (see [`EstimatorBuilder`]).
+    /// own inter-node tier α is inherited (see [`EstimatorBuilder`](crate::EstimatorBuilder)).
     alpha: Option<f64>,
     cache: Option<Arc<ProfileCache>>,
     topology: Option<Topology>,

@@ -1,11 +1,13 @@
 //! # vtrain-engine
 //!
-//! The deterministic discrete-event simulation kernel shared by the
-//! workspace's physical-time simulators: the fair-sharing network replay
-//! of one training iteration (`vtrain-core`'s flow replay) and the
-//! multi-tenant cluster scheduler (`vtrain-cluster::simulate_cluster`).
-//! The closed-form Algorithm 1 replay (`vtrain-core::simulate`) needs no
-//! event queue: its graphs are stream-chained, so it is a dataflow pass.
+//! The deterministic discrete-event simulation kernel of the multi-tenant
+//! cluster scheduler (`vtrain-cluster::simulate_cluster`). Neither
+//! iteration replay in `vtrain-core` needs an event queue: their graphs
+//! are stream-chained, so the closed-form Algorithm 1 replay is a
+//! dataflow pass, and the fair-sharing flow replay is one too, with only
+//! its flow tasks time-ordered in a heap of pending joins. `vtrain-core`
+//! keeps the engine-driven flow replay in its tests, as that replay's
+//! oracle.
 //!
 //! The kernel provides three things:
 //!

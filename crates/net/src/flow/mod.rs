@@ -17,8 +17,9 @@
 //!   order-independent at the bit level.
 //! * [`FlowSim`] — an event-driven replay where joins, leaves, and phase
 //!   changes trigger a refill that linearly rescales every affected
-//!   flow's remaining work. No per-byte stepping; `O(flows × links)` per
-//!   refill.
+//!   flow's remaining work. Each phase crosses one tier, so a refill is
+//!   each tier's equal split (the max-min allocation, bit for bit). No
+//!   per-byte stepping; `O(flows)` per refill.
 //!
 //! With a single flow in flight the backend is equivalent to the closed
 //! form within quantisation (the golden tests pin exact equality), so

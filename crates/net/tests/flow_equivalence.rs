@@ -39,7 +39,7 @@ fn solo_flow_time(
         return TimeNs::ZERO;
     }
     let mut sim = FlowSim::new(topo);
-    sim.start(TimeNs::ZERO, program);
+    sim.start(TimeNs::ZERO, &program);
     sim.drain_all()
 }
 

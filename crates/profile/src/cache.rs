@@ -294,7 +294,7 @@ impl ProfileCache {
 
     /// The profile of `sig` on `profiler`'s GPU, profiling on first use.
     ///
-    /// Entries are keyed by the signature's [canonical](canonical)
+    /// Entries are keyed by the signature's [canonical]
     /// profiling identity, so signatures differing only in fields their
     /// decomposition never reads (e.g. the tensor degree of an embedding
     /// lookup) share one entry.

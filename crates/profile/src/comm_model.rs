@@ -544,7 +544,7 @@ mod tests {
             for o in [op(CommKind::DpAllReduce, CommScope::InterNode, 256, 8), hier, pp] {
                 let program = m.flow_program(&o).expect("inter-node ops cross a link");
                 let mut sim = FlowSim::new(m.topology());
-                sim.start(TimeNs::ZERO, program);
+                sim.start(TimeNs::ZERO, &program);
                 let done = sim.drain_all();
                 let want = m.latency(&o);
                 let rel = (done.as_secs_f64() - want.as_secs_f64()).abs() / want.as_secs_f64();
