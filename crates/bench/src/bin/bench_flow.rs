@@ -15,7 +15,9 @@
 //!   `overlap_refills` counts the flow simulator's refills (the
 //!   `net.refills` counter) over one obs-on fair-sharing estimate of that
 //!   plan: a work count, exact on every host, that the gate holds at or
-//!   below its baseline.
+//!   below its baseline. `overlap_comm_priced` counts the communication
+//!   operators that same estimate priced (the `estimate.comm.priced`
+//!   counter), gated the same way.
 //! * **Flow-kernel throughput** — a [`FlowSim`] microbench: a bounded
 //!   window of concurrent inter-node flows joining and draining;
 //!   `flow_events_per_sec` is refills per wall-second, best of 3.
@@ -47,6 +49,8 @@ struct FlowBench {
     /// Flow-simulator refills of one fair-sharing estimate of the
     /// overlap plan.
     overlap_refills: u64,
+    /// Communication operators priced by that estimate.
+    overlap_comm_priced: u64,
 }
 
 fn plan(t: usize, d: usize, p: usize, m: usize, b: usize) -> ParallelConfig {
@@ -67,15 +71,17 @@ fn price(gpus: usize, plan: &ParallelConfig, backend: NetworkBackend) -> u64 {
     estimator.estimate(&model, plan).unwrap().iteration_time.as_nanos()
 }
 
-/// `net.refills` over one obs-on fair-sharing estimate of `plan` on
-/// `gpus` A100s.
-fn refills(gpus: usize, plan: &ParallelConfig) -> u64 {
-    let counter = vtrain_obs::global().counter("net.refills");
-    let before = counter.get();
+/// `(net.refills, estimate.comm.priced)` over one obs-on fair-sharing
+/// estimate of `plan` on `gpus` A100s.
+fn work_counts(gpus: usize, plan: &ParallelConfig) -> (u64, u64) {
+    let metrics = vtrain_obs::global();
+    let counters = [metrics.counter("net.refills"), metrics.counter("estimate.comm.priced")];
+    let before = counters.each_ref().map(|c| c.get());
     vtrain_obs::set_enabled(true);
     price(gpus, plan, NetworkBackend::FairSharing);
     vtrain_obs::set_enabled(false);
-    counter.get() - before
+    let [refills, priced] = counters.each_ref().map(|c| c.get());
+    (refills - before[0], priced - before[1])
 }
 
 /// One pass of the flow-kernel microbench: `total` single-phase
@@ -122,8 +128,11 @@ fn main() {
         overlap_fair > overlap_closed,
         "fair sharing must price overlap-heavy communication above the closed form"
     );
-    let overlap_refills = refills(32, &overlap);
-    println!("overlap plan: {overlap_refills} flow refills (one fair-sharing estimate)");
+    let (overlap_refills, overlap_comm_priced) = work_counts(32, &overlap);
+    println!(
+        "overlap plan: {overlap_refills} flow refills, {overlap_comm_priced} communication \
+         operators priced (one fair-sharing estimate)"
+    );
 
     let mut flow_events_per_sec = 0.0f64;
     for _ in 0..3 {
@@ -140,6 +149,7 @@ fn main() {
             overlap_closed_form_ns: overlap_closed,
             overlap_fair_sharing_ns: overlap_fair,
             overlap_refills,
+            overlap_comm_priced,
         },
     );
 }

@@ -114,6 +114,8 @@ static GATES: &[Gate] = {
                need: Field, check: Golden("flow_overlap_fair_sharing_ns", TOL) },
         Gate { name: "flow overlap refills", record: "flow", path: "overlap_refills",
                need: Field, check: Ceil("flow_overlap_refills") },
+        Gate { name: "flow overlap comm priced", record: "flow", path: "overlap_comm_priced",
+               need: Field, check: Ceil("flow_overlap_comm_priced") },
         Gate { name: "collective costs ns", record: "collectives", path: "collectives",
                need: Both, check: Golden("collectives", TOL) },
         Gate { name: "obs-on points/s", record: "sweep", path: "points_per_sec_obs_on",
@@ -394,7 +396,7 @@ mod tests {
                 Ok(json(
                     r#"{"flow_events_per_sec": 1000000.0, "single_flow_ppm": 0,
                         "overlap_closed_form_ns": 1000000, "overlap_fair_sharing_ns": 2000000,
-                        "overlap_refills": 100}"#,
+                        "overlap_refills": 100, "overlap_comm_priced": 10}"#,
                 )),
             ),
         ])
@@ -420,6 +422,7 @@ mod tests {
   "flow_overlap_closed_form_ns": 1000000,
   "flow_overlap_fair_sharing_ns": 2000000,
   "flow_overlap_refills": 100,
+  "flow_overlap_comm_priced": 10,
   "collectives": [
     ["a", 1000000],
     ["b", 2000]
@@ -527,6 +530,11 @@ mod tests {
             "flow overlap refills",
             &[("flow", "overlap_refills", "100")],
             &[("flow", "overlap_refills", "101")],
+        ),
+        (
+            "flow overlap comm priced",
+            &[("flow", "overlap_comm_priced", "10")],
+            &[("flow", "overlap_comm_priced", "11")],
         ),
         (
             "collective costs ns",
@@ -718,6 +726,7 @@ mod tests {
                 "flow closed-form ns",
                 "flow fair-sharing ns",
                 "flow overlap refills",
+                "flow overlap comm priced",
                 "collective costs ns",
                 "serve warm hit-rate",
                 "flow single-flow ppm",

@@ -88,7 +88,13 @@
 //! kinds, per-stage weight updates, the TP All-Reduce, per-boundary
 //! pipeline sends, per-stage DP buckets). Lowering prices all slots
 //! first (`slot_values`), then each node is an O(1) table lookup instead
-//! of a signature-memo probe.
+//! of a signature-memo probe. Like vTrain's profiling, which measures
+//! each distinct operator once (§III-C), the slot pricing prices each
+//! distinct communication operator once: a slot whose operator equals
+//! the last one priced for its collective kind reuses that latency
+//! ([`resolve_slots`]). A stage's DP buckets all carry one payload but
+//! the last, and neighbouring pipeline boundaries send the same
+//! activations, so most communication slots are such repeats.
 //!
 //! Two plans with equal [`PlanShapeKey`]s produce periodic graphs with
 //! identical structure — runs, edges, sections and slot assignments —
@@ -120,8 +126,10 @@
 //! # Fair sharing: the unrolled graph
 //!
 //! Under the fair-sharing network, lowering is the same [`lower_plan`]
-//! (so shape-equal plans patch), plus each slot's flow program, priced
-//! next to the slot table. The replay cannot take the common shift:
+//! (so shape-equal plans patch), plus the flow program of each distinct
+//! communication operator, priced next to the slot table: a slot that
+//! repeats the previous operator of its kind shares its program, as it
+//! shares its latency. The replay cannot take the common shift:
 //! concurrent flows split a link's bandwidth, so a flow's duration
 //! depends on which other flows overlap it, and the copy-to-copy map is no
 //! longer built from `max` and `+ d` alone. It is not max-plus linear, and
@@ -136,10 +144,11 @@
 //! replay. That replay resolves the ~175 fixed-duration instances by
 //! dataflow as their parents finish; only the ~40 flow instances wait in
 //! its heap of pending joins, time-ordered against the network's
-//! boundaries ([`crate::flow_replay`]). The unrolled graph's buffers live
-//! in an [`Unrolled`] reused point to point; unlike the periodic graph's,
-//! they grow with the number of section copies, and each point's flow
-//! programs are priced afresh.
+//! boundaries ([`crate::flow_replay`]). The unrolled graph's buffers and
+//! the flow-program table live in an [`Unrolled`] reused point to point,
+//! cleared rather than dropped; unlike the periodic graph's, they grow
+//! with the number of section copies. Only a priced flow program's own
+//! phase list is a fresh allocation.
 //!
 //! All buffers live in a caller-owned [`CompactScratch`], so steady-state
 //! sweep evaluation performs no per-point heap allocation here, and none
@@ -149,7 +158,7 @@
 //! [`PipelineSchedule::sections_stable_from`]: vtrain_parallel::PipelineSchedule::sections_stable_from
 
 use vtrain_graph::{
-    build_op_graph_into, plan_shape_key, visit_plan_slots, ChainOp, CommKind, GraphOptions,
+    build_op_graph_into, plan_shape_key, visit_plan_slots, ChainOp, CommKind, CommOp, GraphOptions,
     GraphSink, OpNode, OpSignature, PlanShapeKey, SlotOp, StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
@@ -158,7 +167,7 @@ use vtrain_net::Topology;
 use vtrain_parallel::ParallelConfig;
 use vtrain_profile::CommModel;
 
-use crate::flow_replay::{simulate_flows, FlowScratch, Programs};
+use crate::flow_replay::{simulate_flows_for_tallies, FlowScratch, Programs};
 use crate::sim::{BusyBreakdown, SimReport};
 use crate::task_graph::{comm_kind, MissingProfile, TaskGraph, TaskKind};
 
@@ -183,6 +192,10 @@ pub(crate) enum LowerOutcome {
 
 /// No open run on this device's compute stream.
 const NONE: u32 = u32::MAX;
+
+/// The [`Unrolled::programs`] entry every compute slot points to: no
+/// flow program.
+const NO_FLOW: u32 = 0;
 
 /// The largest period `c` of the common shift `x[k] = x[k − c] + D` the
 /// section walk looks for (max-plus cyclicity). The walk keeps this many
@@ -262,6 +275,10 @@ pub struct CompactScratch {
     slot_values: Vec<TimeNs>,
     /// Busy category of each slot (`CAT_*`).
     slot_cat: Vec<u8>,
+    /// `(communication slots, operators priced)` of the latest lowering:
+    /// slots whose operator repeats the previous one of its kind reuse
+    /// its price ([`resolve_slots`]).
+    comm_pricings: (u64, u64),
     /// Total chain duration per run (sum of member durations).
     run_duration: Vec<TimeNs>,
     /// How many copies of each section each device runs
@@ -282,6 +299,12 @@ impl CompactScratch {
     /// Number of aggregated runs of the currently lowered graph.
     pub(crate) fn num_runs(&self) -> usize {
         self.run_device.len()
+    }
+
+    /// `(communication slots, communication operators priced)` of the
+    /// latest lowering.
+    pub(crate) fn comm_pricings(&self) -> (u64, u64) {
+        self.comm_pricings
     }
 
     /// `(walked, total)` section copies of the latest replay: the total
@@ -520,33 +543,46 @@ impl GraphSink for CompactSink<'_> {
 }
 
 /// Prices every slot of the plan's canonical enumeration into
-/// `slot_values`/`slot_cat`, handing each slot's operator and kernel
-/// count (0 for communication) to `on_slot` in slot order. Returns `true`
-/// if any compute signature could not be resolved.
-#[allow(clippy::too_many_arguments)]
+/// `slot_values`/`slot_cat`, handing each slot's operator, kernel count
+/// (0 for communication) and freshness to `on_slot` in slot order.
+/// Returns `true` if any compute signature could not be resolved.
+///
+/// Communication is priced once per distinct operator, not once per
+/// slot: a communication slot whose [`CommOp`] equals the last one priced
+/// for its [`CommKind`] reuses that latency and is handed over as not
+/// fresh, so the caller reuses whatever else it derived from that
+/// operator. `CommOp`'s equality covers every field the communication
+/// model reads, so the reuse is exact. Runs of equal operators are what
+/// the enumeration produces (a stage's DP buckets all carry the same
+/// payload but the last, and neighbouring pipeline boundaries send the
+/// same activations), and comparing with one operator per kind keeps the
+/// lookup O(1) per slot.
 fn resolve_slots<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
     opts: &GraphOptions,
     profiles: &mut P,
     comm: &CommModel,
-    slot_values: &mut Vec<TimeNs>,
-    slot_cat: &mut Vec<u8>,
-    mut on_slot: impl FnMut(&SlotOp, u32),
+    s: &mut CompactScratch,
+    mut on_slot: impl FnMut(&SlotOp, u32, bool),
 ) -> bool {
+    let CompactScratch { slot_values, slot_cat, comm_pricings, .. } = s;
     slot_values.clear();
     slot_cat.clear();
     let mut missing = false;
+    // The last operator priced for each collective kind, and its latency.
+    let mut last: [Option<(CommOp, TimeNs)>; 3] = [None; 3];
+    let (mut slots, mut priced) = (0, 0);
     visit_plan_slots(model, plan, opts, |op| match op {
         SlotOp::Compute(sig) => {
             let total = match profiles.op_latency(&sig) {
                 Some((total, kernels)) => {
-                    on_slot(&op, kernels);
+                    on_slot(&op, kernels, true);
                     total
                 }
                 None => {
                     missing = true;
-                    on_slot(&op, 0);
+                    on_slot(&op, 0, true);
                     TimeNs::ZERO
                 }
             };
@@ -554,8 +590,15 @@ fn resolve_slots<P: ProfileSource>(
             slot_cat.push(CAT_COMPUTE);
         }
         SlotOp::Comm(c) => {
-            on_slot(&op, 0);
-            slot_values.push(comm.latency(&c));
+            slots += 1;
+            let memo = &mut last[c.kind as usize];
+            let fresh = !matches!(memo, Some((prev, _)) if *prev == c);
+            if fresh {
+                priced += 1;
+                *memo = Some((c, comm.latency(&c)));
+            }
+            on_slot(&op, 0, fresh);
+            slot_values.push(memo.expect("priced above").1);
             slot_cat.push(match c.kind {
                 CommKind::TpAllReduce => CAT_TP,
                 CommKind::DpAllReduce => CAT_DP,
@@ -563,6 +606,7 @@ fn resolve_slots<P: ProfileSource>(
             });
         }
     });
+    *comm_pricings = (slots, priced);
     missing
 }
 
@@ -595,11 +639,12 @@ pub(crate) fn lower_plan<P: ProfileSource>(
     comm: &CommModel,
     scratch: &mut CompactScratch,
 ) -> Result<LowerOutcome, MissingProfile> {
-    lower_plan_with(model, plan, opts, profiles, comm, scratch, |_, _| {})
+    lower_plan_with(model, plan, opts, profiles, comm, scratch, |_, _, _| {})
 }
 
-/// [`lower_plan`] handing every slot's operator and kernel count to
-/// `on_slot` while the slot table is priced.
+/// [`lower_plan`] handing every slot's operator, kernel count and
+/// freshness (see [`resolve_slots`]) to `on_slot` while the slot table is
+/// priced.
 fn lower_plan_with<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
@@ -607,18 +652,9 @@ fn lower_plan_with<P: ProfileSource>(
     profiles: &mut P,
     comm: &CommModel,
     scratch: &mut CompactScratch,
-    on_slot: impl FnMut(&SlotOp, u32),
+    on_slot: impl FnMut(&SlotOp, u32, bool),
 ) -> Result<LowerOutcome, MissingProfile> {
-    if resolve_slots(
-        model,
-        plan,
-        opts,
-        profiles,
-        comm,
-        &mut scratch.slot_values,
-        &mut scratch.slot_cat,
-        on_slot,
-    ) {
+    if resolve_slots(model, plan, opts, profiles, comm, scratch, on_slot) {
         return Err(MissingProfile);
     }
     scratch.sec_periods.clear();
@@ -824,15 +860,18 @@ pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mu
         walked += sec_walked;
     }
     s.periods = (walked, total);
+    report.busy = BusyBreakdown::default();
+    report.device_busy.clear();
     fold_tallies(s, devices, report, |_| true);
     report.iteration_time = iteration_time;
 }
 
-/// Writes the report's busy breakdown, per-device busy time and task
-/// count from the structure tallies: `Σ slot_value · multiplicity ·
-/// periods` over the slots `fixed` admits, and `Σ nodes per copy ·
-/// periods`, all in `u64`. The closed form admits every slot; the flow
-/// replay adds the slots it drains as flows itself.
+/// Adds `Σ slot_value · multiplicity · periods` over the structure
+/// tallies of the slots `fixed` admits to the report's busy breakdown
+/// and per-device busy time, and writes the task count `Σ nodes per copy
+/// · periods`, all in `u64`. The closed form admits every slot onto an
+/// empty report; the flow replay has booked the slots it drains as flows
+/// already.
 #[inline(always)]
 fn fold_tallies(
     s: &CompactScratch,
@@ -841,8 +880,7 @@ fn fold_tallies(
     fixed: impl Fn(usize) -> bool,
 ) {
     let n_sections = s.sec_periods.len() / devices;
-    let mut busy = BusyBreakdown::default();
-    report.device_busy.clear();
+    let mut busy = report.busy;
     report.device_busy.resize(devices, TimeNs::ZERO);
     for &(sec, device, slot, mult) in &s.tally {
         if !fixed(slot as usize) {
@@ -1001,28 +1039,37 @@ fn common_shift(
     })
 }
 
-/// The fair-sharing half of the compact path: each latency slot's flow
-/// program and task kind, priced next to the slot table, and the
-/// periodic graph unrolled into one task per (section copy, run) for the
-/// flow replay. Filled only under the fair-sharing network, and reused
-/// point to point like [`CompactScratch`].
+/// The fair-sharing half of the compact path: the flow program of each
+/// distinct communication operator and each latency slot's task kind,
+/// priced next to the slot table, and the periodic graph unrolled into
+/// one task per (section copy, run) for the flow replay. Filled only
+/// under the fair-sharing network, and reused point to point like
+/// [`CompactScratch`]: every buffer is cleared, not dropped, between
+/// points.
 #[derive(Default)]
 pub(crate) struct Unrolled {
-    /// Flow program of each latency slot (`None`: a fixed duration).
-    slot_program: Vec<Option<FlowProgram>>,
+    /// Flow program of each distinct operator priced for the current
+    /// point (`None`: a fixed duration). Entry [`NO_FLOW`] is the shared
+    /// `None` of every compute slot.
+    programs: Vec<Option<FlowProgram>>,
+    /// `programs` entry of each latency slot.
+    slot_entry: Vec<u32>,
+    /// `programs` entry of the last operator priced for each
+    /// [`CommKind`]: where a slot that repeats it points.
+    kind_entry: [u32; 3],
     /// Task kind of each latency slot: a compute slot's profiled kernel
     /// count, a communication slot's collective.
     slot_kind: Vec<TaskKind>,
     /// Each run's stream (0 = compute, 1 = comm), task kind and
-    /// program-table slot.
+    /// `programs` entry.
     run_stream: Vec<u8>,
     run_kind: Vec<TaskKind>,
-    run_slot: Vec<u32>,
+    run_entry: Vec<u32>,
     /// The unrolled graph: instances numbered section-major, then
     /// copy-major, each copy in its section's topological order.
     graph: TaskGraph,
-    /// Program-table slot of each instance.
-    inst_slot: Vec<u32>,
+    /// `programs` entry of each instance.
+    inst_entry: Vec<u32>,
     /// Instance edges, gathered before the CSR.
     edges: Vec<(u32, u32)>,
     /// Each run's latest instance before the copy being unrolled, and
@@ -1042,26 +1089,55 @@ impl Unrolled {
     /// input [`replay_unrolled`] hands the flow replay.
     #[cfg(test)]
     pub(crate) fn replay_input(&self) -> (&TaskGraph, Programs<'_>) {
-        (&self.graph, Programs::Indexed { table: &self.slot_program, index: &self.inst_slot })
+        (&self.graph, self.instance_programs())
     }
 
-    /// Records slot `op`'s flow program under `comm` and its task kind
-    /// (`kernels`: its profiled kernel count, 0 for communication).
-    fn price_slot(&mut self, op: &SlotOp, kernels: u32, comm: &CommModel) {
+    /// The flow program of each unrolled instance, by `programs` entry.
+    fn instance_programs(&self) -> Programs<'_> {
+        Programs::Indexed { table: &self.programs, index: &self.inst_entry }
+    }
+
+    /// The flow program of latency slot `slot` (`None`: a fixed
+    /// duration).
+    fn program(&self, slot: usize) -> Option<&FlowProgram> {
+        self.programs[self.slot_entry[slot] as usize].as_ref()
+    }
+
+    /// Empties the per-point tables, keeping their capacity, and seeds
+    /// the shared [`NO_FLOW`] entry.
+    fn clear_prices(&mut self) {
+        self.programs.clear();
+        self.programs.push(None);
+        self.slot_entry.clear();
+        self.slot_kind.clear();
+    }
+
+    /// Records slot `op`'s task kind (`kernels`: its profiled kernel
+    /// count, 0 for communication) and its flow program under `comm`. A
+    /// communication slot that is not `fresh` repeats the last operator
+    /// priced for its kind ([`resolve_slots`]), and shares that
+    /// operator's entry instead of pricing the program again.
+    fn price_slot(&mut self, op: &SlotOp, kernels: u32, fresh: bool, comm: &CommModel) {
         match op {
             SlotOp::Compute(_) => {
-                self.slot_program.push(None);
+                self.slot_entry.push(NO_FLOW);
                 self.slot_kind.push(TaskKind::Compute { kernels });
             }
             SlotOp::Comm(c) => {
-                let program = comm.flow_program(c);
-                // `validate` keeps TP inside the NVLink domain, so the TP
-                // All-Reduces folded into compute runs never drain as flows.
-                assert!(
-                    program.is_none() || c.kind != CommKind::TpAllReduce,
-                    "a TP All-Reduce carries a flow program"
-                );
-                self.slot_program.push(program);
+                let entry = &mut self.kind_entry[c.kind as usize];
+                if fresh {
+                    let program = comm.flow_program(c);
+                    // `validate` keeps TP inside the NVLink domain, so the
+                    // TP All-Reduces folded into compute runs never drain
+                    // as flows.
+                    assert!(
+                        program.is_none() || c.kind != CommKind::TpAllReduce,
+                        "a TP All-Reduce carries a flow program"
+                    );
+                    *entry = self.programs.len() as u32;
+                    self.programs.push(program);
+                }
+                self.slot_entry.push(*entry);
                 self.slot_kind.push(comm_kind(c));
             }
         }
@@ -1072,7 +1148,7 @@ impl Unrolled {
     /// All-Reduces) never extend a run, so such a run is one node. A
     /// one-node run takes its slot's kind; a longer compute-stream run
     /// sums its compute members' kernel counts (its TP All-Reduces add
-    /// none). The program-table slot is the run's first slot, which
+    /// none). The run's `programs` entry is its first slot's, which
     /// carries the program of a one-node communication run and none
     /// otherwise.
     ///
@@ -1083,7 +1159,7 @@ impl Unrolled {
     fn classify_runs(&mut self, s: &CompactScratch) {
         self.run_stream.clear();
         self.run_kind.clear();
-        self.run_slot.clear();
+        self.run_entry.clear();
         let mut e = 0;
         for r in 0..s.run_device.len() as u32 {
             let start = e;
@@ -1098,7 +1174,7 @@ impl Unrolled {
             for i in start..e {
                 let slot = s.comp_slot[i] as usize;
                 assert!(
-                    comm_stream || self.slot_program[slot].is_none(),
+                    comm_stream || self.program(slot).is_none(),
                     "only communication-stream runs carry flow programs"
                 );
                 if let TaskKind::Compute { kernels: k } = self.slot_kind[slot] {
@@ -1111,7 +1187,7 @@ impl Unrolled {
             } else {
                 TaskKind::Compute { kernels }
             });
-            self.run_slot.push(head as u32);
+            self.run_entry.push(self.slot_entry[head]);
         }
     }
 
@@ -1128,10 +1204,11 @@ impl Unrolled {
         self.classify_runs(s);
         let n_runs = s.run_device.len();
         let n_sections = s.sec_periods.len() / devices;
-        let Unrolled { run_stream, run_kind, run_slot, graph, inst_slot, edges, last, cur, .. } =
-            self;
+        let Unrolled {
+            run_stream, run_kind, run_entry, graph, inst_entry, edges, last, cur, ..
+        } = self;
         graph.clear(devices as u32);
-        inst_slot.clear();
+        inst_entry.clear();
         edges.clear();
         last.clear();
         last.resize(n_runs, NONE);
@@ -1150,7 +1227,7 @@ impl Unrolled {
                     let i = r as usize;
                     let device = s.run_device[i];
                     cur[i] = if periods_of(device as usize) > k {
-                        inst_slot.push(run_slot[i]);
+                        inst_entry.push(run_entry[i]);
                         graph.push_task(device, run_stream[i], s.run_duration[i], run_kind[i]);
                         (graph.len() - 1) as u32
                     } else {
@@ -1183,11 +1260,12 @@ impl Unrolled {
     }
 }
 
-/// [`lower_plan`] for the fair-sharing network: also prices each slot's
-/// flow program and task kind next to the slot table, then unrolls the
-/// periodic graph into `unrolled` for [`replay_unrolled`]. Shape-equal
-/// plans patch the compact graph exactly as under the closed form; the
-/// unrolled graph is rebuilt from it every time.
+/// [`lower_plan`] for the fair-sharing network: also prices each
+/// distinct communication operator's flow program and each slot's task
+/// kind next to the slot table, then unrolls the periodic graph into
+/// `unrolled` for [`replay_unrolled`]. Shape-equal plans patch the
+/// compact graph exactly as under the closed form; the unrolled graph is
+/// rebuilt from it every time.
 ///
 /// # Errors
 ///
@@ -1206,23 +1284,24 @@ pub(crate) fn lower_unrolled<P: ProfileSource>(
     scratch: &mut CompactScratch,
     unrolled: &mut Unrolled,
 ) -> Result<LowerOutcome, MissingProfile> {
-    unrolled.slot_program.clear();
-    unrolled.slot_kind.clear();
-    let outcome = lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels| {
-        unrolled.price_slot(op, kernels, comm)
-    })?;
+    unrolled.clear_prices();
+    let outcome =
+        lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels, fresh| {
+            unrolled.price_slot(op, kernels, fresh, comm)
+        })?;
     let copies = unrolled.unroll(scratch, plan.pipeline());
     scratch.periods = (copies, copies);
     Ok(outcome)
 }
 
-/// The fair-sharing replay of the unrolled graph. [`simulate_flows`]
-/// over the run instances gives the iteration time and each flow's
-/// contended duration; the busy breakdown, per-device busy time and task
-/// count of the fixed-duration slots come from the structure tallies, as
-/// in [`replay_lowered`] (compute runs fold TP All-Reduces in, so the
-/// replay's own per-instance booking cannot split them). The report is
-/// bit-identical to the flow replay of the full task graph.
+/// The fair-sharing replay of the unrolled graph.
+/// [`simulate_flows_for_tallies`] over the run instances gives the
+/// iteration time and books each flow's contended duration; the busy
+/// breakdown, per-device busy time and task count of the fixed-duration
+/// slots come from the structure tallies, as in [`replay_lowered`]
+/// (compute runs fold TP All-Reduces in, so a per-instance booking could
+/// not split them). The report is bit-identical to the flow replay of the
+/// full task graph.
 pub(crate) fn replay_unrolled(
     s: &CompactScratch,
     u: &Unrolled,
@@ -1230,29 +1309,16 @@ pub(crate) fn replay_unrolled(
     flows: &mut FlowScratch,
     report: &mut SimReport,
 ) {
-    let mut drained = BusyBreakdown::default();
-    let mut book = |task: u32, start: TimeNs, finish: TimeNs| {
-        let slot = u.inst_slot[task as usize] as usize;
-        if u.slot_program[slot].is_some() {
-            // Flows are DP or PP transfers: TP slots carry none.
-            match s.slot_cat[slot] {
-                CAT_DP => drained.dp_comm += finish - start,
-                _ => drained.pp_comm += finish - start,
-            }
-        }
-    };
-    let programs = Programs::Indexed { table: &u.slot_program, index: &u.inst_slot };
-    simulate_flows(&u.graph, programs, topology, Some(&mut book), None, flows, report);
+    simulate_flows_for_tallies(&u.graph, u.instance_programs(), topology, flows, report);
     let devices = u.graph.num_devices() as usize;
-    fold_tallies(s, devices, report, |slot| u.slot_program[slot].is_none());
-    report.busy.dp_comm += drained.dp_comm;
-    report.busy.pp_comm += drained.pp_comm;
+    fold_tallies(s, devices, report, |slot| u.program(slot).is_none());
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
     use vtrain_model::presets;
+    use vtrain_net::NetworkBackend;
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig, PipelineSchedule};
     use vtrain_profile::{ProfileSet, Profiler};
 
@@ -1295,6 +1361,60 @@ mod tests {
         } else {
             CommModel::new(&cluster, 1.0)
         }
+    }
+
+    /// The communication model and graph options of a 512-GPU cluster on
+    /// the `net`-th of four interconnects — flat, two-tier with α = 0.8,
+    /// racked behind a 25 GB/s spine, racked behind a 12.5 GB/s spine —
+    /// under the fair-sharing network if `fair`, else the closed form.
+    fn interconnect(net: u32, fair: bool) -> (CommModel, GraphOptions) {
+        let cluster = ClusterSpec::aws_p4d(512);
+        let spine = |bandwidth| vtrain_net::TierSpec::new(bandwidth, TimeNs::from_micros(35), 1.0);
+        let (comm, nodes_per_rack) = match net {
+            0 => (CommModel::new(&cluster, 1.0), None),
+            1 => (CommModel::with_topology_tiers(&cluster, cluster.topology(0.8)), None),
+            _ => {
+                let bandwidth = if net == 2 { 25e9 } else { 12.5e9 };
+                let topology = cluster.topology(1.0).with_rack_tier(2, spine(bandwidth));
+                (CommModel::with_topology_tiers(&cluster, topology), Some(2))
+            }
+        };
+        let backend = if fair { NetworkBackend::FairSharing } else { NetworkBackend::ClosedForm };
+        let opts = GraphOptions {
+            gpus_per_node: cluster.gpus_per_node,
+            nodes_per_rack,
+            ..GraphOptions::default()
+        };
+        (comm.with_backend(backend), opts)
+    }
+
+    /// Per-slot pricing, the reference of [`resolve_slots`]'
+    /// per-operator pricing: every slot's latency and flow program priced
+    /// from its own operator. Also returns the number of communication
+    /// slots and how many of them differ from the previous slot of their
+    /// kind.
+    fn price_per_slot(
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+        profiles: &ProfileSet,
+        comm: &CommModel,
+    ) -> (Vec<TimeNs>, Vec<Option<FlowProgram>>, (u64, u64)) {
+        let (mut values, mut programs, mut slots, mut changes) = (Vec::new(), Vec::new(), 0, 0);
+        let mut last: [Option<CommOp>; 3] = [None; 3];
+        visit_plan_slots(model, plan, opts, |op| match op {
+            SlotOp::Compute(sig) => {
+                values.push(profiles.lookup(&sig).map_or(TimeNs::ZERO, |(total, _)| total));
+                programs.push(None);
+            }
+            SlotOp::Comm(c) => {
+                values.push(comm.latency(&c));
+                programs.push(comm.flow_program(&c));
+                slots += 1;
+                changes += u64::from(last[c.kind as usize].replace(c) != Some(c));
+            }
+        });
+        (values, programs, (slots, changes))
     }
 
     fn compare_point(
@@ -1690,16 +1810,7 @@ mod tests {
         for round in 0..3 {
             let t0 = std::time::Instant::now();
             let mut source = SetSource(&profiles);
-            resolve_slots(
-                &model,
-                &plan,
-                &opts,
-                &mut source,
-                &comm,
-                &mut scratch.slot_values,
-                &mut scratch.slot_cat,
-                |_, _| {},
-            );
+            resolve_slots(&model, &plan, &opts, &mut source, &comm, &mut scratch, |_, _, _| {});
             scratch.sec_periods.clear();
             let (p, n) = (plan.pipeline(), plan.num_micro_batches());
             for stage in 0..p {
@@ -1735,8 +1846,75 @@ mod tests {
         }
     }
 
+    #[test]
+    fn repeated_operators_are_priced_once() {
+        // 1.7B on (1, 8, 4): each stage's six DP buckets repeat one
+        // payload but the last, and the three pipeline boundaries send
+        // the same activations, so 3 sends and 24 buckets price as 1 + 8.
+        let model = presets::megatron("1.7B");
+        let plan = plan_of((1, 8, 4, 1, 64), PipelineSchedule::OneFOneB);
+        let (comm, opts) = interconnect(0, true);
+        let cache = vtrain_profile::ProfileCache::new();
+        let profiler = Profiler::new(GpuSpec::a100_40gb());
+        let profiles =
+            cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
+        let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
+        let mut source = SetSource(&profiles);
+        lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
+            .unwrap();
+        let (_, _, pricings) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+        assert_eq!(scratch.comm_pricings(), pricings);
+        assert_eq!(pricings.0, 3 + 24);
+        assert!(pricings.1 <= 1 + 8, "priced {} operators", pricings.1);
+        // The programs table holds the shared compute entry and one
+        // entry per operator priced.
+        assert_eq!(unrolled.programs.len() as u64, 1 + pricings.1);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Differential test of per-operator pricing against per-slot
+        /// pricing: on random plans over four interconnects, under both
+        /// networks, a walk of points through one reused scratch gives
+        /// every slot the latency and the flow program its own operator
+        /// prices to, bit for bit, and prices exactly the operators that
+        /// differ from the previous one of their kind.
+        #[test]
+        fn operator_pricing_matches_per_slot_pricing(
+            walk in proptest::collection::vec(
+                (0usize..=3, 0usize..=3, 1usize..=24, 0usize..=1, 1usize..=40, 0u32..4),
+                1..4,
+            ),
+            network in 0u32..8,
+        ) {
+            let model = presets::megatron("1.7B");
+            let (comm, opts) = interconnect(network >> 1, network & 1 != 0);
+            let cache = vtrain_profile::ProfileCache::new();
+            let profiler = Profiler::new(GpuSpec::a100_40gb());
+            let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
+            for (t_exp, d_exp, p, m_exp, n_micro, flags) in walk {
+                let (gpipe, bucketing) = (flags & 1 != 0, flags & 2 != 0);
+                let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+                let sched =
+                    if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+                let plan = ParallelConfig::builder()
+                    .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                    .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+                let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
+                let profiles = cache.resolve(&profiler, &sigs);
+                let mut source = SetSource(&profiles);
+                lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
+                    .unwrap();
+                let (values, programs, pricings) =
+                    price_per_slot(&model, &plan, &opts, &profiles, &comm);
+                let nanos = |v: &[TimeNs]| v.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
+                prop_assert_eq!(nanos(&scratch.slot_values), nanos(&values));
+                let got: Vec<_> = (0..programs.len()).map(|slot| unrolled.program(slot)).collect();
+                prop_assert_eq!(got, programs.iter().map(Option::as_ref).collect::<Vec<_>>());
+                prop_assert_eq!(scratch.comm_pricings(), pricings);
+            }
+        }
 
         /// Golden equivalence: the aggregated periodic replay reproduces
         /// the full lowering + Predicted replay bit for bit on sampled

@@ -345,9 +345,10 @@ impl EstimatorBuilder {
 ///
 /// Thread one of these through [`Estimator::estimate_validated_with`] and
 /// steady-state closed-form evaluation performs no per-point heap
-/// allocation; under fair sharing the unrolled graph and the flow
-/// replay's vectors, join heap and flow simulator are reused too, while
-/// each point's flow programs are priced afresh.
+/// allocation; under fair sharing the unrolled graph, the flow-program
+/// table and the flow replay's vectors, join heap and flow simulator are
+/// reused too. Each point prices each distinct communication operator
+/// once, and only a flow program's own phase list is allocated afresh.
 #[derive(Default)]
 pub struct EstimatorScratch {
     compact: CompactScratch,
@@ -485,8 +486,9 @@ impl Estimator {
     }
 
     /// Refuses a validated plan whose full task graph would exceed
-    /// [`MAX_FULL_GRAPH_TASKS`]. The exact task count comes from the
-    /// periodic emission, in time independent of the micro-batch count.
+    /// [`MAX_FULL_GRAPH_TASKS`]. The exact task count is a closed-form
+    /// sum over the stages ([`plan_task_count`]), in time independent of
+    /// the micro-batch count.
     fn admit_full_graph(
         &self,
         model: &ModelConfig,
@@ -922,11 +924,16 @@ fn count_full_lowering(reason: &str) {
 /// count into the `estimate.compact.runs` histogram, the section copies
 /// the plan runs and those the replay walked into
 /// `estimate.compact.periods_total` / `estimate.compact.periods_walked`
-/// (equal when no section's common shift showed), and the
+/// (equal when no section's common shift showed), the
 /// scratch's reserved bytes into the `estimate.compact.scratch_bytes`
-/// high-water gauge.
+/// high-water gauge, and the lowering's communication slots and the
+/// distinct operators it priced for them into the `estimate.comm.slots`
+/// and `estimate.comm.priced` counters.
 fn record_compact_size(compact: &CompactScratch) {
     let metrics = vtrain_obs::global();
+    let (slots, priced) = compact.comm_pricings();
+    metrics.counter("estimate.comm.slots").add(slots);
+    metrics.counter("estimate.comm.priced").add(priced);
     metrics.histogram("estimate.compact.runs").record(compact.num_runs() as u64);
     let (walked, total) = compact.periods();
     metrics.histogram("estimate.compact.periods_total").record(total);
@@ -1167,15 +1174,23 @@ mod tests {
         let metrics = vtrain_obs::global();
         let runs = metrics.histogram("estimate.compact.runs");
         let bytes = metrics.gauge("estimate.compact.scratch_bytes");
+        let slots = metrics.counter("estimate.comm.slots");
+        let priced = metrics.counter("estimate.comm.priced");
         let est = Estimator::builder(ClusterSpec::aws_p4d(16)).build();
         let model = presets::megatron("1.7B");
         let p = plan(2, 4, 2, 1, 8);
         let mut scratch = EstimatorScratch::default();
-        let before = runs.count();
+        let before = (runs.count(), slots.get(), priced.get());
         vtrain_obs::set_enabled(true);
         est.estimate_validated_with(&model, &p, &mut scratch);
         vtrain_obs::set_enabled(false);
-        assert!(runs.count() > before, "run count not recorded");
+        assert!(runs.count() > before.0, "run count not recorded");
+        // A stage's DP buckets repeat one payload: fewer pricings than
+        // slots. Other tests may record concurrently while obs is on.
+        let (comm_slots, comm_priced) = scratch.compact.comm_pricings();
+        assert!(0 < comm_priced && comm_priced < comm_slots, "{comm_priced} of {comm_slots}");
+        assert!(slots.get() >= before.1 + comm_slots, "communication slots not recorded");
+        assert!(priced.get() >= before.2 + comm_priced, "communication pricings not recorded");
         assert!(scratch.compact.num_runs() > 0);
         let reserved = scratch.compact.capacity_bytes() as u64;
         assert!(reserved > 0);

@@ -155,11 +155,19 @@ struct Book<'a, 't> {
     iteration_time: TimeNs,
     executed: usize,
     trace: Option<TaskTrace<'t>>,
+    /// Book busy time for the flow tasks only: the caller adds the
+    /// fixed-duration tasks' share itself.
+    flows_only: bool,
 }
 
 impl<'a, 't> Book<'a, 't> {
     /// An empty book over `graph`, reusing `report`'s per-device vector.
-    fn new(graph: &'a TaskGraph, trace: Option<TaskTrace<'t>>, report: &mut SimReport) -> Self {
+    fn new(
+        graph: &'a TaskGraph,
+        trace: Option<TaskTrace<'t>>,
+        flows_only: bool,
+        report: &mut SimReport,
+    ) -> Self {
         let mut device_busy = std::mem::take(&mut report.device_busy);
         device_busy.clear();
         device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
@@ -170,16 +178,22 @@ impl<'a, 't> Book<'a, 't> {
             iteration_time: TimeNs::ZERO,
             executed: 0,
             trace,
+            flows_only,
         }
     }
 
-    /// Books `task`, which ran from `start` to `finish`.
-    fn book(&mut self, task: u32, start: TimeNs, finish: TimeNs) {
+    /// Books `task`, which ran from `start` to `finish` (as a flow if
+    /// `flow`).
+    fn book(&mut self, task: u32, start: TimeNs, finish: TimeNs, flow: bool) {
         let i = task as usize;
         let duration = finish - start;
         self.iteration_time = self.iteration_time.max(finish);
+        self.executed += 1;
         if let Some(trace) = self.trace.as_mut() {
             trace(task, start, finish);
+        }
+        if self.flows_only && !flow {
+            return;
         }
         let dev = self.graph.devices()[i] as usize;
         match self.graph.kinds()[i] {
@@ -196,7 +210,6 @@ impl<'a, 't> Book<'a, 't> {
                 CommKind::PpSendRecv => self.busy.pp_comm += duration,
             },
         }
-        self.executed += 1;
     }
 
     /// Writes the report.
@@ -283,10 +296,10 @@ impl Dataflow<'_, '_, '_> {
         }
     }
 
-    /// Finishes `task` at `finish`, then every fixed-duration task that
-    /// this transitively releases.
+    /// Finishes flow task `task` at `finish`, then every fixed-duration
+    /// task that this transitively releases.
     fn finish(&mut self, task: u32, finish: TimeNs) {
-        self.complete(task, finish);
+        self.complete(task, finish, true);
         self.settle();
     }
 
@@ -295,13 +308,14 @@ impl Dataflow<'_, '_, '_> {
     fn settle(&mut self) {
         while let Some(task) = self.fixed.pop() {
             let start = self.ready[task as usize];
-            self.complete(task, start + self.graph.durations()[task as usize]);
+            self.complete(task, start + self.graph.durations()[task as usize], false);
         }
     }
 
-    /// Books `task` and releases the children it was the last parent of.
-    fn complete(&mut self, task: u32, finish: TimeNs) {
-        self.book.book(task, self.ready[task as usize], finish);
+    /// Books `task` (a flow if `flow`) and releases the children it was
+    /// the last parent of.
+    fn complete(&mut self, task: u32, finish: TimeNs, flow: bool) {
+        self.book.book(task, self.ready[task as usize], finish, flow);
         let graph = self.graph;
         for &c in graph.children(task) {
             let i = c as usize;
@@ -340,6 +354,42 @@ pub(crate) fn simulate_flows<'t>(
     scratch: &mut FlowScratch,
     report: &mut SimReport,
 ) {
+    let book = Book::new(graph, trace, false, report);
+    replay(graph, programs, topology, book, net_trace, scratch, report);
+}
+
+/// [`simulate_flows`] for a caller that derives the fixed-duration
+/// tasks' busy time from tallies of its own (the unrolled compact
+/// graph): the report's iteration time and executed count cover every
+/// task, its busy breakdown and per-device busy time only the flow tasks.
+/// It takes no trace; with metrics on, the network histograms still
+/// record.
+///
+/// # Panics
+///
+/// Same conditions as [`simulate_flows`].
+pub(crate) fn simulate_flows_for_tallies(
+    graph: &TaskGraph,
+    programs: Programs<'_>,
+    topology: &Topology,
+    scratch: &mut FlowScratch,
+    report: &mut SimReport,
+) {
+    let book = Book::new(graph, None, true, report);
+    replay(graph, programs, topology, book, None, scratch, report);
+}
+
+/// The replay loop behind [`simulate_flows`] and
+/// [`simulate_flows_for_tallies`], booking into `book`.
+fn replay<'a, 't>(
+    graph: &'a TaskGraph,
+    programs: Programs<'a>,
+    topology: &Topology,
+    book: Book<'a, 't>,
+    net_trace: Option<NetTrace<'t>>,
+    scratch: &mut FlowScratch,
+    report: &mut SimReport,
+) {
     assert_eq!(programs.len(), graph.len(), "one program slot per task");
     debug_assert!(graph.is_stream_chained(), "the flow replay needs a stream-chained graph");
     let FlowScratch { in_degree, ready, fixed, joins, flow_task, drained, net } = scratch;
@@ -350,15 +400,7 @@ pub(crate) fn simulate_flows<'t>(
     joins.clear();
     net.reset(topology);
     let mut observers = Observers::new(topology, net_trace);
-    let mut flow = Dataflow {
-        graph,
-        programs,
-        in_degree,
-        ready,
-        fixed,
-        joins,
-        book: Book::new(graph, trace, report),
-    };
+    let mut flow = Dataflow { graph, programs, in_degree, ready, fixed, joins, book };
 
     for task in 0..graph.len() as u32 {
         if flow.in_degree[task as usize] == 0 {
@@ -473,7 +515,8 @@ pub(crate) mod engine_oracle {
 
         fn finish_task(&mut self, task: u32, sim: &mut Simulation<FlowEvent>) {
             let now = sim.now();
-            self.book.book(task, self.started_at[task as usize], now);
+            let flow = self.programs.of(task).is_some();
+            self.book.book(task, self.started_at[task as usize], now, flow);
             let graph = self.book.graph;
             for &c in graph.children(task) {
                 self.in_degree[c as usize] -= 1;
@@ -524,7 +567,7 @@ pub(crate) mod engine_oracle {
             in_degree,
             started_at: vec![TimeNs::ZERO; graph.len()],
             drained: Vec::new(),
-            book: Book::new(graph, trace, report),
+            book: Book::new(graph, trace, false, report),
             observers: Observers::new(topology, net_trace),
         };
         let mut sim = Simulation::new();

@@ -397,12 +397,7 @@ pub fn plan_shape_key(
     opts: &GraphOptions,
 ) -> PlanShapeKey {
     let bucketed = plan.data() > 1 && plan.gradient_bucketing();
-    let per_bucket = if bucketed {
-        let grad_bytes_per_layer = 2 * model.params_per_layer() / plan.tensor() as u64;
-        (opts.dp_bucket_bytes.as_u64() / grad_bytes_per_layer.max(1)).max(1) as usize
-    } else {
-        0
-    };
+    let per_bucket = if bucketed { layers_per_bucket(model, plan, opts) } else { 0 };
     PlanShapeKey {
         num_layers: model.num_layers(),
         pipeline: plan.pipeline(),
@@ -417,45 +412,48 @@ pub fn plan_shape_key(
 }
 
 /// The exact node count of [`build_op_graph`]'s graph — one task per node
-/// once lowered — computed from the periodic emission in
-/// `O(p + layers)` time and memory, whatever the micro-batch count.
-/// Paths that materialize the full graph check it before they do.
+/// once lowered — as a closed-form sum over the `p` stages, whatever the
+/// micro-batch count. Paths that materialize the full graph check it
+/// before they do.
+///
+/// Stage `s` with `L_s` layers runs `n` forward and `n` backward slots.
+/// A forward slot emits the embedding on stage 0, an MHA and an FFN
+/// block per layer, each followed by a TP All-Reduce when `t > 1`, and
+/// the LM head on the last stage or a send on any other. A backward slot
+/// mirrors it, with the embedding's backward on stage 0 or a send on any
+/// other. After the last slot come the stage's DP All-Reduces (none when
+/// `d = 1`, one unbucketed, `⌈L_s / per_bucket⌉` bucketed) and its weight
+/// update:
+///
+/// `Σ_s n·([s = 0] + [s = p − 1] + 2·L_s·(2 + 2·[t > 1]) + 2) + dp_s + 1`
 ///
 /// # Panics
 ///
 /// Same conditions as [`build_op_graph`].
 pub fn plan_task_count(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> u64 {
-    /// Counts nodes, weighting each by its section's period count.
-    #[derive(Default)]
-    struct TaskCounter {
-        next: u32,
-        periods: u64,
-        tasks: u64,
-    }
-    impl GraphSink for TaskCounter {
-        fn push(&mut self, _node: OpNode) -> u32 {
-            self.tasks += self.periods;
-            self.next += 1;
-            self.next - 1
-        }
-        fn push_chain(&mut self, _: u32, _: Option<u32>, pattern: &[ChainOp], repeat: u32) -> u32 {
-            let n = pattern.len() as u32 * repeat;
-            self.tasks += u64::from(n) * self.periods;
-            self.next += n;
-            self.next - n
-        }
-        fn add_edge(&mut self, _from: u32, _to: u32) {}
-        fn periodic(&self) -> bool {
-            true
-        }
-        fn begin_section(&mut self, _device: u32, _section: u32, periods: u64) {
-            self.periods = periods;
-        }
-        fn add_carried_edge(&mut self, _from: u32, _to: u32, _init: Option<u32>) {}
-    }
-    let mut counter = TaskCounter::default();
-    build_op_graph_into(model, plan, opts, &mut counter);
-    counter.tasks
+    let p = plan.pipeline();
+    let n = plan.num_micro_batches() as u64;
+    let per_layer = 2 * (2 + 2 * u64::from(plan.tensor() > 1));
+    let bucketed = plan.gradient_bucketing();
+    let per_bucket = if bucketed { layers_per_bucket(model, plan, opts) } else { 0 };
+    let stage_tasks = |(s, layers): (usize, &std::ops::Range<usize>)| {
+        let l = layers.len();
+        let ends = u64::from(s == 0) + u64::from(s + 1 == p);
+        let dp = match (plan.data() > 1, bucketed) {
+            (false, _) => 0,
+            (true, false) => 1,
+            (true, true) => l.div_ceil(per_bucket) as u64,
+        };
+        n * (ends + per_layer * l as u64 + 2) + dp + 1
+    };
+    layer_partition(model.num_layers(), p).iter().enumerate().map(stage_tasks).sum()
+}
+
+/// Layers per DP gradient bucket: as many layers' gradients as fit in
+/// [`GraphOptions::dp_bucket_bytes`], at least one.
+fn layers_per_bucket(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> usize {
+    let grad_bytes_per_layer = 2 * model.params_per_layer() / plan.tensor() as u64;
+    (opts.dp_bucket_bytes.as_u64() / grad_bytes_per_layer.max(1)).max(1) as usize
 }
 
 /// Shared constructor of compute-operator signatures, used by both the
@@ -564,11 +562,9 @@ impl DpBuckets {
         let grad_bytes_per_layer = 2 * model.params_per_layer() / t;
         let endpoint_extra = sigs.stage_local_params(stage, layers_here)
             - layers_here as u64 * model.params_per_layer() / t;
-        let per_bucket =
-            (opts.dp_bucket_bytes.as_u64() / grad_bytes_per_layer.max(1)).max(1) as usize;
         DpBuckets {
             layer: layers_here,
-            per_bucket,
+            per_bucket: layers_per_bucket(model, plan, opts),
             grad_bytes_per_layer,
             endpoint_grad_bytes: 2 * endpoint_extra,
         }
@@ -1644,6 +1640,87 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The node count of the builder's periodic emission, each node
+    /// weighted by its section's period count: the walk the closed-form
+    /// [`plan_task_count`] replaced, kept as its oracle.
+    fn walked_task_count(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> u64 {
+        #[derive(Default)]
+        struct TaskCounter {
+            next: u32,
+            periods: u64,
+            tasks: u64,
+        }
+        impl GraphSink for TaskCounter {
+            fn push(&mut self, _node: OpNode) -> u32 {
+                self.tasks += self.periods;
+                self.next += 1;
+                self.next - 1
+            }
+            fn push_chain(
+                &mut self,
+                _: u32,
+                _: Option<u32>,
+                pattern: &[ChainOp],
+                repeat: u32,
+            ) -> u32 {
+                let n = pattern.len() as u32 * repeat;
+                self.tasks += u64::from(n) * self.periods;
+                self.next += n;
+                self.next - n
+            }
+            fn add_edge(&mut self, _from: u32, _to: u32) {}
+            fn periodic(&self) -> bool {
+                true
+            }
+            fn begin_section(&mut self, _device: u32, _section: u32, periods: u64) {
+                self.periods = periods;
+            }
+            fn add_carried_edge(&mut self, _from: u32, _to: u32, _init: Option<u32>) {}
+        }
+        let mut counter = TaskCounter::default();
+        build_op_graph_into(model, plan, opts, &mut counter);
+        counter.tasks
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The closed-form task count equals the builder walk on random
+        /// plans: both schedules, bucketing on and off under bucket sizes
+        /// from one layer per bucket to whole stages, `t = 1` and `t > 1`,
+        /// `d = 1` and `d > 1`, recompute, uneven partitions up to one
+        /// layer per stage, and micro-batch counts on either side of the
+        /// periodic threshold.
+        #[test]
+        fn closed_form_task_count_matches_the_builder_walk(
+            exps in (0usize..=3, 0usize..=3, 0usize..=1),
+            p_pick in 1usize..=40,
+            n_micro in 1usize..=300,
+            bucket_mib in 1u64..=2_000,
+            flags in 0u32..16,
+        ) {
+            let (gpipe, bucketing, recompute, large) =
+                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
+            let model = presets::megatron(if large { "18.4B" } else { "1.7B" });
+            let p = 1 + (p_pick - 1) % model.num_layers();
+            let (t, d, m) = (1usize << exps.0, 1 << exps.1, 1 << exps.2);
+            let sched = if gpipe { Sched::GPipe } else { Sched::OneFOneB };
+            let cfg = ParallelConfig::builder()
+                .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+            let opts = GraphOptions {
+                recompute,
+                dp_bucket_bytes: Bytes::from_mib(bucket_mib),
+                ..GraphOptions::default()
+            };
+            let walked = walked_task_count(&model, &cfg, &opts);
+            assert_eq!(plan_task_count(&model, &cfg, &opts), walked, "{cfg} {opts:?}");
         }
     }
 
