@@ -18,6 +18,14 @@
 //!   below its baseline. `overlap_comm_priced` counts the communication
 //!   operators that same estimate priced (the `estimate.comm.priced`
 //!   counter), gated the same way.
+//! * **Fair sweep work** — one one-thread exhaustive run of the shipped
+//!   1.7B sweep (`examples/descriptions/megatron_1_7b_sweep.json`, three
+//!   placements) under fair sharing. `fair_sweep_flow_replays` counts the
+//!   points that needed the flow replay (every point but the
+//!   `estimate.fair.flow_free` ones, whose collectives all stay inside a
+//!   node), and `fair_sweep_comm_priced` the communication operators the
+//!   sweep's workers priced (`estimate.comm.priced`). Both are work
+//!   counts, gated at or below their baselines.
 //! * **Flow-kernel throughput** — a [`FlowSim`] microbench: a bounded
 //!   window of concurrent inter-node flows joining and draining;
 //!   `flow_events_per_sec` is refills per wall-second, best of 3.
@@ -29,6 +37,7 @@
 use std::time::Instant;
 
 use serde::Serialize;
+use vtrain::{NetworkSection, Scenario};
 use vtrain_bench::report;
 use vtrain_core::Estimator;
 use vtrain_model::presets;
@@ -51,7 +60,16 @@ struct FlowBench {
     overlap_refills: u64,
     /// Communication operators priced by that estimate.
     overlap_comm_priced: u64,
+    /// Points of one one-thread exhaustive fair-sharing run of the shipped
+    /// sweep that replayed flows.
+    fair_sweep_flow_replays: u64,
+    /// Communication operators priced by that run.
+    fair_sweep_comm_priced: u64,
 }
+
+/// The shipped 1.7B sweep scenario.
+const SHIPPED_SWEEP: &str =
+    include_str!("../../../../examples/descriptions/megatron_1_7b_sweep.json");
 
 fn plan(t: usize, d: usize, p: usize, m: usize, b: usize) -> ParallelConfig {
     ParallelConfig::builder()
@@ -82,6 +100,33 @@ fn work_counts(gpus: usize, plan: &ParallelConfig) -> (u64, u64) {
     vtrain_obs::set_enabled(false);
     let [refills, priced] = counters.each_ref().map(|c| c.get());
     (refills - before[0], priced - before[1])
+}
+
+/// `(points, flow replays, estimate.comm.priced)` over one obs-on,
+/// one-thread exhaustive run of the shipped sweep under fair sharing.
+fn fair_sweep_counts() -> (u64, u64, u64) {
+    let mut scenario = Scenario::from_json(SHIPPED_SWEEP).expect("the shipped sweep parses");
+    scenario.network = Some(NetworkSection { backend: "fair-sharing".into() });
+    scenario.sweep.as_mut().expect("the shipped scenario sweeps").goal = Some("exhaustive".into());
+    let sweep = scenario.sweep().expect("the shipped sweep builds").threads(1);
+    let metrics = vtrain_obs::global();
+    let counters = [
+        "estimate.compact.fresh",
+        "estimate.compact.patched",
+        "estimate.fair.flow_free",
+        "estimate.comm.priced",
+    ]
+    .map(|name| metrics.counter(name));
+    let before = counters.each_ref().map(|c| c.get());
+    vtrain_obs::set_enabled(true);
+    sweep.run();
+    vtrain_obs::set_enabled(false);
+    let mut after = counters.each_ref().map(|c| c.get());
+    for (a, b) in after.iter_mut().zip(before) {
+        *a -= b;
+    }
+    let [fresh, patched, flow_free, priced] = after;
+    (fresh + patched, fresh + patched - flow_free, priced)
 }
 
 /// One pass of the flow-kernel microbench: `total` single-phase
@@ -134,6 +179,13 @@ fn main() {
          operators priced (one fair-sharing estimate)"
     );
 
+    let (fair_sweep_points, fair_sweep_flow_replays, fair_sweep_comm_priced) = fair_sweep_counts();
+    println!(
+        "fair sweep (shipped 1.7B, exhaustive, one thread): {fair_sweep_flow_replays} of \
+         {fair_sweep_points} points replayed flows, {fair_sweep_comm_priced} communication \
+         operators priced"
+    );
+
     let mut flow_events_per_sec = 0.0f64;
     for _ in 0..3 {
         let (events, secs) = flow_kernel_pass(50_000, 64);
@@ -150,6 +202,8 @@ fn main() {
             overlap_fair_sharing_ns: overlap_fair,
             overlap_refills,
             overlap_comm_priced,
+            fair_sweep_flow_replays,
+            fair_sweep_comm_priced,
         },
     );
 }

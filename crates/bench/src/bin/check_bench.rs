@@ -116,6 +116,10 @@ static GATES: &[Gate] = {
                need: Field, check: Ceil("flow_overlap_refills") },
         Gate { name: "flow overlap comm priced", record: "flow", path: "overlap_comm_priced",
                need: Field, check: Ceil("flow_overlap_comm_priced") },
+        Gate { name: "fair sweep flow replays", record: "flow", path: "fair_sweep_flow_replays",
+               need: Field, check: Ceil("flow_fair_sweep_flow_replays") },
+        Gate { name: "fair sweep comm priced", record: "flow", path: "fair_sweep_comm_priced",
+               need: Field, check: Ceil("flow_fair_sweep_comm_priced") },
         Gate { name: "collective costs ns", record: "collectives", path: "collectives",
                need: Both, check: Golden("collectives", TOL) },
         Gate { name: "obs-on points/s", record: "sweep", path: "points_per_sec_obs_on",
@@ -396,7 +400,8 @@ mod tests {
                 Ok(json(
                     r#"{"flow_events_per_sec": 1000000.0, "single_flow_ppm": 0,
                         "overlap_closed_form_ns": 1000000, "overlap_fair_sharing_ns": 2000000,
-                        "overlap_refills": 100, "overlap_comm_priced": 10}"#,
+                        "overlap_refills": 100, "overlap_comm_priced": 10,
+                        "fair_sweep_flow_replays": 250, "fair_sweep_comm_priced": 200}"#,
                 )),
             ),
         ])
@@ -423,6 +428,8 @@ mod tests {
   "flow_overlap_fair_sharing_ns": 2000000,
   "flow_overlap_refills": 100,
   "flow_overlap_comm_priced": 10,
+  "flow_fair_sweep_flow_replays": 250,
+  "flow_fair_sweep_comm_priced": 200,
   "collectives": [
     ["a", 1000000],
     ["b", 2000]
@@ -535,6 +542,16 @@ mod tests {
             "flow overlap comm priced",
             &[("flow", "overlap_comm_priced", "10")],
             &[("flow", "overlap_comm_priced", "11")],
+        ),
+        (
+            "fair sweep flow replays",
+            &[("flow", "fair_sweep_flow_replays", "250")],
+            &[("flow", "fair_sweep_flow_replays", "251")],
+        ),
+        (
+            "fair sweep comm priced",
+            &[("flow", "fair_sweep_comm_priced", "200")],
+            &[("flow", "fair_sweep_comm_priced", "201")],
         ),
         (
             "collective costs ns",
@@ -727,6 +744,8 @@ mod tests {
                 "flow fair-sharing ns",
                 "flow overlap refills",
                 "flow overlap comm priced",
+                "fair sweep flow replays",
+                "fair sweep comm priced",
                 "collective costs ns",
                 "serve warm hit-rate",
                 "flow single-flow ppm",

@@ -90,11 +90,14 @@
 //! first (`slot_values`), then each node is an O(1) table lookup instead
 //! of a signature-memo probe. Like vTrain's profiling, which measures
 //! each distinct operator once (§III-C), the slot pricing prices each
-//! distinct communication operator once: a slot whose operator equals
-//! the last one priced for its collective kind reuses that latency
-//! ([`resolve_slots`]). A stage's DP buckets all carry one payload but
+//! distinct communication operator once per scratch, not once per slot
+//! or per point: the scratch's [`OpTable`] keeps every operator it has
+//! priced, with its latency and flow program, from point to point, up to
+//! [`MAX_OP_ENTRIES`] ([`resolve_slots`]). A stage's DP buckets all carry one payload but
 //! the last, and neighbouring pipeline boundaries send the same
-//! activations, so most communication slots are such repeats.
+//! activations, so most communication slots repeat the previous
+//! operator of their kind and skip even the table lookup; and a sweep's
+//! neighbouring points mostly emit the operators already in the table.
 //!
 //! Two plans with equal [`PlanShapeKey`]s produce periodic graphs with
 //! identical structure — runs, edges, sections and slot assignments —
@@ -126,13 +129,17 @@
 //! # Fair sharing: the unrolled graph
 //!
 //! Under the fair-sharing network, lowering is the same [`lower_plan`]
-//! (so shape-equal plans patch), plus the flow program of each distinct
-//! communication operator, priced next to the slot table: a slot that
-//! repeats the previous operator of its kind shares its program, as it
-//! shares its latency. The replay cannot take the common shift:
-//! concurrent flows split a link's bandwidth, so a flow's duration
-//! depends on which other flows overlap it, and the copy-to-copy map is no
-//! longer built from `max` and `+ d` alone. It is not max-plus linear, and
+//! (so shape-equal plans patch), and the [`OpTable`] entry of each
+//! communication slot carries its operator's flow program too, priced
+//! with its latency. A plan whose collectives all stay inside a node has
+//! no flow program at all ([`CompactScratch::has_flows`]): nothing
+//! shares a link, so the fair-sharing replay is the dataflow replay,
+//! and [`replay_lowered`]'s closed-form walk, max-plus jump included,
+//! prices it exactly. On the shipped 1.7B sweep that is about a third
+//! of the points. Any other plan leaves the closed form: concurrent
+//! flows split a link's bandwidth, so a flow's duration depends on which
+//! other flows overlap it, and the copy-to-copy map is no longer built
+//! from `max` and `+ d` alone. It is not max-plus linear, and
 //! `x[k] = x[k − c] + D` no longer licenses a jump. Instead
 //! [`lower_unrolled`] unrolls the periodic graph into one task per
 //! (section copy, run), with exactly the edges [`walk_section`] relaxes,
@@ -144,11 +151,12 @@
 //! replay. That replay resolves the ~175 fixed-duration instances by
 //! dataflow as their parents finish; only the ~40 flow instances wait in
 //! its heap of pending joins, time-ordered against the network's
-//! boundaries ([`crate::flow_replay`]). The unrolled graph's buffers and
-//! the flow-program table live in an [`Unrolled`] reused point to point,
-//! cleared rather than dropped; unlike the periodic graph's, they grow
-//! with the number of section copies. Only a priced flow program's own
-//! phase list is a fresh allocation.
+//! boundaries ([`crate::flow_replay`]). The unrolled graph's buffers live
+//! in an [`Unrolled`] reused point to point, cleared rather than dropped;
+//! unlike the periodic graph's, they grow with the number of section
+//! copies. Its slot and instance entries index the [`OpTable`], so the
+//! only allocation a flow program costs is its phase list, once per
+//! distinct operator a scratch prices.
 //!
 //! All buffers live in a caller-owned [`CompactScratch`], so steady-state
 //! sweep evaluation performs no per-point heap allocation here, and none
@@ -156,6 +164,9 @@
 //!
 //! [`PipelineSchedule::stage_sections`]: vtrain_parallel::PipelineSchedule::stage_sections
 //! [`PipelineSchedule::sections_stable_from`]: vtrain_parallel::PipelineSchedule::sections_stable_from
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vtrain_graph::{
     build_op_graph_into, plan_shape_key, visit_plan_slots, ChainOp, CommKind, CommOp, GraphOptions,
@@ -193,16 +204,29 @@ pub(crate) enum LowerOutcome {
 /// No open run on this device's compute stream.
 const NONE: u32 = u32::MAX;
 
-/// The [`Unrolled::programs`] entry every compute slot points to: no
-/// flow program.
+/// The [`OpTable`] entry every compute slot points to: no flow program.
 const NO_FLOW: u32 = 0;
+
+/// The most entries an [`OpTable`] keeps across points. A lowering that
+/// finds the table this full clears it first, so the table holds at most
+/// this many entries plus one plan's distinct operators. A shipped sweep
+/// worker prices a few hundred operators, so the cap only bounds a
+/// long-lived scratch's memory.
+const MAX_OP_ENTRIES: usize = 4_096;
+
+/// The entries an [`OpTable`] reserves when it prices its first operator.
+const SEED_ENTRIES: usize = 8;
+
+/// The most operators an [`OpTable`] searches linearly; a larger table
+/// is indexed by a hash map.
+const SCAN_ENTRIES: usize = 16;
 
 /// The largest period `c` of the common shift `x[k] = x[k − c] + D` the
 /// section walk looks for (max-plus cyclicity). The walk keeps this many
 /// past state vectors.
 pub(crate) const MAX_CYCLICITY: usize = 4;
 
-/// Busy-category codes of `slot_cat` (which [`BusyBreakdown`] field a
+/// Busy-category codes of `slot_tags` (which [`BusyBreakdown`] field a
 /// slot's latency lands in).
 const CAT_COMPUTE: u8 = 0;
 const CAT_TP: u8 = 1;
@@ -215,8 +239,10 @@ const CAT_PP: u8 = 3;
 /// sections, edges, CSR, topological order, multiplicity tallies), which
 /// survives across points and is what a delta patch reuses, and *values*
 /// (the slot table, the runs' duration column and the sections' period
-/// counts), which are refilled per point. None of them grows with the
-/// plan's micro-batch count.
+/// counts), which are refilled per point. The [`OpTable`] of priced
+/// communication operators also survives across points; it is valid for
+/// one communication model. None of them grows with the plan's
+/// micro-batch count.
 #[derive(Default)]
 pub struct CompactScratch {
     // --- structure: valid for `base_key`, reused by the delta path ---
@@ -273,12 +299,19 @@ pub struct CompactScratch {
     // --- values: refilled per point ---
     /// Latency of each slot of the canonical enumeration.
     slot_values: Vec<TimeNs>,
-    /// Busy category of each slot (`CAT_*`).
-    slot_cat: Vec<u8>,
+    /// Busy category (`CAT_*`) and [`OpTable`] entry ([`NO_FLOW`] for
+    /// compute slots) of each slot, in one column: a fresh scratch grows
+    /// one buffer, not two.
+    slot_tags: Vec<(u8, u32)>,
+    /// Whether any slot of the latest lowering carries a flow program.
+    flows: bool,
     /// `(communication slots, operators priced)` of the latest lowering:
-    /// slots whose operator repeats the previous one of its kind reuse
-    /// its price ([`resolve_slots`]).
+    /// a slot whose operator the table already holds reuses its price
+    /// ([`resolve_slots`]).
     comm_pricings: (u64, u64),
+    // --- kept across points: valid for one communication model ---
+    /// Every distinct communication operator priced so far.
+    ops: OpTable,
     /// Total chain duration per run (sum of member durations).
     run_duration: Vec<TimeNs>,
     /// How many copies of each section each device runs
@@ -305,6 +338,26 @@ impl CompactScratch {
     /// latest lowering.
     pub(crate) fn comm_pricings(&self) -> (u64, u64) {
         self.comm_pricings
+    }
+
+    /// Whether any slot of the latest lowering carries a flow program:
+    /// if not, the fair-sharing network has nothing to share, and the
+    /// closed-form replay ([`replay_lowered`]) is exact.
+    pub(crate) fn has_flows(&self) -> bool {
+        self.flows
+    }
+
+    /// Forgets every operator priced so far. The table holds prices of
+    /// one communication model: a caller that lowers under another one
+    /// on this scratch must call this first.
+    pub(crate) fn forget_prices(&mut self) {
+        self.ops.clear();
+    }
+
+    /// The flow program of latency slot `slot` in the latest lowering
+    /// (`None`: a fixed duration).
+    fn program(&self, slot: usize) -> Option<&FlowProgram> {
+        self.ops.program(self.slot_tags[slot].1)
     }
 
     /// `(walked, total)` section copies of the latest replay: the total
@@ -340,7 +393,8 @@ impl CompactScratch {
             + bytes(&self.tally)
             + bytes(&self.open)
             + bytes(&self.slot_values)
-            + bytes(&self.slot_cat)
+            + bytes(&self.slot_tags)
+            + self.ops.capacity_bytes()
             + bytes(&self.run_duration)
             + bytes(&self.sec_periods)
             + bytes(&self.ready_at)
@@ -430,6 +484,137 @@ impl CompactScratch {
             self.open[src_dev] = NONE;
         }
         Some((rf, rt))
+    }
+}
+
+/// The distinct communication operators a scratch has priced, kept
+/// across points: each operator's latency and, under the fair-sharing
+/// network, its flow program, found by the operator itself. Entry
+/// [`NO_FLOW`] is the shared "no flow program" of every compute slot; it
+/// is seeded with the first operator, so a scratch that prices none
+/// allocates nothing, and it is never cleared. The prices belong to one
+/// communication model (see [`CompactScratch::forget_prices`]).
+///
+/// A table of at most [`SCAN_ENTRIES`] operators is searched linearly,
+/// and only a larger one is indexed by a hash map. One estimate on a
+/// fresh scratch prices a handful of operators and never reuses them,
+/// and building the map for them cost perfbench `predict_long` 9% of
+/// its requests/s (2-vCPU host); a sweep worker's table passes the bound
+/// on its first few points.
+#[derive(Default)]
+pub(crate) struct OpTable {
+    /// The operator of each entry after [`NO_FLOW`]: entry `i` is
+    /// `keys[i - 1]`.
+    keys: Vec<CommOp>,
+    /// Entry of each operator, filled once `keys` passes
+    /// [`SCAN_ENTRIES`].
+    index: HashMap<CommOp, u32, BuildHasherDefault<OpHasher>>,
+    latency: Vec<TimeNs>,
+    programs: Vec<Option<FlowProgram>>,
+}
+
+impl OpTable {
+    /// Entries held, [`NO_FLOW`] included once seeded.
+    fn len(&self) -> usize {
+        self.programs.len()
+    }
+
+    /// Drops every priced operator, keeping the [`NO_FLOW`] entry and the
+    /// buffers' capacity.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.index.clear();
+        self.latency.truncate(1);
+        self.programs.truncate(1);
+    }
+
+    /// The entry of operator `c`, if the table holds it.
+    fn find(&self, c: &CommOp) -> Option<u32> {
+        if self.keys.len() <= SCAN_ENTRIES {
+            let i = self.keys.iter().position(|k| k == c)?;
+            return Some(i as u32 + 1);
+        }
+        self.index.get(c).copied()
+    }
+
+    /// The entry of operator `c`, priced under `comm` if the table does
+    /// not hold it yet, and whether it was.
+    ///
+    /// # Panics
+    ///
+    /// If a TP All-Reduce carries a flow program: `validate` keeps TP
+    /// inside the NVLink domain, so the TP All-Reduces folded into
+    /// compute runs never drain as flows.
+    fn entry(&mut self, c: &CommOp, comm: &CommModel) -> (u32, bool) {
+        if let Some(entry) = self.find(c) {
+            return (entry, false);
+        }
+        if self.programs.is_empty() {
+            // One plan emits a handful of distinct operators: size the
+            // buffers for them in one allocation each.
+            self.keys.reserve(SEED_ENTRIES);
+            self.latency.reserve(SEED_ENTRIES);
+            self.programs.reserve(SEED_ENTRIES);
+            self.latency.push(TimeNs::ZERO);
+            self.programs.push(None);
+        }
+        let entry = self.programs.len() as u32;
+        let program = comm.flow_program(c);
+        assert!(
+            program.is_none() || c.kind != CommKind::TpAllReduce,
+            "a TP All-Reduce carries a flow program"
+        );
+        self.latency.push(comm.latency(c));
+        self.programs.push(program);
+        self.keys.push(*c);
+        if self.keys.len() == SCAN_ENTRIES + 1 {
+            self.index.extend(self.keys.iter().zip(1..).map(|(k, e)| (*k, e)));
+        } else if self.keys.len() > SCAN_ENTRIES {
+            self.index.insert(*c, entry);
+        }
+        (entry, true)
+    }
+
+    /// The flow program of `entry` (`None`: a fixed duration).
+    fn program(&self, entry: u32) -> Option<&FlowProgram> {
+        self.programs.get(entry as usize)?.as_ref()
+    }
+
+    /// Bytes reserved by the table's buffers, not counting the phase
+    /// lists of its flow programs.
+    fn capacity_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<CommOp>()
+            + self.index.capacity() * std::mem::size_of::<(CommOp, u32)>()
+            + self.latency.capacity() * std::mem::size_of::<TimeNs>()
+            + self.programs.capacity() * std::mem::size_of::<Option<FlowProgram>>()
+    }
+}
+
+/// FxHash's multiply-rotate hasher, for [`OpTable`]'s keys: a few small
+/// integers, which need no flooding resistance. A lookup costs ~18 ns
+/// against SipHash's ~95 ns, and re-pricing an operator under the flat
+/// closed form ~30 ns (MT-NLG operators, 2-vCPU host), so only this
+/// hasher makes the table cheaper than pricing again.
+#[derive(Default)]
+struct OpHasher(u64);
+
+impl Hasher for OpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -543,20 +728,20 @@ impl GraphSink for CompactSink<'_> {
 }
 
 /// Prices every slot of the plan's canonical enumeration into
-/// `slot_values`/`slot_cat`, handing each slot's operator, kernel count
-/// (0 for communication) and freshness to `on_slot` in slot order.
+/// `slot_values`/`slot_tags`, handing each slot's operator and
+/// kernel count (0 for communication) to `on_slot` in slot order.
 /// Returns `true` if any compute signature could not be resolved.
 ///
 /// Communication is priced once per distinct operator, not once per
-/// slot: a communication slot whose [`CommOp`] equals the last one priced
-/// for its [`CommKind`] reuses that latency and is handed over as not
-/// fresh, so the caller reuses whatever else it derived from that
-/// operator. `CommOp`'s equality covers every field the communication
-/// model reads, so the reuse is exact. Runs of equal operators are what
-/// the enumeration produces (a stage's DP buckets all carry the same
-/// payload but the last, and neighbouring pipeline boundaries send the
-/// same activations), and comparing with one operator per kind keeps the
-/// lookup O(1) per slot.
+/// slot: a communication slot takes the [`OpTable`] entry of its
+/// [`CommOp`], which the table prices only the first time it sees the
+/// operator, on this point or an earlier one. `CommOp`'s equality covers
+/// every field the communication model reads, so the reuse is exact.
+/// Most slots repeat the last operator of their [`CommKind`] (a stage's
+/// DP buckets all carry the same payload but the last, and neighbouring
+/// pipeline boundaries send the same activations), so a compare with
+/// that operator is the O(1) fast path, and the table is consulted only
+/// when it misses.
 fn resolve_slots<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
@@ -564,46 +749,57 @@ fn resolve_slots<P: ProfileSource>(
     profiles: &mut P,
     comm: &CommModel,
     s: &mut CompactScratch,
-    mut on_slot: impl FnMut(&SlotOp, u32, bool),
+    mut on_slot: impl FnMut(&SlotOp, u32),
 ) -> bool {
-    let CompactScratch { slot_values, slot_cat, comm_pricings, .. } = s;
+    let CompactScratch { slot_values, slot_tags, flows, comm_pricings, ops, .. } = s;
     slot_values.clear();
-    slot_cat.clear();
+    slot_tags.clear();
+    *flows = false;
+    // Entries handed out below stay valid for the whole point: clear
+    // before, never during, a lowering.
+    if ops.len() >= MAX_OP_ENTRIES {
+        ops.clear();
+    }
     let mut missing = false;
-    // The last operator priced for each collective kind, and its latency.
-    let mut last: [Option<(CommOp, TimeNs)>; 3] = [None; 3];
+    // The last operator seen for each collective kind, and its entry.
+    let mut last: [Option<(CommOp, u32)>; 3] = [None; 3];
     let (mut slots, mut priced) = (0, 0);
     visit_plan_slots(model, plan, opts, |op| match op {
         SlotOp::Compute(sig) => {
             let total = match profiles.op_latency(&sig) {
                 Some((total, kernels)) => {
-                    on_slot(&op, kernels, true);
+                    on_slot(&op, kernels);
                     total
                 }
                 None => {
                     missing = true;
-                    on_slot(&op, 0, true);
+                    on_slot(&op, 0);
                     TimeNs::ZERO
                 }
             };
             slot_values.push(total);
-            slot_cat.push(CAT_COMPUTE);
+            slot_tags.push((CAT_COMPUTE, NO_FLOW));
         }
         SlotOp::Comm(c) => {
             slots += 1;
-            let memo = &mut last[c.kind as usize];
-            let fresh = !matches!(memo, Some((prev, _)) if *prev == c);
-            if fresh {
-                priced += 1;
-                *memo = Some((c, comm.latency(&c)));
-            }
-            on_slot(&op, 0, fresh);
-            slot_values.push(memo.expect("priced above").1);
-            slot_cat.push(match c.kind {
+            let entry = match &mut last[c.kind as usize] {
+                Some((prev, entry)) if *prev == c => *entry,
+                memo => {
+                    let (entry, fresh) = ops.entry(&c, comm);
+                    priced += u64::from(fresh);
+                    *memo = Some((c, entry));
+                    entry
+                }
+            };
+            on_slot(&op, 0);
+            *flows |= ops.program(entry).is_some();
+            slot_values.push(ops.latency[entry as usize]);
+            let cat = match c.kind {
                 CommKind::TpAllReduce => CAT_TP,
                 CommKind::DpAllReduce => CAT_DP,
                 CommKind::PpSendRecv => CAT_PP,
-            });
+            };
+            slot_tags.push((cat, entry));
         }
     });
     *comm_pricings = (slots, priced);
@@ -639,12 +835,11 @@ pub(crate) fn lower_plan<P: ProfileSource>(
     comm: &CommModel,
     scratch: &mut CompactScratch,
 ) -> Result<LowerOutcome, MissingProfile> {
-    lower_plan_with(model, plan, opts, profiles, comm, scratch, |_, _, _| {})
+    lower_plan_with(model, plan, opts, profiles, comm, scratch, |_, _| {})
 }
 
-/// [`lower_plan`] handing every slot's operator, kernel count and
-/// freshness (see [`resolve_slots`]) to `on_slot` while the slot table is
-/// priced.
+/// [`lower_plan`] handing every slot's operator and kernel count to
+/// `on_slot` while the slot table is priced.
 fn lower_plan_with<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
@@ -652,7 +847,7 @@ fn lower_plan_with<P: ProfileSource>(
     profiles: &mut P,
     comm: &CommModel,
     scratch: &mut CompactScratch,
-    on_slot: impl FnMut(&SlotOp, u32, bool),
+    on_slot: impl FnMut(&SlotOp, u32),
 ) -> Result<LowerOutcome, MissingProfile> {
     if resolve_slots(model, plan, opts, profiles, comm, scratch, on_slot) {
         return Err(MissingProfile);
@@ -889,7 +1084,7 @@ fn fold_tallies(
         let periods = s.sec_periods[device as usize * n_sections + sec as usize];
         let total = scale(s.slot_values[slot as usize], mult * periods);
         let device_busy = &mut report.device_busy[device as usize];
-        match s.slot_cat[slot as usize] {
+        match s.slot_tags[slot as usize].0 {
             CAT_COMPUTE => {
                 busy.compute += total;
                 *device_busy += total;
@@ -1039,36 +1234,27 @@ fn common_shift(
     })
 }
 
-/// The fair-sharing half of the compact path: the flow program of each
-/// distinct communication operator and each latency slot's task kind,
-/// priced next to the slot table, and the periodic graph unrolled into
-/// one task per (section copy, run) for the flow replay. Filled only
-/// under the fair-sharing network, and reused point to point like
-/// [`CompactScratch`]: every buffer is cleared, not dropped, between
-/// points.
+/// The fair-sharing half of the compact path: each latency slot's task
+/// kind, recorded next to the slot table, and the periodic graph unrolled
+/// into one task per (section copy, run) for the flow replay. The flow
+/// programs themselves live in the scratch's [`OpTable`], which the slot
+/// and instance entries index. Filled only under the fair-sharing
+/// network, and reused point to point like [`CompactScratch`]: every
+/// buffer is cleared, not dropped, between points.
 #[derive(Default)]
 pub(crate) struct Unrolled {
-    /// Flow program of each distinct operator priced for the current
-    /// point (`None`: a fixed duration). Entry [`NO_FLOW`] is the shared
-    /// `None` of every compute slot.
-    programs: Vec<Option<FlowProgram>>,
-    /// `programs` entry of each latency slot.
-    slot_entry: Vec<u32>,
-    /// `programs` entry of the last operator priced for each
-    /// [`CommKind`]: where a slot that repeats it points.
-    kind_entry: [u32; 3],
     /// Task kind of each latency slot: a compute slot's profiled kernel
     /// count, a communication slot's collective.
     slot_kind: Vec<TaskKind>,
     /// Each run's stream (0 = compute, 1 = comm), task kind and
-    /// `programs` entry.
+    /// [`OpTable`] entry.
     run_stream: Vec<u8>,
     run_kind: Vec<TaskKind>,
     run_entry: Vec<u32>,
     /// The unrolled graph: instances numbered section-major, then
     /// copy-major, each copy in its section's topological order.
     graph: TaskGraph,
-    /// `programs` entry of each instance.
+    /// [`OpTable`] entry of each instance.
     inst_entry: Vec<u32>,
     /// Instance edges, gathered before the CSR.
     edges: Vec<(u32, u32)>,
@@ -1085,72 +1271,37 @@ impl Unrolled {
         self.graph.len()
     }
 
-    /// The latest unrolled graph and its tasks' flow programs: the
-    /// input [`replay_unrolled`] hands the flow replay.
+    /// The latest unrolled graph of `s` and its tasks' flow programs:
+    /// the input [`replay_unrolled`] hands the flow replay.
     #[cfg(test)]
-    pub(crate) fn replay_input(&self) -> (&TaskGraph, Programs<'_>) {
-        (&self.graph, self.instance_programs())
+    pub(crate) fn replay_input<'a>(
+        &'a self,
+        s: &'a CompactScratch,
+    ) -> (&'a TaskGraph, Programs<'a>) {
+        (&self.graph, self.instance_programs(s))
     }
 
-    /// The flow program of each unrolled instance, by `programs` entry.
-    fn instance_programs(&self) -> Programs<'_> {
-        Programs::Indexed { table: &self.programs, index: &self.inst_entry }
-    }
-
-    /// The flow program of latency slot `slot` (`None`: a fixed
-    /// duration).
-    fn program(&self, slot: usize) -> Option<&FlowProgram> {
-        self.programs[self.slot_entry[slot] as usize].as_ref()
-    }
-
-    /// Empties the per-point tables, keeping their capacity, and seeds
-    /// the shared [`NO_FLOW`] entry.
-    fn clear_prices(&mut self) {
-        self.programs.clear();
-        self.programs.push(None);
-        self.slot_entry.clear();
-        self.slot_kind.clear();
+    /// The flow program of each unrolled instance, by [`OpTable`] entry.
+    fn instance_programs<'a>(&'a self, s: &'a CompactScratch) -> Programs<'a> {
+        Programs::Indexed { table: &s.ops.programs, index: &self.inst_entry }
     }
 
     /// Records slot `op`'s task kind (`kernels`: its profiled kernel
-    /// count, 0 for communication) and its flow program under `comm`. A
-    /// communication slot that is not `fresh` repeats the last operator
-    /// priced for its kind ([`resolve_slots`]), and shares that
-    /// operator's entry instead of pricing the program again.
-    fn price_slot(&mut self, op: &SlotOp, kernels: u32, fresh: bool, comm: &CommModel) {
-        match op {
-            SlotOp::Compute(_) => {
-                self.slot_entry.push(NO_FLOW);
-                self.slot_kind.push(TaskKind::Compute { kernels });
-            }
-            SlotOp::Comm(c) => {
-                let entry = &mut self.kind_entry[c.kind as usize];
-                if fresh {
-                    let program = comm.flow_program(c);
-                    // `validate` keeps TP inside the NVLink domain, so the
-                    // TP All-Reduces folded into compute runs never drain
-                    // as flows.
-                    assert!(
-                        program.is_none() || c.kind != CommKind::TpAllReduce,
-                        "a TP All-Reduce carries a flow program"
-                    );
-                    *entry = self.programs.len() as u32;
-                    self.programs.push(program);
-                }
-                self.slot_entry.push(*entry);
-                self.slot_kind.push(comm_kind(c));
-            }
-        }
+    /// count, 0 for communication).
+    fn record_kind(&mut self, op: &SlotOp, kernels: u32) {
+        self.slot_kind.push(match op {
+            SlotOp::Compute(_) => TaskKind::Compute { kernels },
+            SlotOp::Comm(c) => comm_kind(c),
+        });
     }
 
-    /// Derives each run's stream, task kind and program-table slot from
+    /// Derives each run's stream, task kind and [`OpTable`] entry from
     /// its composition. Communication-stream nodes (pipeline sends, DP
     /// All-Reduces) never extend a run, so such a run is one node. A
     /// one-node run takes its slot's kind; a longer compute-stream run
     /// sums its compute members' kernel counts (its TP All-Reduces add
-    /// none). The run's `programs` entry is its first slot's, which
-    /// carries the program of a one-node communication run and none
-    /// otherwise.
+    /// none). The run's entry is its first slot's, which carries the
+    /// program of a one-node communication run and none otherwise.
     ///
     /// # Panics
     ///
@@ -1168,13 +1319,14 @@ impl Unrolled {
             }
             let head = s.comp_slot[start] as usize;
             let one_node = e - start == 1 && s.comp_count[start] == 1;
-            let comm_stream = matches!(s.slot_cat[head], CAT_DP | CAT_PP);
+            let (cat, entry) = s.slot_tags[head];
+            let comm_stream = matches!(cat, CAT_DP | CAT_PP);
             assert!(one_node || !comm_stream, "a communication-stream run is exactly one node");
             let mut kernels = 0;
             for i in start..e {
                 let slot = s.comp_slot[i] as usize;
                 assert!(
-                    comm_stream || self.program(slot).is_none(),
+                    comm_stream || s.program(slot).is_none(),
                     "only communication-stream runs carry flow programs"
                 );
                 if let TaskKind::Compute { kernels: k } = self.slot_kind[slot] {
@@ -1187,7 +1339,7 @@ impl Unrolled {
             } else {
                 TaskKind::Compute { kernels }
             });
-            self.run_entry.push(self.slot_entry[head]);
+            self.run_entry.push(entry);
         }
     }
 
@@ -1260,12 +1412,18 @@ impl Unrolled {
     }
 }
 
-/// [`lower_plan`] for the fair-sharing network: also prices each
-/// distinct communication operator's flow program and each slot's task
-/// kind next to the slot table, then unrolls the periodic graph into
-/// `unrolled` for [`replay_unrolled`]. Shape-equal plans patch the
+/// [`lower_plan`] for the fair-sharing network: also records each slot's
+/// task kind next to the slot table and, if any slot carries a flow
+/// program ([`CompactScratch::has_flows`]), unrolls the periodic graph
+/// into `unrolled` for [`replay_unrolled`]. Shape-equal plans patch the
 /// compact graph exactly as under the closed form; the unrolled graph is
-/// rebuilt from it every time.
+/// rebuilt from it every time it is needed.
+///
+/// A plan without flows, one whose collectives all stay inside a node,
+/// is not unrolled: with nothing to share, the flow replay of the
+/// unrolled graph resolves every task by dataflow, which is the
+/// closed-form replay of the same graph, so [`replay_lowered`] prices it
+/// exactly, max-plus jump included.
 ///
 /// # Errors
 ///
@@ -1284,13 +1442,14 @@ pub(crate) fn lower_unrolled<P: ProfileSource>(
     scratch: &mut CompactScratch,
     unrolled: &mut Unrolled,
 ) -> Result<LowerOutcome, MissingProfile> {
-    unrolled.clear_prices();
-    let outcome =
-        lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels, fresh| {
-            unrolled.price_slot(op, kernels, fresh, comm)
-        })?;
-    let copies = unrolled.unroll(scratch, plan.pipeline());
-    scratch.periods = (copies, copies);
+    unrolled.slot_kind.clear();
+    let outcome = lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels| {
+        unrolled.record_kind(op, kernels)
+    })?;
+    if scratch.flows {
+        let copies = unrolled.unroll(scratch, plan.pipeline());
+        scratch.periods = (copies, copies);
+    }
     Ok(outcome)
 }
 
@@ -1309,9 +1468,9 @@ pub(crate) fn replay_unrolled(
     flows: &mut FlowScratch,
     report: &mut SimReport,
 ) {
-    simulate_flows_for_tallies(&u.graph, u.instance_programs(), topology, flows, report);
+    simulate_flows_for_tallies(&u.graph, u.instance_programs(s), topology, flows, report);
     let devices = u.graph.num_devices() as usize;
-    fold_tallies(s, devices, report, |slot| u.program(slot).is_none());
+    fold_tallies(s, devices, report, |slot| s.program(slot).is_none());
 }
 
 #[cfg(test)]
@@ -1388,20 +1547,17 @@ mod tests {
         (comm.with_backend(backend), opts)
     }
 
-    /// Per-slot pricing, the reference of [`resolve_slots`]'
-    /// per-operator pricing: every slot's latency and flow program priced
-    /// from its own operator. Also returns the number of communication
-    /// slots and how many of them differ from the previous slot of their
-    /// kind.
+    /// Per-slot pricing, the reference of [`resolve_slots`]' table: every
+    /// slot's latency and flow program priced from its own operator. Also
+    /// returns the operator of each communication slot, in slot order.
     fn price_per_slot(
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
         profiles: &ProfileSet,
         comm: &CommModel,
-    ) -> (Vec<TimeNs>, Vec<Option<FlowProgram>>, (u64, u64)) {
-        let (mut values, mut programs, mut slots, mut changes) = (Vec::new(), Vec::new(), 0, 0);
-        let mut last: [Option<CommOp>; 3] = [None; 3];
+    ) -> (Vec<TimeNs>, Vec<Option<FlowProgram>>, Vec<CommOp>) {
+        let (mut values, mut programs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         visit_plan_slots(model, plan, opts, |op| match op {
             SlotOp::Compute(sig) => {
                 values.push(profiles.lookup(&sig).map_or(TimeNs::ZERO, |(total, _)| total));
@@ -1410,11 +1566,10 @@ mod tests {
             SlotOp::Comm(c) => {
                 values.push(comm.latency(&c));
                 programs.push(comm.flow_program(&c));
-                slots += 1;
-                changes += u64::from(last[c.kind as usize].replace(c) != Some(c));
+                ops.push(c);
             }
         });
-        (values, programs, (slots, changes))
+        (values, programs, ops)
     }
 
     fn compare_point(
@@ -1810,7 +1965,7 @@ mod tests {
         for round in 0..3 {
             let t0 = std::time::Instant::now();
             let mut source = SetSource(&profiles);
-            resolve_slots(&model, &plan, &opts, &mut source, &comm, &mut scratch, |_, _, _| {});
+            resolve_slots(&model, &plan, &opts, &mut source, &comm, &mut scratch, |_, _| {});
             scratch.sec_periods.clear();
             let (p, n) = (plan.pipeline(), plan.num_micro_batches());
             for stage in 0..p {
@@ -1850,7 +2005,9 @@ mod tests {
     fn repeated_operators_are_priced_once() {
         // 1.7B on (1, 8, 4): each stage's six DP buckets repeat one
         // payload but the last, and the three pipeline boundaries send
-        // the same activations, so 3 sends and 24 buckets price as 1 + 8.
+        // the same activations, so 3 sends and 24 buckets price as at
+        // most 1 + 8 operators; a second point of the same plan on the
+        // same scratch prices none.
         let model = presets::megatron("1.7B");
         let plan = plan_of((1, 8, 4, 1, 64), PipelineSchedule::OneFOneB);
         let (comm, opts) = interconnect(0, true);
@@ -1859,27 +2016,64 @@ mod tests {
         let profiles =
             cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
         let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
+        let (_, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+        let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len() as u64;
+        assert_eq!(ops.len(), 3 + 24);
+        assert!(distinct <= 1 + 8, "{distinct} distinct operators");
+        for priced in [distinct, 0] {
+            let mut source = SetSource(&profiles);
+            lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
+                .unwrap();
+            assert_eq!(scratch.comm_pricings(), (ops.len() as u64, priced));
+            // The table holds the shared compute entry and one entry per
+            // distinct operator.
+            assert_eq!(scratch.ops.len() as u64, 1 + distinct);
+        }
+        scratch.forget_prices();
+        assert_eq!(scratch.ops.len(), 1, "forgetting keeps only the compute entry");
+        assert_eq!(CompactScratch::default().ops.capacity_bytes(), 0, "an unused table is free");
+    }
+
+    #[test]
+    fn a_full_table_is_cleared_before_a_lowering() {
+        // Fill the table to its cap with operators no plan emits, each
+        // priced once and found again, whether scanned or hashed: the
+        // next lowering starts from an empty table and prices every
+        // distinct operator of its own afresh.
+        let model = presets::megatron("1.7B");
+        let plan = plan_of((2, 4, 2, 1, 16), PipelineSchedule::OneFOneB);
+        let (comm, opts) = interconnect(1, true);
+        let cache = vtrain_profile::ProfileCache::new();
+        let profiler = Profiler::new(GpuSpec::a100_40gb());
+        let profiles =
+            cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
+        let (_, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+        let filler = |i: usize| CommOp { ranks: ops[0].ranks + 1_000 * i, ..ops[0] };
+        let mut scratch = CompactScratch::default();
+        for i in 1..MAX_OP_ENTRIES {
+            assert_eq!(scratch.ops.entry(&filler(i), &comm), (i as u32, true));
+        }
+        for i in 1..MAX_OP_ENTRIES {
+            assert_eq!(scratch.ops.entry(&filler(i), &comm), (i as u32, false));
+        }
+        assert_eq!(scratch.ops.len(), MAX_OP_ENTRIES);
         let mut source = SetSource(&profiles);
-        lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
-            .unwrap();
-        let (_, _, pricings) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
-        assert_eq!(scratch.comm_pricings(), pricings);
-        assert_eq!(pricings.0, 3 + 24);
-        assert!(pricings.1 <= 1 + 8, "priced {} operators", pricings.1);
-        // The programs table holds the shared compute entry and one
-        // entry per operator priced.
-        assert_eq!(unrolled.programs.len() as u64, 1 + pricings.1);
+        lower_plan(&model, &plan, &opts, &mut source, &comm, &mut scratch).unwrap();
+        let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(scratch.comm_pricings(), (ops.len() as u64, distinct as u64));
+        assert_eq!(scratch.ops.len(), 1 + distinct);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-        /// Differential test of per-operator pricing against per-slot
+        /// Differential test of the operator table against per-slot
         /// pricing: on random plans over four interconnects, under both
         /// networks, a walk of points through one reused scratch gives
         /// every slot the latency and the flow program its own operator
-        /// prices to, bit for bit, and prices exactly the operators that
-        /// differ from the previous one of their kind.
+        /// prices to, bit for bit, flags the flows exactly when some slot
+        /// carries a program, and prices exactly the operators no earlier
+        /// point of the walk emitted.
         #[test]
         fn operator_pricing_matches_per_slot_pricing(
             walk in proptest::collection::vec(
@@ -1893,6 +2087,7 @@ mod tests {
             let cache = vtrain_profile::ProfileCache::new();
             let profiler = Profiler::new(GpuSpec::a100_40gb());
             let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
+            let mut seen = std::collections::HashSet::new();
             for (t_exp, d_exp, p, m_exp, n_micro, flags) in walk {
                 let (gpipe, bucketing) = (flags & 1 != 0, flags & 2 != 0);
                 let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
@@ -1906,14 +2101,69 @@ mod tests {
                 let mut source = SetSource(&profiles);
                 lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
                     .unwrap();
-                let (values, programs, pricings) =
+                let (values, programs, ops) =
                     price_per_slot(&model, &plan, &opts, &profiles, &comm);
                 let nanos = |v: &[TimeNs]| v.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
                 prop_assert_eq!(nanos(&scratch.slot_values), nanos(&values));
-                let got: Vec<_> = (0..programs.len()).map(|slot| unrolled.program(slot)).collect();
+                let got: Vec<_> = (0..programs.len()).map(|slot| scratch.program(slot)).collect();
                 prop_assert_eq!(got, programs.iter().map(Option::as_ref).collect::<Vec<_>>());
-                prop_assert_eq!(scratch.comm_pricings(), pricings);
+                prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));
+                let new = ops.iter().filter(|&&op| seen.insert(op)).count();
+                prop_assert_eq!(scratch.comm_pricings(), (ops.len() as u64, new as u64));
             }
+        }
+
+        /// Differential test of the flow-free dispatch: under fair sharing
+        /// on random plans over the four interconnects, the dispatched
+        /// replay (the closed-form walk when no slot carries a flow
+        /// program, else the flow replay of the unrolled graph) equals the
+        /// forced unroll and flow replay in every report field, in `u64`,
+        /// and the walk is taken exactly when per-slot pricing finds no
+        /// flow program.
+        #[test]
+        fn flow_free_dispatch_matches_the_forced_flow_replay(
+            t_exp in 0usize..=3,
+            d_exp in 0usize..=3,
+            p in 1usize..=6,
+            m_exp in 0usize..=1,
+            n_micro in 1usize..=16,
+            flags in 0u32..16,
+        ) {
+            let (gpipe, bucketing, net) = (flags & 1 != 0, flags & 2 != 0, flags >> 2);
+            let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let plan = ParallelConfig::builder()
+                .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+            let model = presets::megatron("1.7B");
+            let (comm, opts) = interconnect(net, true);
+            let cache = vtrain_profile::ProfileCache::new();
+            let profiler = Profiler::new(GpuSpec::a100_40gb());
+            let profiles =
+                cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
+            let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
+            let mut source = SetSource(&profiles);
+            lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
+                .unwrap();
+            let (_, programs, _) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+            prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));
+            let mut flows = FlowScratch::default();
+            let mut dispatched = SimReport::default();
+            if scratch.has_flows() {
+                replay_unrolled(&scratch, &unrolled, comm.topology(), &mut flows, &mut dispatched);
+            } else {
+                replay_lowered(&mut scratch, p, &mut dispatched);
+            }
+            unrolled.unroll(&scratch, p);
+            let mut forced = SimReport::default();
+            replay_unrolled(&scratch, &unrolled, comm.topology(), &mut flows, &mut forced);
+            let nanos =
+                |b: &BusyBreakdown| [b.compute, b.tp_comm, b.dp_comm, b.pp_comm].map(|t| t.as_nanos());
+            let device = |r: &SimReport| r.device_busy.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
+            prop_assert_eq!(dispatched.iteration_time.as_nanos(), forced.iteration_time.as_nanos());
+            prop_assert_eq!(nanos(&dispatched.busy), nanos(&forced.busy));
+            prop_assert_eq!(device(&dispatched), device(&forced));
+            prop_assert_eq!(dispatched.tasks_executed as u64, forced.tasks_executed as u64);
         }
 
         /// Golden equivalence: the aggregated periodic replay reproduces

@@ -19,7 +19,8 @@
 //! straight into the run-aggregated compact graph the sweep uses and
 //! replays that, never materializing the task graph — by the max-plus
 //! walk under the closed-form network, and under fair sharing by the flow
-//! replay over the graph unrolled into one task per (section copy, run).
+//! replay over the graph unrolled into one task per (section copy, run),
+//! or by the same walk when no collective leaves a node.
 //! The report is bit-identical to the full-graph replay (pinned by the
 //! equivalence tests below and in `compact`), at a fraction of the time
 //! and memory. Profiles are memoized in a concurrent
@@ -29,6 +30,7 @@
 //! bit-identical to uncached ones (profiling is deterministic).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -201,7 +203,16 @@ pub struct Estimator {
     alpha: f64,
     /// Ground-truth emulation oracle for [`Estimator::measure`].
     noise: NoiseModel,
+    /// Process-unique identity of `comm`'s prices, assigned by
+    /// [`EstimatorBuilder::build`] and shared by clones: an
+    /// [`EstimatorScratch`] keeps the operators it priced only while the
+    /// estimators it serves carry the same identity.
+    pricing_id: u64,
 }
+
+/// The next [`Estimator::pricing_id`]; 0 is no estimator's, so a fresh
+/// scratch matches none.
+static NEXT_PRICING_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Declarative constructor for [`Estimator`] — one builder instead of a
 /// constructor per configuration axis.
@@ -335,7 +346,8 @@ impl EstimatorBuilder {
         let gpu_key = GpuKey::of(&cluster.gpu);
         let noise = NoiseModel::new(noise.unwrap_or_default());
         let alpha = comm.alpha();
-        Estimator { cluster, comm, graph_opts, profiler, cache, gpu_key, alpha, noise }
+        let pricing_id = NEXT_PRICING_ID.fetch_add(1, Ordering::Relaxed);
+        Estimator { cluster, comm, graph_opts, profiler, cache, gpu_key, alpha, noise, pricing_id }
     }
 }
 
@@ -345,12 +357,18 @@ impl EstimatorBuilder {
 ///
 /// Thread one of these through [`Estimator::estimate_validated_with`] and
 /// steady-state closed-form evaluation performs no per-point heap
-/// allocation; under fair sharing the unrolled graph, the flow-program
-/// table and the flow replay's vectors, join heap and flow simulator are
-/// reused too. Each point prices each distinct communication operator
-/// once, and only a flow program's own phase list is allocated afresh.
+/// allocation; under fair sharing the unrolled graph and the flow
+/// replay's vectors, join heap and flow simulator are reused too. The
+/// scratch also keeps a table of the distinct communication operators it
+/// has priced, with their latencies and flow programs, across points: a
+/// worker prices each operator once, and allocates a flow program's phase
+/// list only then. The table belongs to one estimator and its clones,
+/// and is cleared when the scratch serves another.
 #[derive(Default)]
 pub struct EstimatorScratch {
+    /// The [`Estimator::pricing_id`] of the estimator whose operators
+    /// the compact scratch's table holds (0: none yet).
+    pricing_id: u64,
     compact: CompactScratch,
     /// The fair-sharing network's per-slot flow programs and unrolled
     /// graph (untouched under the closed form).
@@ -631,9 +649,10 @@ impl Estimator {
     /// patch when the scratch already holds a graph of the same shape
     /// key), replays it and summarizes. Under the closed-form network the
     /// replay is the max-plus walk of the periodic graph. Under fair
-    /// sharing, lowering also prices each slot's flow program and unrolls
-    /// the graph into one task per (section copy, run), and the replay is
-    /// the flow replay over those instances; neither the operator graph
+    /// sharing the same walk prices a plan whose collectives all stay
+    /// inside a node, since no slot carries a flow program; any other plan
+    /// is unrolled into one task per (section copy, run), and the replay
+    /// is the flow replay over those instances. Neither the operator graph
     /// nor the full task graph is built. With `stages`, the three steps
     /// are timed from inside the fused pipeline, so a patch shows up as a
     /// shrunken `lower_ns`; without, no clock is read. The estimate is
@@ -647,6 +666,7 @@ impl Estimator {
         stages: Option<&mut StageNanos>,
     ) -> IterationEstimate {
         let EstimatorScratch {
+            pricing_id,
             compact,
             unrolled,
             flows,
@@ -661,6 +681,10 @@ impl Estimator {
             gpu_key: &self.gpu_key,
             stats: cache_stats,
         };
+        if *pricing_id != self.pricing_id {
+            compact.forget_prices();
+            *pricing_id = self.pricing_id;
+        }
         let fair = self.network() == NetworkBackend::FairSharing;
         let (opts, comm) = (&self.graph_opts, &self.comm);
         let timed = stages.is_some();
@@ -673,7 +697,9 @@ impl Estimator {
         }
         .expect("estimator profile source resolves every signature");
         let t1 = clock();
-        if fair {
+        // Only fair sharing prices flow programs: without one, nothing
+        // shares a link and the closed-form walk is exact.
+        if compact.has_flows() {
             replay_unrolled(compact, unrolled, self.topology(), flows, report);
         } else {
             replay_lowered(compact, plan.pipeline(), report);
@@ -694,7 +720,11 @@ impl Estimator {
             }
         };
         if vtrain_obs::enabled() {
-            vtrain_obs::global().counter(counter).inc();
+            let metrics = vtrain_obs::global();
+            metrics.counter(counter).inc();
+            if fair && !compact.has_flows() {
+                metrics.counter("estimate.fair.flow_free").inc();
+            }
             record_compact_size(compact);
         }
         estimate
@@ -927,8 +957,9 @@ fn count_full_lowering(reason: &str) {
 /// (equal when no section's common shift showed), the
 /// scratch's reserved bytes into the `estimate.compact.scratch_bytes`
 /// high-water gauge, and the lowering's communication slots and the
-/// distinct operators it priced for them into the `estimate.comm.slots`
-/// and `estimate.comm.priced` counters.
+/// operators it priced for them, those the scratch's operator table did
+/// not hold yet, into the `estimate.comm.slots` and
+/// `estimate.comm.priced` counters.
 fn record_compact_size(compact: &CompactScratch) {
     let metrics = vtrain_obs::global();
     let (slots, priced) = compact.comm_pricings();
@@ -1440,6 +1471,37 @@ mod tests {
     }
 
     #[test]
+    fn flow_free_fair_points_take_the_closed_form_walk() {
+        // On 64 GPUs, (1, 2, 4) keeps every collective inside one node:
+        // no flow program, so the point is walked like the closed form
+        // and counted as flow-free. (2, 4, 4) crosses nodes and is
+        // unrolled. Other tests may count concurrently while obs is on.
+        let _flag = OBS_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let flow_free = vtrain_obs::global().counter("estimate.fair.flow_free");
+        let cluster = ClusterSpec::aws_p4d(64);
+        let model = presets::megatron("1.7B");
+        let closed = Estimator::builder(cluster.clone()).build();
+        let fair = Estimator::builder(cluster).network(NetworkBackend::FairSharing).build();
+        let mut scratch = EstimatorScratch::default();
+        for (p, flows) in [(plan(1, 2, 4, 1, 64), false), (plan(2, 4, 4, 1, 64), true)] {
+            let before = flow_free.get();
+            vtrain_obs::set_enabled(true);
+            assert_fair_matches_full(&fair, &model, &p, &mut scratch);
+            vtrain_obs::set_enabled(false);
+            assert_eq!(scratch.compact.has_flows(), flows, "{p}");
+            let (walked, total) = scratch.compact.periods();
+            if flows {
+                assert_eq!(walked, total, "{p}: the unrolled graph has every copy");
+                continue;
+            }
+            assert!(flow_free.get() > before, "{p}: flow-free point not counted");
+            assert!(walked < total, "{p}: the walk jumped no copy ({walked} of {total})");
+            let closed = closed.estimate(&model, &p).unwrap();
+            assert_eq!(closed.iteration_time, scratch.report.iteration_time, "{p}");
+        }
+    }
+
+    #[test]
     fn fair_sharing_contention_lengthens_overlapping_communication() {
         // p = 4 keeps several pipeline boundaries' inter-node transfers
         // and the stages' gradient All-Reduces in flight at once on the
@@ -1732,7 +1794,7 @@ mod tests {
             assert_flow_replay_matches_engine(&tg, Programs::PerTask(&programs), est.topology());
             let mut scratch = EstimatorScratch::default();
             est.estimate_validated_with(&model, &plan, &mut scratch);
-            let (unrolled, programs) = scratch.unrolled.replay_input();
+            let (unrolled, programs) = scratch.unrolled.replay_input(&scratch.compact);
             assert_flow_replay_matches_engine(unrolled, programs, est.topology());
         }
     }
@@ -1777,6 +1839,80 @@ mod tests {
             if est.validate(&model, &second).is_ok() {
                 assert_fair_matches_full(&est, &model, &second, &mut scratch);
                 proptest::prop_assert_eq!(scratch.delta_counts(), (1, 1));
+            }
+        }
+    }
+
+    /// An estimator over the `net`-th of the interconnects of
+    /// [`fair_estimator`], under fair sharing if `fair`, with the given
+    /// recomputation and DP bucket size.
+    fn varied_estimator(net: u32, fair: bool, recompute: bool, bucket_mib: u64) -> Estimator {
+        let cluster = ClusterSpec::aws_p4d(512);
+        let spine = |bandwidth| vtrain_net::TierSpec::new(bandwidth, TimeNs::from_micros(35), 1.0);
+        let backend = if fair { NetworkBackend::FairSharing } else { NetworkBackend::ClosedForm };
+        let builder = Estimator::builder(cluster.clone()).network(backend);
+        let mut est = match net {
+            0 => builder.build(),
+            1 => builder.topology(cluster.topology(0.8)).build(),
+            2 => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(25e9))).build(),
+            _ => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(12.5e9))).build(),
+        };
+        est.graph_opts.recompute = recompute;
+        est.graph_opts.dp_bucket_bytes = vtrain_model::Bytes::from_mib(bucket_mib);
+        est
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 32,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// One scratch serving a pair of estimators that differ in
+        /// network, topology, recomputation and DP bucket size (A, then
+        /// B, then A again, on one plan or two) gives every estimate
+        /// bit-identical to a fresh scratch's: the operator table and a
+        /// delta patch never carry one estimator's prices into another's
+        /// estimate.
+        #[test]
+        fn one_scratch_serves_any_pair_of_estimators(
+            setup_a in (0u32..16, 1u64..=100),
+            setup_b in (0u32..16, 1u64..=100),
+            plan_a in (0usize..=3, 0usize..=3, 1usize..=6, 0usize..=1, 1usize..=16, 0u32..4),
+            plan_b in (0usize..=3, 0usize..=3, 1usize..=6, 0usize..=1, 1usize..=16, 0u32..4),
+            same_plan in proptest::bool::ANY,
+        ) {
+            let [a, b] = [setup_a, setup_b].map(|(bits, mib)| {
+                varied_estimator(bits & 3, bits & 4 != 0, bits & 8 != 0, mib)
+            });
+            let [first, second] = [plan_a, plan_b].map(|(t_exp, d_exp, p, m_exp, n_micro, flags)| {
+                let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+                let sched =
+                    if flags & 1 != 0 { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+                ParallelConfig::builder()
+                    .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                    .schedule(sched).gradient_bucketing(flags & 2 != 0).build().unwrap()
+            });
+            let second = if same_plan { first } else { second };
+            let model = presets::megatron("1.7B");
+            let nanos =
+                |b: &BusyBreakdown| [b.compute, b.tp_comm, b.dp_comm, b.pp_comm].map(|t| t.as_nanos());
+            let device = |r: &SimReport| r.device_busy.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
+            let mut scratch = EstimatorScratch::default();
+            for (est, plan) in [(&a, &first), (&b, &second), (&a, &first)] {
+                if est.validate(&model, plan).is_err() {
+                    continue;
+                }
+                let got = est.estimate_validated_with(&model, plan, &mut scratch);
+                let mut fresh = EstimatorScratch::default();
+                let want = est.estimate_validated_with(&model, plan, &mut fresh);
+                let (r, w) = (&scratch.report, &fresh.report);
+                proptest::prop_assert_eq!(r.iteration_time.as_nanos(), w.iteration_time.as_nanos());
+                proptest::prop_assert_eq!(nanos(&r.busy), nanos(&w.busy));
+                proptest::prop_assert_eq!(device(r), device(w));
+                proptest::prop_assert_eq!(r.tasks_executed as u64, w.tasks_executed as u64);
+                proptest::prop_assert_eq!(got.utilization.to_bits(), want.utilization.to_bits());
+                proptest::prop_assert_eq!(got.occupancy.to_bits(), want.occupancy.to_bits());
             }
         }
     }

@@ -46,6 +46,7 @@ commands:
              TCP, concurrent requests sharing one profile cache
 
 options:
+  -h, --help              print this help and exit 0 (in any position)
   --json                  (predict|sweep|validate) print one wire-API
                           response line instead of the human report —
                           byte-identical to the serve daemon's response
@@ -170,6 +171,10 @@ fn exit_for(e: &Error) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let (command, path, rest) = match args.as_slice() {
         [command, path, rest @ ..] => (command.as_str(), path.as_str(), rest),
         _ => {

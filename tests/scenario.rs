@@ -138,6 +138,24 @@ fn validate_subcommand_accepts_shipped_scenarios() {
 }
 
 #[test]
+fn help_in_any_position_prints_usage_and_exits_0() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["sweep", "--help"],
+        &["predict", "-h"],
+        &["predict", EXAMPLE_PATH, "--help"],
+        &["serve", "127.0.0.1:0", "-h"],
+    ] {
+        let out = vtrain(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let usage = String::from_utf8_lossy(&out.stdout);
+        assert!(usage.starts_with("usage: vtrain"), "{args:?}: usage on stdout:\n{usage}");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
+#[test]
 fn cli_error_paths_exit_2_with_context() {
     // No arguments: usage on stderr, exit 2, and the subcommands listed.
     let out = vtrain(&[]);
