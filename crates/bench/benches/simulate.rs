@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the full-graph replay hot loop in isolation:
 //! the allocating `simulate` entry point vs the scratch-reusing
 //! `simulate_into`, across graph sizes — the micro-level companion to the
-//! `bench_sim` CI gate. (Sweeps run the compact replay, not this one.)
+//! `bench_sim` CI gate. (Closed-form sweeps run the compact walk; each
+//! fair-sharing sweep point runs this loop over its unrolled graph.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vtrain_core::{simulate, simulate_into, Estimator, SimMode, SimReport, SimScratch, TaskGraph};

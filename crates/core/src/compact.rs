@@ -178,8 +178,8 @@ use vtrain_net::Topology;
 use vtrain_parallel::ParallelConfig;
 use vtrain_profile::CommModel;
 
-use crate::flow_replay::{simulate_flows_for_tallies, FlowScratch, Programs};
-use crate::sim::{BusyBreakdown, SimReport};
+use crate::flow_replay::{replay_for_tallies, Programs};
+use crate::sim::{BusyBreakdown, SimReport, SimScratch};
 use crate::task_graph::{comm_kind, MissingProfile, TaskGraph, TaskKind};
 
 /// Resolves compute-operator signatures to `(total latency, kernel
@@ -1031,8 +1031,9 @@ fn edges_into(edges: &[(u32, u32)], lo: u32, hi: u32) -> &[(u32, u32)] {
 /// The value-only replay over the lowered periodic graph. Compact graphs
 /// are stream-chained by construction (the builder chains consecutive
 /// runs on every slot), so the dataflow traversal reproduces the FIFO
-/// replay — the same argument as [`simulate`](crate::sim::simulate)'s
-/// dataflow pass, proven bit-identical by the equivalence tests. Each
+/// replay — the same argument as the task-graph replay's dataflow pass
+/// ([`crate::flow_replay`]), proven bit-identical to the FIFO oracle by
+/// the equivalence tests and `sim.rs`'s differential proptest. Each
 /// section is walked copy by copy over its stored order until a nested
 /// section's common shift shows (see the module docs); the busy
 /// breakdown, the per-device busy time and the task count come from the
@@ -1277,13 +1278,19 @@ impl Unrolled {
     pub(crate) fn replay_input<'a>(
         &'a self,
         s: &'a CompactScratch,
+        topology: &'a Topology,
     ) -> (&'a TaskGraph, Programs<'a>) {
-        (&self.graph, self.instance_programs(s))
+        (&self.graph, self.instance_programs(s, topology))
     }
 
-    /// The flow program of each unrolled instance, by [`OpTable`] entry.
-    fn instance_programs<'a>(&'a self, s: &'a CompactScratch) -> Programs<'a> {
-        Programs::Indexed { table: &s.ops.programs, index: &self.inst_entry }
+    /// The flow program of each unrolled instance on `topology`, by
+    /// [`OpTable`] entry.
+    fn instance_programs<'a>(
+        &'a self,
+        s: &'a CompactScratch,
+        topology: &'a Topology,
+    ) -> Programs<'a> {
+        Programs::Indexed { topology, table: &s.ops.programs, index: &self.inst_entry }
     }
 
     /// Records slot `op`'s task kind (`kernels`: its profiled kernel
@@ -1454,7 +1461,7 @@ pub(crate) fn lower_unrolled<P: ProfileSource>(
 }
 
 /// The fair-sharing replay of the unrolled graph.
-/// [`simulate_flows_for_tallies`] over the run instances gives the
+/// [`replay_for_tallies`] over the run instances gives the
 /// iteration time and books each flow's contended duration; the busy
 /// breakdown, per-device busy time and task count of the fixed-duration
 /// slots come from the structure tallies, as in [`replay_lowered`]
@@ -1465,10 +1472,10 @@ pub(crate) fn replay_unrolled(
     s: &CompactScratch,
     u: &Unrolled,
     topology: &Topology,
-    flows: &mut FlowScratch,
+    flows: &mut SimScratch,
     report: &mut SimReport,
 ) {
-    simulate_flows_for_tallies(&u.graph, u.instance_programs(s), topology, flows, report);
+    replay_for_tallies(&u.graph, u.instance_programs(s, topology), flows, report);
     let devices = u.graph.num_devices() as usize;
     fold_tallies(s, devices, report, |slot| s.program(slot).is_none());
 }
@@ -2147,7 +2154,7 @@ mod tests {
                 .unwrap();
             let (_, programs, _) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
             prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));
-            let mut flows = FlowScratch::default();
+            let mut flows = SimScratch::default();
             let mut dispatched = SimReport::default();
             if scratch.has_flows() {
                 replay_unrolled(&scratch, &unrolled, comm.topology(), &mut flows, &mut dispatched);

@@ -51,8 +51,8 @@ use crate::compact::{
     lower_plan, lower_unrolled, replay_lowered, replay_unrolled, CompactScratch, LowerOutcome,
     ProfileSource, Unrolled,
 };
-use crate::flow_replay::{simulate_flows, FlowScratch, Programs};
-use crate::sim::{simulate, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch};
+use crate::flow_replay::{replay, Programs};
+use crate::sim::{simulate, BusyBreakdown, SimMode, SimReport, SimScratch};
 use crate::task_graph::{TaskGraph, TaskKind};
 
 /// The most tasks a full task graph may hold. [`Estimator::timeline`]
@@ -374,7 +374,7 @@ pub struct EstimatorScratch {
     /// graph (untouched under the closed form).
     unrolled: Unrolled,
     /// The flow replay's working state.
-    flows: FlowScratch,
+    flows: SimScratch,
     report: SimReport,
     /// Profile-cache hits/misses attributable to this scratch's owner.
     cache_stats: CacheStats,
@@ -784,7 +784,7 @@ impl Estimator {
         plan: &ParallelConfig,
         noise: &NoiseModel,
     ) -> Result<IterationEstimate, EstimateError> {
-        self.validate(model, plan)?;
+        plan.validate(model, &self.cluster)?;
         self.admit_full_graph(model, plan)?;
         count_full_lowering("measured");
         let tg = self.lower(model, plan);
@@ -847,7 +847,7 @@ impl Estimator {
         model: &ModelConfig,
         plan: &ParallelConfig,
     ) -> Result<IterationTimeline, EstimateError> {
-        self.validate(model, plan)?;
+        plan.validate(model, &self.cluster)?;
         self.admit_full_graph(model, plan)?;
         count_full_lowering("timeline");
         // Materialize the operator graph once, purely for labels: the
@@ -895,48 +895,38 @@ impl Estimator {
                 args,
             });
         };
-        if self.network() == NetworkBackend::FairSharing {
-            let programs: Vec<Option<FlowProgram>> = nodes
-                .iter()
-                .map(|node| match &node.op {
-                    Op::Comm(c) => self.comm.flow_program(c),
-                    Op::Compute(_) => None,
-                })
-                .collect();
-            // Counter samples are buffered and attached after the replay:
-            // the span-recording closure holds the recorder borrow.
-            let mut samples: Vec<(TimeNs, Vec<f64>)> = Vec::new();
-            let mut net_trace = |t: TimeNs, util: &[f64]| samples.push((t, util.to_vec()));
-            simulate_flows(
-                &tg,
-                Programs::PerTask(&programs),
-                self.topology(),
-                Some(&mut record),
-                Some(&mut net_trace),
-                &mut FlowScratch::default(),
-                &mut report,
-            );
-            for (t, util) in samples {
-                recorder.record_counter(CounterSample {
-                    pid: 0,
-                    name: "net.link_utilization".to_owned(),
-                    ts_ns: t.as_nanos(),
-                    values: util
-                        .iter()
-                        .enumerate()
-                        .map(|(tier, u)| (format!("tier{tier}_pct"), (u * 100.0).round() as u64))
-                        .collect(),
-                });
+        let flow_programs: Vec<Option<FlowProgram>>;
+        let programs = match self.network() {
+            NetworkBackend::ClosedForm => Programs::Fixed(SimMode::Predicted),
+            NetworkBackend::FairSharing => {
+                flow_programs = nodes
+                    .iter()
+                    .map(|node| match &node.op {
+                        Op::Comm(c) => self.comm.flow_program(c),
+                        Op::Compute(_) => None,
+                    })
+                    .collect();
+                Programs::PerTask { topology: self.topology(), programs: &flow_programs }
             }
-            return Ok(IterationTimeline { recorder, report });
+        };
+        // Counter samples are buffered and attached after the replay: the
+        // span-recording closure holds the recorder borrow.
+        let mut samples: Vec<(TimeNs, Vec<f64>)> = Vec::new();
+        let mut net_trace = |t: TimeNs, util: &[f64]| samples.push((t, util.to_vec()));
+        let mut scratch = SimScratch::default();
+        replay(&tg, programs, Some(&mut record), Some(&mut net_trace), &mut scratch, &mut report);
+        for (t, util) in samples {
+            recorder.record_counter(CounterSample {
+                pid: 0,
+                name: "net.link_utilization".to_owned(),
+                ts_ns: t.as_nanos(),
+                values: util
+                    .iter()
+                    .enumerate()
+                    .map(|(tier, u)| (format!("tier{tier}_pct"), (u * 100.0).round() as u64))
+                    .collect(),
+            });
         }
-        simulate_into_traced(
-            &tg,
-            SimMode::Predicted,
-            &mut SimScratch::default(),
-            &mut report,
-            &mut record,
-        );
         Ok(IterationTimeline { recorder, report })
     }
 }
@@ -1526,20 +1516,56 @@ mod tests {
         );
     }
 
+    #[test]
+    fn one_sim_scratch_serves_every_replay() {
+        // One scratch runs a contended flow replay, then a Predicted and a
+        // Measured replay of the same graph, twice over: every report
+        // equals a fresh scratch's, and the second round allocates nothing.
+        let est = Estimator::builder(ClusterSpec::aws_p4d(32))
+            .network(NetworkBackend::FairSharing)
+            .build();
+        let (model, p) = (presets::megatron("1.7B"), plan(2, 4, 4, 1, 32));
+        let (tg, programs) = est.lower_with_programs(&model, &p);
+        let noise = NoiseModel::new(NoiseConfig::default());
+        let run = |mode: Option<SimMode<'_>>, scratch: &mut SimScratch, report: &mut SimReport| {
+            match mode {
+                None => {
+                    let programs =
+                        Programs::PerTask { topology: est.topology(), programs: &programs };
+                    replay(&tg, programs, None, None, scratch, report);
+                }
+                Some(mode) => crate::sim::simulate_into(&tg, mode, scratch, report),
+            }
+        };
+        let modes =
+            [None, Some(SimMode::Predicted), Some(SimMode::Measured { noise: &noise, nodes: 4 })];
+        let (mut scratch, mut report) = (SimScratch::default(), SimReport::default());
+        let mut capacities = None;
+        for round in 0..2 {
+            for mode in modes {
+                run(mode, &mut scratch, &mut report);
+                let mut fresh = SimReport::default();
+                run(mode, &mut SimScratch::default(), &mut fresh);
+                assert_eq!(report, fresh, "round {round}");
+                if mode.is_none() {
+                    assert!(scratch.net_counters().1 > 1, "the overlap plan's flows contend");
+                }
+                let now = (scratch.capacities(), report.device_busy.capacity());
+                if round == 1 {
+                    assert_eq!(Some(now), capacities, "a repeated replay grew a buffer");
+                }
+                capacities = Some(now);
+            }
+        }
+    }
+
     /// The full-graph flow replay of `plan`: the oracle of the compact
     /// fair-sharing path.
     fn full_flow_report(est: &Estimator, model: &ModelConfig, plan: &ParallelConfig) -> SimReport {
         let (tg, programs) = est.lower_with_programs(model, plan);
+        let programs = Programs::PerTask { topology: est.topology(), programs: &programs };
         let mut report = SimReport::default();
-        simulate_flows(
-            &tg,
-            Programs::PerTask(&programs),
-            est.topology(),
-            None,
-            None,
-            &mut FlowScratch::default(),
-            &mut report,
-        );
+        replay(&tg, programs, None, None, &mut SimScratch::default(), &mut report);
         report
     }
 
@@ -1702,12 +1728,11 @@ mod tests {
     fn observe_flow_replay(
         graph: &TaskGraph,
         programs: Programs<'_>,
-        topology: &Topology,
         engine: bool,
     ) -> FlowReplayView {
         let mut spans = vec![(u64::MAX, u64::MAX); graph.len()];
         let mut samples: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
-        let (mut scratch, mut report) = (FlowScratch::default(), SimReport::default());
+        let (mut scratch, mut report) = (SimScratch::default(), SimReport::default());
         let mut trace = |task: u32, start: TimeNs, finish: TimeNs| {
             assert_eq!(spans[task as usize].0, u64::MAX, "task {task} booked twice");
             spans[task as usize] = (start.as_nanos(), finish.as_nanos());
@@ -1720,17 +1745,16 @@ mod tests {
         };
         let (trace, net_trace) = (Some(&mut trace as _), Some(&mut net_trace as _));
         if engine {
-            crate::flow_replay::engine_oracle::simulate_flows_on_engine(
+            crate::flow_replay::engine_oracle::replay_on_engine(
                 graph,
                 programs,
-                topology,
                 trace,
                 net_trace,
                 &mut scratch,
                 &mut report,
             );
         } else {
-            simulate_flows(graph, programs, topology, trace, net_trace, &mut scratch, &mut report);
+            replay(graph, programs, trace, net_trace, &mut scratch, &mut report);
         }
         let net = scratch.net_counters();
         (report, spans, samples.into_iter().collect(), net)
@@ -1739,13 +1763,9 @@ mod tests {
     /// Asserts the dataflow flow replay of `graph` matches the engine
     /// oracle in every report field (in `u64`), every task's span, the
     /// last network sample at each timestamp and the refill count.
-    fn assert_flow_replay_matches_engine(
-        graph: &TaskGraph,
-        programs: Programs<'_>,
-        topology: &Topology,
-    ) {
-        let got = observe_flow_replay(graph, programs, topology, false);
-        let want = observe_flow_replay(graph, programs, topology, true);
+    fn assert_flow_replay_matches_engine(graph: &TaskGraph, programs: Programs<'_>) {
+        let got = observe_flow_replay(graph, programs, false);
+        let want = observe_flow_replay(graph, programs, true);
         let nanos =
             |b: &BusyBreakdown| [b.compute, b.tp_comm, b.dp_comm, b.pp_comm].map(|t| t.as_nanos());
         let device = |r: &SimReport| r.device_busy.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
@@ -1791,11 +1811,12 @@ mod tests {
                 return Ok(());
             }
             let (tg, programs) = est.lower_with_programs(&model, &plan);
-            assert_flow_replay_matches_engine(&tg, Programs::PerTask(&programs), est.topology());
+            let topology = est.topology();
+            assert_flow_replay_matches_engine(&tg, Programs::PerTask { topology, programs: &programs });
             let mut scratch = EstimatorScratch::default();
             est.estimate_validated_with(&model, &plan, &mut scratch);
-            let (unrolled, programs) = scratch.unrolled.replay_input(&scratch.compact);
-            assert_flow_replay_matches_engine(unrolled, programs, est.topology());
+            let (unrolled, programs) = scratch.unrolled.replay_input(&scratch.compact, topology);
+            assert_flow_replay_matches_engine(unrolled, programs);
         }
     }
 

@@ -1,7 +1,11 @@
-//! The fair-sharing replay: Algorithm 1's task graph re-run in *physical*
-//! time with communication tasks as flows on a shared network.
+//! The task-graph replay: Algorithm 1's dataflow pass, run in *physical*
+//! time with communication tasks as flows on a shared network when there
+//! is one.
 //!
-//! The closed-form replay ([`crate::sim`]) prices every communication
+//! This is the one replay of a [`TaskGraph`]: [`simulate`](crate::simulate),
+//! `Estimator::measure` and `Estimator::timeline` run it with every task
+//! at a fixed duration ([`Programs::Fixed`]), and every fair-sharing
+//! replay runs it with flows. The closed form prices every communication
 //! task in isolation and replays the graph in logical time — correct by
 //! construction when links never carry two transfers at once. Under
 //! [`NetworkBackend::FairSharing`](vtrain_net::NetworkBackend) that
@@ -10,19 +14,24 @@
 //! effective bandwidth max-min fairly, and a task's duration is whatever
 //! the contended drain actually took. Tasks without a flow program
 //! (intra-node collectives priced by the profiled tables, compute
-//! kernels) keep their fixed closed-form durations.
+//! kernels) keep their fixed closed-form durations; only Measured mode
+//! perturbs a fixed duration, and it never meets a flow.
 //!
 //! # The loop: dataflow plus time-ordered joins
 //!
 //! The input is stream-chained, so a task's stream predecessor is one of
 //! its dependencies and the stream is always free when the task becomes
 //! ready: a task starts at `ready = max(parent finishes)` as soon as its
-//! last parent has finished, with no per-stream queue. Only the network
+//! last parent has finished, with no per-stream queue. The paper's FIFO
+//! dispatch order therefore moves no start time, and every aggregate of
+//! the report (the latest finish, commutative busy sums) is independent
+//! of the traversal order; `sim.rs` keeps the literal FIFO pseudocode as
+//! the oracle this loop is proven bit-identical to. Only the network
 //! needs time order, so only it gets any:
 //!
 //! * A task without a flow program finishes at once at `ready + duration`
-//!   and releases its children in the same pass, as in the closed-form
-//!   dataflow replay.
+//!   and releases its children in the same pass, a LIFO stack of
+//!   released tasks.
 //! * A flow task becomes a *pending join* in a min-heap keyed by its
 //!   start time.
 //! * The loop repeatedly takes `at = min(next join, next network
@@ -50,7 +59,8 @@
 //! wait in a heap. The engine-driven replay it replaced stays in this
 //! module's tests as the oracle, matched bit for bit in `u64` on random
 //! plans (report, every task's span, and the last network sample at each
-//! timestamp).
+//! timestamp). Without a flow program the network part never runs: the
+//! flow simulator is not reset and no network observer is created.
 //!
 //! Observers: `trace` sees each task's `(start, finish)` when it is
 //! booked, every parent before its children; `net_trace` (and the
@@ -62,15 +72,16 @@
 //! the two can differ in the number and order of the intermediate samples
 //! at one timestamp, never in the last.
 //!
-//! The graph comes from one of two places: [`TaskGraph::lower_fused`]
-//! (the timeline, one task per operator) or the compact graph unrolled
+//! The graph comes from one of three places: a caller's lowered graph
+//! ([`simulate`](crate::simulate)), [`TaskGraph::lower_fused`] (`measure`
+//! and the timeline, one task per operator) or the compact graph unrolled
 //! into one task per (section copy, run) ([`crate::compact`], every
-//! fair-sharing estimate). Aggregating a compute chain into one task
-//! moves no start time, because chain interiors neither start flows nor
-//! wait on them. With zero concurrent flows the physical-time schedule
-//! coincides with the logical-time one, so a contention-free replay
-//! reproduces the closed-form report exactly (see the equivalence tests
-//! in `estimate.rs` and the differential property test in `sim.rs`).
+//! fair-sharing estimate with a flow). Aggregating a compute chain into
+//! one task moves no start time, because chain interiors neither start
+//! flows nor wait on them. With zero concurrent flows the physical-time
+//! schedule coincides with the logical-time one, so a contention-free
+//! replay reproduces the closed-form report exactly (see the equivalence
+//! tests in `estimate.rs` and the differential property test in `sim.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -81,21 +92,37 @@ use vtrain_model::TimeNs;
 use vtrain_net::flow::{FlowId, FlowProgram, FlowSim};
 use vtrain_net::Topology;
 
-use crate::sim::{BusyBreakdown, SimReport, TaskTrace};
+use crate::sim::{effective_duration, BusyBreakdown, SimMode, SimReport};
 use crate::task_graph::{TaskGraph, TaskKind};
+
+/// Per-task observer of a traced replay: `(task id, start, finish)` on
+/// the simulated clock, invoked once per executed task.
+pub(crate) type TaskTrace<'t> = &'t mut dyn FnMut(u32, TimeNs, TimeNs);
 
 /// Observer of the network's state at every refill: `(time, per-tier
 /// utilization)` — the timeline exporter's counter-track feed.
-pub type NetTrace<'t> = &'t mut dyn FnMut(TimeNs, &[f64]);
+pub(crate) type NetTrace<'t> = &'t mut dyn FnMut(TimeNs, &[f64]);
 
-/// The flow programs of a replayed graph's tasks.
+/// Where the replayed graph's task durations come from.
 #[derive(Clone, Copy)]
 pub(crate) enum Programs<'a> {
-    /// Task `i` drains `.0[i]` (one entry per task).
-    PerTask(&'a [Option<FlowProgram>]),
-    /// Task `i` drains `table[index[i]]`: the unrolled compact graph,
-    /// whose instances share their latency slot's program.
+    /// No network: every task runs for its duration under the mode.
+    /// Only this form carries a mode, so Measured noise never meets a
+    /// flow: the forms with a network keep clean durations.
+    Fixed(SimMode<'a>),
+    /// Task `i` drains `programs[i]` on `topology` (one entry per task;
+    /// `None` keeps its clean duration).
+    PerTask {
+        /// The network the flows share.
+        topology: &'a Topology,
+        /// Each task's flow program.
+        programs: &'a [Option<FlowProgram>],
+    },
+    /// Task `i` drains `table[index[i]]` on `topology`: the unrolled
+    /// compact graph, whose instances share their latency slot's program.
     Indexed {
+        /// The network the flows share.
+        topology: &'a Topology,
         /// One entry per latency slot.
         table: &'a [Option<FlowProgram>],
         /// The table entry of each task.
@@ -107,24 +134,30 @@ impl<'a> Programs<'a> {
     /// Task `task`'s bandwidth demand, or `None` for a fixed duration.
     fn of(self, task: u32) -> Option<&'a FlowProgram> {
         match self {
-            Programs::PerTask(programs) => programs[task as usize].as_ref(),
-            Programs::Indexed { table, index } => table[index[task as usize] as usize].as_ref(),
+            Programs::Fixed(_) => None,
+            Programs::PerTask { programs, .. } => programs[task as usize].as_ref(),
+            Programs::Indexed { table, index, .. } => table[index[task as usize] as usize].as_ref(),
         }
     }
 
-    fn len(self) -> usize {
+    /// The network the flows share and the number of program slots, or
+    /// `None` without a network.
+    fn network(self) -> Option<(&'a Topology, usize)> {
         match self {
-            Programs::PerTask(programs) => programs.len(),
-            Programs::Indexed { index, .. } => index.len(),
+            Programs::Fixed(_) => None,
+            Programs::PerTask { topology, programs } => Some((topology, programs.len())),
+            Programs::Indexed { topology, index, .. } => Some((topology, index.len())),
         }
     }
 }
 
-/// Reusable state of [`simulate_flows`]: repeated replays through one
-/// scratch reuse its vectors, heap and flow simulator once they have
-/// grown to the largest graph.
+/// Reusable buffers of the replay — Algorithm 1's `ref`/`ready` arrays,
+/// the released-task stack, the chain-check scratch and, for a replay
+/// with flows, the pending-join heap and the flow simulator. Repeated
+/// replays through one scratch perform no heap allocation once the
+/// buffers have grown to the largest graph.
 #[derive(Default)]
-pub(crate) struct FlowScratch {
+pub struct SimScratch {
     in_degree: Vec<u32>,
     /// Each task's start: the latest finish among its parents so far.
     ready: Vec<TimeNs>,
@@ -137,13 +170,41 @@ pub(crate) struct FlowScratch {
     /// The flows the latest `advance` completed.
     drained: Vec<FlowId>,
     net: FlowSim,
+    /// Last task seen on each (device, stream) by the chain check.
+    chain_last: Vec<Option<u32>>,
+}
+
+impl SimScratch {
+    /// Asserts that `graph` is [stream-chained](TaskGraph::is_stream_chained),
+    /// the replay's input contract.
+    pub(crate) fn assert_chained(&mut self, graph: &TaskGraph) {
+        assert!(
+            graph.is_stream_chained_with(&mut self.chain_last),
+            "task graph is not stream-chained: each task must depend on the previous task on \
+             its (device, stream)"
+        );
+    }
 }
 
 #[cfg(test)]
-impl FlowScratch {
+impl SimScratch {
     /// The latest replay's refill count and flow high-water mark.
     pub(crate) fn net_counters(&self) -> (u64, usize) {
         (self.net.refills(), self.net.max_active())
+    }
+
+    /// The capacity of every buffer the scratch owns outside the flow
+    /// simulator.
+    pub(crate) fn capacities(&self) -> [usize; 7] {
+        [
+            self.in_degree.capacity(),
+            self.ready.capacity(),
+            self.fixed.capacity(),
+            self.joins.capacity(),
+            self.flow_task.capacity(),
+            self.drained.capacity(),
+            self.chain_last.capacity(),
+        ]
     }
 }
 
@@ -280,6 +341,8 @@ impl<'t> Observers<'t> {
 struct Dataflow<'a, 'b, 't> {
     graph: &'a TaskGraph,
     programs: Programs<'a>,
+    /// The fixed durations' mode: Predicted whenever there are flows.
+    mode: SimMode<'a>,
     in_degree: &'b mut [u32],
     ready: &'b mut [TimeNs],
     fixed: &'b mut Vec<u32>,
@@ -306,14 +369,21 @@ impl Dataflow<'_, '_, '_> {
     /// Finishes every released fixed-duration task, and those they
     /// release in turn, each at `ready + duration`.
     fn settle(&mut self) {
+        let (graph, mode) = (self.graph, self.mode);
         while let Some(task) = self.fixed.pop() {
-            let start = self.ready[task as usize];
-            self.complete(task, start + self.graph.durations()[task as usize], false);
+            let i = task as usize;
+            let (clean, kind) = (graph.durations()[i], &graph.kinds()[i]);
+            let duration = effective_duration(task, clean, kind, &mode);
+            self.complete(task, self.ready[i] + duration, false);
         }
     }
 
     /// Books `task` (a flow if `flow`) and releases the children it was
     /// the last parent of.
+    // Inlined into `settle`'s loop, the fixed-duration pass runs ~20%
+    // faster (`bench_sim`, 2-vCPU host): the compiler's own choice left
+    // it a call per task.
+    #[inline(always)]
     fn complete(&mut self, task: u32, finish: TimeNs, flow: bool) {
         self.book.book(task, self.ready[task as usize], finish, flow);
         let graph = self.graph;
@@ -328,79 +398,80 @@ impl Dataflow<'_, '_, '_> {
     }
 }
 
-/// Replays `graph` in physical time with fair-shared network flows,
-/// writing the report into `report` (its vector is reused) and working
-/// in `scratch`.
+/// Replays `graph`, writing the report into `report` (its vector is
+/// reused) and working in `scratch`.
 ///
-/// `programs` gives each task's bandwidth demand ([`None`] keeps the
-/// closed-form fixed duration). `trace` observes `(task, start, finish)`
-/// per executed task; `net_trace` observes `(time, per-tier utilization)`
-/// at every refill.
+/// `programs` gives each task's duration: fixed under a [`SimMode`], or
+/// the bandwidth demand of a flow on a network. `trace` observes `(task,
+/// start, finish)` per executed task; `net_trace` observes `(time,
+/// per-tier utilization)` at every refill.
 ///
 /// `graph` must be [stream-chained](TaskGraph::is_stream_chained), as
 /// every [`TaskGraph::lower_fused`] graph and every unrolled compact graph
-/// is (checked in debug builds).
+/// is (checked in debug builds; [`SimScratch::assert_chained`] checks a
+/// graph from outside the crate).
 ///
 /// # Panics
 ///
 /// Panics if `programs` does not cover exactly the graph's tasks or the
 /// graph has a cycle.
-pub(crate) fn simulate_flows<'t>(
+pub(crate) fn replay<'t>(
     graph: &TaskGraph,
     programs: Programs<'_>,
-    topology: &Topology,
     trace: Option<TaskTrace<'t>>,
     net_trace: Option<NetTrace<'t>>,
-    scratch: &mut FlowScratch,
+    scratch: &mut SimScratch,
     report: &mut SimReport,
 ) {
     let book = Book::new(graph, trace, false, report);
-    replay(graph, programs, topology, book, net_trace, scratch, report);
+    run(graph, programs, book, net_trace, scratch, report);
 }
 
-/// [`simulate_flows`] for a caller that derives the fixed-duration
-/// tasks' busy time from tallies of its own (the unrolled compact
-/// graph): the report's iteration time and executed count cover every
-/// task, its busy breakdown and per-device busy time only the flow tasks.
-/// It takes no trace; with metrics on, the network histograms still
-/// record.
+/// [`replay`] for a caller that derives the fixed-duration tasks' busy
+/// time from tallies of its own (the unrolled compact graph): the
+/// report's iteration time and executed count cover every task, its busy
+/// breakdown and per-device busy time only the flow tasks. It takes no
+/// trace; with metrics on, the network histograms still record.
 ///
 /// # Panics
 ///
-/// Same conditions as [`simulate_flows`].
-pub(crate) fn simulate_flows_for_tallies(
+/// Same conditions as [`replay`].
+pub(crate) fn replay_for_tallies(
     graph: &TaskGraph,
     programs: Programs<'_>,
-    topology: &Topology,
-    scratch: &mut FlowScratch,
+    scratch: &mut SimScratch,
     report: &mut SimReport,
 ) {
     let book = Book::new(graph, None, true, report);
-    replay(graph, programs, topology, book, None, scratch, report);
+    run(graph, programs, book, None, scratch, report);
 }
 
-/// The replay loop behind [`simulate_flows`] and
-/// [`simulate_flows_for_tallies`], booking into `book`.
-fn replay<'a, 't>(
+/// The replay loop behind [`replay`] and [`replay_for_tallies`], booking
+/// into `book`.
+fn run<'a, 't>(
     graph: &'a TaskGraph,
     programs: Programs<'a>,
-    topology: &Topology,
     book: Book<'a, 't>,
     net_trace: Option<NetTrace<'t>>,
-    scratch: &mut FlowScratch,
+    scratch: &mut SimScratch,
     report: &mut SimReport,
 ) {
-    assert_eq!(programs.len(), graph.len(), "one program slot per task");
-    debug_assert!(graph.is_stream_chained(), "the flow replay needs a stream-chained graph");
-    let FlowScratch { in_degree, ready, fixed, joins, flow_task, drained, net } = scratch;
+    let network = programs.network();
+    if let Some((_, slots)) = network {
+        assert_eq!(slots, graph.len(), "one program slot per task");
+    }
+    debug_assert!(graph.is_stream_chained(), "the replay needs a stream-chained graph");
+    let SimScratch { in_degree, ready, fixed, joins, flow_task, drained, net, .. } = scratch;
     graph.fill_in_degrees(in_degree);
     ready.clear();
     ready.resize(graph.len(), TimeNs::ZERO);
     fixed.clear();
     joins.clear();
-    net.reset(topology);
-    let mut observers = Observers::new(topology, net_trace);
-    let mut flow = Dataflow { graph, programs, in_degree, ready, fixed, joins, book };
+    let mode = match programs {
+        Programs::Fixed(mode) => mode,
+        _ => SimMode::Predicted,
+    };
+    let mut flow = Dataflow { graph, programs, mode, in_degree, ready, fixed, joins, book };
 
     for task in 0..graph.len() as u32 {
         if flow.in_degree[task as usize] == 0 {
@@ -408,34 +479,37 @@ fn replay<'a, 't>(
         }
     }
     flow.settle();
-    loop {
-        let join = flow.joins.peek().map(|&Reverse((start, _))| start);
-        let Some(at) = join.into_iter().chain(net.next_event()).min() else { break };
-        let refills = net.refills();
-        net.advance(at, drained);
-        if net.refills() != refills {
-            observers.sample(net);
-        }
-        for &slot in drained.iter() {
-            flow.finish(flow_task[slot], at);
-        }
-        if join == Some(at) {
-            let Reverse((_, task)) = flow.joins.pop().expect("a pending join");
-            let program = programs.of(task).expect("a pending join drains a flow program");
-            let slot = net.start(at, program);
-            if flow_task.len() <= slot {
-                flow_task.resize(slot + 1, u32::MAX);
+    if let Some((topology, _)) = network {
+        net.reset(topology);
+        let mut observers = Observers::new(topology, net_trace);
+        loop {
+            let join = flow.joins.peek().map(|&Reverse((start, _))| start);
+            let Some(at) = join.into_iter().chain(net.next_event()).min() else { break };
+            let refills = net.refills();
+            net.advance(at, drained);
+            if net.refills() != refills {
+                observers.sample(net);
             }
-            flow_task[slot] = task;
-            observers.sample(net);
+            for &slot in drained.iter() {
+                flow.finish(flow_task[slot], at);
+            }
+            if join == Some(at) {
+                let Reverse((_, task)) = flow.joins.pop().expect("a pending join");
+                let program = programs.of(task).expect("a pending join drains a flow program");
+                let slot = net.start(at, program);
+                if flow_task.len() <= slot {
+                    flow_task.resize(slot + 1, u32::MAX);
+                }
+                flow_task[slot] = task;
+                observers.sample(net);
+            }
         }
+        observers.close(net);
     }
-
-    observers.close(net);
     flow.book.close(report);
 }
 
-/// The engine-driven replay that [`simulate_flows`] replaced, kept as its
+/// The engine-driven flow replay that [`replay`] replaced, kept as its
 /// differential oracle: task readiness and fixed-duration finishes are
 /// [`vtrain_engine`] events, and the network contributes one re-armed
 /// `NetTick` at its next boundary, invalidated by a generation counter
@@ -543,19 +617,19 @@ pub(crate) mod engine_oracle {
         }
     }
 
-    /// [`simulate_flows`] on the discrete-event engine, with the same
+    /// [`replay`] with flows on the discrete-event engine, with the same
     /// arguments and observers; `scratch`'s flow simulator keeps the
     /// run's counters.
-    pub(crate) fn simulate_flows_on_engine<'t>(
+    pub(crate) fn replay_on_engine<'t>(
         graph: &TaskGraph,
         programs: Programs<'_>,
-        topology: &Topology,
         trace: Option<TaskTrace<'t>>,
         net_trace: Option<NetTrace<'t>>,
-        scratch: &mut FlowScratch,
+        scratch: &mut SimScratch,
         report: &mut SimReport,
     ) {
-        assert_eq!(programs.len(), graph.len(), "one program slot per task");
+        let (topology, slots) = programs.network().expect("the engine oracle replays flows");
+        assert_eq!(slots, graph.len(), "one program slot per task");
         scratch.net.reset(topology);
         let mut in_degree = Vec::new();
         graph.fill_in_degrees(&mut in_degree);

@@ -14,8 +14,9 @@
 //! **summarize** (fold the replay into an [`IterationEstimate`]).
 //! [`Estimator::estimate`] composes the stages with lowering and replay
 //! fused on a run-aggregated compact graph (bit-identical to the full
-//! task-graph replay, which `measure`, `timeline` and the fair-sharing
-//! network backend still run); [`search`] sweeps the
+//! task-graph replay, which `measure` and `timeline` still run, and which
+//! the fair-sharing network backend runs with fair-shared flows over the
+//! unrolled compact graph); [`search`] sweeps the
 //! `(t, d, p, m)` design space on a work-stealing executor that shares the
 //! profile cache across workers (each unique operator signature is
 //! profiled once per sweep, §III-C/F) and reports
@@ -63,8 +64,5 @@ pub use estimate::{
     EstimateError, Estimator, EstimatorBuilder, EstimatorScratch, IterationEstimate,
     IterationTimeline, StageNanos, MAX_FULL_GRAPH_TASKS,
 };
-pub use sim::{
-    simulate, simulate_into, simulate_into_traced, BusyBreakdown, SimMode, SimReport, SimScratch,
-    TaskTrace,
-};
+pub use sim::{simulate, simulate_into, BusyBreakdown, SimMode, SimReport, SimScratch};
 pub use task_graph::{MissingProfile, Task, TaskGraph, TaskKind};

@@ -6,15 +6,20 @@
 //! Every graph the builder emits is chained, and on a chained graph the
 //! paper's FIFO ready queue cannot influence any start time — a task's
 //! stream is free by the time its dependencies are met. So the replay is a
-//! dataflow longest-path relaxation over the DAG, with no stream timelines,
-//! and a literal FIFO transcription of the pseudocode stays behind as the
-//! test oracle it is proven bit-identical to.
+//! dataflow longest-path relaxation over the DAG, with no stream timelines:
+//! the loop of [`crate::flow_replay`], which every replay of a task graph
+//! runs, here with no network. This module holds the replay's public
+//! entry points and report types, and the literal FIFO transcription of
+//! the pseudocode, kept as the test oracle every replay path is proven
+//! bit-identical to.
 
 use serde::{Deserialize, Serialize};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{CommKind, CommScope};
 use vtrain_model::TimeNs;
 
+pub use crate::flow_replay::SimScratch;
+use crate::flow_replay::{replay, Programs};
 use crate::task_graph::{TaskGraph, TaskKind};
 
 /// Execution mode of the replay.
@@ -80,22 +85,6 @@ impl SimReport {
     }
 }
 
-/// Per-task observer of a traced replay: `(task id, start, finish)` on
-/// the simulated clock, invoked once per executed task.
-pub type TaskTrace<'t> = &'t mut dyn FnMut(u32, TimeNs, TimeNs);
-
-/// Reusable buffers of the replay — Algorithm 1's `ref`/`ready` arrays,
-/// the dataflow traversal stack and the chain-check scratch. Repeated
-/// replays through one scratch perform no per-graph heap allocation once
-/// the buffers have grown to the largest graph.
-#[derive(Default)]
-pub struct SimScratch {
-    in_degree: Vec<u32>,
-    ready_at: Vec<TimeNs>,
-    stack: Vec<u32>,
-    chain_last: Vec<Option<u32>>,
-}
-
 /// Replays the task graph (Algorithm 1 of the paper).
 ///
 /// Tasks are dispatched in FIFO order of becoming ready, seeded with all
@@ -108,7 +97,8 @@ pub struct SimScratch {
 /// everything the graph builder produces is. Then a task's stream is free
 /// whenever its dependencies are, and the replay runs as a dataflow
 /// relaxation bit-identical to the paper's FIFO queue (see the differential
-/// property test).
+/// property test). It is the same loop every fair-sharing replay runs,
+/// with every task at a fixed duration.
 ///
 /// # Panics
 ///
@@ -134,123 +124,17 @@ pub fn simulate_into(
     scratch: &mut SimScratch,
     report: &mut SimReport,
 ) {
-    simulate_into_with(graph, mode, scratch, report, None);
-}
-
-/// [`simulate_into`] with a per-task observer: `trace` is called once per
-/// executed task with `(task id, start, finish)` on the simulated clock.
-///
-/// Tracing is observation only — the report is bit-identical to the
-/// untraced replay (pinned by a property test). Task ids index the
-/// graph's columns, which for [`TaskGraph::lower`]ed graphs also
-/// index the originating `OpGraph`'s nodes, so a caller can join spans
-/// back to operator names — the timeline exporter's labeling path.
-///
-/// # Panics
-///
-/// As [`simulate`]: on a graph that is not stream-chained or has a cycle.
-pub fn simulate_into_traced(
-    graph: &TaskGraph,
-    mode: SimMode<'_>,
-    scratch: &mut SimScratch,
-    report: &mut SimReport,
-    trace: TaskTrace<'_>,
-) {
-    simulate_into_with(graph, mode, scratch, report, Some(trace));
-}
-
-/// The replay proper: longest-path relaxation over the DAG.
-///
-/// Correctness argument. On a stream-chained graph, tasks reserve each
-/// (device, stream) timeline in chain order, and a task's chain
-/// predecessor is one of its dependency parents. At the moment task `u`
-/// reserves its stream, the stream's availability equals its chain
-/// predecessor's finish — which `ready_at[u] = max(parent finishes)`
-/// already includes. So `start(u) = max(ready_at, avail) = ready_at[u]`:
-/// the FIFO dispatch order cannot influence any start time, and every
-/// quantity the report aggregates (max finish, commutative busy sums) is
-/// traversal-order independent. Hence this traversal — plain Kahn with a
-/// stack — reproduces the FIFO replay bit for bit.
-fn simulate_into_with(
-    graph: &TaskGraph,
-    mode: SimMode<'_>,
-    scratch: &mut SimScratch,
-    report: &mut SimReport,
-    mut trace: Option<TaskTrace<'_>>,
-) {
-    assert!(
-        graph.is_stream_chained_with(&mut scratch.chain_last),
-        "task graph is not stream-chained: each task must depend on the previous task on its \
-         (device, stream)"
-    );
-    report.device_busy.clear();
-    report.device_busy.resize(graph.num_devices() as usize, TimeNs::ZERO);
-    let n = graph.len();
-    graph.fill_in_degrees(&mut scratch.in_degree);
-    let in_degree = &mut scratch.in_degree;
-    scratch.ready_at.clear();
-    scratch.ready_at.resize(n, TimeNs::ZERO);
-    let ready_at = &mut scratch.ready_at;
-    let device_busy = &mut report.device_busy;
-    let mut busy = BusyBreakdown::default();
-    let mut iteration_time = TimeNs::ZERO;
-    let mut executed = 0usize;
-
-    // The hot loop reads the duration/kind/device columns directly; the
-    // stream column is untouched here (chained graphs need no stream
-    // availability — see the correctness argument above).
-    let durations = graph.durations();
-    let kinds = graph.kinds();
-    let devices = graph.devices();
-
-    scratch.stack.clear();
-    scratch.stack.extend((0..n as u32).filter(|&i| in_degree[i as usize] == 0));
-    let stack = &mut scratch.stack;
-    while let Some(u) = stack.pop() {
-        let duration = effective_duration(u, durations[u as usize], &kinds[u as usize], &mode);
-        // On a stream-chained graph start(u) == ready_at[u] (see the
-        // correctness argument above), so the trace can report exact
-        // start/finish without consulting stream availability.
-        let finish = ready_at[u as usize] + duration;
-        iteration_time = iteration_time.max(finish);
-        if let Some(trace) = trace.as_mut() {
-            trace(u, ready_at[u as usize], finish);
-        }
-
-        let dev = devices[u as usize] as usize;
-        match kinds[u as usize] {
-            TaskKind::Compute { .. } => {
-                busy.compute += duration;
-                device_busy[dev] += duration;
-            }
-            TaskKind::Comm { kind, .. } => match kind {
-                CommKind::TpAllReduce => {
-                    busy.tp_comm += duration;
-                    device_busy[dev] += duration;
-                }
-                CommKind::DpAllReduce => busy.dp_comm += duration,
-                CommKind::PpSendRecv => busy.pp_comm += duration,
-            },
-        }
-
-        for &c in graph.children(u) {
-            ready_at[c as usize] = ready_at[c as usize].max(finish);
-            in_degree[c as usize] -= 1;
-            if in_degree[c as usize] == 0 {
-                stack.push(c);
-            }
-        }
-        executed += 1;
-    }
-
-    assert_eq!(executed, n, "task graph contains a cycle: {executed} of {n} tasks ran");
-    report.iteration_time = iteration_time;
-    report.busy = busy;
-    report.tasks_executed = executed;
+    scratch.assert_chained(graph);
+    replay(graph, Programs::Fixed(mode), None, None, scratch, report);
 }
 
 /// Applies the mode's perturbations to one task's clean duration.
-fn effective_duration(task_id: u32, clean: TimeNs, kind: &TaskKind, mode: &SimMode<'_>) -> TimeNs {
+pub(crate) fn effective_duration(
+    task_id: u32,
+    clean: TimeNs,
+    kind: &TaskKind,
+    mode: &SimMode<'_>,
+) -> TimeNs {
     match mode {
         SimMode::Predicted => clean,
         SimMode::Measured { noise, nodes } => match *kind {
@@ -344,13 +228,44 @@ fn simulate_reference(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
 mod tests {
     use proptest::prelude::*;
     use vtrain_gpu::NoiseConfig;
-    use vtrain_graph::{build_op_graph, GraphOptions};
+    use vtrain_graph::{build_op_graph, GraphOptions, OpSignature};
     use vtrain_model::presets;
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig, PipelineSchedule};
-    use vtrain_profile::{CommModel, Profiler};
+    use vtrain_profile::{CommModel, OperatorTaskTable, Profiler};
 
     use super::*;
-    use crate::flow_replay::{simulate_flows, FlowScratch, Programs};
+    use crate::compact::{lower_plan, replay_lowered, CompactScratch, ProfileSource};
+
+    fn plan(
+        t: usize,
+        d: usize,
+        p: usize,
+        m: usize,
+        b: usize,
+        sched: PipelineSchedule,
+        bucketing: bool,
+    ) -> ParallelConfig {
+        ParallelConfig::builder()
+            .tensor(t)
+            .data(d)
+            .pipeline(p)
+            .micro_batch(m)
+            .global_batch(b)
+            .schedule(sched)
+            .gradient_bucketing(bucketing)
+            .build()
+            .unwrap()
+    }
+
+    /// The 1.7B model's task graph under `plan`, with the profiles and the
+    /// communication model it was lowered with.
+    fn lower_with(plan: &ParallelConfig) -> (TaskGraph, OperatorTaskTable, CommModel) {
+        let model = presets::megatron("1.7B");
+        let graph = build_op_graph(&model, plan, &GraphOptions::default());
+        let table = Profiler::new(GpuSpec::a100_40gb()).profile(&graph.necessary_operators());
+        let comm = CommModel::new(&ClusterSpec::aws_p4d(256), 1.0);
+        (TaskGraph::lower(&graph, &table, &comm).unwrap(), table, comm)
+    }
 
     fn lower(
         t: usize,
@@ -361,30 +276,27 @@ mod tests {
         sched: PipelineSchedule,
         bucketing: bool,
     ) -> TaskGraph {
-        let model = presets::megatron("1.7B");
-        let plan = ParallelConfig::builder()
-            .tensor(t)
-            .data(d)
-            .pipeline(p)
-            .micro_batch(m)
-            .global_batch(b)
-            .schedule(sched)
-            .gradient_bucketing(bucketing)
-            .build()
-            .unwrap();
-        let graph = build_op_graph(&model, &plan, &GraphOptions::default());
-        let table = Profiler::new(GpuSpec::a100_40gb()).profile(&graph.necessary_operators());
-        let comm = CommModel::new(&ClusterSpec::aws_p4d(256), 1.0);
-        TaskGraph::lower(&graph, &table, &comm).unwrap()
+        lower_with(&plan(t, d, p, m, b, sched, bucketing)).0
+    }
+
+    /// The compact lowering's view of an operator table.
+    struct TableSource<'a>(&'a OperatorTaskTable);
+
+    impl ProfileSource for TableSource<'_> {
+        fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
+            self.0.get(sig).map(|p| (p.total(), p.kernel_count() as u32))
+        }
     }
 
     fn assert_reports_identical(a: &SimReport, b: &SimReport) {
-        assert_eq!(a.iteration_time, b.iteration_time);
-        assert_eq!(a.busy, b.busy);
-        assert_eq!(a.device_busy, b.device_busy);
-        assert_eq!(a.tasks_executed, b.tasks_executed);
+        let nanos =
+            |b: &BusyBreakdown| [b.compute, b.tp_comm, b.dp_comm, b.pp_comm].map(|t| t.as_nanos());
+        let device = |r: &SimReport| r.device_busy.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
+        assert_eq!(a.iteration_time.as_nanos(), b.iteration_time.as_nanos());
+        assert_eq!(nanos(&a.busy), nanos(&b.busy));
+        assert_eq!(device(a), device(b));
+        assert_eq!(a.tasks_executed as u64, b.tasks_executed as u64);
     }
-
     #[test]
     fn replay_is_deterministic() {
         let tg = lower(2, 2, 2, 1, 8, PipelineSchedule::OneFOneB, true);
@@ -501,91 +413,53 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-        /// Golden equivalence of the full-graph replays: on sampled
-        /// `(t, d, p, m)` design points, the dataflow replay reproduces the
-        /// literal FIFO pseudocode *exactly* — iteration time, busy
-        /// breakdown, per-device busy vectors — in both Predicted and
-        /// Measured modes, and so does the fair-sharing replay when no task
-        /// carries a flow program (Predicted only: it replays clean
-        /// durations).
+        /// Golden equivalence of every replay path: on sampled
+        /// `(t, d, p, m)` design points, each reproduces the literal FIFO
+        /// pseudocode *exactly* in `u64` — iteration time, busy breakdown,
+        /// per-device busy vectors and task count:
+        /// * the dataflow replay, in Predicted and Measured mode;
+        /// * the same replay traced, whose spans are consistent too — one
+        ///   per task, each as long as the task's effective duration, the
+        ///   latest finish at the iteration time;
+        /// * the same loop with a network but no flow program (Predicted
+        ///   only: a replay with a network keeps clean durations);
+        /// * the closed-form compact walk of the same plan and profiles.
+        ///   With two micro-batches or fewer it walks every copy; with six
+        ///   or more (and `p` ≤ 4) a section's common shift shows before
+        ///   its last copy and it jumps. Each case asserts its arm, so
+        ///   both are exercised.
         #[test]
         fn full_graph_replays_match_the_reference_exactly(
             t_exp in 0usize..=1,
             d_exp in 0usize..=1,
             p_exp in 0usize..=2,
             m_exp in 0usize..=1,
-            gpipe in proptest::bool::ANY,
-            bucketing in proptest::bool::ANY,
+            n_pick in (proptest::bool::ANY, 1usize..=2, 6usize..=12),
+            flags in 0u32..4,
         ) {
+            let (gpipe, bucketing) = (flags & 1 != 0, flags & 2 != 0);
             let (t, d, p, m) = (1usize << t_exp, 1 << d_exp, 1 << p_exp, 1 << m_exp);
-            let b = d * m * 4;
+            let (long, short, many) = n_pick;
+            let n_micro = if long { many } else { short };
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
-            let tg = lower(t, d, p, m, b, sched, bucketing);
+            let plan = plan(t, d, p, m, d * m * n_micro, sched, bucketing);
+            let (tg, table, comm) = lower_with(&plan);
             assert!(tg.is_stream_chained(), "builder graphs are stream-chained");
 
-            let legacy = simulate_reference(&tg, SimMode::Predicted);
-            assert_reports_identical(&simulate(&tg, SimMode::Predicted), &legacy);
-            let topology = ClusterSpec::aws_p4d(256).topology(1.0);
-            let mut flows = SimReport::default();
-            let programs = vec![None; tg.len()];
-            simulate_flows(
-                &tg,
-                Programs::PerTask(&programs),
-                &topology,
-                None,
-                None,
-                &mut FlowScratch::default(),
-                &mut flows,
-            );
-            assert_reports_identical(&flows, &legacy);
-
             let noise = NoiseModel::new(NoiseConfig::default());
-            let mode = SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) };
-            assert_reports_identical(&simulate(&tg, mode), &simulate_reference(&tg, mode));
-        }
-
-        /// Tracing is pure observation: a traced replay produces a
-        /// `SimReport` bit-identical to the untraced one, and the spans
-        /// themselves are consistent — exactly one per task, each
-        /// `finish − start` equal to the task's effective duration, and
-        /// the latest finish equal to the iteration time.
-        #[test]
-        fn tracing_never_changes_the_report(
-            t_exp in 0usize..=1,
-            d_exp in 0usize..=1,
-            p_exp in 0usize..=2,
-            m_exp in 0usize..=1,
-            gpipe in proptest::bool::ANY,
-            bucketing in proptest::bool::ANY,
-        ) {
-            let (t, d, p, m) = (1usize << t_exp, 1 << d_exp, 1 << p_exp, 1 << m_exp);
-            let b = d * m * 4;
-            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
-            let tg = lower(t, d, p, m, b, sched, bucketing);
-
-            let noise = NoiseModel::new(NoiseConfig::default());
-            for mode in [
-                SimMode::Predicted,
-                SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) },
-            ] {
-                let plain = simulate(&tg, mode);
+            let measured = SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) };
+            for mode in [SimMode::Predicted, measured] {
+                let legacy = simulate_reference(&tg, mode);
+                assert_reports_identical(&simulate(&tg, mode), &legacy);
                 let mut spans: Vec<(u32, TimeNs, TimeNs)> = Vec::new();
-                let mut traced = SimReport::default();
                 let mut record = |id: u32, start: TimeNs, finish: TimeNs| {
                     spans.push((id, start, finish));
                 };
-                simulate_into_traced(
-                    &tg,
-                    mode,
-                    &mut SimScratch::default(),
-                    &mut traced,
-                    &mut record,
-                );
-                assert_eq!(
-                    serde_json::to_string(&plain).unwrap(),
-                    serde_json::to_string(&traced).unwrap(),
-                    "tracing must not perturb the report"
-                );
+                let mut traced = SimReport::default();
+                let programs = Programs::Fixed(mode);
+                let scratch = &mut SimScratch::default();
+                replay(&tg, programs, Some(&mut record), None, scratch, &mut traced);
+                assert_reports_identical(&traced, &legacy);
                 assert_eq!(spans.len(), tg.len(), "one span per task");
                 let mut seen = vec![false; tg.len()];
                 let mut max_finish = TimeNs::ZERO;
@@ -598,6 +472,24 @@ mod tests {
                 }
                 assert_eq!(max_finish, traced.iteration_time);
             }
+
+            let legacy = simulate_reference(&tg, SimMode::Predicted);
+            let topology = ClusterSpec::aws_p4d(256).topology(1.0);
+            let programs = vec![None; tg.len()];
+            let mut flows = SimReport::default();
+            let programs = Programs::PerTask { topology: &topology, programs: &programs };
+            replay(&tg, programs, None, None, &mut SimScratch::default(), &mut flows);
+            assert_reports_identical(&flows, &legacy);
+
+            let mut compact = CompactScratch::default();
+            let (model, opts) = (presets::megatron("1.7B"), GraphOptions::default());
+            lower_plan(&model, &plan, &opts, &mut TableSource(&table), &comm, &mut compact)
+                .unwrap();
+            let mut walk = SimReport::default();
+            replay_lowered(&mut compact, p, &mut walk);
+            assert_reports_identical(&walk, &legacy);
+            let (walked, total) = compact.periods();
+            assert_eq!(walked < total, long, "walked {walked} of {total} copies");
         }
     }
 }

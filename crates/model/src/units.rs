@@ -103,6 +103,10 @@ impl TimeNs {
     }
 
     /// The larger of `self` and `other`.
+    // Inlined across crates: the replays call it once per relaxed edge,
+    // and an out-of-line call there also forces their running tallies
+    // out of registers.
+    #[inline]
     pub fn max(self, other: TimeNs) -> TimeNs {
         TimeNs(self.0.max(other.0))
     }
