@@ -418,9 +418,6 @@ mod tests {
         /// pseudocode *exactly* in `u64` — iteration time, busy breakdown,
         /// per-device busy vectors and task count:
         /// * the dataflow replay, in Predicted and Measured mode;
-        /// * the same replay traced, whose spans are consistent too — one
-        ///   per task, each as long as the task's effective duration, the
-        ///   latest finish at the iteration time;
         /// * the same loop with a network but no flow program (Predicted
         ///   only: a replay with a network keeps clean durations);
         /// * the closed-form compact walk of the same plan and profiles.
@@ -449,28 +446,7 @@ mod tests {
             let noise = NoiseModel::new(NoiseConfig::default());
             let measured = SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) };
             for mode in [SimMode::Predicted, measured] {
-                let legacy = simulate_reference(&tg, mode);
-                assert_reports_identical(&simulate(&tg, mode), &legacy);
-                let mut spans: Vec<(u32, TimeNs, TimeNs)> = Vec::new();
-                let mut record = |id: u32, start: TimeNs, finish: TimeNs| {
-                    spans.push((id, start, finish));
-                };
-                let mut traced = SimReport::default();
-                let programs = Programs::Fixed(mode);
-                let scratch = &mut SimScratch::default();
-                replay(&tg, programs, Some(&mut record), None, scratch, &mut traced);
-                assert_reports_identical(&traced, &legacy);
-                assert_eq!(spans.len(), tg.len(), "one span per task");
-                let mut seen = vec![false; tg.len()];
-                let mut max_finish = TimeNs::ZERO;
-                for &(id, start, finish) in &spans {
-                    assert!(!std::mem::replace(&mut seen[id as usize], true));
-                    let task = tg.task(id);
-                    let dur = effective_duration(id, task.duration, &task.kind, &mode);
-                    assert_eq!(finish, start + dur);
-                    max_finish = max_finish.max(finish);
-                }
-                assert_eq!(max_finish, traced.iteration_time);
+                assert_reports_identical(&simulate(&tg, mode), &simulate_reference(&tg, mode));
             }
 
             let legacy = simulate_reference(&tg, SimMode::Predicted);
@@ -490,6 +466,58 @@ mod tests {
             assert_reports_identical(&walk, &legacy);
             let (walked, total) = compact.periods();
             assert_eq!(walked < total, long, "walked {walked} of {total} copies");
+        }
+
+        /// Tracing is pure observation: a traced replay produces a
+        /// `SimReport` bit-identical to the untraced one, and the spans
+        /// themselves are consistent — exactly one per task, each
+        /// `finish − start` equal to the task's effective duration, and
+        /// the latest finish equal to the iteration time.
+        #[test]
+        fn tracing_never_changes_the_report(
+            t_exp in 0usize..=1,
+            d_exp in 0usize..=1,
+            p_exp in 0usize..=2,
+            m_exp in 0usize..=1,
+            gpipe in proptest::bool::ANY,
+            bucketing in proptest::bool::ANY,
+        ) {
+            let (t, d, p, m) = (1usize << t_exp, 1 << d_exp, 1 << p_exp, 1 << m_exp);
+            let b = d * m * 4;
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let tg = lower(t, d, p, m, b, sched, bucketing);
+
+            let noise = NoiseModel::new(NoiseConfig::default());
+            for mode in [
+                SimMode::Predicted,
+                SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) },
+            ] {
+                let plain = simulate(&tg, mode);
+                let mut spans: Vec<(u32, TimeNs, TimeNs)> = Vec::new();
+                let mut traced = SimReport::default();
+                let mut record = |id: u32, start: TimeNs, finish: TimeNs| {
+                    spans.push((id, start, finish));
+                };
+                let programs = Programs::Fixed(mode);
+                let scratch = &mut SimScratch::default();
+                replay(&tg, programs, Some(&mut record), None, scratch, &mut traced);
+                assert_eq!(
+                    serde_json::to_string(&plain).unwrap(),
+                    serde_json::to_string(&traced).unwrap(),
+                    "tracing must not perturb the report"
+                );
+                assert_eq!(spans.len(), tg.len(), "one span per task");
+                let mut seen = vec![false; tg.len()];
+                let mut max_finish = TimeNs::ZERO;
+                for &(id, start, finish) in &spans {
+                    assert!(!std::mem::replace(&mut seen[id as usize], true));
+                    let task = tg.task(id);
+                    let dur = effective_duration(id, task.duration, &task.kind, &mode);
+                    assert_eq!(finish, start + dur);
+                    max_finish = max_finish.max(finish);
+                }
+                assert_eq!(max_finish, traced.iteration_time);
+            }
         }
     }
 }
