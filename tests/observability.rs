@@ -16,6 +16,7 @@ use vtrain::prelude::*;
 const EXAMPLE_PATH: &str = "examples/descriptions/megatron_18b.json";
 const SWEEP_PATH: &str = "examples/descriptions/megatron_1_7b_sweep.json";
 const GOLDEN_PATH: &str = "tests/golden/timeline_megatron_18b.digest.txt";
+const FAIR_GOLDEN_PATH: &str = "tests/golden/timeline_megatron_18b_fair.digest.txt";
 
 fn repo_file(rel: &str) -> String {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel).to_str().unwrap().to_owned()
@@ -30,8 +31,17 @@ fn vtrain(args: &[&str]) -> Output {
 }
 
 fn example_timeline() -> IterationTimeline {
+    timeline_under(None)
+}
+
+/// The shipped 18.4B scenario's timeline, under `backend` if given (as
+/// `--network <backend>` would set it), else under its own network.
+fn timeline_under(backend: Option<&str>) -> IterationTimeline {
     let text = std::fs::read_to_string(repo_file(EXAMPLE_PATH)).unwrap();
-    let scenario = Scenario::from_json(&text).unwrap();
+    let mut scenario = Scenario::from_json(&text).unwrap();
+    if let Some(backend) = backend {
+        scenario.network = Some(NetworkSection { backend: backend.to_owned() });
+    }
     let model = scenario.model().unwrap();
     let plan = scenario.plan().unwrap();
     scenario.estimator().unwrap().timeline(&model, &plan).unwrap()
@@ -66,13 +76,13 @@ fn digest(timeline: &IterationTimeline, trace_json: &str) -> String {
     out
 }
 
-#[test]
-fn chrome_trace_export_matches_golden_digest() {
-    let timeline = example_timeline();
+/// Asserts `timeline`'s digest equals the golden at `rel`, or rewrites
+/// the golden under `VTRAIN_BLESS`.
+fn assert_golden_digest(timeline: &IterationTimeline, rel: &str) {
     let trace = timeline.recorder.to_chrome_trace();
     assert_eq!(trace, timeline.recorder.to_chrome_trace(), "export must be byte-deterministic");
-    let got = digest(&timeline, &trace);
-    let golden_path = repo_file(GOLDEN_PATH);
+    let got = digest(timeline, &trace);
+    let golden_path = repo_file(rel);
     if std::env::var("VTRAIN_BLESS").is_ok() {
         std::fs::write(&golden_path, &got).unwrap();
         return;
@@ -80,9 +90,21 @@ fn chrome_trace_export_matches_golden_digest() {
     let want = std::fs::read_to_string(&golden_path).expect("golden digest present");
     assert_eq!(
         got, want,
-        "timeline export drifted from {GOLDEN_PATH} — if the change is intentional, \
+        "timeline export drifted from {rel} — if the change is intentional, \
          regenerate with VTRAIN_BLESS=1"
     );
+}
+
+#[test]
+fn chrome_trace_export_matches_golden_digest() {
+    assert_golden_digest(&example_timeline(), GOLDEN_PATH);
+}
+
+/// The fair-sharing timeline takes its flow programs and its counter
+/// track from the flow replay; pinned like the closed-form one.
+#[test]
+fn fair_sharing_trace_export_matches_golden_digest() {
+    assert_golden_digest(&timeline_under(Some("fair-sharing")), FAIR_GOLDEN_PATH);
 }
 
 /// Acceptance: the last span across the trace ends exactly at the

@@ -184,3 +184,66 @@ fn alpha_sweep_prefers_high_alpha() {
         alphas[best_idx]
     );
 }
+
+/// Golden pin of Measured-mode outputs: `measure_with`'s iteration time,
+/// busy breakdown and utilization bits for the shipped 18.4B plan and
+/// 1.7B plans under 1F1B and GPipe, with gradient bucketing on and off,
+/// and under a fair-sharing estimator. Measured noise reads every task's
+/// kind (kernel counts, collective scope, overlap, concurrent groups),
+/// so this pins the full task graph's kinds as well as its durations.
+/// Regenerate after an intentional change with `VTRAIN_BLESS=1 cargo
+/// test -q --test validation`.
+#[test]
+fn measured_outputs_match_golden() {
+    const GOLDEN: &str = "tests/golden/measured.txt";
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("examples/descriptions/megatron_18b.json"));
+    let scenario = Scenario::from_json(&text.unwrap()).unwrap();
+    let shipped = scenario.estimator().unwrap();
+    let small = ClusterSpec::aws_p4d(32);
+    let closed = Estimator::builder(small.clone()).build();
+    let fair = Estimator::builder(small).network(NetworkBackend::FairSharing).build();
+    let plan = |t, d, p, b, sched, bucketing| {
+        ParallelConfig::builder()
+            .tensor(t)
+            .data(d)
+            .pipeline(p)
+            .global_batch(b)
+            .schedule(sched)
+            .gradient_bucketing(bucketing)
+            .build()
+            .unwrap()
+    };
+    let (one_f_one_b, gpipe) = (PipelineSchedule::OneFOneB, PipelineSchedule::GPipe);
+    let small_model = presets::megatron("1.7B");
+    let cases = [
+        ("18.4B shipped", &shipped, scenario.model().unwrap(), scenario.plan().unwrap()),
+        ("1.7B 1F1B", &closed, small_model.clone(), plan(2, 2, 2, 8, one_f_one_b, true)),
+        ("1.7B GPipe", &closed, small_model.clone(), plan(2, 2, 4, 16, gpipe, true)),
+        ("1.7B unbucketed", &closed, small_model.clone(), plan(2, 4, 2, 16, one_f_one_b, false)),
+        ("1.7B fair", &fair, small_model, plan(2, 4, 4, 32, one_f_one_b, true)),
+    ];
+    let noise = NoiseModel::new(NoiseConfig::default());
+    let mut got = String::new();
+    for (label, estimator, model, plan) in cases {
+        let m = estimator.measure_with(&model, &plan, &noise).unwrap();
+        let b = &m.busy;
+        got.push_str(&format!(
+            "{label}: iteration_ns={} compute_ns={} tp_ns={} dp_ns={} pp_ns={} \
+             utilization_bits={:016x}\n",
+            m.iteration_time.as_nanos(),
+            b.compute.as_nanos(),
+            b.tp_comm.as_nanos(),
+            b.dp_comm.as_nanos(),
+            b.pp_comm.as_nanos(),
+            m.utilization.to_bits(),
+        ));
+    }
+    let path = root.join(GOLDEN);
+    if std::env::var("VTRAIN_BLESS").is_ok() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("golden present");
+    assert_eq!(got, want, "Measured outputs drifted from {GOLDEN}");
+}
