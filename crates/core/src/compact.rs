@@ -88,7 +88,9 @@
 //! kinds, per-stage weight updates, the TP All-Reduce, per-boundary
 //! pipeline sends, per-stage DP buckets). Lowering prices all slots
 //! first (`slot_values`), then each node is an O(1) table lookup instead
-//! of a signature-memo probe. Like vTrain's profiling, which measures
+//! of a signature-memo probe. The full task graph that `measure` and
+//! `timeline` replay reads the same table ([`price_slots`]), so one
+//! pricing serves both graph forms. Like vTrain's profiling, which measures
 //! each distinct operator once (§III-C), the slot pricing prices each
 //! distinct communication operator once per scratch, not once per slot
 //! or per point: the scratch's [`OpTable`] keeps every operator it has
@@ -354,10 +356,29 @@ impl CompactScratch {
         self.ops.clear();
     }
 
+    /// Latency of each slot of the latest lowering.
+    pub(crate) fn slot_values(&self) -> &[TimeNs] {
+        &self.slot_values
+    }
+
     /// The flow program of latency slot `slot` in the latest lowering
     /// (`None`: a fixed duration).
     fn program(&self, slot: usize) -> Option<&FlowProgram> {
         self.ops.program(self.slot_tags[slot].1)
+    }
+
+    /// The flow programs on `topology` of tasks whose latency slots in
+    /// the latest lowering are `task_slots`, indexing the [`OpTable`]
+    /// through `entries` (refilled): a task shares its slot's program.
+    pub(crate) fn task_programs<'a>(
+        &'a self,
+        topology: &'a Topology,
+        task_slots: &[u32],
+        entries: &'a mut Vec<u32>,
+    ) -> Programs<'a> {
+        entries.clear();
+        entries.extend(task_slots.iter().map(|&slot| self.slot_tags[slot as usize].1));
+        Programs::Indexed { topology, table: &self.ops.programs, index: entries }
     }
 
     /// `(walked, total)` section copies of the latest replay: the total
@@ -806,6 +827,44 @@ fn resolve_slots<P: ProfileSource>(
     missing
 }
 
+/// The task kind of slot `op` (`kernels`: its profiled kernel count, 0
+/// for communication).
+fn slot_kind(op: &SlotOp, kernels: u32) -> TaskKind {
+    match op {
+        SlotOp::Compute(_) => TaskKind::Compute { kernels },
+        SlotOp::Comm(c) => comm_kind(c),
+    }
+}
+
+/// Prices the plan's slot table into `s` for the full task graph
+/// ([`TaskGraph::lower_slots`]), handing each slot to `on_slot` as
+/// [`resolve_slots`] does, and returns each slot's task kind. The slots'
+/// latencies are [`CompactScratch::slot_values`], and
+/// [`CompactScratch::task_programs`] gives the tasks' flow programs.
+///
+/// # Errors
+///
+/// Same conditions as [`lower_plan`].
+pub(crate) fn price_slots<P: ProfileSource>(
+    model: &ModelConfig,
+    plan: &ParallelConfig,
+    opts: &GraphOptions,
+    profiles: &mut P,
+    comm: &CommModel,
+    s: &mut CompactScratch,
+    mut on_slot: impl FnMut(&SlotOp, u32),
+) -> Result<Vec<TaskKind>, MissingProfile> {
+    let mut kinds = Vec::new();
+    let missing = resolve_slots(model, plan, opts, profiles, comm, s, |op, kernels| {
+        kinds.push(slot_kind(op, kernels));
+        on_slot(op, kernels);
+    });
+    if missing {
+        return Err(MissingProfile);
+    }
+    Ok(kinds)
+}
+
 /// The lowering half of the sweep's fused lower + simulate hot path:
 /// prices the slot table and the period counts of `(model, plan)`, then
 /// either patches the cached graph or builds it from scratch. When
@@ -813,8 +872,8 @@ fn resolve_slots<P: ProfileSource>(
 /// the builder and all structure derivation are skipped and only the
 /// runs' durations are refilled. Either way, [`replay_lowered`] then
 /// produces a report bit-identical to
-/// `simulate(&TaskGraph::lower_fused(..)?, SimMode::Predicted)`. Split
-/// from the replay so the stage profiler can attribute lower vs.
+/// `simulate(&TaskGraph::lower(&build_op_graph(..), ..)?, SimMode::Predicted)`.
+/// Split from the replay so the stage profiler can attribute lower vs.
 /// simulate time.
 ///
 /// # Errors
@@ -1293,15 +1352,6 @@ impl Unrolled {
         Programs::Indexed { topology, table: &s.ops.programs, index: &self.inst_entry }
     }
 
-    /// Records slot `op`'s task kind (`kernels`: its profiled kernel
-    /// count, 0 for communication).
-    fn record_kind(&mut self, op: &SlotOp, kernels: u32) {
-        self.slot_kind.push(match op {
-            SlotOp::Compute(_) => TaskKind::Compute { kernels },
-            SlotOp::Comm(c) => comm_kind(c),
-        });
-    }
-
     /// Derives each run's stream, task kind and [`OpTable`] entry from
     /// its composition. Communication-stream nodes (pipeline sends, DP
     /// All-Reduces) never extend a run, so such a run is one node. A
@@ -1451,7 +1501,7 @@ pub(crate) fn lower_unrolled<P: ProfileSource>(
 ) -> Result<LowerOutcome, MissingProfile> {
     unrolled.slot_kind.clear();
     let outcome = lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels| {
-        unrolled.record_kind(op, kernels)
+        unrolled.slot_kind.push(slot_kind(op, kernels))
     })?;
     if scratch.flows {
         let copies = unrolled.unroll(scratch, plan.pipeline());
@@ -1483,22 +1533,32 @@ pub(crate) fn replay_unrolled(
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
+    use vtrain_graph::build_op_graph;
     use vtrain_model::presets;
     use vtrain_net::NetworkBackend;
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig, PipelineSchedule};
-    use vtrain_profile::{ProfileSet, Profiler};
+    use vtrain_profile::{OperatorTaskTable, Profiler};
 
     use super::*;
     use crate::sim::{simulate, SimMode};
     use crate::task_graph::TaskGraph;
 
-    /// `ProfileSet` adapter for tests.
-    struct SetSource<'a>(&'a ProfileSet);
-
-    impl ProfileSource for SetSource<'_> {
+    /// The compact lowering's view of an operator table (the tests' profile
+    /// source, here and in `sim.rs`).
+    impl ProfileSource for OperatorTaskTable {
         fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
-            self.0.lookup(sig)
+            self.get(sig).map(|p| (p.total(), p.kernel_count() as u32))
         }
+    }
+
+    /// The profiled necessary operators of `(model, plan)`.
+    fn profiles(
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+    ) -> OperatorTaskTable {
+        let sigs = vtrain_graph::plan_signatures(model, plan, opts);
+        Profiler::new(GpuSpec::a100_40gb()).profile(&sigs)
     }
 
     /// The fused lower + replay: lowers `plan` on `scratch` (patching
@@ -1561,13 +1621,13 @@ mod tests {
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
-        profiles: &ProfileSet,
+        profiles: &OperatorTaskTable,
         comm: &CommModel,
     ) -> (Vec<TimeNs>, Vec<Option<FlowProgram>>, Vec<CommOp>) {
         let (mut values, mut programs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         visit_plan_slots(model, plan, opts, |op| match op {
             SlotOp::Compute(sig) => {
-                values.push(profiles.lookup(&sig).map_or(TimeNs::ZERO, |(total, _)| total));
+                values.push(profiles.get(&sig).map_or(TimeNs::ZERO, |p| p.total()));
                 programs.push(None);
             }
             SlotOp::Comm(c) => {
@@ -1597,17 +1657,12 @@ mod tests {
         comm: &CommModel,
         scratch: &mut CompactScratch,
     ) {
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let sigs = vtrain_graph::plan_signatures(model, plan, opts);
-        let profiles = cache.resolve(&profiler, &sigs);
-
-        let full = TaskGraph::lower_fused(model, plan, opts, &profiles, comm).unwrap();
+        let mut profiles = profiles(model, plan, opts);
+        let full = TaskGraph::lower(&build_op_graph(model, plan, opts), &profiles, comm).unwrap();
         let expect = simulate(&full, SimMode::Predicted);
 
         let mut report = SimReport::default();
-        let mut source = SetSource(&profiles);
-        simulate_plan(model, plan, opts, &mut source, comm, scratch, &mut report).unwrap();
+        simulate_plan(model, plan, opts, &mut profiles, comm, scratch, &mut report).unwrap();
 
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
@@ -1648,19 +1703,22 @@ mod tests {
         let model = presets::megatron("1.7B");
         let plan = ParallelConfig::builder().global_batch(4).build().unwrap();
         let comm = CommModel::new(&ClusterSpec::aws_p4d(8), 1.0);
-        let empty = ProfileSet::default();
-        let mut source = SetSource(&empty);
         let err = simulate_plan(
             &model,
             &plan,
             &GraphOptions::default(),
-            &mut source,
+            &mut OperatorTaskTable::new(),
             &comm,
             &mut CompactScratch::default(),
             &mut SimReport::default(),
         )
         .unwrap_err();
         assert_eq!(err, MissingProfile);
+        // The full lowering prices the same slot table and fails alike.
+        let (opts, mut empty) = (GraphOptions::default(), OperatorTaskTable::new());
+        let mut scratch = CompactScratch::default();
+        let full = price_slots(&model, &plan, &opts, &mut empty, &comm, &mut scratch, |_, _| {});
+        assert_eq!(full.unwrap_err(), MissingProfile);
     }
 
     /// Runs `plan` on `walk_scratch` (patched when the shape matches) and
@@ -1674,19 +1732,15 @@ mod tests {
     ) -> LowerOutcome {
         let cluster = ClusterSpec::aws_p4d(512);
         let comm = CommModel::new(&cluster, 1.0);
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let sigs = vtrain_graph::plan_signatures(model, plan, opts);
-        let profiles = cache.resolve(&profiler, &sigs);
+        let mut profiles = profiles(model, plan, opts);
 
         let mut fresh_report = SimReport::default();
         let mut fresh_scratch = CompactScratch::default();
-        let mut source = SetSource(&profiles);
         let outcome = simulate_plan(
             model,
             plan,
             opts,
-            &mut source,
+            &mut profiles,
             &comm,
             &mut fresh_scratch,
             &mut fresh_report,
@@ -1695,9 +1749,8 @@ mod tests {
         assert_eq!(outcome, LowerOutcome::Fresh, "a fresh scratch always builds");
 
         let mut walk_report = SimReport::default();
-        let mut source = SetSource(&profiles);
         let outcome =
-            simulate_plan(model, plan, opts, &mut source, &comm, walk_scratch, &mut walk_report)
+            simulate_plan(model, plan, opts, &mut profiles, &comm, walk_scratch, &mut walk_report)
                 .unwrap();
 
         assert_eq!(walk_report.iteration_time, fresh_report.iteration_time, "{plan}");
@@ -1750,17 +1803,14 @@ mod tests {
         comm: &CommModel,
         walk_scratch: &mut CompactScratch,
     ) -> LowerOutcome {
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let sigs = vtrain_graph::plan_signatures(model, plan, opts);
-        let profiles = cache.resolve(&profiler, &sigs);
-        let full = TaskGraph::lower_fused(model, plan, opts, &profiles, comm).unwrap();
+        let mut profiles = profiles(model, plan, opts);
+        let full = TaskGraph::lower(&build_op_graph(model, plan, opts), &profiles, comm).unwrap();
         let expect = simulate(&full, SimMode::Predicted);
 
         let mut report = SimReport::default();
-        let mut source = SetSource(&profiles);
         let outcome =
-            simulate_plan(model, plan, opts, &mut source, comm, walk_scratch, &mut report).unwrap();
+            simulate_plan(model, plan, opts, &mut profiles, comm, walk_scratch, &mut report)
+                .unwrap();
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
         assert_eq!(report.device_busy, expect.device_busy, "{plan}");
@@ -1824,18 +1874,14 @@ mod tests {
         // per stage and micro-batch counts around p − 1 and p + 2.
         let model = presets::megatron("1.7B");
         let comm = comm_model(false);
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
         let mut scratch = CompactScratch::default();
         for p in 1usize..=24 {
             for n in [1, p.saturating_sub(2).max(1), p, p + 2, 3 * p + 1] {
                 for sched in [PipelineSchedule::OneFOneB, PipelineSchedule::GPipe] {
                     let plan = plan_of((1, 1, p, 1, n), sched);
                     let opts = GraphOptions::default();
-                    let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
-                    let profiles = cache.resolve(&profiler, &sigs);
-                    let mut source = SetSource(&profiles);
-                    lower_plan(&model, &plan, &opts, &mut source, &comm, &mut scratch).unwrap();
+                    let mut profiles = profiles(&model, &plan, &opts);
+                    lower_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch).unwrap();
                     let s = &scratch;
                     let n_sections = s.sec_periods.len() / p;
                     for sec in 0..n_sections {
@@ -1963,16 +2009,12 @@ mod tests {
         let opts = GraphOptions::default();
         let cluster = ClusterSpec::aws_p4d(21 * 8);
         let comm = CommModel::new(&cluster, 1.0);
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
-        let profiles = cache.resolve(&profiler, &sigs);
+        let mut profiles = profiles(&model, &plan, &opts);
         let mut scratch = CompactScratch::default();
         let mut report = SimReport::default();
         for round in 0..3 {
             let t0 = std::time::Instant::now();
-            let mut source = SetSource(&profiles);
-            resolve_slots(&model, &plan, &opts, &mut source, &comm, &mut scratch, |_, _| {});
+            resolve_slots(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, |_, _| {});
             scratch.sec_periods.clear();
             let (p, n) = (plan.pipeline(), plan.num_micro_batches());
             for stage in 0..p {
@@ -2018,18 +2060,14 @@ mod tests {
         let model = presets::megatron("1.7B");
         let plan = plan_of((1, 8, 4, 1, 64), PipelineSchedule::OneFOneB);
         let (comm, opts) = interconnect(0, true);
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let profiles =
-            cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
+        let mut profiles = profiles(&model, &plan, &opts);
         let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
         let (_, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
         let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len() as u64;
         assert_eq!(ops.len(), 3 + 24);
         assert!(distinct <= 1 + 8, "{distinct} distinct operators");
         for priced in [distinct, 0] {
-            let mut source = SetSource(&profiles);
-            lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
+            lower_unrolled(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled)
                 .unwrap();
             assert_eq!(scratch.comm_pricings(), (ops.len() as u64, priced));
             // The table holds the shared compute entry and one entry per
@@ -2050,10 +2088,7 @@ mod tests {
         let model = presets::megatron("1.7B");
         let plan = plan_of((2, 4, 2, 1, 16), PipelineSchedule::OneFOneB);
         let (comm, opts) = interconnect(1, true);
-        let cache = vtrain_profile::ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let profiles =
-            cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
+        let mut profiles = profiles(&model, &plan, &opts);
         let (_, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
         let filler = |i: usize| CommOp { ranks: ops[0].ranks + 1_000 * i, ..ops[0] };
         let mut scratch = CompactScratch::default();
@@ -2064,8 +2099,7 @@ mod tests {
             assert_eq!(scratch.ops.entry(&filler(i), &comm), (i as u32, false));
         }
         assert_eq!(scratch.ops.len(), MAX_OP_ENTRIES);
-        let mut source = SetSource(&profiles);
-        lower_plan(&model, &plan, &opts, &mut source, &comm, &mut scratch).unwrap();
+        lower_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch).unwrap();
         let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len();
         assert_eq!(scratch.comm_pricings(), (ops.len() as u64, distinct as u64));
         assert_eq!(scratch.ops.len(), 1 + distinct);
@@ -2091,8 +2125,6 @@ mod tests {
         ) {
             let model = presets::megatron("1.7B");
             let (comm, opts) = interconnect(network >> 1, network & 1 != 0);
-            let cache = vtrain_profile::ProfileCache::new();
-            let profiler = Profiler::new(GpuSpec::a100_40gb());
             let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
             let mut seen = std::collections::HashSet::new();
             for (t_exp, d_exp, p, m_exp, n_micro, flags) in walk {
@@ -2103,11 +2135,9 @@ mod tests {
                 let plan = ParallelConfig::builder()
                     .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
                     .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
-                let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
-                let profiles = cache.resolve(&profiler, &sigs);
-                let mut source = SetSource(&profiles);
-                lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
-                    .unwrap();
+                let mut profiles = profiles(&model, &plan, &opts);
+                let (source, scratch) = (&mut profiles, &mut scratch);
+                lower_unrolled(&model, &plan, &opts, source, &comm, scratch, &mut unrolled).unwrap();
                 let (values, programs, ops) =
                     price_per_slot(&model, &plan, &opts, &profiles, &comm);
                 let nanos = |v: &[TimeNs]| v.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
@@ -2144,13 +2174,9 @@ mod tests {
                 .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
             let model = presets::megatron("1.7B");
             let (comm, opts) = interconnect(net, true);
-            let cache = vtrain_profile::ProfileCache::new();
-            let profiler = Profiler::new(GpuSpec::a100_40gb());
-            let profiles =
-                cache.resolve(&profiler, &vtrain_graph::plan_signatures(&model, &plan, &opts));
+            let mut profiles = profiles(&model, &plan, &opts);
             let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
-            let mut source = SetSource(&profiles);
-            lower_unrolled(&model, &plan, &opts, &mut source, &comm, &mut scratch, &mut unrolled)
+            lower_unrolled(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled)
                 .unwrap();
             let (_, programs, _) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
             prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));

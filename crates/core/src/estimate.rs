@@ -6,15 +6,19 @@
 //!
 //! 1. **validate** — feasibility and memory checks, no allocation
 //!    (`O(1)`; this is also the sweep executor's pruning predicate);
-//! 2. **lower** — resolve the plan's necessary-operator signatures
-//!    against the shared [`ProfileCache`], then fuse graph construction
-//!    and task lowering into one streaming pass;
+//! 2. **lower** — price the plan's latency slots once (compute operators
+//!    through the shared [`ProfileCache`]), then stream graph construction
+//!    into tasks that take their slots' latencies and kinds;
 //! 3. **simulate** — the Algorithm 1 replay ([`simulate`]);
 //! 4. **summarize** — fold a [`SimReport`] into an [`IterationEstimate`].
 //!
 //! [`Estimator::measure`] and [`Estimator::timeline`] are thin
 //! compositions of the stages over the full task graph: measured-mode
-//! noise keys on task ids, and a timeline needs one span per task.
+//! noise keys on task ids, and a timeline needs one span per task. The
+//! full graph and the compact graph below read one slot table, priced
+//! by the same code, so an operator has one price whichever graph
+//! replays it; the timeline labels each span and finds each flow
+//! program through its task's slot.
 //! [`Estimator::estimate`] fuses lowering and replay instead: it lowers
 //! straight into the run-aggregated compact graph the sweep uses and
 //! replays that, never materializing the task graph — by the max-plus
@@ -37,28 +41,28 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{
-    build_op_graph, plan_shape_key, plan_signatures, plan_task_count, CommKind, CommOp, CompKind,
-    GraphOptions, Op, OpSignature, PlanShapeKey, StreamKind,
+    plan_shape_key, plan_task_count, CommKind, CommOp, CompKind, GraphOptions, OpSignature,
+    PlanShapeKey, SlotOp,
 };
 use vtrain_model::{ModelConfig, TimeNs};
-use vtrain_net::flow::FlowProgram;
 use vtrain_net::{NetworkBackend, Topology};
 use vtrain_obs::{CounterSample, TimelineRecorder, TraceSpan};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule, PlanError};
-use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, ProfileSet, Profiler};
+use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, Profiler};
 
 use crate::compact::{
-    lower_plan, lower_unrolled, replay_lowered, replay_unrolled, CompactScratch, LowerOutcome,
-    ProfileSource, Unrolled,
+    lower_plan, lower_unrolled, price_slots, replay_lowered, replay_unrolled, CompactScratch,
+    LowerOutcome, ProfileSource, Unrolled,
 };
 use crate::flow_replay::{replay, Programs};
 use crate::sim::{simulate, BusyBreakdown, SimMode, SimReport, SimScratch};
-use crate::task_graph::{TaskGraph, TaskKind};
+use crate::task_graph::TaskGraph;
 
 /// The most tasks a full task graph may hold. [`Estimator::timeline`]
 /// and [`Estimator::measure`] materialize one task per operator, so their
-/// memory grows with the micro-batch count (about 180 B per task for the
-/// graph and the flow programs, about 800 B with a timeline's spans).
+/// memory grows with the micro-batch count (about 40 B per task for a
+/// `measure`, about 800 B with a timeline's spans; flow programs are
+/// shared per operator, not held per task).
 /// Plans above this bound are refused with
 /// [`EstimateError::GraphTooLarge`] before any lowering. Estimates under
 /// the fair-sharing network keep the same bound, so their feasible set is
@@ -520,10 +524,12 @@ impl Estimator {
         Ok(())
     }
 
-    /// **Stage 2 — lower.** Resolves the plan's necessary operators
-    /// against the shared profile cache (profiling only signatures no
-    /// previous query has seen) and streams the execution graph directly
-    /// into a lowered [`TaskGraph`].
+    /// **Stage 2 — lower.** Prices the plan's latency slots once, the
+    /// slot table the compact path prices too (compute operators through
+    /// the shared profile cache, which profiles only signatures no
+    /// previous query has seen; each distinct communication operator
+    /// once), then streams the execution graph directly into a lowered
+    /// [`TaskGraph`], each task taking its slot's latency and kind.
     ///
     /// Weight updates are the one exception to cache residency: they
     /// decompose to a single fused Adam kernel whose latency is a
@@ -537,43 +543,31 @@ impl Estimator {
     /// Panics if the plan is invalid for the model (run
     /// [`Estimator::validate`] first).
     pub fn lower(&self, model: &ModelConfig, plan: &ParallelConfig) -> TaskGraph {
-        let mut stats = CacheStats::default();
-        let mut profiles = ProfileSet::default();
-        for sig in plan_signatures(model, plan, &self.graph_opts) {
-            let profile = if sig.kind == CompKind::WeightUpdate {
-                Arc::new(self.profiler.profile_operator(&sig))
-            } else {
-                self.cache.get_with(&self.gpu_key, &self.profiler, &sig, &mut stats)
-            };
-            profiles.insert(sig, profile);
-        }
-        TaskGraph::lower_fused(model, plan, &self.graph_opts, &profiles, &self.comm)
-            .expect("plan_signatures covers all emitted operators")
+        self.lower_full(model, plan, &mut CompactScratch::default(), None, |_, _| {})
     }
 
-    /// [`Estimator::lower`] plus the per-task flow programs the
-    /// fair-sharing replay consumes: `programs[i]` is `Some` exactly for
-    /// the link-crossing communication tasks (the fused lowering emits
-    /// one task per operator-graph node in node order, so task id ==
-    /// node index). The full-graph oracle of the fair-sharing estimate.
-    #[cfg(test)]
-    fn lower_with_programs(
+    /// [`Estimator::lower`] on `compact`'s slot table, handing every
+    /// slot's operator and kernel count to `on_slot`, and with
+    /// `task_slots` pushing each task's slot onto it.
+    fn lower_full(
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
-    ) -> (TaskGraph, Vec<Option<FlowProgram>>) {
-        let graph = build_op_graph(model, plan, &self.graph_opts);
-        let tg = self.lower(model, plan);
-        assert_eq!(tg.len(), graph.num_nodes(), "lowering preserves node count and order");
-        let programs = graph
-            .nodes()
-            .iter()
-            .map(|node| match &node.op {
-                Op::Comm(c) => self.comm.flow_program(c),
-                Op::Compute(_) => None,
-            })
-            .collect();
-        (tg, programs)
+        compact: &mut CompactScratch,
+        task_slots: Option<&mut Vec<u32>>,
+        on_slot: impl FnMut(&SlotOp, u32),
+    ) -> TaskGraph {
+        let mut stats = CacheStats::default();
+        let mut source = CacheSource {
+            cache: &self.cache,
+            profiler: &self.profiler,
+            gpu_key: &self.gpu_key,
+            stats: &mut stats,
+        };
+        let opts = &self.graph_opts;
+        let kinds = price_slots(model, plan, opts, &mut source, &self.comm, compact, on_slot)
+            .expect("estimator profile source resolves every signature");
+        TaskGraph::lower_slots(model, plan, opts, compact.slot_values(), &kinds, task_slots)
     }
 
     /// **Stage 3 — simulate.** Replays a lowered task graph (Algorithm 1).
@@ -829,9 +823,12 @@ impl Estimator {
     }
 
     /// Captures a fully-labeled per-stream execution timeline of one
-    /// predicted iteration: the traced Algorithm 1 replay joined back to
-    /// the operator graph for names, with per-tier communication costs
-    /// from the estimator's [`CommModel`] attached as span args.
+    /// predicted iteration: the traced Algorithm 1 replay, each span
+    /// labeled through its task's latency slot, with per-tier
+    /// communication costs from the estimator's [`CommModel`] (computed
+    /// once per slot) attached as span args. Under fair sharing the flow
+    /// tasks drain their slots' programs from the slot table's operator
+    /// table.
     ///
     /// The returned recorder has one track per simulated device (each
     /// pipeline stage's representative GPU) with `compute`/`comm` stream
@@ -850,13 +847,13 @@ impl Estimator {
         plan.validate(model, &self.cluster)?;
         self.admit_full_graph(model, plan)?;
         count_full_lowering("timeline");
-        // Materialize the operator graph once, purely for labels: the
-        // fused lowering emits exactly one task per node in node order
-        // (pinned by the lowering equivalence tests), so task id == node
-        // index and the join is an array lookup.
-        let graph = build_op_graph(model, plan, &self.graph_opts);
-        let tg = self.lower(model, plan);
-        assert_eq!(tg.len(), graph.num_nodes(), "lowering preserves node count and order");
+        // One label per latency slot, its tier breakdown computed once: a
+        // span takes the label of its task's slot.
+        let mut labels = Vec::new();
+        let (mut compact, mut slots) = (CompactScratch::default(), Vec::new());
+        let tg = self.lower_full(model, plan, &mut compact, Some(&mut slots), |op, kernels| {
+            labels.push(slot_label(op, kernels, &self.comm))
+        });
 
         let mut recorder = TimelineRecorder::new();
         for dev in 0..u64::from(tg.num_devices()) {
@@ -865,48 +862,26 @@ impl Estimator {
             recorder.set_stream_name(dev, 1, "comm");
         }
 
-        let nodes = graph.nodes();
-        let kinds = tg.kinds();
+        let (devices, streams) = (tg.devices(), tg.streams());
         let mut report = SimReport::default();
         let mut record = |id: u32, start: TimeNs, finish: TimeNs| {
-            let node = &nodes[id as usize];
-            let tid = match node.stream {
-                StreamKind::Compute => 0,
-                StreamKind::Comm => 1,
-            };
-            let (name, cat, args) = match &node.op {
-                Op::Compute(c) => {
-                    let kernels = match kinds[id as usize] {
-                        TaskKind::Compute { kernels } => u64::from(kernels),
-                        TaskKind::Comm { .. } => 0,
-                    };
-                    let (name, cat) = compute_label(c.sig.kind);
-                    (name, cat, vec![("kernels".to_owned(), kernels)])
-                }
-                Op::Comm(c) => comm_label(c, &self.comm),
-            };
+            let i = id as usize;
+            let (name, cat, args) = &labels[slots[i] as usize];
             recorder.record(TraceSpan {
-                pid: u64::from(node.device),
-                tid,
-                name: name.to_owned(),
-                cat: cat.to_owned(),
+                pid: u64::from(devices[i]),
+                tid: u64::from(streams[i]),
+                name: (*name).to_owned(),
+                cat: (*cat).to_owned(),
                 start_ns: start.as_nanos(),
                 dur_ns: (finish - start).as_nanos(),
-                args,
+                args: args.clone(),
             });
         };
-        let flow_programs: Vec<Option<FlowProgram>>;
+        let mut entries = Vec::new();
         let programs = match self.network() {
             NetworkBackend::ClosedForm => Programs::Fixed(SimMode::Predicted),
             NetworkBackend::FairSharing => {
-                flow_programs = nodes
-                    .iter()
-                    .map(|node| match &node.op {
-                        Op::Comm(c) => self.comm.flow_program(c),
-                        Op::Compute(_) => None,
-                    })
-                    .collect();
-                Programs::PerTask { topology: self.topology(), programs: &flow_programs }
+                compact.task_programs(self.topology(), &slots, &mut entries)
             }
         };
         // Counter samples are buffered and attached after the replay: the
@@ -960,6 +935,22 @@ fn record_compact_size(compact: &CompactScratch) {
     metrics.histogram("estimate.compact.periods_total").record(total);
     metrics.histogram("estimate.compact.periods_walked").record(walked);
     metrics.gauge("estimate.compact.scratch_bytes").set_max(compact.capacity_bytes() as u64);
+}
+
+/// `(name, category, args)` of the spans of latency slot `op`, whose
+/// profiled kernel count is `kernels` (0 for communication).
+fn slot_label(
+    op: &SlotOp,
+    kernels: u32,
+    comm: &CommModel,
+) -> (&'static str, &'static str, Vec<(String, u64)>) {
+    match op {
+        SlotOp::Compute(sig) => {
+            let (name, cat) = compute_label(sig.kind);
+            (name, cat, vec![("kernels".to_owned(), u64::from(kernels))])
+        }
+        SlotOp::Comm(c) => comm_label(c, comm),
+    }
 }
 
 /// `(name, category)` of a compute span.
@@ -1077,7 +1068,50 @@ fn stable_config_key(model: &ModelConfig, plan: &ParallelConfig) -> u64 {
 mod tests {
     use super::*;
     use vtrain_gpu::NoiseConfig;
+    use vtrain_graph::{build_op_graph, Op};
     use vtrain_model::presets;
+    use vtrain_net::flow::FlowProgram;
+
+    /// A full task graph with one flow program per task, and the identity
+    /// index that replays it.
+    struct NodePrograms {
+        graph: TaskGraph,
+        programs: Vec<Option<FlowProgram>>,
+        identity: Vec<u32>,
+    }
+
+    impl NodePrograms {
+        /// The graph's flow programs on `topology`.
+        fn programs<'a>(&'a self, topology: &'a Topology) -> Programs<'a> {
+            Programs::Indexed { topology, table: &self.programs, index: &self.identity }
+        }
+    }
+
+    /// [`Estimator::lower`] plus the per-task flow programs the
+    /// fair-sharing replay consumes, priced per operator-graph node with
+    /// [`CommModel::flow_program`], independently of the slot table:
+    /// `Some` exactly for the link-crossing communication tasks (one task
+    /// per node in node order, so task id == node index). The full-graph
+    /// oracle of the fair-sharing estimate.
+    fn lower_with_programs(
+        est: &Estimator,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+    ) -> NodePrograms {
+        let graph = build_op_graph(model, plan, &est.graph_opts);
+        let tg = est.lower(model, plan);
+        assert_eq!(tg.len(), graph.num_nodes(), "lowering preserves node count and order");
+        let programs = graph
+            .nodes()
+            .iter()
+            .map(|node| match &node.op {
+                Op::Comm(c) => est.comm.flow_program(c),
+                Op::Compute(_) => None,
+            })
+            .collect();
+        let identity = (0..tg.len() as u32).collect();
+        NodePrograms { graph: tg, programs, identity }
+    }
 
     fn plan(t: usize, d: usize, p: usize, m: usize, b: usize) -> ParallelConfig {
         ParallelConfig::builder()
@@ -1525,16 +1559,15 @@ mod tests {
             .network(NetworkBackend::FairSharing)
             .build();
         let (model, p) = (presets::megatron("1.7B"), plan(2, 4, 4, 1, 32));
-        let (tg, programs) = est.lower_with_programs(&model, &p);
+        let full = lower_with_programs(&est, &model, &p);
         let noise = NoiseModel::new(NoiseConfig::default());
         let run = |mode: Option<SimMode<'_>>, scratch: &mut SimScratch, report: &mut SimReport| {
             match mode {
                 None => {
-                    let programs =
-                        Programs::PerTask { topology: est.topology(), programs: &programs };
-                    replay(&tg, programs, None, None, scratch, report);
+                    let programs = full.programs(est.topology());
+                    replay(&full.graph, programs, None, None, scratch, report);
                 }
-                Some(mode) => crate::sim::simulate_into(&tg, mode, scratch, report),
+                Some(mode) => crate::sim::simulate_into(&full.graph, mode, scratch, report),
             }
         };
         let modes =
@@ -1562,10 +1595,10 @@ mod tests {
     /// The full-graph flow replay of `plan`: the oracle of the compact
     /// fair-sharing path.
     fn full_flow_report(est: &Estimator, model: &ModelConfig, plan: &ParallelConfig) -> SimReport {
-        let (tg, programs) = est.lower_with_programs(model, plan);
-        let programs = Programs::PerTask { topology: est.topology(), programs: &programs };
+        let full = lower_with_programs(est, model, plan);
+        let programs = full.programs(est.topology());
         let mut report = SimReport::default();
-        replay(&tg, programs, None, None, &mut SimScratch::default(), &mut report);
+        replay(&full.graph, programs, None, None, &mut SimScratch::default(), &mut report);
         report
     }
 
@@ -1810,9 +1843,9 @@ mod tests {
             if est.validate(&model, &plan).is_err() {
                 return Ok(());
             }
-            let (tg, programs) = est.lower_with_programs(&model, &plan);
+            let full = lower_with_programs(&est, &model, &plan);
             let topology = est.topology();
-            assert_flow_replay_matches_engine(&tg, Programs::PerTask { topology, programs: &programs });
+            assert_flow_replay_matches_engine(&full.graph, full.programs(topology));
             let mut scratch = EstimatorScratch::default();
             est.estimate_validated_with(&model, &plan, &mut scratch);
             let (unrolled, programs) = scratch.unrolled.replay_input(&scratch.compact, topology);
@@ -1935,6 +1968,82 @@ mod tests {
                 proptest::prop_assert_eq!(got.utilization.to_bits(), want.utilization.to_bits());
                 proptest::prop_assert_eq!(got.occupancy.to_bits(), want.occupancy.to_bits());
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The slot-priced lowering behind `lower`, `measure` and
+        /// `timeline` equals the independently priced two-phase reference,
+        /// `TaskGraph::lower` over the materialized operator graph and an
+        /// operator table profiled from it: every column (device, stream,
+        /// duration, full task kind) and the CSR, on random plans under
+        /// both schedules, with bucketing and recomputation on or off, on
+        /// flat, two-tier and racked interconnects, under both networks.
+        /// The per-task flow programs the fair-sharing timeline replays
+        /// from the operator table equal a per-node
+        /// [`CommModel::flow_program`].
+        #[test]
+        fn slot_priced_lowering_matches_the_two_phase_reference(
+            t_exp in 0usize..=3,
+            d_exp in 0usize..=3,
+            p in 1usize..=6,
+            m_exp in 0usize..=1,
+            n_micro in 1usize..=16,
+            setup in (0u32..64, 1u64..=100),
+        ) {
+            let (flags, bucket_mib) = setup;
+            let (gpipe, bucketing, recompute) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let (fair, net) = (flags & 8 != 0, flags >> 4);
+            let (t, d, m) = (1usize << t_exp, 1 << d_exp, 1 << m_exp);
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let plan = ParallelConfig::builder()
+                .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
+                .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
+            let est = varied_estimator(net, fair, recompute, bucket_mib);
+            let model = presets::megatron("1.7B");
+            if est.validate(&model, &plan).is_err() {
+                return Ok(());
+            }
+            let graph = build_op_graph(&model, &plan, &est.graph_opts);
+            let table = est.profiler.profile(&graph.necessary_operators());
+            let reference = TaskGraph::lower(&graph, &table, &est.comm).unwrap();
+            let mut compact = CompactScratch::default();
+            let mut slots = Vec::new();
+            let tg = est.lower_full(&model, &plan, &mut compact, Some(&mut slots), |_, _| {});
+            proptest::prop_assert_eq!(tg.len(), reference.len());
+            proptest::prop_assert_eq!(tg.num_devices(), reference.num_devices());
+            for i in 0..tg.len() as u32 {
+                let (a, b) = (tg.task(i), reference.task(i));
+                assert_eq!(
+                    (a.device, a.stream, a.duration.as_nanos(), a.kind),
+                    (b.device, b.stream, b.duration.as_nanos(), b.kind),
+                    "task {i}"
+                );
+                assert_eq!(tg.children(i), reference.children(i), "children of {i}");
+            }
+            let mut entries = Vec::new();
+            let Programs::Indexed { table, index, .. } =
+                compact.task_programs(est.topology(), &slots, &mut entries)
+            else {
+                unreachable!("task programs index the operator table")
+            };
+            let got: Vec<_> = index.iter().map(|&e| table[e as usize].as_ref()).collect();
+            let want: Vec<_> = graph
+                .nodes()
+                .iter()
+                .map(|node| match &node.op {
+                    Op::Comm(c) => est.comm.flow_program(c),
+                    Op::Compute(_) => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(got, want.iter().map(Option::as_ref).collect::<Vec<_>>());
+            let flows = want.iter().any(Option::is_some);
+            proptest::prop_assert_eq!(flows, fair && compact.has_flows());
         }
     }
 

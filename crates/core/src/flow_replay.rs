@@ -73,15 +73,19 @@
 //! at one timestamp, never in the last.
 //!
 //! The graph comes from one of three places: a caller's lowered graph
-//! ([`simulate`](crate::simulate)), [`TaskGraph::lower_fused`] (`measure`
-//! and the timeline, one task per operator) or the compact graph unrolled
-//! into one task per (section copy, run) ([`crate::compact`], every
-//! fair-sharing estimate with a flow). Aggregating a compute chain into
-//! one task moves no start time, because chain interiors neither start
-//! flows nor wait on them. With zero concurrent flows the physical-time
-//! schedule coincides with the logical-time one, so a contention-free
-//! replay reproduces the closed-form report exactly (see the equivalence
-//! tests in `estimate.rs` and the differential property test in `sim.rs`).
+//! ([`simulate`](crate::simulate)), `Estimator::lower` (`measure` and the
+//! timeline, one task per operator) or the compact graph unrolled into
+//! one task per (section copy, run) ([`crate::compact`], every
+//! fair-sharing estimate with a flow). Both of the latter price their
+//! tasks from one slot table, and their flow tasks share the programs of
+//! its operator table ([`Programs::Indexed`]): each distinct operator's
+//! program is priced once, however many tasks drain it. Aggregating a
+//! compute chain into one task moves no start time, because chain
+//! interiors neither start flows nor wait on them. With zero concurrent
+//! flows the physical-time schedule coincides with the logical-time one,
+//! so a contention-free replay reproduces the closed-form report exactly
+//! (see the equivalence tests in `estimate.rs` and the differential
+//! property test in `sim.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -110,20 +114,13 @@ pub(crate) enum Programs<'a> {
     /// Only this form carries a mode, so Measured noise never meets a
     /// flow: the forms with a network keep clean durations.
     Fixed(SimMode<'a>),
-    /// Task `i` drains `programs[i]` on `topology` (one entry per task;
-    /// `None` keeps its clean duration).
-    PerTask {
-        /// The network the flows share.
-        topology: &'a Topology,
-        /// Each task's flow program.
-        programs: &'a [Option<FlowProgram>],
-    },
-    /// Task `i` drains `table[index[i]]` on `topology`: the unrolled
-    /// compact graph, whose instances share their latency slot's program.
+    /// Task `i` drains `table[index[i]]` on `topology` (`None` keeps its
+    /// clean duration): the tasks of one operator share its entry, in
+    /// the full and in the unrolled compact graph alike.
     Indexed {
         /// The network the flows share.
         topology: &'a Topology,
-        /// One entry per latency slot.
+        /// The flow programs the tasks share.
         table: &'a [Option<FlowProgram>],
         /// The table entry of each task.
         index: &'a [u32],
@@ -135,7 +132,6 @@ impl<'a> Programs<'a> {
     fn of(self, task: u32) -> Option<&'a FlowProgram> {
         match self {
             Programs::Fixed(_) => None,
-            Programs::PerTask { programs, .. } => programs[task as usize].as_ref(),
             Programs::Indexed { table, index, .. } => table[index[task as usize] as usize].as_ref(),
         }
     }
@@ -145,7 +141,6 @@ impl<'a> Programs<'a> {
     fn network(self) -> Option<(&'a Topology, usize)> {
         match self {
             Programs::Fixed(_) => None,
-            Programs::PerTask { topology, programs } => Some((topology, programs.len())),
             Programs::Indexed { topology, index, .. } => Some((topology, index.len())),
         }
     }
@@ -407,7 +402,7 @@ impl Dataflow<'_, '_, '_> {
 /// per-tier utilization)` at every refill.
 ///
 /// `graph` must be [stream-chained](TaskGraph::is_stream_chained), as
-/// every [`TaskGraph::lower_fused`] graph and every unrolled compact graph
+/// every graph `Estimator::lower` builds and every unrolled compact graph
 /// is (checked in debug builds; [`SimScratch::assert_chained`] checks a
 /// graph from outside the crate).
 ///

@@ -4,13 +4,14 @@
 //!
 //! The estimation path is a staged pipeline ([`Estimator`]): **validate**
 //! (cheap feasibility/memory checks, also the sweep's pruning predicate) →
-//! **lower** (necessary-operator signatures resolved against a shared
-//! concurrent profile cache, then graph construction fused with lowering
-//! into a [`TaskGraph`]) → **simulate** ([`simulate`] replays **Algorithm
-//! 1** — the paper's FIFO ready-queue traversal over per-(GPU, stream)
-//! timelines honoring dependencies and computation/communication overlap,
-//! run as a provably equivalent dataflow pass because every lowered graph
-//! is stream-chained, the one input contract) →
+//! **lower** (the plan's latency slots priced once, compute operators
+//! through a shared concurrent profile cache, then graph construction
+//! streamed into a [`TaskGraph`] whose tasks read their slots' prices) →
+//! **simulate** ([`simulate`] replays **Algorithm 1** — the paper's FIFO
+//! ready-queue traversal over per-(GPU, stream) timelines honoring
+//! dependencies and computation/communication overlap, run as a provably
+//! equivalent dataflow pass because every lowered graph is
+//! stream-chained, the one input contract) →
 //! **summarize** (fold the replay into an [`IterationEstimate`]).
 //! [`Estimator::estimate`] composes the stages with lowering and replay
 //! fused on a run-aggregated compact graph (bit-identical to the full

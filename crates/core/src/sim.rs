@@ -228,13 +228,13 @@ fn simulate_reference(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
 mod tests {
     use proptest::prelude::*;
     use vtrain_gpu::NoiseConfig;
-    use vtrain_graph::{build_op_graph, GraphOptions, OpSignature};
+    use vtrain_graph::{build_op_graph, GraphOptions};
     use vtrain_model::presets;
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig, PipelineSchedule};
     use vtrain_profile::{CommModel, OperatorTaskTable, Profiler};
 
     use super::*;
-    use crate::compact::{lower_plan, replay_lowered, CompactScratch, ProfileSource};
+    use crate::compact::{lower_plan, replay_lowered, CompactScratch};
 
     fn plan(
         t: usize,
@@ -277,15 +277,6 @@ mod tests {
         bucketing: bool,
     ) -> TaskGraph {
         lower_with(&plan(t, d, p, m, b, sched, bucketing)).0
-    }
-
-    /// The compact lowering's view of an operator table.
-    struct TableSource<'a>(&'a OperatorTaskTable);
-
-    impl ProfileSource for TableSource<'_> {
-        fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
-            self.0.get(sig).map(|p| (p.total(), p.kernel_count() as u32))
-        }
     }
 
     fn assert_reports_identical(a: &SimReport, b: &SimReport) {
@@ -440,7 +431,7 @@ mod tests {
             let n_micro = if long { many } else { short };
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let plan = plan(t, d, p, m, d * m * n_micro, sched, bucketing);
-            let (tg, table, comm) = lower_with(&plan);
+            let (tg, mut table, comm) = lower_with(&plan);
             assert!(tg.is_stream_chained(), "builder graphs are stream-chained");
 
             let noise = NoiseModel::new(NoiseConfig::default());
@@ -451,16 +442,16 @@ mod tests {
 
             let legacy = simulate_reference(&tg, SimMode::Predicted);
             let topology = ClusterSpec::aws_p4d(256).topology(1.0);
-            let programs = vec![None; tg.len()];
+            let no_flow = vec![0; tg.len()];
             let mut flows = SimReport::default();
-            let programs = Programs::PerTask { topology: &topology, programs: &programs };
+            let programs =
+                Programs::Indexed { topology: &topology, table: &[None], index: &no_flow };
             replay(&tg, programs, None, None, &mut SimScratch::default(), &mut flows);
             assert_reports_identical(&flows, &legacy);
 
             let mut compact = CompactScratch::default();
             let (model, opts) = (presets::megatron("1.7B"), GraphOptions::default());
-            lower_plan(&model, &plan, &opts, &mut TableSource(&table), &comm, &mut compact)
-                .unwrap();
+            lower_plan(&model, &plan, &opts, &mut table, &comm, &mut compact).unwrap();
             let mut walk = SimReport::default();
             replay_lowered(&mut compact, p, &mut walk);
             assert_reports_identical(&walk, &legacy);

@@ -14,22 +14,27 @@
 //! working set to the columns it actually reads instead of striding over
 //! 40-byte task records. [`Task`] remains as the assembled per-index view.
 //!
-//! Two lowering paths produce identical graphs:
-//! * [`TaskGraph::lower`] consumes a materialized [`OpGraph`];
-//! * [`TaskGraph::lower_fused`] streams the builder's nodes straight into
-//!   tasks via [`GraphSink`], never allocating the operator graph — the
-//!   hot path of the staged estimation pipeline.
+//! Two lowerings produce identical graphs:
+//! * [`TaskGraph::lower`] consumes a materialized [`OpGraph`] and prices
+//!   every node itself, from an [`OperatorTaskTable`] and the
+//!   communication model: the independently priced reference;
+//! * `TaskGraph::lower_slots` streams the builder's nodes straight into
+//!   tasks via [`GraphSink`], never allocating the operator graph. It
+//!   prices nothing: each node takes the duration and kind of its latency
+//!   slot ([`GraphSink::push_slotted`]) from a slot table priced once per
+//!   plan, the table the compact replay reads too. `Estimator::lower`,
+//!   `measure` and `timeline` take this path.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use vtrain_graph::{
     build_op_graph_into, CommKind, CommOp, CommScope, GraphOptions, GraphSink, Op, OpGraph, OpNode,
-    OpSignature, StreamKind,
+    StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
 use vtrain_parallel::ParallelConfig;
-use vtrain_profile::{CommModel, OperatorTaskTable, ProfileSet};
+use vtrain_profile::{CommModel, OperatorTaskTable};
 
 /// What a task does (drives how the measured-mode perturbations apply).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,7 +102,8 @@ impl std::error::Error for MissingProfile {}
 
 impl TaskGraph {
     /// Lowers an operator graph using the profiled lookup table and the
-    /// communication model.
+    /// communication model, pricing every node itself: the independently
+    /// priced reference of `lower_slots`.
     ///
     /// # Errors
     ///
@@ -108,76 +114,52 @@ impl TaskGraph {
         table: &OperatorTaskTable,
         comm: &CommModel,
     ) -> Result<Self, MissingProfile> {
-        let mut cols = Columns::with_capacity(graph.num_nodes());
+        let mut tg = TaskGraph { num_devices: graph.num_devices(), ..TaskGraph::default() };
         for node in graph.nodes() {
             let stream = stream_index(node.stream);
             match &node.op {
                 Op::Compute(c) => {
                     let profile = table.get(&c.sig).ok_or(MissingProfile)?;
-                    cols.push(
-                        node.device,
-                        stream,
-                        profile.total(),
-                        TaskKind::Compute { kernels: profile.kernel_count() as u32 },
-                    );
+                    let kind = TaskKind::Compute { kernels: profile.kernel_count() as u32 };
+                    tg.push_task(node.device, stream, profile.total(), kind);
                 }
-                Op::Comm(c) => {
-                    cols.push(node.device, stream, comm.latency(c), comm_kind(c));
-                }
+                Op::Comm(c) => tg.push_task(node.device, stream, comm.latency(c), comm_kind(c)),
             }
         }
         // CSR straight from the graph's per-node child lists.
-        let n = graph.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(graph.num_edges());
-        offsets.push(0u32);
-        for i in 0..n as u32 {
-            targets.extend_from_slice(graph.children(i));
-            offsets.push(targets.len() as u32);
+        tg.offsets.push(0);
+        for i in 0..graph.num_nodes() as u32 {
+            tg.targets.extend_from_slice(graph.children(i));
+            tg.offsets.push(tg.targets.len() as u32);
         }
-        Ok(cols.into_graph(offsets, targets, graph.num_devices()))
+        Ok(tg)
     }
 
-    /// Lowers `(model, plan)` in one fused pass: the graph builder streams
-    /// nodes directly into tasks (profiles resolved from `profiles`,
-    /// communication latencies from `comm`) without materializing an
-    /// [`OpGraph`]. Produces a graph identical to
-    /// [`TaskGraph::lower`]`(build_op_graph(..), ..)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MissingProfile`] if a signature the builder emits is
-    /// absent from `profiles` (resolve
-    /// [`vtrain_graph::plan_signatures`] first).
+    /// Lowers `(model, plan)` in one streaming pass that prices nothing:
+    /// the builder's nodes go straight into tasks without materializing
+    /// an [`OpGraph`], and a node of latency slot `s` takes the duration
+    /// `values[s]` and the kind `kinds[s]`, and with `slots` each task's
+    /// slot is pushed onto it, in task order. Given a slot table priced from the same profiles and communication
+    /// model, the graph is identical to [`TaskGraph::lower`]`(build_op_graph(..), ..)`.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`vtrain_graph::build_op_graph`].
-    pub fn lower_fused(
+    /// Same conditions as [`vtrain_graph::build_op_graph`], or if a slot
+    /// lies outside `values` or `kinds`.
+    pub(crate) fn lower_slots(
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
-        profiles: &ProfileSet,
-        comm: &CommModel,
-    ) -> Result<Self, MissingProfile> {
-        let mut sink = LoweringSink {
-            profiles,
-            comm,
-            sig_memo: Vec::with_capacity(16),
-            comm_memo: Vec::with_capacity(8),
-            cols: Columns::with_capacity(0),
-            edges: Vec::new(),
-            num_devices: plan.pipeline() as u32,
-            missing: false,
-        };
+        values: &[TimeNs],
+        kinds: &[TaskKind],
+        slots: Option<&mut Vec<u32>>,
+    ) -> Self {
+        let graph = TaskGraph { num_devices: plan.pipeline() as u32, ..TaskGraph::default() };
+        let mut sink = SlotSink { values, kinds, graph, slots, edges: Vec::new() };
         build_op_graph_into(model, plan, opts, &mut sink);
-        if sink.missing {
-            return Err(MissingProfile);
-        }
-        let LoweringSink { cols, edges, num_devices, .. } = sink;
-        let (mut offsets, mut targets) = (Vec::new(), Vec::new());
-        fill_csr(cols.len(), &edges, &mut offsets, &mut targets);
-        Ok(cols.into_graph(offsets, targets, num_devices))
+        let SlotSink { mut graph, edges, .. } = sink;
+        graph.set_edges(&edges);
+        graph
     }
 
     /// Empties every column for an in-place refill over `num_devices`
@@ -200,19 +182,41 @@ impl TaskGraph {
         self.kind.push(kind);
     }
 
-    /// Replaces the graph's edges with `edges` (per-source insertion
-    /// order preserved), in place.
+    /// Replaces the graph's edges with the CSR of `edges`, in place,
+    /// preserving per-source insertion order (a counting sort over sources
+    /// is stable in edge order).
     pub(crate) fn set_edges(&mut self, edges: &[(u32, u32)]) {
-        fill_csr(self.len(), edges, &mut self.offsets, &mut self.targets);
+        let (n, offsets, targets) = (self.len(), &mut self.offsets, &mut self.targets);
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &(from, _) in edges {
+            offsets[from as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        targets.clear();
+        targets.resize(edges.len(), 0);
+        for &(from, to) in edges {
+            let cursor = &mut offsets[from as usize];
+            targets[*cursor as usize] = to;
+            *cursor += 1;
+        }
+        // Each source's cursor now sits at the start of the next source's
+        // range: shift them back by one source.
+        for i in (1..=n).rev() {
+            offsets[i] = offsets[i - 1];
+        }
+        offsets[0] = 0;
     }
 
     #[cfg(test)]
     fn assemble(tasks: Vec<Task>, offsets: Vec<u32>, targets: Vec<u32>, num_devices: u32) -> Self {
-        let mut cols = Columns::with_capacity(tasks.len());
+        let mut tg = TaskGraph { offsets, targets, num_devices, ..TaskGraph::default() };
         for t in tasks {
-            cols.push(t.device, t.stream, t.duration, t.kind);
+            tg.push_task(t.device, t.stream, t.duration, t.kind);
         }
-        cols.into_graph(offsets, targets, num_devices)
+        tg
     }
 
     /// The assembled view of task `i` (cheap: four column reads).
@@ -319,75 +323,6 @@ impl TaskGraph {
     }
 }
 
-/// The growing column set of a lowering in progress.
-struct Columns {
-    device: Vec<u32>,
-    stream: Vec<u8>,
-    duration: Vec<TimeNs>,
-    kind: Vec<TaskKind>,
-}
-
-impl Columns {
-    fn with_capacity(n: usize) -> Self {
-        Columns {
-            device: Vec::with_capacity(n),
-            stream: Vec::with_capacity(n),
-            duration: Vec::with_capacity(n),
-            kind: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, device: u32, stream: u8, duration: TimeNs, kind: TaskKind) {
-        self.device.push(device);
-        self.stream.push(stream);
-        self.duration.push(duration);
-        self.kind.push(kind);
-    }
-
-    fn len(&self) -> usize {
-        self.duration.len()
-    }
-
-    fn into_graph(self, offsets: Vec<u32>, targets: Vec<u32>, num_devices: u32) -> TaskGraph {
-        TaskGraph {
-            device: self.device,
-            stream: self.stream,
-            duration: self.duration,
-            kind: self.kind,
-            offsets,
-            targets,
-            num_devices,
-        }
-    }
-}
-
-/// Fills `offsets`/`targets` with the CSR of `edges` over `n` tasks,
-/// preserving per-source insertion order (a counting sort over sources is
-/// stable in edge order).
-fn fill_csr(n: usize, edges: &[(u32, u32)], offsets: &mut Vec<u32>, targets: &mut Vec<u32>) {
-    offsets.clear();
-    offsets.resize(n + 1, 0);
-    for &(from, _) in edges {
-        offsets[from as usize + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    targets.clear();
-    targets.resize(edges.len(), 0);
-    for &(from, to) in edges {
-        let cursor = &mut offsets[from as usize];
-        targets[*cursor as usize] = to;
-        *cursor += 1;
-    }
-    // Each source's cursor now sits at the start of the next source's
-    // range: shift them back by one source.
-    for i in (1..=n).rev() {
-        offsets[i] = offsets[i - 1];
-    }
-    offsets[0] = 0;
-}
-
 fn stream_index(stream: StreamKind) -> u8 {
     match stream {
         StreamKind::Compute => 0,
@@ -405,66 +340,28 @@ pub(crate) fn comm_kind(c: &CommOp) -> TaskKind {
     }
 }
 
-/// A [`GraphSink`] mapping builder nodes straight to task columns.
-///
-/// Profile and communication-latency lookups are memoized in tiny
-/// linear-scan tables: one plan touches ≲ a dozen distinct compute
-/// signatures and a handful of distinct communication shapes, and a short
-/// `Vec` probe beats hashing an 80-byte signature per node.
-struct LoweringSink<'a> {
-    profiles: &'a ProfileSet,
-    comm: &'a CommModel,
-    sig_memo: Vec<(OpSignature, TimeNs, u32)>,
-    comm_memo: Vec<(CommOp, TimeNs)>,
-    cols: Columns,
+/// A [`GraphSink`] writing each builder node as a task priced by its
+/// latency slot, and recording the slot if asked to.
+struct SlotSink<'a> {
+    values: &'a [TimeNs],
+    kinds: &'a [TaskKind],
+    graph: TaskGraph,
+    slots: Option<&'a mut Vec<u32>>,
     edges: Vec<(u32, u32)>,
-    num_devices: u32,
-    missing: bool,
 }
 
-impl LoweringSink<'_> {
-    fn compute_latency(&mut self, sig: &OpSignature) -> (TimeNs, u32) {
-        if let Some(&(_, total, kernels)) =
-            self.sig_memo.iter().find(|(cached, _, _)| cached == sig)
-        {
-            return (total, kernels);
-        }
-        let (total, kernels) = match self.profiles.lookup(sig) {
-            Some(hit) => hit,
-            None => {
-                self.missing = true;
-                (TimeNs::ZERO, 0)
-            }
-        };
-        self.sig_memo.push((*sig, total, kernels));
-        (total, kernels)
+impl GraphSink for SlotSink<'_> {
+    fn push(&mut self, _node: OpNode) -> u32 {
+        unreachable!("the builder emits every node through push_slotted")
     }
 
-    fn comm_latency(&mut self, op: &CommOp) -> TimeNs {
-        if let Some(&(_, latency)) = self.comm_memo.iter().find(|(cached, _)| cached == op) {
-            return latency;
+    fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
+        let (stream, s) = (stream_index(node.stream), slot as usize);
+        self.graph.push_task(node.device, stream, self.values[s], self.kinds[s]);
+        if let Some(slots) = self.slots.as_deref_mut() {
+            slots.push(slot);
         }
-        let latency = self.comm.latency(op);
-        self.comm_memo.push((*op, latency));
-        latency
-    }
-}
-
-impl GraphSink for LoweringSink<'_> {
-    fn push(&mut self, node: OpNode) -> u32 {
-        let stream = stream_index(node.stream);
-        let idx = self.cols.len() as u32;
-        match &node.op {
-            Op::Compute(c) => {
-                let (duration, kernels) = self.compute_latency(&c.sig);
-                self.cols.push(node.device, stream, duration, TaskKind::Compute { kernels });
-            }
-            Op::Comm(c) => {
-                let latency = self.comm_latency(c);
-                self.cols.push(node.device, stream, latency, comm_kind(c));
-            }
-        }
-        idx
+        self.graph.len() as u32 - 1
     }
 
     fn add_edge(&mut self, from: u32, to: u32) {
@@ -478,7 +375,7 @@ mod tests {
     use vtrain_graph::build_op_graph;
     use vtrain_model::presets;
     use vtrain_parallel::{ClusterSpec, GpuSpec, ParallelConfig};
-    use vtrain_profile::{ProfileCache, Profiler};
+    use vtrain_profile::Profiler;
 
     /// A 1 µs single-kernel compute task on device 0's compute stream.
     const UNIT_TASK: Task = Task {
@@ -546,16 +443,6 @@ mod tests {
         let empty = OperatorTaskTable::new();
         let comm = CommModel::new(&ClusterSpec::aws_p4d(8), 1.0);
         assert_eq!(TaskGraph::lower(&graph, &empty, &comm).unwrap_err(), MissingProfile);
-        // The fused path reports the same error for an empty profile set.
-        let err = TaskGraph::lower_fused(
-            &model,
-            &plan,
-            &GraphOptions::default(),
-            &ProfileSet::default(),
-            &comm,
-        )
-        .unwrap_err();
-        assert_eq!(err, MissingProfile);
     }
 
     #[test]
@@ -572,45 +459,6 @@ mod tests {
             .unwrap();
         // A backward block with recompute aggregates well over 10 kernels.
         assert!(max_kernels >= 10, "max kernels {max_kernels}");
-    }
-
-    #[test]
-    fn fused_lowering_is_identical_to_two_phase() {
-        let model = presets::megatron("1.7B");
-        let cluster = ClusterSpec::aws_p4d(64);
-        let comm = CommModel::new(&cluster, 1.0);
-        let cache = ProfileCache::new();
-        let profiler = Profiler::new(cluster.gpu.clone());
-        for (t, d, p, m, b) in [(1, 1, 1, 1, 4), (2, 2, 2, 1, 8), (2, 4, 3, 2, 16)] {
-            let plan = ParallelConfig::builder()
-                .tensor(t)
-                .data(d)
-                .pipeline(p)
-                .micro_batch(m)
-                .global_batch(b)
-                .build()
-                .unwrap();
-            let opts = GraphOptions::default();
-            let graph = build_op_graph(&model, &plan, &opts);
-            let table = profiler.profile(&graph.necessary_operators());
-            let two_phase = TaskGraph::lower(&graph, &table, &comm).unwrap();
-
-            let sigs = vtrain_graph::plan_signatures(&model, &plan, &opts);
-            let profiles = cache.resolve(&profiler, &sigs);
-            let fused = TaskGraph::lower_fused(&model, &plan, &opts, &profiles, &comm).unwrap();
-
-            assert_eq!(fused.len(), two_phase.len());
-            assert_eq!(fused.num_devices(), two_phase.num_devices());
-            assert!(fused.is_stream_chained());
-            for i in 0..fused.len() as u32 {
-                let (a, b) = (fused.task(i), two_phase.task(i));
-                assert_eq!(
-                    (a.device, a.stream, a.duration, a.kind),
-                    (b.device, b.stream, b.duration, b.kind)
-                );
-                assert_eq!(fused.children(i), two_phase.children(i), "children of {i}");
-            }
-        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::sync::{Arc, RwLock};
 
 use serde::{Deserialize, Serialize};
 use vtrain_graph::OpSignature;
-use vtrain_model::TimeNs;
 use vtrain_parallel::GpuSpec;
 
 use crate::decompose::canonical;
@@ -89,48 +88,6 @@ impl CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
         }
-    }
-}
-
-/// The resolved profiles of one plan's necessary operators: a small
-/// signature → `(total latency, kernel count)` view cheap to probe during
-/// lowering, holding shared handles to the cached task lists.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileSet {
-    entries: HashMap<OpSignature, Arc<OpProfile>>,
-}
-
-impl ProfileSet {
-    /// The profile of `sig`, if resolved.
-    pub fn get(&self, sig: &OpSignature) -> Option<&Arc<OpProfile>> {
-        self.entries.get(sig)
-    }
-
-    /// Adds (or replaces) a resolved profile, keyed by the *original*
-    /// signature — used for operators evaluated inline rather than
-    /// through a cache (e.g. single-kernel weight updates).
-    pub fn insert(&mut self, sig: OpSignature, profile: Arc<OpProfile>) {
-        self.entries.insert(sig, profile);
-    }
-
-    /// `(total latency, kernel count)` of `sig`, if resolved.
-    pub fn lookup(&self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
-        self.entries.get(sig).map(|p| (p.total(), p.kernel_count() as u32))
-    }
-
-    /// Number of resolved signatures.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is resolved.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(signature, profile)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&OpSignature, &Arc<OpProfile>)> {
-        self.entries.iter()
     }
 }
 
@@ -398,20 +355,6 @@ impl ProfileCache {
         }
     }
 
-    /// Resolves every signature in `sigs`, profiling only the missing
-    /// ones. The GPU key is derived once per call, not once per
-    /// signature.
-    pub fn resolve<'a>(
-        &self,
-        profiler: &Profiler,
-        sigs: impl IntoIterator<Item = &'a OpSignature>,
-    ) -> ProfileSet {
-        let gpu = GpuKey::of(profiler.gpu());
-        let entries =
-            sigs.into_iter().map(|sig| (*sig, self.lookup(&gpu, profiler, sig).0)).collect();
-        ProfileSet { entries }
-    }
-
     /// Distinct profiles currently cached.
     pub fn len(&self) -> usize {
         self.shards
@@ -636,6 +579,7 @@ impl ProfileCache {
 mod tests {
     use super::*;
     use vtrain_graph::CompKind;
+    use vtrain_model::TimeNs;
 
     fn sig(micro_batch: usize) -> OpSignature {
         OpSignature {
@@ -686,21 +630,6 @@ mod tests {
         // kernels; the entries must be independent.
         assert!(p80.total() <= p40.total());
         assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn resolve_profiles_only_missing_signatures() {
-        let cache = ProfileCache::new();
-        let profiler = Profiler::new(GpuSpec::a100_40gb());
-        let sigs: Vec<OpSignature> = vec![sig(1), sig(2)];
-        let first = cache.resolve(&profiler, &sigs);
-        assert_eq!(first.len(), 2);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        let second = cache.resolve(&profiler, &sigs);
-        assert_eq!(second.len(), 2);
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 2 });
-        assert_eq!(second.lookup(&sig(1)), first.lookup(&sig(1)));
-        assert!(second.lookup(&sig(1)).unwrap().0 > TimeNs::ZERO);
     }
 
     #[test]

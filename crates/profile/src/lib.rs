@@ -49,7 +49,7 @@ mod decompose;
 mod profiler;
 mod table;
 
-pub use cache::{CacheStats, GpuKey, ProfileCache, ProfileSet, SnapshotError, SNAPSHOT_VERSION};
+pub use cache::{CacheStats, GpuKey, ProfileCache, SnapshotError, SNAPSHOT_VERSION};
 pub use comm_model::CommModel;
 pub use decompose::{canonical, decompose};
 pub use profiler::Profiler;

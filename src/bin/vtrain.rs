@@ -153,6 +153,26 @@ impl Opts {
         let budget = Budget { deadline_ms: self.deadline_ms, max_points: self.max_points };
         (!budget.is_empty()).then_some(budget)
     }
+
+    /// The complaint about the first option `command` does not take:
+    /// `--timeline` belongs to `predict`, and `--metrics` and
+    /// `--stage-profile` to `sweep`, in both cases without `--json`; the
+    /// budget flags to `sweep` or any command with `--json`.
+    fn misplaced(&self, command: &str) -> Option<&'static str> {
+        let human = |c: &str| !self.json && command == c;
+        if self.timeline.is_some() && !human("predict") {
+            return Some("--timeline applies to `predict` (without --json)");
+        }
+        if (self.metrics.is_some() || self.stage_profile) && !human("sweep") {
+            return Some("--metrics/--stage-profile apply to `sweep` (without --json)");
+        }
+        if self.budget().is_some() && !self.json && command != "sweep" {
+            return Some(
+                "--deadline-ms/--max-points apply to `sweep` (or any command with --json)",
+            );
+        }
+        None
+    }
 }
 
 /// Parses a numeric option value; `Err` carries the usage complaint.
@@ -198,15 +218,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(complaint) = opts.misplaced(command) {
+        eprintln!("error: {complaint}\n\n{USAGE}");
+        return ExitCode::from(2);
+    }
     if opts.json {
         return json_mode(command, path, &opts);
-    }
-    if opts.budget().is_some() && command != "sweep" {
-        eprintln!(
-            "error: --deadline-ms/--max-points apply to `sweep` (or any command with --json)\
-             \n\n{USAGE}"
-        );
-        return ExitCode::from(2);
     }
     if std::fs::metadata(path).is_ok_and(|m| m.is_dir()) {
         if command != "sweep" {

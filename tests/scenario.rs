@@ -195,6 +195,31 @@ fn cli_error_paths_exit_2_with_context() {
 }
 
 #[test]
+fn options_outside_their_command_exit_2_and_write_nothing() {
+    let dir = std::env::temp_dir().join(format!("vtrain-cli-misplaced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_file = dir.join("out.json");
+    let out_path = out_file.to_str().unwrap();
+    for (args, flag) in [
+        (&["predict", EXAMPLE_PATH, "--json", "--timeline", out_path][..], "--timeline"),
+        (&["sweep", SWEEP_PATH, "--timeline", out_path], "--timeline"),
+        (&["explain", EXAMPLE_PATH, "--timeline", out_path], "--timeline"),
+        (&["predict", EXAMPLE_PATH, "--metrics", out_path], "--metrics"),
+        (&["predict", EXAMPLE_PATH, "--stage-profile"], "--stage-profile"),
+        (&["sweep", SWEEP_PATH, "--json", "--metrics", out_path], "--metrics"),
+        (&["sweep", SWEEP_PATH, "--json", "--stage-profile"], "--stage-profile"),
+        (&["predict", EXAMPLE_PATH, "--max-points", "1"], "--max-points"),
+    ] {
+        let out = vtrain(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag) && stderr.contains("usage: vtrain"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(!out_file.exists(), "{args:?} wrote {out_path}");
+    }
+}
+
+#[test]
 fn scenario_without_parallelism_cannot_predict_but_can_sweep() {
     let out = vtrain(&["predict", SWEEP_PATH]);
     assert_eq!(out.status.code(), Some(2), "sweep-only scenario must not predict");
