@@ -217,6 +217,7 @@ fn options_outside_their_command_exit_2_and_write_nothing() {
         assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
         assert!(!out_file.exists(), "{args:?} wrote {out_path}");
     }
+    std::fs::remove_dir(&dir).unwrap();
 }
 
 #[test]
