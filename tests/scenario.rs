@@ -69,6 +69,33 @@ fn predict_output_matches_golden() {
     );
 }
 
+/// The shipped `Front` sweep's `--json` response, pinned byte for byte
+/// under both networks: a change to the sweep executor must not move a
+/// frontier point. Regenerate after an intentional pricing change with
+/// `VTRAIN_BLESS=1 cargo test -q --test scenario`.
+#[test]
+fn sweep_json_matches_golden() {
+    for (network, rel) in [
+        ("closed-form", "tests/golden/sweep_megatron_1_7b.json"),
+        ("fair-sharing", "tests/golden/sweep_megatron_1_7b_fair.json"),
+    ] {
+        let out = vtrain(&["sweep", SWEEP_PATH, "--json", "--network", network]);
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let got = String::from_utf8(out.stdout).expect("UTF-8 response");
+        let golden_path = repo_file(rel);
+        if std::env::var("VTRAIN_BLESS").is_ok() {
+            std::fs::write(&golden_path, &got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&golden_path).expect("golden file present");
+        assert_eq!(
+            got, want,
+            "`vtrain sweep --json --network {network}` drifted from {rel} — \
+             if the change is intentional, regenerate with VTRAIN_BLESS=1"
+        );
+    }
+}
+
 #[test]
 fn sweep_subcommand_runs_goal_guided_placements_end_to_end() {
     let out = vtrain(&["sweep", SWEEP_PATH]);
