@@ -9,12 +9,11 @@
 //! `--topology` to additionally sweep the same grid over interconnect
 //! placements (two-tier vs multi-rack, writing `fig10_topology.json`) —
 //! the axis the flat communication model could not express. Pass
-//! `--goal {exhaustive|front|best}` to let the bound-guided executor skip
-//! points whose analytic floor already loses to an incumbent: `front`
-//! returns exactly the Pareto frontier, `best` exactly the fastest point
-//! (both provably identical to the exhaustive winners); the default
-//! exhaustive mode computes no bounds and its grid JSON stays
-//! byte-identical by construction.
+//! `--goal {exhaustive|front|best}` to filter the result: `front`
+//! evaluates the exhaustive grid and keeps exactly its Pareto frontier;
+//! `best` lets the bound-guided executor skip points whose analytic
+//! floor is already slower than the incumbent and returns exactly the
+//! exhaustive fastest point. Only `best` computes bounds.
 //!
 //! Every run also writes `results/BENCH_sweep.json` with the sweep's
 //! throughput report (wall time, points/s, cache hit-rate) and the

@@ -2,9 +2,10 @@
 //! tensor-parallel slice of the MT-NLG design space, highlighting the three
 //! published MT-NLG plans and the three vTrain-uncovered plans.
 //!
-//! Pass `--goal {exhaustive|front|best}` to bound-prune the background
-//! cloud (the highlighted Table I plans are always estimated in full);
-//! the default stays exhaustive and byte-identical.
+//! Pass `--goal {exhaustive|front|best}` to filter the background cloud
+//! to its Pareto frontier (`front`) or its fastest point (`best`, the one
+//! goal that bound-prunes); the highlighted Table I plans are always
+//! estimated in full, and the default stays exhaustive.
 //!
 //! ```sh
 //! cargo run --release -p vtrain-bench --bin fig11_tradeoff

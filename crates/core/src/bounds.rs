@@ -1,6 +1,6 @@
 //! Admissible analytic lower bounds on Predicted iteration time — the
 //! roofline floor that licenses bound-guided design-space pruning
-//! ([`SweepGoal`](crate::search::SweepGoal)).
+//! ([`SweepGoal::Best`](crate::search::SweepGoal::Best)).
 //!
 //! The replay's iteration time can never undercut the busy time of any
 //! single (device, stream) timeline, so a sound floor follows from

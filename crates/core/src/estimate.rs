@@ -735,8 +735,9 @@ impl Estimator {
 
     /// An admissible analytic lower bound on the plan's Predicted
     /// iteration time, computed without lowering — see
-    /// [`bounds`](crate::bounds) for the construction. Bound-guided sweep
-    /// goals use this to skip points that provably lose to an incumbent.
+    /// [`bounds`](crate::bounds) for the construction. A
+    /// [`SweepGoal::Best`](crate::search::SweepGoal::Best) sweep uses this
+    /// to skip points that provably lose to its incumbent.
     ///
     /// # Panics
     ///

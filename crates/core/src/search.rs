@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use vtrain_model::{ModelConfig, TimeNs};
+use vtrain_model::ModelConfig;
 use vtrain_net::{NetworkBackend, Topology};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule};
 use vtrain_profile::ProfileCache;
@@ -67,23 +67,23 @@ impl DesignPoint {
     }
 }
 
-/// What a sweep must guarantee about its result — the license for
-/// bound-guided pruning.
+/// What a sweep must guarantee about its result (and, for `Best`, the
+/// license for bound-guided pruning).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepGoal {
     /// Evaluate every feasible candidate and return all of them. No
-    /// bounds are computed, so results are byte-identical to the
-    /// pre-goal sweep by construction.
+    /// bounds are computed.
     #[default]
     Exhaustive,
     /// Return exactly the Pareto frontier minimizing
-    /// `(iteration_time, num_gpus)`. Candidates whose analytic floor
-    /// already loses to an evaluated incumbent (strictly slower at no
-    /// fewer GPUs) are skipped without lowering.
+    /// `(iteration_time, num_gpus)`: the exhaustive sweep, filtered. No
+    /// bounds are computed: on the Fig. 10 grids a frontier dominates
+    /// few or no candidates early, so pricing floors (and visiting by GPU
+    /// count rather than by graph shape) costs more than it saves.
     Front,
     /// Return exactly the single fastest feasible point (earliest
-    /// candidate on ties). Candidates whose floor is strictly slower
-    /// than the incumbent best are skipped without lowering.
+    /// candidate on ties). Candidates whose analytic floor is strictly
+    /// slower than the incumbent best are skipped without lowering.
     Best,
 }
 
@@ -197,8 +197,8 @@ pub struct SweepStats {
     /// Candidates pruned by the validation stage before lowering.
     pub pruned: usize,
     /// Feasible candidates skipped because their analytic lower bound
-    /// already lost to an incumbent (always 0 under
-    /// [`SweepGoal::Exhaustive`]).
+    /// already lost to the incumbent (only nonzero under
+    /// [`SweepGoal::Best`]).
     pub bound_pruned: usize,
     /// Candidates lowered and simulated
     /// (`candidates − pruned − bound_pruned` for a completed sweep;
@@ -260,11 +260,11 @@ pub struct StageProfile {
     /// over workers.
     pub stages: StageNanos,
     /// Time spent computing analytic lower bounds (only nonzero under
-    /// `Front`/`Best` goals), summed over workers.
+    /// [`SweepGoal::Best`]), summed over workers.
     pub bound_ns: u64,
-    /// Time spent ordering the candidate visit — GPU-count sorting for
-    /// bound-guided goals, shape-key grouping for delta sweeps (a
-    /// once-per-sweep driver pass, not per-point work).
+    /// Time spent ordering the candidate visit — GPU-count sorting under
+    /// `Best`, shape-key grouping otherwise (a once-per-sweep driver
+    /// pass, not per-point work).
     #[serde(default)]
     pub order_ns: u64,
     /// Elapsed wall-clock time of the whole sweep.
@@ -368,59 +368,6 @@ pub fn enumerate_candidates(
     out
 }
 
-/// Shared bound-pruning watermarks: for each distinct GPU count in the
-/// candidate list (ascending), the best evaluated iteration time using
-/// *at most* that many GPUs, as atomic nanosecond values.
-///
-/// `Best` degenerates to a single bucket (GPU counts are irrelevant to
-/// the fastest-point goal); `Front` prunes a candidate only when an
-/// evaluated point with no more GPUs is *strictly* faster than the
-/// candidate's floor — by admissibility the candidate is then strictly
-/// dominated, so winner sets (and their candidate-order tie-breaks) are
-/// exactly those of the exhaustive sweep, regardless of thread timing.
-struct Watermarks {
-    gpu_buckets: Vec<usize>,
-    best_ns: Vec<AtomicU64>,
-}
-
-impl Watermarks {
-    fn new(goal: SweepGoal, candidates: &[ParallelConfig]) -> Watermarks {
-        let mut gpu_buckets = match goal {
-            SweepGoal::Best => Vec::new(),
-            _ => {
-                let mut gpus: Vec<usize> =
-                    candidates.iter().map(ParallelConfig::num_gpus).collect();
-                gpus.sort_unstable();
-                gpus.dedup();
-                gpus
-            }
-        };
-        if gpu_buckets.is_empty() {
-            gpu_buckets = vec![usize::MAX];
-        }
-        let best_ns = gpu_buckets.iter().map(|_| AtomicU64::new(u64::MAX)).collect();
-        Watermarks { gpu_buckets, best_ns }
-    }
-
-    fn bucket(&self, gpus: usize) -> usize {
-        self.gpu_buckets.partition_point(|&g| g < gpus).min(self.gpu_buckets.len() - 1)
-    }
-
-    /// True if some evaluated point with `≤ gpus` GPUs is strictly
-    /// faster than `floor` — the candidate is provably dominated.
-    fn dominates(&self, gpus: usize, floor: TimeNs) -> bool {
-        self.best_ns[self.bucket(gpus)].load(Ordering::Relaxed) < floor.as_nanos()
-    }
-
-    /// Records an evaluated point: its time becomes a pruning watermark
-    /// for every bucket of at least its GPU count.
-    fn record(&self, gpus: usize, time: TimeNs) {
-        for slot in &self.best_ns[self.bucket(gpus)..] {
-            slot.fetch_min(time.as_nanos(), Ordering::Relaxed);
-        }
-    }
-}
-
 /// The sweep executor: evaluates candidates on a work-stealing thread
 /// pool, pruning infeasible plans with the cheap validation stage and
 /// sharing the estimator's profile cache across workers.
@@ -433,11 +380,12 @@ impl Watermarks {
 /// returned in candidate order, so sweeps are deterministic regardless
 /// of thread count or interleaving.
 ///
-/// Under [`SweepGoal::Front`]/[`SweepGoal::Best`], candidates whose
-/// [analytic floor](Estimator::lower_bound) is strictly beaten by an
-/// evaluated incumbent (shared across workers via atomic watermarks) are
-/// skipped entirely, and the outcome is filtered to exactly the goal's
-/// winners — provably the same winners the exhaustive sweep returns.
+/// Under [`SweepGoal::Best`], candidates whose
+/// [analytic floor](Estimator::lower_bound) is strictly slower than the
+/// fastest evaluated point so far (one atomic incumbent shared across
+/// workers) are skipped entirely. The outcome is then filtered to
+/// exactly the goal's winners — provably the same winners the exhaustive
+/// sweep returns.
 ///
 /// Workers split the candidate axis only: threads beyond the candidate
 /// count stay idle.
@@ -467,37 +415,38 @@ fn run_sweep(
         };
         let _ = abort.compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
     };
-    // Exhaustive sweeps never consult watermarks; skip the sort and the
-    // atomic array entirely on that (default) path.
-    let watermarks = (goal != SweepGoal::Exhaustive).then(|| Watermarks::new(goal, candidates));
+    // Only `Best` prunes by bound: the fastest evaluated iteration time
+    // so far, in nanoseconds. A candidate whose admissible floor is
+    // strictly slower can neither win nor tie the winner, so the result
+    // is the exhaustive sweep's regardless of thread timing.
+    let prune = goal == SweepGoal::Best;
+    let incumbent_ns = AtomicU64::new(u64::MAX);
 
-    // Bound-guided goals are proven order-independent, so visit
-    // likely-fastest points first (more GPUs → shorter iterations in the
-    // bulk of the space): the incumbent tightens immediately and the
-    // slow small-GPU tail prunes instead of being evaluated. The stable
-    // sort keeps candidate order within a GPU count.
+    // `Best` visits likely-fastest points first (more GPUs → shorter
+    // iterations in the bulk of the space): the incumbent tightens
+    // immediately and the slow small-GPU tail prunes instead of being
+    // evaluated. The stable sort keeps candidate order within a GPU count.
     //
-    // Exhaustive sweeps instead group candidates by graph shape (stable
-    // within a group), so shape-compatible neighbors land back to back in
-    // each worker's scratch and lower as patches rather than from
-    // scratch. Either reordering only changes *visit* order: results are
-    // re-sorted by candidate index below, so the outcome is byte-identical
-    // to the unordered sweep.
+    // Every other goal groups candidates by graph shape (stable within a
+    // group), so shape-compatible neighbors land back to back in each
+    // worker's scratch and lower as patches rather than from scratch.
+    // Either reordering only changes *visit* order: results are re-sorted
+    // by candidate index below, so the outcome is byte-identical to the
+    // unordered sweep.
     let order_t0 = profile.then(Instant::now);
     let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
-    match goal {
-        SweepGoal::Exhaustive => {
-            let mut group_of = HashMap::new();
-            let groups: Vec<u32> = candidates
-                .iter()
-                .map(|c| {
-                    let next = group_of.len() as u32;
-                    *group_of.entry(estimator.shape_key(model, c)).or_insert(next)
-                })
-                .collect();
-            order.sort_by_key(|&i| groups[i as usize]);
-        }
-        _ => order.sort_by_key(|&i| std::cmp::Reverse(candidates[i as usize].num_gpus())),
+    if prune {
+        order.sort_by_key(|&i| std::cmp::Reverse(candidates[i as usize].num_gpus()));
+    } else {
+        let mut group_of = HashMap::new();
+        let groups: Vec<u32> = candidates
+            .iter()
+            .map(|c| {
+                let next = group_of.len() as u32;
+                *group_of.entry(estimator.shape_key(model, c)).or_insert(next)
+            })
+            .collect();
+        order.sort_by_key(|&i| groups[i as usize]);
     }
     let order_ns = order_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
@@ -546,17 +495,17 @@ fn run_sweep(
                     pruned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                if let Some(marks) = watermarks.as_ref() {
+                if prune {
                     // The floor's cost is a stage of its own: bound
                     // pricing is neither validation nor lowering, and
                     // folding it into either would hide the cost of
-                    // bound-guided goals from the attribution table.
+                    // pruning from the attribution table.
                     let t0 = profile.then(Instant::now);
                     let floor = estimator.lower_bound(model, &plan);
                     if let Some(t0) = t0 {
                         bound_ns += t0.elapsed().as_nanos() as u64;
                     }
-                    if marks.dominates(plan.num_gpus(), floor) {
+                    if incumbent_ns.load(Ordering::Relaxed) < floor.as_nanos() {
                         bound_pruned.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
@@ -579,8 +528,8 @@ fn run_sweep(
                     &mut scratch,
                     profile.then_some(&mut stages),
                 );
-                if let Some(marks) = watermarks.as_ref() {
-                    marks.record(plan.num_gpus(), estimate.iteration_time);
+                if prune {
+                    incumbent_ns.fetch_min(estimate.iteration_time.as_nanos(), Ordering::Relaxed);
                 }
                 buf.push((i as u32, DesignPoint { plan, estimate }));
             }
@@ -900,8 +849,9 @@ impl Sweep {
     }
 
     /// Sets what the sweep must guarantee (default
-    /// [`SweepGoal::Exhaustive`]); `Front`/`Best` license bound-guided
-    /// pruning and return exactly the exhaustive winners.
+    /// [`SweepGoal::Exhaustive`]). `Front` filters the exhaustive sweep
+    /// to its Pareto frontier; `Best` licenses bound-guided pruning.
+    /// Both return exactly the exhaustive winners.
     pub fn goal(mut self, goal: SweepGoal) -> Self {
         self.goal = goal;
         self
@@ -1388,29 +1338,27 @@ mod tests {
     #[test]
     fn goal_guided_stage_profiles_attribute_bound_time() {
         // Regression test: `bound_ns` must be a stage window of its own,
-        // nonzero whenever a goal-guided profiled sweep priced floors.
+        // nonzero whenever a profiled `Best` sweep priced floors, and
+        // zero under `Front`, which prices none.
         let cluster = ClusterSpec::aws_p4d(32);
         let model = presets::megatron("1.7B");
         let limits =
             SearchLimits { max_tensor: 4, max_data: 8, max_pipeline: 4, max_micro_batch: 4 };
         let cands = enumerate_candidates(&model, &cluster, 32, PipelineSchedule::OneFOneB, &limits);
-        let outcome = Sweep::over(&model, &cluster)
-            .candidates(cands)
-            .threads(1)
-            .goal(SweepGoal::Best)
-            .stage_profile(true)
-            .run()
-            .into_outcome();
+        let sweep = Sweep::over(&model, &cluster).candidates(cands).threads(1).stage_profile(true);
+        let outcome = sweep.clone().goal(SweepGoal::Best).run().into_outcome();
         let profile = outcome.stage_profile.expect("requested profile must be attached");
         assert!(
             outcome.stats.evaluated + outcome.stats.bound_pruned > 0,
             "grid must reach the bound stage"
         );
-        assert!(
-            profile.bound_ns > 0,
-            "goal-guided sweeps price floors, so bound time must be attributed"
-        );
+        assert!(profile.bound_ns > 0, "`Best` prices floors, so bound time must be attributed");
         assert!(profile.attributed_ns() <= profile.wall_ns);
+
+        let front = sweep.goal(SweepGoal::Front).run().into_outcome();
+        let profile = front.stage_profile.expect("requested profile must be attached");
+        assert!(front.stats.evaluated > 0);
+        assert_eq!(profile.bound_ns, 0, "`Front` never prices floors");
     }
 
     #[test]
@@ -1627,7 +1575,18 @@ mod tests {
             }
         }
 
+        // `Front` is the exhaustive sweep, filtered: same evaluations,
+        // no bounds, and (on one thread, where no steal reorders the
+        // visit) the same fresh/patched split.
         let front = run_goal(SweepGoal::Front);
+        assert_eq!(front.stats.bound_pruned, 0, "`Front` never prunes by bound");
+        assert_eq!(front.stats.evaluated, exhaustive.stats.evaluated);
+        if threads == 1 {
+            assert_eq!(
+                (front.stats.delta_fresh, front.stats.delta_patched),
+                (exhaustive.stats.delta_fresh, exhaustive.stats.delta_patched)
+            );
+        }
         let want_front: Vec<&DesignPoint> = pareto_front(&exhaustive.points);
         assert_eq!(front.points.len(), want_front.len());
         for (got, want) in front.points.iter().zip(&want_front) {
@@ -1741,7 +1700,7 @@ mod tests {
 
         /// Determinism under pruning: `Best`/`Front` return exactly the
         /// exhaustive sweep's winners across random grids, batch sizes,
-        /// and thread counts — regardless of watermark race timing.
+        /// and thread counts — regardless of incumbent race timing.
         #[test]
         fn goal_pruning_never_changes_winners(
             max_tensor_exp in 0usize..=2,

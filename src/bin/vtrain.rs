@@ -19,8 +19,10 @@
 //! Exit codes (one table for every command, `vtrain::api::ErrorCode`):
 //! `0` success; `1` internal/I-O failure; `2` usage error or invalid
 //! scenario; `3` server busy (admission rejected); `4` deadline or
-//! point budget exceeded.
+//! point budget exceeded. A reader that closes stdout early
+//! (`vtrain sweep ... | head -1`) ends the report quietly with `0`.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -189,11 +191,54 @@ fn exit_for(e: &Error) -> ExitCode {
     ExitCode::from(ErrorCode::classify(e).exit_code())
 }
 
+/// Why a command stopped early: the run failed, or stdout refused a
+/// report line.
+enum Failure {
+    Run(Error),
+    Write(io::Error),
+}
+
+impl From<Error> for Failure {
+    fn from(e: Error) -> Self {
+        Failure::Run(e)
+    }
+}
+
+impl From<vtrain::sim::EstimateError> for Failure {
+    fn from(e: vtrain::sim::EstimateError) -> Self {
+        Failure::Run(e.into())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Write(e)
+    }
+}
+
+/// Reports a command's failure on stderr and maps it to its exit code.
+/// A reader that closed the pipe early (`vtrain ... | head -1`) took
+/// all it wanted, so that ends the output quietly with exit 0.
+fn finish(result: Result<(), Failure>, path: &str) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Write(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {path}: {e}");
+            exit_for(&e)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut io::stdout();
     if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return finish(writeln!(out, "{USAGE}").map_err(Failure::from), "");
     }
     let (command, path, rest) = match args.as_slice() {
         [command, path, rest @ ..] => (command.as_str(), path.as_str(), rest),
@@ -223,48 +268,33 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     if opts.json {
-        return json_mode(command, path, &opts);
+        return json_mode(command, path, &opts, out);
     }
     if std::fs::metadata(path).is_ok_and(|m| m.is_dir()) {
         if command != "sweep" {
             eprintln!("error: {path} is a directory (only `sweep` accepts one)\n\n{USAGE}");
             return ExitCode::from(2);
         }
-        return match sweep_batch(path, &opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                exit_for(&e)
-            }
-        };
+        return finish(sweep_batch(path, &opts, out), path);
     }
     let scenario = match load_scenario(path) {
         Ok(mut s) => {
             apply_network_override(&mut s, &opts);
             s
         }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return exit_for(&e);
-        }
+        Err(e) => return finish(Err(e.into()), path),
     };
     let result = match command {
-        "predict" => predict(&scenario, &opts),
-        "sweep" => sweep(&scenario, &opts),
-        "explain" => explain(&scenario),
-        "validate" => validate(&scenario),
+        "predict" => predict(&scenario, &opts, out),
+        "sweep" => sweep(&scenario, &opts, out),
+        "explain" => explain(&scenario, out),
+        "validate" => validate(&scenario, out),
         other => {
             eprintln!("error: unknown command `{other}`\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            exit_for(&e)
-        }
-    }
+    finish(result, path)
 }
 
 /// Reads and parses one scenario file, both failure modes in the
@@ -286,7 +316,7 @@ fn apply_network_override(scenario: &mut Scenario, opts: &Opts) {
 
 /// `--json`: execute through the wire API and print the one response
 /// line the serve daemon would send — same bytes, same classification.
-fn json_mode(command: &str, path: &str, opts: &Opts) -> ExitCode {
+fn json_mode(command: &str, path: &str, opts: &Opts, out: &mut impl Write) -> ExitCode {
     let kind = match command {
         "predict" => RequestKind::Predict,
         "sweep" => RequestKind::Sweep,
@@ -305,7 +335,9 @@ fn json_mode(command: &str, path: &str, opts: &Opts) -> ExitCode {
         }
         Err(e) => Response::err("cli", ErrorBody::from_error(&e)),
     };
-    println!("{}", response.to_json());
+    if let Err(e) = writeln!(out, "{}", response.to_json()) {
+        return finish(Err(e.into()), path);
+    }
     match &response.outcome {
         vtrain::api::Outcome::Ok(_) => ExitCode::SUCCESS,
         vtrain::api::Outcome::Err(body) => ExitCode::from(body.code.exit_code()),
@@ -373,7 +405,8 @@ fn print_projection(
     cost: &CostModel,
     estimate: &IterationEstimate,
     indent: &str,
-) {
+    out: &mut impl Write,
+) -> io::Result<()> {
     if let Some(tokens) = scenario.tokens {
         let projection = TrainingProjection::project(
             estimate.iteration_time,
@@ -382,13 +415,14 @@ fn print_projection(
             estimate.num_gpus,
             cost,
         );
-        println!("{indent}iterations:      {}", projection.iterations);
-        println!("{indent}training time:   {:.2} days", projection.days());
-        println!("{indent}training cost:   ${:.2}M", projection.total_dollars / 1e6);
+        writeln!(out, "{indent}iterations:      {}", projection.iterations)?;
+        writeln!(out, "{indent}training time:   {:.2} days", projection.days())?;
+        writeln!(out, "{indent}training cost:   ${:.2}M", projection.total_dollars / 1e6)?;
     }
+    Ok(())
 }
 
-fn predict(scenario: &Scenario, opts: &Opts) -> Result<(), Error> {
+fn predict(scenario: &Scenario, opts: &Opts, out: &mut impl Write) -> Result<(), Failure> {
     // Full cross-section validation: anything `validate` rejects must
     // not run (e.g. a noise section that would be silently ignored).
     scenario.check()?;
@@ -398,54 +432,60 @@ fn predict(scenario: &Scenario, opts: &Opts) -> Result<(), Error> {
     let estimator = scenario.estimator()?;
     let estimate = estimator.estimate(&model, &plan)?;
 
-    if let Some(out) = &opts.timeline {
+    if let Some(path) = &opts.timeline {
         let timeline = estimator.timeline(&model, &plan)?;
         assert_eq!(
             timeline.recorder.max_end_ns(),
             estimate.iteration_time.as_nanos(),
             "timeline must end exactly at the predicted iteration time"
         );
-        write_file(out, &timeline.recorder.to_chrome_trace())?;
-        println!(
-            "timeline:        {} spans over {} tracks -> {out}",
+        write_file(path, &timeline.recorder.to_chrome_trace())?;
+        writeln!(
+            out,
+            "timeline:        {} spans over {} tracks -> {path}",
             timeline.recorder.len(),
             timeline.report.device_busy.len()
-        );
+        )?;
     }
 
-    println!("model:           {model}");
-    println!("plan:            {plan}");
-    println!("GPUs:            {}", estimate.num_gpus);
-    println!("iteration time:  {}", estimate.iteration_time);
-    println!("utilization:     {:.1}%", estimate.utilization * 100.0);
-    println!(
+    writeln!(out, "model:           {model}")?;
+    writeln!(out, "plan:            {plan}")?;
+    writeln!(out, "GPUs:            {}", estimate.num_gpus)?;
+    writeln!(out, "iteration time:  {}", estimate.iteration_time)?;
+    writeln!(out, "utilization:     {:.1}%", estimate.utilization * 100.0)?;
+    writeln!(
+        out,
         "busy breakdown:  compute {} | TP {} | DP {} | PP {}",
         estimate.busy.compute, estimate.busy.tp_comm, estimate.busy.dp_comm, estimate.busy.pp_comm
-    );
+    )?;
     if scenario.noise.is_some() {
         let measured = estimator.measure(&model, &plan)?;
-        println!("measured:        {} (noise-emulated ground truth)", measured.iteration_time);
+        writeln!(
+            out,
+            "measured:        {} (noise-emulated ground truth)",
+            measured.iteration_time
+        )?;
     }
-    print_projection(scenario, &cost, &estimate, "");
+    print_projection(scenario, &cost, &estimate, "", out)?;
     Ok(())
 }
 
-fn sweep(scenario: &Scenario, opts: &Opts) -> Result<(), Error> {
+fn sweep(scenario: &Scenario, opts: &Opts, out: &mut impl Write) -> Result<(), Failure> {
     // A shared cache handle so its traffic can be published after the
     // run; `--metrics` turns the (otherwise free) registry on.
     let cache = std::sync::Arc::new(ProfileCache::new());
     if opts.metrics.is_some() {
         vtrain::obs::set_enabled(true);
     }
-    sweep_one(scenario, opts, &cache)?;
-    dump_sweep_metrics(opts, &cache)
+    sweep_one(scenario, opts, &cache, out)?;
+    dump_sweep_metrics(opts, &cache, out)
 }
 
 /// `sweep` over a directory: every `*.json` scenario in it, in sorted
 /// (deterministic) order, all sharing one profile cache — compute
 /// profiles depend on the operator signature and the GPU, not the
 /// scenario, so later scenarios start from the hits of earlier ones.
-fn sweep_batch(dir: &str, opts: &Opts) -> Result<(), Error> {
+fn sweep_batch(dir: &str, opts: &Opts, out: &mut impl Write) -> Result<(), Failure> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| Error::io(format!("cannot read directory {dir}: {e}")))?;
     let mut files: Vec<std::path::PathBuf> = entries
@@ -454,13 +494,13 @@ fn sweep_batch(dir: &str, opts: &Opts) -> Result<(), Error> {
         .collect();
     files.sort();
     if files.is_empty() {
-        return Err(Error::scenario(format!("no *.json scenarios in {dir}")));
+        return Err(Error::scenario(format!("no *.json scenarios in {dir}")).into());
     }
     let cache = std::sync::Arc::new(ProfileCache::new());
     if opts.metrics.is_some() {
         vtrain::obs::set_enabled(true);
     }
-    println!("batch sweep: {} scenarios, one shared profile cache", files.len());
+    writeln!(out, "batch sweep: {} scenarios, one shared profile cache", files.len())?;
     for (i, file) in files.iter().enumerate() {
         let path = file.display();
         let text = std::fs::read_to_string(file)
@@ -468,19 +508,26 @@ fn sweep_batch(dir: &str, opts: &Opts) -> Result<(), Error> {
         let mut scenario =
             Scenario::from_json(&text).map_err(|e| Error::scenario(format!("{path}: {e}")))?;
         apply_network_override(&mut scenario, opts);
-        println!("\n[{}/{}] {path}", i + 1, files.len());
-        sweep_one(&scenario, opts, &cache).map_err(|e| Error::scenario(format!("{path}: {e}")))?;
+        writeln!(out, "\n[{}/{}] {path}", i + 1, files.len())?;
+        sweep_one(&scenario, opts, &cache, out).map_err(|failure| match failure {
+            Failure::Run(e) => Failure::Run(Error::scenario(format!("{path}: {e}"))),
+            write => write,
+        })?;
     }
-    dump_sweep_metrics(opts, &cache)
+    dump_sweep_metrics(opts, &cache, out)
 }
 
 /// Writes the metrics-registry snapshot after a sweep (or a batch of
 /// them) when `--metrics` asked for one.
-fn dump_sweep_metrics(opts: &Opts, cache: &ProfileCache) -> Result<(), Error> {
-    if let Some(out) = &opts.metrics {
+fn dump_sweep_metrics(
+    opts: &Opts,
+    cache: &ProfileCache,
+    out: &mut impl Write,
+) -> Result<(), Failure> {
+    if let Some(path) = &opts.metrics {
         cache.publish_metrics();
-        write_file(out, &vtrain::obs::global().to_json())?;
-        println!("metrics: registry snapshot -> {out}");
+        write_file(path, &vtrain::obs::global().to_json())?;
+        writeln!(out, "metrics: registry snapshot -> {path}")?;
     }
     Ok(())
 }
@@ -491,7 +538,8 @@ fn sweep_one(
     scenario: &Scenario,
     opts: &Opts,
     cache: &std::sync::Arc<ProfileCache>,
-) -> Result<(), Error> {
+    out: &mut impl Write,
+) -> Result<(), Failure> {
     scenario.check()?;
     let goal = scenario.goal()?;
     let cost = scenario.cost_model()?;
@@ -515,26 +563,29 @@ fn sweep_one(
                 return Err(Error::deadline(format!(
                     "sweep exceeded its {} ms deadline",
                     opts.deadline_ms.unwrap_or(0)
-                )));
+                ))
+                .into());
             }
             Some(AbortReason::Budget) => {
                 return Err(Error::deadline(format!(
                     "sweep exceeded its {}-point budget",
                     opts.max_points.unwrap_or(0)
-                )));
+                ))
+                .into());
             }
-            Some(AbortReason::Cancelled) => return Err(Error::server("sweep cancelled")),
+            Some(AbortReason::Cancelled) => return Err(Error::server("sweep cancelled").into()),
         }
     }
     for variant in run.variants() {
         let outcome = &variant.outcome;
         let stats = outcome.stats;
         if variant.label.is_empty() {
-            println!("sweep (goal {goal:?}):");
+            writeln!(out, "sweep (goal {goal:?}):")?;
         } else {
-            println!("placement {} (goal {goal:?}):", variant.label);
+            writeln!(out, "placement {} (goal {goal:?}):", variant.label)?;
         }
-        println!(
+        writeln!(
+            out,
             "  {} candidates -> {} points ({} infeasible, {} bound-pruned) in {:.2}s \
              ({:.0} points/s, cache hit-rate {:.1}%)",
             stats.candidates,
@@ -544,59 +595,68 @@ fn sweep_one(
             stats.wall_s,
             stats.points_per_sec(),
             stats.cache_hit_rate() * 100.0
-        );
+        )?;
         if let Some(profile) = &outcome.stage_profile {
-            print_stage_profile(profile, "  ");
+            print_stage_profile(profile, "  ", out)?;
         }
         for point in outcome.points.iter().take(10) {
-            println!(
+            writeln!(
+                out,
                 "  {:>24}  {:>6} GPUs  {:>12}  util {:>5.1}%",
                 point.plan.to_string(),
                 point.estimate.num_gpus,
                 point.estimate.iteration_time.to_string(),
                 point.estimate.utilization * 100.0
-            );
+            )?;
         }
         if outcome.points.len() > 10 {
-            println!("  ... and {} more points", outcome.points.len() - 10);
+            writeln!(out, "  ... and {} more points", outcome.points.len() - 10)?;
         }
         if let Some(best) = outcome.points.iter().min_by_key(|p| p.estimate.iteration_time) {
-            println!(
+            writeln!(
+                out,
                 "  fastest: {} -> {} on {} GPUs",
                 best.plan, best.estimate.iteration_time, best.estimate.num_gpus
-            );
-            print_projection(scenario, &cost, &best.estimate, "  ");
+            )?;
+            print_projection(scenario, &cost, &best.estimate, "  ", out)?;
         }
     }
     Ok(())
 }
 
 /// Prints a sweep's per-stage CPU-time attribution table.
-fn print_stage_profile(profile: &StageProfile, indent: &str) {
+fn print_stage_profile(
+    profile: &StageProfile,
+    indent: &str,
+    out: &mut impl Write,
+) -> io::Result<()> {
     let budget = (profile.wall_ns as f64 * profile.threads.max(1) as f64).max(1.0);
     let pct = |ns: u64| ns as f64 / budget * 100.0;
-    let row = |name: &str, ns: u64| {
-        println!("{indent}{name:<12} {:>12.3} ms  {:>5.1}%", ns as f64 / 1e6, pct(ns));
-    };
-    println!(
+    writeln!(
+        out,
         "{indent}stage attribution ({} thread{}, {:.2}s wall):",
         profile.threads,
         if profile.threads == 1 { "" } else { "s" },
         profile.wall_ns as f64 / 1e9
-    );
-    row("order", profile.order_ns);
-    row("validate", profile.stages.validate_ns);
-    row("bound", profile.bound_ns);
-    row("lower", profile.stages.lower_ns);
-    row("simulate", profile.stages.simulate_ns);
-    row("summarize", profile.stages.summarize_ns);
-    println!(
+    )?;
+    for (name, ns) in [
+        ("order", profile.order_ns),
+        ("validate", profile.stages.validate_ns),
+        ("bound", profile.bound_ns),
+        ("lower", profile.stages.lower_ns),
+        ("simulate", profile.stages.simulate_ns),
+        ("summarize", profile.stages.summarize_ns),
+    ] {
+        writeln!(out, "{indent}{name:<12} {:>12.3} ms  {:>5.1}%", ns as f64 / 1e6, pct(ns))?;
+    }
+    writeln!(
+        out,
         "{indent}{:<12} {:>12.3} ms  {:>5.1}%  (scheduling + merge overhead: {:.1}%)",
         "attributed",
         profile.attributed_ns() as f64 / 1e6,
         profile.attributed_fraction() * 100.0,
         (1.0 - profile.attributed_fraction()) * 100.0
-    );
+    )
 }
 
 /// `explain`: where does the time go?
@@ -607,7 +667,7 @@ fn print_stage_profile(profile: &StageProfile, indent: &str) {
 /// * For a scenario with a sweep section: a stage-profiled
 ///   single-threaded sweep whose CPU-time attribution table accounts for
 ///   (nearly all of) the wall clock.
-fn explain(scenario: &Scenario) -> Result<(), Error> {
+fn explain(scenario: &Scenario, out: &mut impl Write) -> Result<(), Failure> {
     scenario.check()?;
     let model = scenario.model()?;
     if scenario.parallelism.is_some() {
@@ -615,11 +675,11 @@ fn explain(scenario: &Scenario) -> Result<(), Error> {
         let estimator = scenario.estimator()?;
         let timeline = estimator.timeline(&model, &plan)?;
         let iteration_ns = timeline.report.iteration_time.as_nanos();
-        println!("model:           {model}");
-        println!("plan:            {plan}");
-        println!("iteration time:  {}", timeline.report.iteration_time);
-        println!("per-stage stream attribution (% of iteration):");
-        println!("  {:<10} {:>14} {:>7}   {:>14} {:>7}", "stage", "compute", "", "comm", "");
+        writeln!(out, "model:           {model}")?;
+        writeln!(out, "plan:            {plan}")?;
+        writeln!(out, "iteration time:  {}", timeline.report.iteration_time)?;
+        writeln!(out, "per-stage stream attribution (% of iteration):")?;
+        writeln!(out, "  {:<10} {:>14} {:>7}   {:>14} {:>7}", "stage", "compute", "", "comm", "")?;
         let busy = timeline.recorder.busy_per_stream();
         let lookup = |pid: u64, tid: u64| {
             busy.iter().find(|((p, t), _)| *p == pid && *t == tid).map_or(0, |(_, ns)| *ns)
@@ -633,66 +693,71 @@ fn explain(scenario: &Scenario) -> Result<(), Error> {
         for pid in stages {
             let compute = lookup(pid, 0);
             let comm = lookup(pid, 1);
-            println!(
+            writeln!(
+                out,
                 "  {:<10} {:>11.3} ms {:>6.1}%   {:>11.3} ms {:>6.1}%",
                 format!("stage {pid}"),
                 compute as f64 / 1e6,
                 pct(compute),
                 comm as f64 / 1e6,
                 pct(comm)
-            );
+            )?;
         }
-        println!("by category (% of aggregate stage-time, all tracks):");
+        writeln!(out, "by category (% of aggregate stage-time, all tracks):")?;
         let budget = (iteration_ns.max(1) * timeline.report.device_busy.len().max(1) as u64) as f64;
         for (cat, ns) in timeline.recorder.busy_per_category() {
-            println!(
+            writeln!(
+                out,
                 "  {cat:<14} {:>11.3} ms {:>6.1}%",
                 ns as f64 / 1e6,
                 ns as f64 / budget * 100.0
-            );
+            )?;
         }
     }
     if scenario.sweep.is_some() {
         // Single-threaded so CPU time ≈ wall time and the attribution
         // table accounts for the whole run.
         let outcome = scenario.sweep()?.threads(1).stage_profile(true).run().into_outcome();
-        println!(
+        writeln!(
+            out,
             "sweep: {} candidates -> {} points in {:.2}s",
             outcome.stats.candidates,
             outcome.points.len(),
             outcome.stats.wall_s
-        );
+        )?;
         let profile = outcome.stage_profile.expect("stage_profile(true) attaches a profile");
-        print_stage_profile(&profile, "  ");
+        print_stage_profile(&profile, "  ", out)?;
     }
     if scenario.parallelism.is_none() && scenario.sweep.is_none() {
         return Err(Error::scenario(
             "nothing to explain: add a `parallelism` plan or a `sweep` section",
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-fn validate(scenario: &Scenario) -> Result<(), Error> {
+fn validate(scenario: &Scenario, out: &mut impl Write) -> Result<(), Failure> {
     scenario.check()?;
     let model = scenario.model()?;
     let cluster = scenario.cluster()?;
-    println!("scenario OK");
-    println!("model:    {model}");
-    println!("cluster:  {} x {}", cluster.total_gpus, cluster.gpu.name);
+    writeln!(out, "scenario OK")?;
+    writeln!(out, "model:    {model}")?;
+    writeln!(out, "cluster:  {} x {}", cluster.total_gpus, cluster.gpu.name)?;
     if scenario.parallelism.is_some() {
-        println!("plan:     {}", scenario.plan()?);
+        writeln!(out, "plan:     {}", scenario.plan()?)?;
     }
     if scenario.sweep.is_some() {
         let limits = scenario.limits();
-        println!(
+        writeln!(
+            out,
             "sweep:    goal {:?}, t <= {}, d <= {}, p <= {}, m <= {}",
             scenario.goal()?,
             limits.max_tensor,
             limits.max_data,
             limits.max_pipeline,
             limits.max_micro_batch
-        );
+        )?;
     }
     Ok(())
 }

@@ -230,7 +230,10 @@ pub struct SweepSection {
     /// Grid bounds (each axis defaults to the paper's §V-A limits).
     #[serde(default)]
     pub limits: Option<LimitsSection>,
-    /// `"exhaustive"` (default), `"front"`, or `"best"`.
+    /// `"exhaustive"` (default: every feasible point), `"front"` (the
+    /// same points, filtered to the `(iteration time, GPUs)` Pareto
+    /// frontier), or `"best"` (the fastest point; the only goal that
+    /// skips candidates by their analytic floor).
     #[serde(default)]
     pub goal: Option<String>,
     /// Global batch for candidate enumeration (defaults to the

@@ -47,11 +47,15 @@ fn sweep_builder_grid_json_is_deterministic_across_thread_counts() {
                 grid_json(&outcome.points),
                 "grid JSON must be byte-identical at {threads} threads under {goal:?}"
             );
-            // Winners are deterministic; `evaluated`/`bound_pruned` are
-            // not (watermark race timing), so only the deterministic
-            // stats are compared.
             assert_eq!(reference.stats.candidates, outcome.stats.candidates);
             assert_eq!(reference.stats.pruned, outcome.stats.pruned);
+            // Only `Best` prunes by bound, so only its `evaluated` and
+            // `bound_pruned` depend on incumbent race timing.
+            if goal != SweepGoal::Best {
+                assert_eq!(reference.stats.evaluated, outcome.stats.evaluated, "{goal:?}");
+                assert_eq!(reference.stats.bound_pruned, 0, "{goal:?}");
+                assert_eq!(outcome.stats.bound_pruned, 0, "{goal:?}");
+            }
         }
     }
 }

@@ -247,6 +247,25 @@ fn options_outside_their_command_exit_2_and_write_nothing() {
     std::fs::remove_dir(&dir).unwrap();
 }
 
+/// A reader that hangs up early (`vtrain sweep ... | head -1`) ends the
+/// report quietly: exit 0, no panic on stderr.
+#[test]
+fn closed_stdout_ends_the_report_quietly() {
+    for args in [&["sweep", SWEEP_PATH][..], &["sweep", SWEEP_PATH, "--json"], &["--help"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_vtrain"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(writer)
+            .output()
+            .expect("vtrain binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn scenario_without_parallelism_cannot_predict_but_can_sweep() {
     let out = vtrain(&["predict", SWEEP_PATH]);
