@@ -8,8 +8,9 @@
 //! shared profile cache; warm rounds (best of 3) that are the headline
 //! number — the daemon's whole value is that repeat traffic runs out of
 //! cache; a degraded round against a `--degrade bound-only` daemon
-//! forced to answer every sweep from the analytic floor (the
-//! load-shedding fallback must itself be fast); and a snapshot
+//! forced to answer every sweep from the busy floor, one slot pricing
+//! per candidate through the shared profile cache (the load-shedding
+//! fallback must itself be fast); and a snapshot
 //! kill-and-restart measuring how much of the first batch a
 //! warm-restored cache absorbs.
 //!
@@ -125,7 +126,7 @@ fn spawn(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<()>) {
     (addr, thread::spawn(move || server.run().expect("serve loop")))
 }
 
-/// Phase 3: every sweep answered from the analytic floor (`--degrade
+/// Phase 3: every sweep answered from the busy floor (`--degrade
 /// bound-only` with a 0 high-water mark), best-of-3 rounds.
 fn degraded_phase(workers: usize) -> f64 {
     let (addr, daemon) = spawn(ServerConfig {

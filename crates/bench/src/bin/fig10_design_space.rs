@@ -11,8 +11,8 @@
 //! the axis the flat communication model could not express. Pass
 //! `--goal {exhaustive|front|best}` to filter the result: `front`
 //! evaluates the exhaustive grid and keeps exactly its Pareto frontier;
-//! `best` lets the bound-guided executor skip points whose analytic
-//! floor is already slower than the incumbent and returns exactly the
+//! `best` lets the bound-guided executor skip points whose busy floor
+//! is already slower than the incumbent and returns exactly the
 //! exhaustive fastest point. Only `best` computes bounds.
 //!
 //! Every run also writes `results/BENCH_sweep.json` with the sweep's

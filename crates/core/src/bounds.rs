@@ -1,141 +1,72 @@
-//! Admissible analytic lower bounds on Predicted iteration time — the
-//! roofline floor that licenses bound-guided design-space pruning
-//! ([`SweepGoal::Best`](crate::search::SweepGoal::Best)).
+//! The admissible floor that licenses bound-guided design-space pruning
+//! ([`SweepGoal::Best`](crate::search::SweepGoal::Best)): the busiest
+//! stream's exact busy time, from the slot table the estimate itself
+//! prices.
 //!
-//! The replay's iteration time can never undercut the busy time of any
-//! single (device, stream) timeline, so a sound floor follows from
-//! pricing each pipeline stage's two streams *below* their true cost and
-//! taking the maximum — no lowering, no graph, `O(p)` per plan:
+//! The replay runs one task at a time on each (device, stream) timeline,
+//! so no stream's busy time can exceed the iteration time. A stream's
+//! busy time is `Σ slot latency × the slot's multiplicity on that
+//! stream`: the latencies are the plan's priced slot table
+//! ([`price_plan`](crate::compact::price_plan), the paper's necessary
+//! operators, §III-C), and the multiplicities are closed-form per stage
+//! ([`visit_slot_multiplicities`]). So the floor costs one slot pricing
+//! and `O(p)` arithmetic, no lowering, and a point that survives the
+//! test reuses the pricing for its estimate.
 //!
-//! * **Compute stream** — every compute kernel's modeled latency is at
-//!   least `max(flops / peak, bytes / HBM-bandwidth)` (the device model
-//!   applies efficiency factors `< 1` and a positive ramp on top of
-//!   exactly this roofline), so summing that roofline over the stage's
-//!   kernel decompositions — layer blocks × micro-batches, endpoint
-//!   operators, the fused Adam update — lower-bounds its compute busy
-//!   time. TP All-Reduces serialize on the same stream and are priced
-//!   *exactly* via the estimator's [`CommModel`], so they add in full.
-//! * **Communication stream** — pipeline sends and DP gradient
-//!   All-Reduces are priced exactly from the same [`stage_comm_ops`]
-//!   shapes the builder emits, and their serialized sum bounds the comm
-//!   timeline.
+//! * **Compute stream** — compute operators and TP All-Reduces. No TP
+//!   All-Reduce carries a flow program, so under either network this
+//!   term equals the stage's simulated device busy time exactly.
+//! * **Communication stream** — pipeline sends and DP All-Reduces. Under
+//!   fair sharing a flow drains at most at its tier's effective
+//!   bandwidth, so contention can only lengthen it, and a lone flow never
+//!   finishes before its closed-form latency (a property test below
+//!   checks this on flat, two-tier, racked and thin-spine interconnects),
+//!   so their closed-form prices floor it.
 //!
-//! Admissibility (`floor ≤ simulated iteration time` on every valid
-//! plan) is proven by the property test below; the sweep's goal modes
-//! additionally prove end-to-end that pruning never changes winners.
+//! Admissibility (`floor ≤ simulated iteration time` on every valid plan)
+//! is proven by the property tests below; the sweep's goal tests
+//! additionally prove end to end that pruning never changes winners.
 
-use vtrain_gpu::KernelKind;
-use vtrain_graph::{plan_signatures, stage_comm_ops, stage_weight_params, CompKind, GraphOptions};
+use vtrain_graph::{visit_slot_multiplicities, GraphOptions};
 use vtrain_model::{ModelConfig, TimeNs};
-use vtrain_parallel::{layer_partition, GpuSpec, ParallelConfig};
-use vtrain_profile::{decompose, CommModel};
+use vtrain_parallel::ParallelConfig;
 
-/// Sums the roofline floor of one operator execution, in seconds: GEMMs
-/// take `max(flops / peak, bytes / bandwidth)`, bandwidth-bound kernels
-/// `bytes / bandwidth` (their flops term can exceed the byte term on no
-/// modeled GPU, so dropping it keeps the floor unconditionally sound).
-fn op_floor_secs(sig: &vtrain_graph::OpSignature, peak: f64, membw: f64) -> f64 {
-    decompose(sig)
-        .iter()
-        .map(|k| match k {
-            KernelKind::Gemm { .. } => (k.flops() / peak).max(k.bytes() / membw),
-            other => other.bytes() / membw,
-        })
-        .sum()
-}
+use crate::compact::CompactScratch;
 
-/// An admissible lower bound on the Predicted iteration time of
-/// `(model, plan)` on `gpu`, with communication priced by `comm` (flat or
-/// topology-aware — both regimes are bounded exactly since the very same
-/// operator shapes are priced).
-///
-/// # Panics
-///
-/// Same preconditions as lowering: the plan must be valid for the model
-/// (in particular `t` divides the head count and hidden size, and the
-/// pipeline is no deeper than the layer count).
-pub fn iteration_floor(
+/// The busiest stream's busy time of `(model, plan)`, on the slot table
+/// priced into `compact` for that plan, leaving each stage's
+/// `[compute, communication]` busy nanoseconds in `busy`.
+pub(crate) fn busy_floor(
     model: &ModelConfig,
     plan: &ParallelConfig,
     opts: &GraphOptions,
-    gpu: &GpuSpec,
-    comm: &CommModel,
+    compact: &CompactScratch,
+    busy: &mut Vec<[u64; 2]>,
 ) -> TimeNs {
-    let peak = gpu.peak_fp16_flops;
-    let membw = gpu.memory_bandwidth;
-    let p = plan.pipeline();
-    let n_micro = plan.num_micro_batches() as u64;
-    let partition = layer_partition(model.num_layers(), p);
-
-    // One floor per operator class, from the exact signatures the builder
-    // emits (weight updates are per-stage and handled closed-form below).
-    let mut layer_floor = 0.0f64; // MhaFwd + FfnFwd + MhaBwd + FfnBwd
-    let mut embedding_floor = 0.0f64; // EmbeddingFwd + EmbeddingBwd
-    let mut lm_head_floor = 0.0f64; // LmHeadFwd + LmHeadBwd
-    for sig in plan_signatures(model, plan, opts) {
-        match sig.kind {
-            CompKind::MhaFwd | CompKind::FfnFwd | CompKind::MhaBwd | CompKind::FfnBwd => {
-                layer_floor += op_floor_secs(&sig, peak, membw);
-            }
-            CompKind::EmbeddingFwd | CompKind::EmbeddingBwd => {
-                embedding_floor += op_floor_secs(&sig, peak, membw);
-            }
-            CompKind::LmHeadFwd | CompKind::LmHeadBwd => {
-                lm_head_floor += op_floor_secs(&sig, peak, membw);
-            }
-            CompKind::WeightUpdate => {}
-        }
-    }
-
-    let mut floor = TimeNs::ZERO;
-    for (stage, layers) in partition.iter().enumerate() {
-        let layers_here = layers.len() as f64;
-
-        // Compute stream: kernels roofline + exact TP All-Reduce time.
-        let mut compute_secs = n_micro as f64 * layers_here * layer_floor;
-        if stage == 0 {
-            compute_secs += n_micro as f64 * embedding_floor;
-        }
-        if stage == p - 1 {
-            compute_secs += n_micro as f64 * lm_head_floor;
-        }
-        // The per-stage fused Adam update: parameter count and byte
-        // traffic both come from the builder's / device model's own
-        // accounting, so the floor cannot drift from what is simulated.
-        let params = stage_weight_params(model, plan, stage);
-        compute_secs += KernelKind::AdamUpdate { params }.bytes() / membw;
-        // Truncate on conversion so quantization can never push the
-        // floor above the true busy time.
-        let mut compute = TimeNs::from_nanos((compute_secs * 1e9) as u64);
-
-        let ops = stage_comm_ops(model, plan, opts, stage);
-        if let Some(tp) = &ops.tp_all_reduce {
-            let per = comm.latency(tp).as_nanos();
-            compute += TimeNs::from_nanos(per * n_micro * ops.tp_per_micro_batch as u64);
-        }
-
-        // Communication stream: exact serialized sends + DP All-Reduces.
-        let mut comm_ns = 0u64;
-        for send in [&ops.fwd_send, &ops.bwd_send].into_iter().flatten() {
-            comm_ns += comm.latency(send).as_nanos() * n_micro;
-        }
-        for ar in &ops.dp_all_reduces {
-            comm_ns += comm.latency(ar).as_nanos();
-        }
-
-        floor = floor.max(compute).max(TimeNs::from_nanos(comm_ns));
-    }
-    floor
+    busy.clear();
+    busy.resize(plan.pipeline(), [0; 2]);
+    let values = compact.slot_values();
+    visit_slot_multiplicities(model, plan, opts, |slot, stage, count| {
+        let slot = slot as usize;
+        busy[stage][usize::from(compact.on_comm_stream(slot))] += values[slot].as_nanos() * count;
+    });
+    TimeNs::from_nanos(busy.iter().flatten().copied().max().unwrap_or(0))
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
+    use vtrain_graph::{visit_plan_slots, SlotOp};
     use vtrain_model::presets;
+    use vtrain_net::flow::FlowSim;
+    use vtrain_net::{NetworkBackend, TierSpec};
     use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule};
 
     use super::*;
+    use crate::compact::tests::{interconnect, profiles};
+    use crate::compact::{lower_plan, price_plan, replay_lowered};
     use crate::estimate::Estimator;
+    use crate::sim::SimReport;
 
     fn plan(
         t: usize,
@@ -158,6 +89,24 @@ mod tests {
             .unwrap()
     }
 
+    /// A 512-GPU estimator on the `net`-th interconnect of
+    /// [`interconnect`] — flat, two-tier with α = 0.8, racked behind a
+    /// 25 GB/s spine, racked behind a 12.5 GB/s spine — under the
+    /// fair-sharing network if `fair`, else the closed form.
+    fn estimator(net: u32, fair: bool) -> Estimator {
+        let cluster = ClusterSpec::aws_p4d(512);
+        let spine = |bandwidth| TierSpec::new(bandwidth, TimeNs::from_micros(35), 1.0);
+        let backend = if fair { NetworkBackend::FairSharing } else { NetworkBackend::ClosedForm };
+        let builder = Estimator::builder(cluster.clone()).network(backend);
+        match net {
+            0 => builder,
+            1 => builder.topology(cluster.topology(0.8)),
+            2 => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(25e9))),
+            _ => builder.topology(cluster.topology(1.0).with_rack_tier(2, spine(12.5e9))),
+        }
+        .build()
+    }
+
     #[test]
     fn floor_is_positive_and_usefully_tight_on_a_compute_bound_point() {
         let est = Estimator::builder(ClusterSpec::aws_p4d(8)).build();
@@ -166,12 +115,9 @@ mod tests {
         let bound = est.lower_bound(&model, &p);
         let actual = est.estimate(&model, &p).unwrap().iteration_time;
         assert!(bound > TimeNs::ZERO);
-        assert!(bound <= actual, "bound {bound} vs actual {actual}");
-        // A single-GPU point is pure serialized compute: the roofline
-        // floor must capture a substantial fraction of it, otherwise
-        // bound-guided pruning has no power.
-        let ratio = bound.as_secs_f64() / actual.as_secs_f64();
-        assert!(ratio > 0.3, "floor captures only {ratio:.3} of the iteration");
+        // A single-GPU point is one serialized compute stream: its busy
+        // time is the whole iteration.
+        assert_eq!(bound, actual);
     }
 
     #[test]
@@ -193,10 +139,11 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-        /// Admissibility: on random valid plans the analytic floor never
-        /// exceeds the simulated Predicted iteration time.
+        /// Admissibility: on random valid plans the busy floor never
+        /// exceeds the simulated Predicted iteration time, on all four
+        /// interconnects under both networks.
         #[test]
         fn floor_never_exceeds_simulated_time(
             t_exp in 0usize..=2,
@@ -204,22 +151,90 @@ mod tests {
             p in 1usize..=6,
             m_exp in 0usize..=1,
             k in 1usize..=3,
-            flags in 0u32..4,
+            flags in 0u32..32,
         ) {
-            let (gpipe, bucketing) = (flags & 1 != 0, flags & 2 != 0);
+            let (gpipe, bucketing, fair) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let net = flags >> 3;
             let (t, d, m) = (1usize << t_exp, 1usize << d_exp, 1usize << m_exp);
             let b = d * m * k;
             let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
             let cfg = plan(t, d, p, m, b, sched, bucketing);
             let model = presets::megatron("1.7B");
-            let est = Estimator::builder(ClusterSpec::aws_p4d(512)).build();
+            let est = estimator(net, fair);
             prop_assume!(est.validate(&model, &cfg).is_ok());
             let bound = est.lower_bound(&model, &cfg);
             let actual = est.estimate(&model, &cfg).unwrap().iteration_time;
             prop_assert!(
                 bound <= actual,
-                "plan {} bound {} exceeds simulated {}", cfg, bound, actual
+                "plan {} net {} fair {}: bound {} exceeds simulated {}", cfg, net, fair, bound, actual
             );
+        }
+
+        /// Exactness: under the closed form, each stage's compute-stream
+        /// floor term is the replay's busy time of that device, to the
+        /// nanosecond, on every interconnect.
+        #[test]
+        fn compute_stream_floor_equals_device_busy(
+            exps in (0usize..=3, 0usize..=5, 0usize..=2),
+            p in 1usize..=12,
+            n_micro in 1usize..=40,
+            flags in 0u32..8,
+            net in 0u32..4,
+        ) {
+            let (gpipe, bucketing, large) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let model = presets::megatron(if large { "18.4B" } else { "1.7B" });
+            let (t, d, m) = (1usize << exps.0, 1usize << exps.1, 1usize << exps.2);
+            let sched = if gpipe { PipelineSchedule::GPipe } else { PipelineSchedule::OneFOneB };
+            let cfg = plan(t, d, p, m, d * m * n_micro, sched, bucketing);
+            let (comm, opts) = interconnect(net, false);
+            let mut table = profiles(&model, &cfg, &opts);
+            let mut compact = CompactScratch::default();
+            price_plan(&model, &cfg, &opts, &mut table, &comm, &mut compact, |_, _| {}).unwrap();
+            let mut busy = Vec::new();
+            let floor = busy_floor(&model, &cfg, &opts, &compact, &mut busy);
+            lower_plan(&model, &cfg, &opts, &mut compact);
+            let mut report = SimReport::default();
+            replay_lowered(&mut compact, p, &mut report);
+            let compute: Vec<u64> = busy.iter().map(|b| b[0]).collect();
+            let device_busy: Vec<u64> = report.device_busy.iter().map(|t| t.as_nanos()).collect();
+            prop_assert!(compute == device_busy, "{} net {}: {:?} vs {:?}", cfg, net, compute, device_busy);
+            prop_assert!(floor <= report.iteration_time, "{}", cfg);
+        }
+
+        /// Fair-sharing soundness: a lone flow replayed by the flow
+        /// simulator never finishes before its operator's closed-form
+        /// latency, in integer nanoseconds, for every communication
+        /// operator the flat, two-tier, racked and thin-spine
+        /// interconnects price. Contention only slows a flow down, so
+        /// the communication stream's closed-form busy time floors its
+        /// fair-sharing busy time.
+        #[test]
+        fn lone_flows_never_beat_their_closed_form_latency(
+            exps in (0usize..=3, 0usize..=6, 0usize..=3),
+            p in 1usize..=8,
+            flags in 0u32..4,
+            net in 0u32..4,
+        ) {
+            let (bucketing, large) = (flags & 1 != 0, flags & 2 != 0);
+            let model = presets::megatron(if large { "18.4B" } else { "1.7B" });
+            let (t, d, m) = (1usize << exps.0, 1usize << exps.1, 1usize << exps.2);
+            let cfg = plan(t, d, p, m, d * m, PipelineSchedule::OneFOneB, bucketing);
+            let (comm, opts) = interconnect(net, true);
+            let mut sim = FlowSim::new(comm.topology());
+            let mut ops = Vec::new();
+            visit_plan_slots(&model, &cfg, &opts, |op| {
+                if let SlotOp::Comm(c) = op {
+                    ops.push(c);
+                }
+            });
+            for c in ops {
+                let Some(program) = comm.flow_program(&c) else { continue };
+                sim.reset(comm.topology());
+                sim.start(TimeNs::ZERO, &program);
+                let solo = sim.drain_all();
+                let closed = comm.latency(&c);
+                prop_assert!(solo >= closed, "{:?} on net {}: solo {} < closed {}", c, net, solo, closed);
+            }
         }
     }
 }

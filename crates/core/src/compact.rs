@@ -86,11 +86,13 @@
 //! ([`vtrain_graph::visit_plan_slots`]): an index into the plan's
 //! canonical enumeration of distinct latency sources (8 fixed layer/vocab
 //! kinds, per-stage weight updates, the TP All-Reduce, per-boundary
-//! pipeline sends, per-stage DP buckets). Lowering prices all slots
-//! first (`slot_values`), then each node is an O(1) table lookup instead
-//! of a signature-memo probe. The full task graph that `measure` and
-//! `timeline` replay reads the same table ([`price_slots`]), so one
-//! pricing serves both graph forms. Like vTrain's profiling, which measures
+//! pipeline sends, per-stage DP buckets). The compact path prices all
+//! slots first ([`price_plan`]), before lowering, then each node is an
+//! O(1) table lookup instead of a signature-memo probe. The busy floor
+//! of a `Best` sweep ([`crate::bounds`]) reads the same table between
+//! pricing and lowering, and so does the full task graph that `measure`
+//! and `timeline` replay ([`price_slots`]), so one pricing serves the
+//! bound and both graph forms. Like vTrain's profiling, which measures
 //! each distinct operator once (§III-C), the slot pricing prices each
 //! distinct communication operator once per scratch, not once per slot
 //! or per point: the scratch's [`OpTable`] keeps every operator it has
@@ -356,9 +358,16 @@ impl CompactScratch {
         self.ops.clear();
     }
 
-    /// Latency of each slot of the latest lowering.
+    /// Latency of each slot of the latest pricing.
     pub(crate) fn slot_values(&self) -> &[TimeNs] {
         &self.slot_values
+    }
+
+    /// Whether slot `slot` of the latest pricing runs on the
+    /// communication stream (pipeline sends and DP All-Reduces) rather
+    /// than the compute stream (compute operators and TP All-Reduces).
+    pub(crate) fn on_comm_stream(&self, slot: usize) -> bool {
+        matches!(self.slot_tags[slot].0, CAT_DP | CAT_PP)
     }
 
     /// The flow program of latency slot `slot` in the latest lowering
@@ -836,15 +845,14 @@ fn slot_kind(op: &SlotOp, kernels: u32) -> TaskKind {
     }
 }
 
-/// Prices the plan's slot table into `s` for the full task graph
-/// ([`TaskGraph::lower_slots`]), handing each slot to `on_slot` as
-/// [`resolve_slots`] does, and returns each slot's task kind. The slots'
-/// latencies are [`CompactScratch::slot_values`], and
-/// [`CompactScratch::task_programs`] gives the tasks' flow programs.
+/// [`price_plan`] for the full task graph ([`TaskGraph::lower_slots`]),
+/// also returning each slot's task kind. The slots' latencies are
+/// [`CompactScratch::slot_values`], and [`CompactScratch::task_programs`]
+/// gives the tasks' flow programs.
 ///
 /// # Errors
 ///
-/// Same conditions as [`lower_plan`].
+/// Same conditions as [`price_plan`].
 pub(crate) fn price_slots<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
@@ -855,26 +863,18 @@ pub(crate) fn price_slots<P: ProfileSource>(
     mut on_slot: impl FnMut(&SlotOp, u32),
 ) -> Result<Vec<TaskKind>, MissingProfile> {
     let mut kinds = Vec::new();
-    let missing = resolve_slots(model, plan, opts, profiles, comm, s, |op, kernels| {
+    price_plan(model, plan, opts, profiles, comm, s, |op, kernels| {
         kinds.push(slot_kind(op, kernels));
         on_slot(op, kernels);
-    });
-    if missing {
-        return Err(MissingProfile);
-    }
+    })?;
     Ok(kinds)
 }
 
-/// The lowering half of the sweep's fused lower + simulate hot path:
-/// prices the slot table and the period counts of `(model, plan)`, then
-/// either patches the cached graph or builds it from scratch. When
-/// `scratch` holds the graph of a plan with the same [`PlanShapeKey`],
-/// the builder and all structure derivation are skipped and only the
-/// runs' durations are refilled. Either way, [`replay_lowered`] then
-/// produces a report bit-identical to
-/// `simulate(&TaskGraph::lower(&build_op_graph(..), ..)?, SimMode::Predicted)`.
-/// Split from the replay so the stage profiler can attribute lower vs.
-/// simulate time.
+/// The first step of the compact path: prices every slot of the plan's
+/// canonical enumeration into `s`'s slot table, handing each slot's
+/// operator and kernel count to `on_slot` as [`resolve_slots`] does, and
+/// the period count of every section on every stage. [`lower_plan`] and
+/// the busy floor ([`crate::bounds`]) read what this leaves.
 ///
 /// # Errors
 ///
@@ -883,41 +883,50 @@ pub(crate) fn price_slots<P: ProfileSource>(
 ///
 /// # Panics
 ///
-/// Same conditions as [`vtrain_graph::build_op_graph`], or if the builder
-/// violates its [`GraphSink::cut`] aggregation contract or its periodic
-/// edge contract (a bug, caught by the equivalence property tests).
-pub(crate) fn lower_plan<P: ProfileSource>(
+/// Same conditions as [`visit_plan_slots`].
+pub(crate) fn price_plan<P: ProfileSource>(
     model: &ModelConfig,
     plan: &ParallelConfig,
     opts: &GraphOptions,
     profiles: &mut P,
     comm: &CommModel,
-    scratch: &mut CompactScratch,
-) -> Result<LowerOutcome, MissingProfile> {
-    lower_plan_with(model, plan, opts, profiles, comm, scratch, |_, _| {})
-}
-
-/// [`lower_plan`] handing every slot's operator and kernel count to
-/// `on_slot` while the slot table is priced.
-fn lower_plan_with<P: ProfileSource>(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-    profiles: &mut P,
-    comm: &CommModel,
-    scratch: &mut CompactScratch,
+    s: &mut CompactScratch,
     on_slot: impl FnMut(&SlotOp, u32),
-) -> Result<LowerOutcome, MissingProfile> {
-    if resolve_slots(model, plan, opts, profiles, comm, scratch, on_slot) {
+) -> Result<(), MissingProfile> {
+    if resolve_slots(model, plan, opts, profiles, comm, s, on_slot) {
         return Err(MissingProfile);
     }
-    scratch.sec_periods.clear();
+    s.sec_periods.clear();
     let (p, n) = (plan.pipeline(), plan.num_micro_batches());
     for stage in 0..p {
         let periods = plan.schedule().section_periods(stage, p, n);
-        scratch.sec_periods.extend(periods.map(|n| n as u64));
+        s.sec_periods.extend(periods.map(|n| n as u64));
     }
+    Ok(())
+}
 
+/// The lowering half of the sweep's fused lower + simulate hot path: on
+/// a scratch [`price_plan`] has priced for `(model, plan)`, either
+/// patches the cached graph or builds it from scratch. When `scratch`
+/// holds the graph of a plan with the same [`PlanShapeKey`], the builder
+/// and all structure derivation are skipped and only the runs' durations
+/// are refilled. Either way, [`replay_lowered`] then produces a report
+/// bit-identical to
+/// `simulate(&TaskGraph::lower(&build_op_graph(..), ..)?, SimMode::Predicted)`.
+/// Split from the replay so the stage profiler can attribute lower vs.
+/// simulate time.
+///
+/// # Panics
+///
+/// Same conditions as [`vtrain_graph::build_op_graph`], or if the builder
+/// violates its [`GraphSink::cut`] aggregation contract or its periodic
+/// edge contract (a bug, caught by the equivalence property tests).
+pub(crate) fn lower_plan(
+    model: &ModelConfig,
+    plan: &ParallelConfig,
+    opts: &GraphOptions,
+    scratch: &mut CompactScratch,
+) -> LowerOutcome {
     let key = plan_shape_key(model, plan, opts);
     if scratch.base_key == Some(key) {
         debug_assert!(
@@ -928,7 +937,7 @@ fn lower_plan_with<P: ProfileSource>(
             "slot table shape"
         );
         refill_runs(scratch);
-        return Ok(LowerOutcome::Patched);
+        return LowerOutcome::Patched;
     }
     build_graph(model, plan, opts, scratch);
     build_csr(scratch);
@@ -939,7 +948,7 @@ fn lower_plan_with<P: ProfileSource>(
     // shared by both paths.
     refill_runs(scratch);
     scratch.base_key = Some(key);
-    Ok(LowerOutcome::Fresh)
+    LowerOutcome::Fresh
 }
 
 /// Clears the structure buffers and streams the builder's periodic graph
@@ -1325,6 +1334,13 @@ pub(crate) struct Unrolled {
 }
 
 impl Unrolled {
+    /// The [`price_plan`] callback that records each slot's task kind,
+    /// which [`lower_unrolled`] reads.
+    pub(crate) fn slot_kinds(&mut self) -> impl FnMut(&SlotOp, u32) + '_ {
+        self.slot_kind.clear();
+        |op, kernels| self.slot_kind.push(slot_kind(op, kernels))
+    }
+
     /// Tasks of the latest unrolled graph.
     #[cfg(test)]
     pub(crate) fn num_tasks(&self) -> usize {
@@ -1469,12 +1485,12 @@ impl Unrolled {
     }
 }
 
-/// [`lower_plan`] for the fair-sharing network: also records each slot's
-/// task kind next to the slot table and, if any slot carries a flow
-/// program ([`CompactScratch::has_flows`]), unrolls the periodic graph
-/// into `unrolled` for [`replay_unrolled`]. Shape-equal plans patch the
-/// compact graph exactly as under the closed form; the unrolled graph is
-/// rebuilt from it every time it is needed.
+/// [`lower_plan`] for the fair-sharing network: on a scratch priced with
+/// [`Unrolled::slot_kinds`] recording each slot's task kind, also
+/// unrolls the periodic graph into `unrolled` for [`replay_unrolled`] if
+/// any slot carries a flow program ([`CompactScratch::has_flows`]).
+/// Shape-equal plans patch the compact graph exactly as under the closed
+/// form; the unrolled graph is rebuilt from it every time it is needed.
 ///
 /// A plan without flows, one whose collectives all stay inside a node,
 /// is not unrolled: with nothing to share, the flow replay of the
@@ -1482,32 +1498,23 @@ impl Unrolled {
 /// closed-form replay of the same graph, so [`replay_lowered`] prices it
 /// exactly, max-plus jump included.
 ///
-/// # Errors
-///
-/// Same conditions as [`lower_plan`].
-///
 /// # Panics
 ///
 /// Same conditions as [`lower_plan`], or if a flow program lands on a
 /// run that is not one communication-stream node.
-pub(crate) fn lower_unrolled<P: ProfileSource>(
+pub(crate) fn lower_unrolled(
     model: &ModelConfig,
     plan: &ParallelConfig,
     opts: &GraphOptions,
-    profiles: &mut P,
-    comm: &CommModel,
     scratch: &mut CompactScratch,
     unrolled: &mut Unrolled,
-) -> Result<LowerOutcome, MissingProfile> {
-    unrolled.slot_kind.clear();
-    let outcome = lower_plan_with(model, plan, opts, profiles, comm, scratch, |op, kernels| {
-        unrolled.slot_kind.push(slot_kind(op, kernels))
-    })?;
+) -> LowerOutcome {
+    let outcome = lower_plan(model, plan, opts, scratch);
     if scratch.flows {
         let copies = unrolled.unroll(scratch, plan.pipeline());
         scratch.periods = (copies, copies);
     }
-    Ok(outcome)
+    outcome
 }
 
 /// The fair-sharing replay of the unrolled graph.
@@ -1531,7 +1538,7 @@ pub(crate) fn replay_unrolled(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
     use vtrain_graph::build_op_graph;
     use vtrain_model::presets;
@@ -1552,13 +1559,46 @@ mod tests {
     }
 
     /// The profiled necessary operators of `(model, plan)`.
-    fn profiles(
+    pub(crate) fn profiles(
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
     ) -> OperatorTaskTable {
-        let sigs = vtrain_graph::plan_signatures(model, plan, opts);
+        let mut sigs = std::collections::HashSet::new();
+        visit_plan_slots(model, plan, opts, |op| {
+            if let SlotOp::Compute(sig) = op {
+                sigs.insert(sig);
+            }
+        });
         Profiler::new(GpuSpec::a100_40gb()).profile(&sigs)
+    }
+
+    /// [`price_plan`], then [`lower_plan`].
+    fn price_and_lower<P: ProfileSource>(
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+        profiles: &mut P,
+        comm: &CommModel,
+        scratch: &mut CompactScratch,
+    ) -> Result<LowerOutcome, MissingProfile> {
+        price_plan(model, plan, opts, profiles, comm, scratch, |_, _| {})?;
+        Ok(lower_plan(model, plan, opts, scratch))
+    }
+
+    /// [`price_plan`] recording the slots' task kinds, then
+    /// [`lower_unrolled`].
+    fn price_and_unroll<P: ProfileSource>(
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+        profiles: &mut P,
+        comm: &CommModel,
+        scratch: &mut CompactScratch,
+        unrolled: &mut Unrolled,
+    ) -> Result<LowerOutcome, MissingProfile> {
+        price_plan(model, plan, opts, profiles, comm, scratch, unrolled.slot_kinds())?;
+        Ok(lower_unrolled(model, plan, opts, scratch, unrolled))
     }
 
     /// The fused lower + replay: lowers `plan` on `scratch` (patching
@@ -1573,7 +1613,7 @@ mod tests {
         scratch: &mut CompactScratch,
         report: &mut SimReport,
     ) -> Result<LowerOutcome, MissingProfile> {
-        let outcome = lower_plan(model, plan, opts, profiles, comm, scratch)?;
+        let outcome = price_and_lower(model, plan, opts, profiles, comm, scratch)?;
         replay_lowered(scratch, plan.pipeline(), report);
         Ok(outcome)
     }
@@ -1593,7 +1633,7 @@ mod tests {
     /// the `net`-th of four interconnects — flat, two-tier with α = 0.8,
     /// racked behind a 25 GB/s spine, racked behind a 12.5 GB/s spine —
     /// under the fair-sharing network if `fair`, else the closed form.
-    fn interconnect(net: u32, fair: bool) -> (CommModel, GraphOptions) {
+    pub(crate) fn interconnect(net: u32, fair: bool) -> (CommModel, GraphOptions) {
         let cluster = ClusterSpec::aws_p4d(512);
         let spine = |bandwidth| vtrain_net::TierSpec::new(bandwidth, TimeNs::from_micros(35), 1.0);
         let (comm, nodes_per_rack) = match net {
@@ -1881,7 +1921,8 @@ mod tests {
                     let plan = plan_of((1, 1, p, 1, n), sched);
                     let opts = GraphOptions::default();
                     let mut profiles = profiles(&model, &plan, &opts);
-                    lower_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch).unwrap();
+                    price_and_lower(&model, &plan, &opts, &mut profiles, &comm, &mut scratch)
+                        .unwrap();
                     let s = &scratch;
                     let n_sections = s.sec_periods.len() / p;
                     for sec in 0..n_sections {
@@ -2014,13 +2055,8 @@ mod tests {
         let mut report = SimReport::default();
         for round in 0..3 {
             let t0 = std::time::Instant::now();
-            resolve_slots(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, |_, _| {});
-            scratch.sec_periods.clear();
-            let (p, n) = (plan.pipeline(), plan.num_micro_batches());
-            for stage in 0..p {
-                let periods = plan.schedule().section_periods(stage, p, n);
-                scratch.sec_periods.extend(periods.map(|n| n as u64));
-            }
+            price_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, |_, _| {})
+                .unwrap();
             let t1 = std::time::Instant::now();
             build_graph(&model, &plan, &opts, &mut scratch);
             let t2 = std::time::Instant::now();
@@ -2067,8 +2103,16 @@ mod tests {
         assert_eq!(ops.len(), 3 + 24);
         assert!(distinct <= 1 + 8, "{distinct} distinct operators");
         for priced in [distinct, 0] {
-            lower_unrolled(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled)
-                .unwrap();
+            price_and_unroll(
+                &model,
+                &plan,
+                &opts,
+                &mut profiles,
+                &comm,
+                &mut scratch,
+                &mut unrolled,
+            )
+            .unwrap();
             assert_eq!(scratch.comm_pricings(), (ops.len() as u64, priced));
             // The table holds the shared compute entry and one entry per
             // distinct operator.
@@ -2099,7 +2143,7 @@ mod tests {
             assert_eq!(scratch.ops.entry(&filler(i), &comm), (i as u32, false));
         }
         assert_eq!(scratch.ops.len(), MAX_OP_ENTRIES);
-        lower_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch).unwrap();
+        price_and_lower(&model, &plan, &opts, &mut profiles, &comm, &mut scratch).unwrap();
         let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len();
         assert_eq!(scratch.comm_pricings(), (ops.len() as u64, distinct as u64));
         assert_eq!(scratch.ops.len(), 1 + distinct);
@@ -2137,7 +2181,7 @@ mod tests {
                     .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
                 let mut profiles = profiles(&model, &plan, &opts);
                 let (source, scratch) = (&mut profiles, &mut scratch);
-                lower_unrolled(&model, &plan, &opts, source, &comm, scratch, &mut unrolled).unwrap();
+                price_and_unroll(&model, &plan, &opts, source, &comm, scratch, &mut unrolled).unwrap();
                 let (values, programs, ops) =
                     price_per_slot(&model, &plan, &opts, &profiles, &comm);
                 let nanos = |v: &[TimeNs]| v.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
@@ -2176,7 +2220,7 @@ mod tests {
             let (comm, opts) = interconnect(net, true);
             let mut profiles = profiles(&model, &plan, &opts);
             let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
-            lower_unrolled(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled)
+            price_and_unroll(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled)
                 .unwrap();
             let (_, programs, _) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
             prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));

@@ -50,9 +50,10 @@ use vtrain_obs::{CounterSample, TimelineRecorder, TraceSpan};
 use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule, PlanError};
 use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, Profiler};
 
+use crate::bounds::busy_floor;
 use crate::compact::{
-    lower_plan, lower_unrolled, price_slots, replay_lowered, replay_unrolled, CompactScratch,
-    LowerOutcome, ProfileSource, Unrolled,
+    lower_plan, lower_unrolled, price_plan, price_slots, replay_lowered, replay_unrolled,
+    CompactScratch, LowerOutcome, ProfileSource, Unrolled,
 };
 use crate::flow_replay::{replay, Programs};
 use crate::sim::{simulate, BusyBreakdown, SimMode, SimReport, SimScratch};
@@ -386,6 +387,9 @@ pub struct EstimatorScratch {
     delta_fresh: u64,
     /// Points delta-patched from a shape-compatible neighbor (monotonic).
     delta_patched: u64,
+    /// Each stage's `[compute, communication]` stream busy nanoseconds
+    /// of the latest busy floor.
+    floor: Vec<[u64; 2]>,
 }
 
 impl EstimatorScratch {
@@ -638,20 +642,10 @@ impl Estimator {
 
     /// The one compact path behind [`Estimator::estimate`],
     /// [`Estimator::estimate_validated_with`],
-    /// [`Estimator::estimate_staged`] and the sweep executor: lowers
-    /// `(model, plan)` into the scratch's aggregated replay graph (a delta
-    /// patch when the scratch already holds a graph of the same shape
-    /// key), replays it and summarizes. Under the closed-form network the
-    /// replay is the max-plus walk of the periodic graph. Under fair
-    /// sharing the same walk prices a plan whose collectives all stay
-    /// inside a node, since no slot carries a flow program; any other plan
-    /// is unrolled into one task per (section copy, run), and the replay
-    /// is the flow replay over those instances. Neither the operator graph
-    /// nor the full task graph is built. With `stages`, the three steps
-    /// are timed from inside the fused pipeline, so a patch shows up as a
-    /// shrunken `lower_ns`; without, no clock is read. The estimate is
-    /// bit-identical whether the graph was patched or built, and to the
-    /// full-graph replay, proven by the compact A/B property tests.
+    /// [`Estimator::estimate_staged`] and the sweep executor: prices the
+    /// plan's slot table ([`Estimator::price_compact`]), then lowers,
+    /// replays and summarizes it ([`Estimator::estimate_priced`]). With
+    /// `stages`, the pricing counts as lowering.
     pub(crate) fn estimate_compact(
         &self,
         model: &ModelConfig,
@@ -659,37 +653,100 @@ impl Estimator {
         scratch: &mut EstimatorScratch,
         stages: Option<&mut StageNanos>,
     ) -> IterationEstimate {
-        let EstimatorScratch {
-            pricing_id,
-            compact,
-            unrolled,
-            flows,
-            report,
-            cache_stats,
-            delta_fresh,
-            delta_patched,
-        } = scratch;
+        let t0 = stages.is_some().then(Instant::now);
+        self.price_compact(model, plan, scratch);
+        self.estimate_priced(model, plan, scratch, stages.zip(t0))
+    }
+
+    /// The first step of the compact path: prices every latency slot of
+    /// `(model, plan)` into the scratch's slot table — compute operators
+    /// through the shared profile cache, each distinct communication
+    /// operator once per scratch — with the period count of every
+    /// section. The busy floor ([`Estimator::busy_floor`]) and the rest
+    /// of the estimate ([`Estimator::estimate_priced`]) both read it, so
+    /// a `Best` sweep prices a surviving point once. The communication
+    /// slots, and the operators priced for them that the scratch's table
+    /// did not hold yet, add to the `estimate.comm.slots` and
+    /// `estimate.comm.priced` counters.
+    pub(crate) fn price_compact(
+        &self,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        scratch: &mut EstimatorScratch,
+    ) {
+        let EstimatorScratch { pricing_id, compact, unrolled, cache_stats, .. } = scratch;
+        if *pricing_id != self.pricing_id {
+            compact.forget_prices();
+            *pricing_id = self.pricing_id;
+        }
         let mut source = CacheSource {
             cache: &self.cache,
             profiler: &self.profiler,
             gpu_key: &self.gpu_key,
             stats: cache_stats,
         };
-        if *pricing_id != self.pricing_id {
-            compact.forget_prices();
-            *pricing_id = self.pricing_id;
-        }
-        let fair = self.network() == NetworkBackend::FairSharing;
         let (opts, comm) = (&self.graph_opts, &self.comm);
+        let priced = if self.network() == NetworkBackend::FairSharing {
+            price_plan(model, plan, opts, &mut source, comm, compact, unrolled.slot_kinds())
+        } else {
+            price_plan(model, plan, opts, &mut source, comm, compact, |_, _| {})
+        };
+        priced.expect("estimator profile source resolves every signature");
+        if vtrain_obs::enabled() {
+            let metrics = vtrain_obs::global();
+            let (slots, priced) = compact.comm_pricings();
+            metrics.counter("estimate.comm.slots").add(slots);
+            metrics.counter("estimate.comm.priced").add(priced);
+        }
+    }
+
+    /// The admissible floor on the iteration time of the plan
+    /// [`Estimator::price_compact`] priced into `scratch`: its busiest
+    /// stream's exact busy time (see [`bounds`](crate::bounds)).
+    pub(crate) fn busy_floor(
+        &self,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        scratch: &mut EstimatorScratch,
+    ) -> TimeNs {
+        busy_floor(model, plan, &self.graph_opts, &scratch.compact, &mut scratch.floor)
+    }
+
+    /// The rest of the compact path, on a scratch
+    /// [`Estimator::price_compact`] priced for `(model, plan)`: lowers
+    /// the plan into the scratch's aggregated replay graph (a delta patch
+    /// when the scratch already holds a graph of the same shape key),
+    /// replays it and summarizes. Under the closed-form network the
+    /// replay is the max-plus walk of the periodic graph. Under fair
+    /// sharing the same walk prices a plan whose collectives all stay
+    /// inside a node, since no slot carries a flow program; any other plan
+    /// is unrolled into one task per (section copy, run), and the replay
+    /// is the flow replay over those instances. Neither the operator graph
+    /// nor the full task graph is built. With `stages` and the instant
+    /// the lowering window opened, the three steps are timed from inside
+    /// the fused pipeline, so a patch shows up as a shrunken `lower_ns`;
+    /// without, no clock is read. The estimate is
+    /// bit-identical whether the graph was patched or built, and to the
+    /// full-graph replay, proven by the compact A/B property tests.
+    pub(crate) fn estimate_priced(
+        &self,
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        scratch: &mut EstimatorScratch,
+        stages: Option<(&mut StageNanos, Instant)>,
+    ) -> IterationEstimate {
+        let EstimatorScratch {
+            compact, unrolled, flows, report, delta_fresh, delta_patched, ..
+        } = scratch;
+        let fair = self.network() == NetworkBackend::FairSharing;
+        let opts = &self.graph_opts;
         let timed = stages.is_some();
         let clock = || timed.then(Instant::now);
-        let t0 = clock();
         let outcome = if fair {
-            lower_unrolled(model, plan, opts, &mut source, comm, compact, unrolled)
+            lower_unrolled(model, plan, opts, compact, unrolled)
         } else {
-            lower_plan(model, plan, opts, &mut source, comm, compact)
-        }
-        .expect("estimator profile source resolves every signature");
+            lower_plan(model, plan, opts, compact)
+        };
         let t1 = clock();
         // Only fair sharing prices flow programs: without one, nothing
         // shares a link and the closed-form walk is exact.
@@ -700,7 +757,7 @@ impl Estimator {
         }
         let t2 = clock();
         let estimate = self.summarize(model, plan, report);
-        if let (Some(stages), Some(t0), Some(t1), Some(t2)) = (stages, t0, t1, t2) {
+        if let (Some((stages, t0)), Some(t1), Some(t2)) = (stages, t1, t2) {
             stages.add_laps([t0, t1, t2, Instant::now()]);
         }
         let counter = match outcome {
@@ -733,18 +790,21 @@ impl Estimator {
         plan_shape_key(model, plan, &self.graph_opts)
     }
 
-    /// An admissible analytic lower bound on the plan's Predicted
-    /// iteration time, computed without lowering — see
-    /// [`bounds`](crate::bounds) for the construction. A
-    /// [`SweepGoal::Best`](crate::search::SweepGoal::Best) sweep uses this
-    /// to skip points that provably lose to its incumbent.
+    /// An admissible lower bound on the plan's Predicted iteration time,
+    /// computed without lowering: the busiest stream's exact busy time,
+    /// from the plan's slot table priced into a fresh scratch. A
+    /// [`SweepGoal::Best`](crate::search::SweepGoal::Best) sweep tests
+    /// the same floor, on its worker's scratch, to skip points that
+    /// provably lose to its incumbent.
     ///
     /// # Panics
     ///
     /// Same preconditions as [`Estimator::lower`]: the plan must be valid
     /// for the model.
     pub fn lower_bound(&self, model: &ModelConfig, plan: &ParallelConfig) -> TimeNs {
-        crate::bounds::iteration_floor(model, plan, &self.graph_opts, &self.cluster.gpu, &self.comm)
+        let mut scratch = EstimatorScratch::default();
+        self.price_compact(model, plan, &mut scratch);
+        self.busy_floor(model, plan, &mut scratch)
     }
 
     /// Ground-truth emulated "measurement" of the same design point — the
@@ -920,17 +980,11 @@ fn count_full_lowering(reason: &str) {
 /// count into the `estimate.compact.runs` histogram, the section copies
 /// the plan runs and those the replay walked into
 /// `estimate.compact.periods_total` / `estimate.compact.periods_walked`
-/// (equal when no section's common shift showed), the
+/// (equal when no section's common shift showed), and the
 /// scratch's reserved bytes into the `estimate.compact.scratch_bytes`
-/// high-water gauge, and the lowering's communication slots and the
-/// operators it priced for them, those the scratch's operator table did
-/// not hold yet, into the `estimate.comm.slots` and
-/// `estimate.comm.priced` counters.
+/// high-water gauge.
 fn record_compact_size(compact: &CompactScratch) {
     let metrics = vtrain_obs::global();
-    let (slots, priced) = compact.comm_pricings();
-    metrics.counter("estimate.comm.slots").add(slots);
-    metrics.counter("estimate.comm.priced").add(priced);
     metrics.histogram("estimate.compact.runs").record(compact.num_runs() as u64);
     let (walked, total) = compact.periods();
     metrics.histogram("estimate.compact.periods_total").record(total);

@@ -51,7 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounds;
+mod bounds;
 mod compact;
 mod cost;
 mod estimate;

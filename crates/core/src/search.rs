@@ -82,8 +82,10 @@ pub enum SweepGoal {
     /// count rather than by graph shape) costs more than it saves.
     Front,
     /// Return exactly the single fastest feasible point (earliest
-    /// candidate on ties). Candidates whose analytic floor is strictly
-    /// slower than the incumbent best are skipped without lowering.
+    /// candidate on ties). Candidates whose busy floor — the busiest
+    /// stream's exact busy time, from the priced slot table — is
+    /// strictly slower than the incumbent best are skipped without
+    /// lowering.
     Best,
 }
 
@@ -196,9 +198,8 @@ pub struct SweepStats {
     pub candidates: usize,
     /// Candidates pruned by the validation stage before lowering.
     pub pruned: usize,
-    /// Feasible candidates skipped because their analytic lower bound
-    /// already lost to the incumbent (only nonzero under
-    /// [`SweepGoal::Best`]).
+    /// Feasible candidates skipped because their busy floor already
+    /// lost to the incumbent (only nonzero under [`SweepGoal::Best`]).
     pub bound_pruned: usize,
     /// Candidates lowered and simulated
     /// (`candidates − pruned − bound_pruned` for a completed sweep;
@@ -259,8 +260,12 @@ pub struct StageProfile {
     /// Per-stage time (validate / lower / simulate / summarize), summed
     /// over workers.
     pub stages: StageNanos,
-    /// Time spent computing analytic lower bounds (only nonzero under
-    /// [`SweepGoal::Best`]), summed over workers.
+    /// Time spent on the busy floors (only nonzero under
+    /// [`SweepGoal::Best`]), summed over workers: the slot pricing and
+    /// the floor of every visited point, pruned or not. A surviving
+    /// point's estimate reuses the pricing, so its `lower_ns` covers
+    /// only the lowering itself; under every other goal the pricing is
+    /// part of `lower_ns`.
     pub bound_ns: u64,
     /// Time spent ordering the candidate visit — GPU-count sorting under
     /// `Best`, shape-key grouping otherwise (a once-per-sweep driver
@@ -381,11 +386,11 @@ pub fn enumerate_candidates(
 /// of thread count or interleaving.
 ///
 /// Under [`SweepGoal::Best`], candidates whose
-/// [analytic floor](Estimator::lower_bound) is strictly slower than the
+/// [busy floor](Estimator::lower_bound) is strictly slower than the
 /// fastest evaluated point so far (one atomic incumbent shared across
-/// workers) are skipped entirely. The outcome is then filtered to
-/// exactly the goal's winners — provably the same winners the exhaustive
-/// sweep returns.
+/// workers) are skipped after their slot pricing, before lowering. The
+/// outcome is then filtered to exactly the goal's winners — provably the
+/// same winners the exhaustive sweep returns.
 ///
 /// Workers split the candidate axis only: threads beyond the candidate
 /// count stay idle.
@@ -495,15 +500,20 @@ fn run_sweep(
                     pruned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
+                // Slot pricing comes first. `Best` tests the floor between
+                // pricing and lowering, so a point that survives prices
+                // once. There the pricing and the floor are a stage of
+                // their own: folding them into lowering would hide the
+                // cost of pruning from the attribution table. Elsewhere
+                // the pricing is part of lowering.
+                let t0 = profile.then(Instant::now);
+                estimator.price_compact(model, &plan, &mut scratch);
+                let mut lower_from = t0;
                 if prune {
-                    // The floor's cost is a stage of its own: bound
-                    // pricing is neither validation nor lowering, and
-                    // folding it into either would hide the cost of
-                    // pruning from the attribution table.
-                    let t0 = profile.then(Instant::now);
-                    let floor = estimator.lower_bound(model, &plan);
-                    if let Some(t0) = t0 {
-                        bound_ns += t0.elapsed().as_nanos() as u64;
+                    let floor = estimator.busy_floor(model, &plan, &mut scratch);
+                    lower_from = profile.then(Instant::now);
+                    if let (Some(t0), Some(t1)) = (t0, lower_from) {
+                        bound_ns += (t1 - t0).as_nanos() as u64;
                     }
                     if incumbent_ns.load(Ordering::Relaxed) < floor.as_nanos() {
                         bound_pruned.fetch_add(1, Ordering::Relaxed);
@@ -522,11 +532,11 @@ fn run_sweep(
                 // profiled variant times lower/simulate/summarize from
                 // inside it, so delta patches show up as shrunken
                 // `lower_ns` rather than a separate path.
-                let estimate = estimator.estimate_compact(
+                let estimate = estimator.estimate_priced(
                     model,
                     &plan,
                     &mut scratch,
-                    profile.then_some(&mut stages),
+                    profile.then_some(&mut stages).zip(lower_from),
                 );
                 if prune {
                     incumbent_ns.fetch_min(estimate.iteration_time.as_nanos(), Ordering::Relaxed);
@@ -668,12 +678,14 @@ fn apply_goal(goal: SweepGoal, points: &mut Vec<DesignPoint>) {
 }
 
 /// The degraded-mode executor: prices every feasible candidate at its
-/// [admissible analytic floor](Estimator::lower_bound) instead of
-/// lowering and simulating it — a few microseconds per candidate, no
-/// profile-cache traffic, no threads. The floor is a true lower bound on
-/// iteration time, so relative ordering is meaningful even though the
-/// returned "estimates" carry zero utilization/occupancy and an empty
-/// busy breakdown (nothing was simulated to attribute).
+/// [admissible busy floor](Estimator::lower_bound) instead of lowering
+/// and simulating it — one slot pricing per candidate on one reused
+/// scratch, no threads. The pricing reads the shared profile cache, so a
+/// cold cache profiles each signature it is missing once. The floor is a
+/// true lower bound on iteration time, so relative ordering is
+/// meaningful even though the returned "estimates" carry zero
+/// utilization/occupancy and an empty busy breakdown (nothing was
+/// simulated to attribute).
 fn bound_only_sweep(
     estimator: &Estimator,
     model: &ModelConfig,
@@ -683,12 +695,14 @@ fn bound_only_sweep(
     let started = Instant::now();
     let mut points: Vec<DesignPoint> = Vec::new();
     let mut pruned = 0;
+    let mut scratch = EstimatorScratch::default();
     for plan in candidates {
         if estimator.validate(model, plan).is_err() {
             pruned += 1;
             continue;
         }
-        let floor = estimator.lower_bound(model, plan);
+        estimator.price_compact(model, plan, &mut scratch);
+        let floor = estimator.busy_floor(model, plan, &mut scratch);
         points.push(DesignPoint {
             plan: *plan,
             estimate: IterationEstimate {
@@ -703,6 +717,7 @@ fn bound_only_sweep(
     }
     let evaluated = points.len();
     apply_goal(goal, &mut points);
+    let cache = scratch.cache_stats();
     SweepOutcome {
         points,
         stats: SweepStats {
@@ -710,8 +725,8 @@ fn bound_only_sweep(
             pruned,
             bound_pruned: 0,
             evaluated,
-            cache_hits: 0,
-            cache_misses: 0,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
             delta_fresh: 0,
             delta_patched: 0,
             threads: 1,
@@ -965,18 +980,19 @@ impl Sweep {
     }
 
     /// Degraded bound-only evaluation: enumerates (if needed) and prices
-    /// the grid at each candidate's admissible analytic floor
+    /// the grid at each candidate's admissible busy floor
     /// ([`Estimator::lower_bound`]) instead of lowering and simulating —
     /// the load-shedding answer a saturated `vtrain serve` hands out
-    /// under `--degrade bound-only`, orders of magnitude cheaper than
-    /// [`run`](Sweep::run).
+    /// under `--degrade bound-only`, much cheaper than
+    /// [`run`](Sweep::run). Each floor costs one slot pricing, which
+    /// reads the shared profile cache.
     ///
     /// Floor points carry the true lower bound as their
     /// `iteration_time`, the plan's GPU/token accounting, and zeroed
     /// utilization/occupancy/busy fields (nothing was simulated). The
     /// configured [`goal`](Sweep::goal) and placement axis apply exactly
-    /// as in a full run; cancellation tokens are ignored — bound pricing
-    /// is microseconds per candidate.
+    /// as in a full run; cancellation tokens are ignored — a floor
+    /// costs microseconds per candidate.
     ///
     /// # Panics
     ///
@@ -1008,7 +1024,7 @@ impl Sweep {
     /// per topology variant, all variants sharing one profile cache
     /// (compute profiles are topology-independent, so every unique
     /// operator signature is profiled once for the *entire* placement
-    /// sweep; bounds are priced per variant — communication costs differ
+    /// sweep; floors are priced per variant — communication costs differ
     /// between placements). A sweep without a placement axis is the one
     /// variant labelled `""` under its optional
     /// [`topology`](Sweep::topology).
@@ -1337,9 +1353,11 @@ mod tests {
 
     #[test]
     fn goal_guided_stage_profiles_attribute_bound_time() {
-        // Regression test: `bound_ns` must be a stage window of its own,
-        // nonzero whenever a profiled `Best` sweep priced floors, and
-        // zero under `Front`, which prices none.
+        // Regression test: under `Best`, `bound_ns` is a stage window of
+        // its own, covering the slot pricing and the floor of every
+        // visited point, and `lower_ns` covers the lowering that reuses
+        // the pricing. Under `Front`, which prices no floor, `bound_ns`
+        // is zero and the pricing is part of `lower_ns`.
         let cluster = ClusterSpec::aws_p4d(32);
         let model = presets::megatron("1.7B");
         let limits =
@@ -1353,6 +1371,8 @@ mod tests {
             "grid must reach the bound stage"
         );
         assert!(profile.bound_ns > 0, "`Best` prices floors, so bound time must be attributed");
+        assert!(outcome.stats.evaluated > 0);
+        assert!(profile.stages.lower_ns > 0, "surviving points still lower");
         assert!(profile.attributed_ns() <= profile.wall_ns);
 
         let front = sweep.goal(SweepGoal::Front).run().into_outcome();

@@ -234,7 +234,7 @@ mod tests {
     use vtrain_profile::{CommModel, OperatorTaskTable, Profiler};
 
     use super::*;
-    use crate::compact::{lower_plan, replay_lowered, CompactScratch};
+    use crate::compact::{lower_plan, price_plan, replay_lowered, CompactScratch};
 
     fn plan(
         t: usize,
@@ -451,7 +451,8 @@ mod tests {
 
             let mut compact = CompactScratch::default();
             let (model, opts) = (presets::megatron("1.7B"), GraphOptions::default());
-            lower_plan(&model, &plan, &opts, &mut table, &comm, &mut compact).unwrap();
+            price_plan(&model, &plan, &opts, &mut table, &comm, &mut compact, |_, _| {}).unwrap();
+            lower_plan(&model, &plan, &opts, &mut compact);
             let mut walk = SimReport::default();
             replay_lowered(&mut compact, p, &mut walk);
             assert_reports_identical(&walk, &legacy);

@@ -1,8 +1,6 @@
 //! Constructs the operator-granularity execution graph from a model and a
 //! 3D-parallelism plan (paper §III-B, Figs. 5/6/8).
 
-use std::collections::HashSet;
-
 use vtrain_model::{Bytes, ModelConfig, TimeNs};
 use vtrain_net::{GroupPlacement, TierSpec, Topology};
 use vtrain_parallel::{layer_partition, ParallelConfig, Pass, ProcessGroups, Section};
@@ -227,41 +225,6 @@ pub fn build_op_graph_into<S: GraphSink>(
     Builder::new(model, plan, opts, sink).build();
 }
 
-/// The deduplicated *necessary operator* set of `(model, plan)` — exactly
-/// the compute signatures [`build_op_graph`] emits — computed in O(p)
-/// without constructing the graph (paper §III-C).
-///
-/// This is what lets a design-space sweep ask a shared profile cache for
-/// only the signatures it is missing before any per-plan lowering work.
-pub fn plan_signatures(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-) -> HashSet<OpSignature> {
-    let sigs = SigFactory { model, plan, opts };
-    let p = plan.pipeline();
-    let partition = layer_partition(model.num_layers(), p);
-    let mut out = HashSet::new();
-    for (stage, layers) in partition.iter().enumerate() {
-        if stage == 0 {
-            out.insert(sigs.vocab(CompKind::EmbeddingFwd));
-            out.insert(sigs.vocab(CompKind::EmbeddingBwd));
-        }
-        if stage == p - 1 {
-            out.insert(sigs.vocab(CompKind::LmHeadFwd));
-            out.insert(sigs.vocab(CompKind::LmHeadBwd));
-        }
-        if !layers.is_empty() {
-            out.insert(sigs.layer(CompKind::MhaFwd));
-            out.insert(sigs.layer(CompKind::FfnFwd));
-            out.insert(sigs.layer(CompKind::MhaBwd));
-            out.insert(sigs.layer(CompKind::FfnBwd));
-        }
-        out.insert(sigs.weight_update(sigs.stage_local_params(stage, layers.len())));
-    }
-    out
-}
-
 /// One entry of a plan's canonical latency-slot enumeration: the operator
 /// a slot prices (see [`visit_plan_slots`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -344,13 +307,73 @@ pub fn visit_plan_slots<F: FnMut(SlotOp)>(
     }
     if plan.data() > 1 {
         for (stage, layers) in partition.iter().enumerate() {
-            if plan.gradient_bucketing() {
-                for (_, bytes) in DpBuckets::new(model, plan, opts, &sigs, stage, layers.len()) {
-                    f(SlotOp::Comm(comms.dp_all_reduce(bytes)));
-                }
-            } else {
-                let bytes = unbucketed_dp_bytes(model, plan, opts, stage, layers.len());
+            for (_, bytes) in DpBuckets::new(model, plan, opts, stage, layers.len()) {
                 f(SlotOp::Comm(comms.dp_all_reduce(bytes)));
+            }
+        }
+    }
+}
+
+/// Enumerates how many nodes of each latency slot every pipeline stage
+/// runs in one iteration, calling `f(slot, stage, count)` slot by slot in
+/// [`visit_plan_slots`]'s canonical order — in closed form, whatever the
+/// micro-batch count, with no graph built.
+///
+/// Stage `s` with `L_s` layers runs `n` forward and `n` backward slots. A
+/// forward slot emits the embedding on stage 0, an MHA and an FFN block
+/// per layer, each followed by a TP All-Reduce when `t > 1`, and the LM
+/// head on the last stage or a send on any other. A backward slot mirrors
+/// it, with the embedding's backward on stage 0 or a send on any other;
+/// boundary `b`'s send slot thus runs `n` times on stage `b` and `n` times
+/// on stage `b + 1`. After the last slot come the stage's DP All-Reduces
+/// and its weight update, once each.
+///
+/// A (stage, slot) pair that emits nothing may be reported with count 0.
+///
+/// # Panics
+///
+/// Same conditions as [`visit_plan_slots`].
+pub fn visit_slot_multiplicities<F: FnMut(u32, usize, u64)>(
+    model: &ModelConfig,
+    plan: &ParallelConfig,
+    opts: &GraphOptions,
+    mut f: F,
+) {
+    let p = plan.pipeline();
+    let n = plan.num_micro_batches() as u64;
+    let partition = layer_partition(model.num_layers(), p);
+    // The fixed kinds, forward then backward: embedding, LM head, then
+    // MHA and FFN once per layer.
+    for pass in [0, 4] {
+        f(pass, 0, n);
+        f(pass + 1, p - 1, n);
+        for slot in pass + 2..pass + 4 {
+            for (stage, layers) in partition.iter().enumerate() {
+                f(slot, stage, n * layers.len() as u64);
+            }
+        }
+    }
+    let mut slot = FIXED_COMP_SLOTS;
+    for stage in 0..p {
+        f(slot, stage, 1);
+        slot += 1;
+    }
+    if plan.tensor() > 1 {
+        for (stage, layers) in partition.iter().enumerate() {
+            f(slot, stage, 4 * n * layers.len() as u64);
+        }
+        slot += 1;
+    }
+    for boundary in 0..p - 1 {
+        f(slot, boundary, n);
+        f(slot, boundary + 1, n);
+        slot += 1;
+    }
+    if plan.data() > 1 {
+        for (stage, layers) in partition.iter().enumerate() {
+            for _ in 0..DpBuckets::new(model, plan, opts, stage, layers.len()).len() {
+                f(slot, stage, 1);
+                slot += 1;
             }
         }
     }
@@ -412,41 +435,17 @@ pub fn plan_shape_key(
 }
 
 /// The exact node count of [`build_op_graph`]'s graph — one task per node
-/// once lowered — as a closed-form sum over the `p` stages, whatever the
+/// once lowered: the sum of [`visit_slot_multiplicities`], whatever the
 /// micro-batch count. Paths that materialize the full graph check it
 /// before they do.
-///
-/// Stage `s` with `L_s` layers runs `n` forward and `n` backward slots.
-/// A forward slot emits the embedding on stage 0, an MHA and an FFN
-/// block per layer, each followed by a TP All-Reduce when `t > 1`, and
-/// the LM head on the last stage or a send on any other. A backward slot
-/// mirrors it, with the embedding's backward on stage 0 or a send on any
-/// other. After the last slot come the stage's DP All-Reduces (none when
-/// `d = 1`, one unbucketed, `⌈L_s / per_bucket⌉` bucketed) and its weight
-/// update:
-///
-/// `Σ_s n·([s = 0] + [s = p − 1] + 2·L_s·(2 + 2·[t > 1]) + 2) + dp_s + 1`
 ///
 /// # Panics
 ///
 /// Same conditions as [`build_op_graph`].
 pub fn plan_task_count(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> u64 {
-    let p = plan.pipeline();
-    let n = plan.num_micro_batches() as u64;
-    let per_layer = 2 * (2 + 2 * u64::from(plan.tensor() > 1));
-    let bucketed = plan.gradient_bucketing();
-    let per_bucket = if bucketed { layers_per_bucket(model, plan, opts) } else { 0 };
-    let stage_tasks = |(s, layers): (usize, &std::ops::Range<usize>)| {
-        let l = layers.len();
-        let ends = u64::from(s == 0) + u64::from(s + 1 == p);
-        let dp = match (plan.data() > 1, bucketed) {
-            (false, _) => 0,
-            (true, false) => 1,
-            (true, true) => l.div_ceil(per_bucket) as u64,
-        };
-        n * (ends + per_layer * l as u64 + 2) + dp + 1
-    };
-    layer_partition(model.num_layers(), p).iter().enumerate().map(stage_tasks).sum()
+    let mut tasks = 0;
+    visit_slot_multiplicities(model, plan, opts, |_, _, count| tasks += count);
+    tasks
 }
 
 /// Layers per DP gradient bucket: as many layers' gradients as fit in
@@ -457,91 +456,19 @@ fn layers_per_bucket(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOpt
 }
 
 /// Shared constructor of compute-operator signatures, used by both the
-/// graph builder and [`plan_signatures`] so the two can never disagree.
+/// graph builder and [`visit_plan_slots`] so the two can never disagree.
 struct SigFactory<'a> {
     model: &'a ModelConfig,
     plan: &'a ParallelConfig,
     opts: &'a GraphOptions,
 }
 
-/// One pipeline stage's communication workload, exactly as
-/// [`build_op_graph`] emits it — the communication analogue of
-/// [`plan_signatures`], shared with analytic consumers (the sweep's
-/// admissible iteration-time bounds) so the two can never disagree.
-#[derive(Clone, Debug)]
-pub struct StageCommOps {
-    /// The TP All-Reduce operator (compute stream), `None` when `t == 1`.
-    pub tp_all_reduce: Option<CommOp>,
-    /// TP All-Reduces emitted per micro-batch on this stage (forward +
-    /// backward slots combined).
-    pub tp_per_micro_batch: usize,
-    /// The forward activation send (comm stream), `None` on the last stage.
-    pub fwd_send: Option<CommOp>,
-    /// The backward gradient send (comm stream), `None` on stage 0.
-    pub bwd_send: Option<CommOp>,
-    /// The DP gradient All-Reduce sequence (comm stream), in emission
-    /// order; empty when `d == 1`.
-    pub dp_all_reduces: Vec<CommOp>,
-}
-
-/// The communication operators [`build_op_graph`] emits for `stage` of
-/// `(model, plan)` — shapes, scopes, and placements included.
-///
-/// # Panics
-///
-/// Panics if `stage >= plan.pipeline()` or the pipeline is deeper than the
-/// model (call [`ParallelConfig::validate`] first).
-pub fn stage_comm_ops(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-    stage: usize,
-) -> StageCommOps {
-    let p = plan.pipeline();
-    assert!(stage < p, "stage {stage} out of range {p}");
-    let comms = CommFactory::new(model, plan, opts);
-    let layers_here = layer_partition(model.num_layers(), p)[stage].len();
-    let dp_all_reduces = if plan.data() > 1 {
-        let sigs = SigFactory { model, plan, opts };
-        if plan.gradient_bucketing() {
-            DpBuckets::new(model, plan, opts, &sigs, stage, layers_here)
-                .map(|(_, bytes)| comms.dp_all_reduce(bytes))
-                .collect()
-        } else {
-            vec![comms.dp_all_reduce(unbucketed_dp_bytes(model, plan, opts, stage, layers_here))]
-        }
-    } else {
-        Vec::new()
-    };
-    StageCommOps {
-        tp_all_reduce: comms.tp_all_reduce,
-        tp_per_micro_batch: 4 * layers_here,
-        fwd_send: (stage + 1 < p).then(|| comms.pp_send(plan, stage)),
-        bwd_send: (stage > 0).then(|| comms.pp_send(plan, stage - 1)),
-        dp_all_reduces,
-    }
-}
-
-/// Total gradient bytes of one stage's single unbucketed DP All-Reduce.
-fn unbucketed_dp_bytes(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-    stage: usize,
-    layers_here: usize,
-) -> Bytes {
-    let sigs = SigFactory { model, plan, opts };
-    let t = plan.tensor() as u64;
-    let grad_bytes_per_layer = 2 * model.params_per_layer() / t;
-    let endpoint_extra = sigs.stage_local_params(stage, layers_here)
-        - layers_here as u64 * model.params_per_layer() / t;
-    Bytes::from_bytes(grad_bytes_per_layer * layers_here as u64 + 2 * endpoint_extra)
-}
-
-/// The gradient-bucket sequence of one stage under DP bucketing, yielding
+/// The DP gradient All-Reduce payloads of one stage, yielding
 /// `(shallowest local layer of the bucket, payload bytes)` in emission
-/// (deepest-first) order. Shared by the builder's gradient-sync emission
-/// and [`stage_comm_ops`] so bucket shapes can never diverge.
+/// (deepest-first) order: the bucket sequence under DP bucketing, one
+/// bucket of the whole stage without. Shared by the builder's
+/// gradient-sync emission, [`visit_plan_slots`] and
+/// [`visit_slot_multiplicities`] so bucket shapes can never diverge.
 struct DpBuckets {
     layer: usize,
     per_bucket: usize,
@@ -554,20 +481,30 @@ impl DpBuckets {
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
-        sigs: &SigFactory<'_>,
         stage: usize,
         layers_here: usize,
     ) -> Self {
+        let sigs = SigFactory { model, plan, opts };
         let t = plan.tensor() as u64;
         let grad_bytes_per_layer = 2 * model.params_per_layer() / t;
         let endpoint_extra = sigs.stage_local_params(stage, layers_here)
             - layers_here as u64 * model.params_per_layer() / t;
+        let per_bucket = if plan.gradient_bucketing() {
+            layers_per_bucket(model, plan, opts)
+        } else {
+            usize::MAX
+        };
         DpBuckets {
             layer: layers_here,
-            per_bucket: layers_per_bucket(model, plan, opts),
+            per_bucket,
             grad_bytes_per_layer,
             endpoint_grad_bytes: 2 * endpoint_extra,
         }
+    }
+
+    /// Buckets left to yield.
+    fn len(&self) -> usize {
+        self.layer.div_ceil(self.per_bucket)
     }
 }
 
@@ -590,7 +527,7 @@ impl Iterator for DpBuckets {
 }
 
 /// Shared constructor of communication operators, used by both the graph
-/// builder and [`stage_comm_ops`] so the two can never disagree. The TP
+/// builder and [`visit_plan_slots`] so the two can never disagree. The TP
 /// All-Reduce (one shape per plan) is precomputed; pipeline sends and DP
 /// All-Reduces are derived per boundary / payload.
 struct CommFactory {
@@ -691,41 +628,16 @@ impl SigFactory<'_> {
     /// Parameters held by one GPU of `stage` (layer share + endpoint
     /// extras), matching the weight-update and DP-gradient volume.
     fn stage_local_params(&self, stage: usize, num_layers_here: usize) -> u64 {
-        stage_params_with_layers(self.model, self.plan, stage, num_layers_here)
+        let t = self.plan.tensor() as u64;
+        let mut params = num_layers_here as u64 * self.model.params_per_layer() / t;
+        if stage == 0 {
+            params += self.model.embedding_params() / t;
+        }
+        if stage == self.plan.pipeline() - 1 {
+            params += 2 * self.model.hidden_size() as u64;
+        }
+        params
     }
-}
-
-/// Parameters held by one GPU of `stage` under `plan` — exactly the
-/// weight-update (and DP-gradient) volume [`build_op_graph`] prices.
-/// Public so analytic consumers (the sweep's iteration-time bounds) can
-/// never disagree with the builder's accounting.
-///
-/// # Panics
-///
-/// Panics if `stage >= plan.pipeline()` or the pipeline is deeper than
-/// the model's layer count.
-pub fn stage_weight_params(model: &ModelConfig, plan: &ParallelConfig, stage: usize) -> u64 {
-    let layers_here = layer_partition(model.num_layers(), plan.pipeline())[stage].len();
-    stage_params_with_layers(model, plan, stage, layers_here)
-}
-
-/// [`stage_weight_params`] with the stage's layer count precomputed (the
-/// builder walks the partition once and passes lengths in).
-fn stage_params_with_layers(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    stage: usize,
-    num_layers_here: usize,
-) -> u64 {
-    let t = plan.tensor() as u64;
-    let mut params = num_layers_here as u64 * model.params_per_layer() / t;
-    if stage == 0 {
-        params += model.embedding_params() / t;
-    }
-    if stage == plan.pipeline() - 1 {
-        params += 2 * model.hidden_size() as u64;
-    }
-    params
 }
 
 /// Where `(pass, micro_batch)` sits in one stage's periodic form:
@@ -1252,39 +1164,25 @@ impl<'a, S: GraphSink> Builder<'a, S> {
         layers_here: usize,
         record: &mut SyncRecord,
     ) {
-        let d = self.plan.data();
-        if d > 1 {
-            if self.plan.gradient_bucketing() {
-                // Buckets group layers in gradient-readiness order
-                // (deepest local layer first).
-                let buckets = DpBuckets::new(
-                    self.model,
-                    self.plan,
-                    self.opts,
-                    &self.sigs,
-                    stage,
-                    layers_here,
-                );
-                for (lo, bytes) in buckets {
-                    let ar = self.dp_all_reduce(stage, bytes);
-                    // Ready when the shallowest layer of the bucket is done.
+        if self.plan.data() > 1 {
+            // Bucketed, the buckets group layers in gradient-readiness
+            // order (deepest local layer first), each ready when its
+            // shallowest layer is done. Unbucketed, the single
+            // All-Reduce runs strictly after the entire backward pass
+            // (Fig. 5(b)).
+            let buckets = DpBuckets::new(self.model, self.plan, self.opts, stage, layers_here);
+            for (lo, bytes) in buckets {
+                let ar = self.dp_all_reduce(stage, bytes);
+                if self.plan.gradient_bucketing() {
                     let ready = record.grad_ready[lo].expect("final backward recorded");
                     self.sink.add_edge(ready, ar);
-                    if lo == 0 {
-                        if let Some(emb) = record.embedding_bwd {
-                            self.sink.add_edge(emb, ar);
-                        }
+                    if let Some(emb) = record.embedding_bwd.filter(|_| lo == 0) {
+                        self.sink.add_edge(emb, ar);
                     }
-                    record.dp_all_reduces.push(ar);
+                } else {
+                    let last_compute = self.last_compute[stage].expect("stage has compute nodes");
+                    self.sink.add_edge(last_compute, ar);
                 }
-            } else {
-                // Unbucketed: a single All-Reduce strictly after the entire
-                // backward pass (Fig. 5(b)).
-                let bytes =
-                    unbucketed_dp_bytes(self.model, self.plan, self.opts, stage, layers_here);
-                let last_compute = self.last_compute[stage].expect("stage has compute nodes");
-                let ar = self.dp_all_reduce(stage, bytes);
-                self.sink.add_edge(last_compute, ar);
                 record.dp_all_reduces.push(ar);
             }
         }
@@ -1527,42 +1425,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_signatures_match_built_graph_exactly() {
-        // The cheap precomputation must agree with the graph's necessary
-        // operators on every grid corner: schedules, batch splits, uneven
-        // layer partitions, recompute on/off.
-        let models = [presets::megatron("1.7B"), presets::megatron("18.4B")];
-        for model in &models {
-            for (t, d, p, m, b) in [
-                (1, 1, 1, 1, 4),
-                (2, 2, 2, 2, 8),
-                (4, 1, 3, 1, 6), // uneven partition candidate (24 % 3 == 0 but shapes differ)
-                (2, 4, 5, 1, 8), // 24 and 40 layers both leave a remainder stage for p = 5
-                (8, 2, 4, 2, 16),
-            ] {
-                if model.num_layers() < p {
-                    continue;
-                }
-                for sched in [Sched::OneFOneB, Sched::GPipe] {
-                    for recompute in [true, false] {
-                        let cfg = plan(t, d, p, m, b, sched);
-                        let opts = GraphOptions { recompute, ..GraphOptions::default() };
-                        let built = build_op_graph(model, &cfg, &opts).necessary_operators();
-                        let cheap = plan_signatures(model, &cfg, &opts);
-                        assert_eq!(
-                            cheap,
-                            built,
-                            "signature sets diverge for t={t} d={d} p={p} m={m} {sched:?} \
-                             recompute={recompute} on {}",
-                            model.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn node_slots_resolve_to_the_canonical_enumeration() {
         // Every node's latency slot must price exactly the operator the
         // builder emitted there, across grid corners covering all slot
@@ -1643,31 +1505,42 @@ mod tests {
         }
     }
 
-    /// The node count of the builder's periodic emission, each node
-    /// weighted by its section's period count: the walk the closed-form
-    /// [`plan_task_count`] replaced, kept as its oracle.
-    fn walked_task_count(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> u64 {
+    /// The node count of the builder's periodic emission per (device,
+    /// latency slot), each node weighted by its section's period count:
+    /// the walk the closed-form [`visit_slot_multiplicities`] replaced,
+    /// kept as its oracle.
+    fn walked_slot_counts(
+        model: &ModelConfig,
+        plan: &ParallelConfig,
+        opts: &GraphOptions,
+    ) -> std::collections::BTreeMap<(usize, u32), u64> {
         #[derive(Default)]
-        struct TaskCounter {
+        struct SlotCounter {
             next: u32,
             periods: u64,
-            tasks: u64,
+            counts: std::collections::BTreeMap<(usize, u32), u64>,
         }
-        impl GraphSink for TaskCounter {
+        impl GraphSink for SlotCounter {
             fn push(&mut self, _node: OpNode) -> u32 {
-                self.tasks += self.periods;
+                panic!("builder must route every node through push_slotted");
+            }
+            fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
+                *self.counts.entry((node.device as usize, slot)).or_default() += self.periods;
                 self.next += 1;
                 self.next - 1
             }
             fn push_chain(
                 &mut self,
-                _: u32,
+                device: u32,
                 _: Option<u32>,
                 pattern: &[ChainOp],
                 repeat: u32,
             ) -> u32 {
+                for op in pattern {
+                    *self.counts.entry((device as usize, op.slot)).or_default() +=
+                        u64::from(repeat) * self.periods;
+                }
                 let n = pattern.len() as u32 * repeat;
-                self.tasks += u64::from(n) * self.periods;
                 self.next += n;
                 self.next - n
             }
@@ -1680,9 +1553,50 @@ mod tests {
             }
             fn add_carried_edge(&mut self, _from: u32, _to: u32, _init: Option<u32>) {}
         }
-        let mut counter = TaskCounter::default();
+        let mut counter = SlotCounter::default();
         build_op_graph_into(model, plan, opts, &mut counter);
-        counter.tasks
+        counter.counts
+    }
+
+    /// The builder walk's total node count.
+    fn walked_task_count(model: &ModelConfig, plan: &ParallelConfig, opts: &GraphOptions) -> u64 {
+        walked_slot_counts(model, plan, opts).values().sum()
+    }
+
+    /// A random plan and graph options for the closed-form oracles: both
+    /// schedules, bucketing on and off under bucket sizes from one layer
+    /// per bucket to whole stages, `t = 1` and `t > 1`, `d = 1` and
+    /// `d > 1`, recompute, uneven partitions up to one layer per stage,
+    /// and micro-batch counts on either side of the periodic threshold.
+    fn random_plan(
+        exps: (usize, usize, usize),
+        p_pick: usize,
+        n_micro: usize,
+        bucket_mib: u64,
+        flags: u32,
+    ) -> (ModelConfig, ParallelConfig, GraphOptions) {
+        let (gpipe, bucketing, recompute, large) =
+            (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
+        let model = presets::megatron(if large { "18.4B" } else { "1.7B" });
+        let p = 1 + (p_pick - 1) % model.num_layers();
+        let (t, d, m) = (1usize << exps.0, 1 << exps.1, 1 << exps.2);
+        let sched = if gpipe { Sched::GPipe } else { Sched::OneFOneB };
+        let cfg = ParallelConfig::builder()
+            .tensor(t)
+            .data(d)
+            .pipeline(p)
+            .micro_batch(m)
+            .global_batch(d * m * n_micro)
+            .schedule(sched)
+            .gradient_bucketing(bucketing)
+            .build()
+            .unwrap();
+        let opts = GraphOptions {
+            recompute,
+            dp_bucket_bytes: Bytes::from_mib(bucket_mib),
+            ..GraphOptions::default()
+        };
+        (model, cfg, opts)
     }
 
     proptest::proptest! {
@@ -1692,11 +1606,7 @@ mod tests {
         })]
 
         /// The closed-form task count equals the builder walk on random
-        /// plans: both schedules, bucketing on and off under bucket sizes
-        /// from one layer per bucket to whole stages, `t = 1` and `t > 1`,
-        /// `d = 1` and `d > 1`, recompute, uneven partitions up to one
-        /// layer per stage, and micro-batch counts on either side of the
-        /// periodic threshold.
+        /// plans (see [`random_plan`]).
         #[test]
         fn closed_form_task_count_matches_the_builder_walk(
             exps in (0usize..=3, 0usize..=3, 0usize..=1),
@@ -1705,22 +1615,38 @@ mod tests {
             bucket_mib in 1u64..=2_000,
             flags in 0u32..16,
         ) {
-            let (gpipe, bucketing, recompute, large) =
-                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
-            let model = presets::megatron(if large { "18.4B" } else { "1.7B" });
-            let p = 1 + (p_pick - 1) % model.num_layers();
-            let (t, d, m) = (1usize << exps.0, 1 << exps.1, 1 << exps.2);
-            let sched = if gpipe { Sched::GPipe } else { Sched::OneFOneB };
-            let cfg = ParallelConfig::builder()
-                .tensor(t).data(d).pipeline(p).micro_batch(m).global_batch(d * m * n_micro)
-                .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
-            let opts = GraphOptions {
-                recompute,
-                dp_bucket_bytes: Bytes::from_mib(bucket_mib),
-                ..GraphOptions::default()
-            };
+            let (model, cfg, opts) = random_plan(exps, p_pick, n_micro, bucket_mib, flags);
             let walked = walked_task_count(&model, &cfg, &opts);
             assert_eq!(plan_task_count(&model, &cfg, &opts), walked, "{cfg} {opts:?}");
+        }
+
+        /// The closed-form multiplicities equal the builder walk's node
+        /// count per (device, latency slot) on random plans, arrive in
+        /// canonical slot order, and cover exactly the enumerated slots.
+        #[test]
+        fn closed_form_multiplicities_match_the_builder_walk(
+            exps in (0usize..=3, 0usize..=3, 0usize..=1),
+            p_pick in 1usize..=40,
+            n_micro in 1usize..=300,
+            bucket_mib in 1u64..=2_000,
+            flags in 0u32..16,
+        ) {
+            let (model, cfg, opts) = random_plan(exps, p_pick, n_micro, bucket_mib, flags);
+            let mut closed = std::collections::BTreeMap::new();
+            let mut last_slot = 0;
+            visit_slot_multiplicities(&model, &cfg, &opts, |slot, stage, count| {
+                assert!(slot >= last_slot, "slots arrive in canonical order");
+                last_slot = slot;
+                if count > 0 {
+                    assert!(closed.insert((stage, slot), count).is_none(), "one visit per pair");
+                }
+            });
+            let mut slots = 0;
+            visit_plan_slots(&model, &cfg, &opts, |_| slots += 1);
+            assert_eq!(last_slot + 1, slots, "{cfg} {opts:?}");
+            let walked = walked_slot_counts(&model, &cfg, &opts);
+            assert_eq!(closed, walked, "{cfg} {opts:?}");
+            assert_eq!(walked.values().sum::<u64>(), walked_task_count(&model, &cfg, &opts));
         }
     }
 

@@ -48,9 +48,8 @@ mod graph;
 mod ops;
 
 pub use builder::{
-    build_op_graph, build_op_graph_into, plan_shape_key, plan_signatures, plan_task_count,
-    stage_comm_ops, stage_weight_params, visit_plan_slots, ChainOp, GraphOptions, GraphSink,
-    PlanShapeKey, SlotOp, StageCommOps,
+    build_op_graph, build_op_graph_into, plan_shape_key, plan_task_count, visit_plan_slots,
+    visit_slot_multiplicities, ChainOp, GraphOptions, GraphSink, PlanShapeKey, SlotOp,
 };
 pub use graph::{OpGraph, OpNode, StreamKind};
 pub use ops::{CommKind, CommOp, CommScope, CompKind, ComputeOp, Op, OpSignature};

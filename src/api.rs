@@ -215,7 +215,7 @@ pub struct SweepReport {
     pub variants: Vec<SweepVariant>,
     /// True when the server answered in degraded bound-only mode
     /// (`--degrade bound-only` under overload): point `iteration_time`s
-    /// are admissible analytic floors, not simulated estimates, and
+    /// are admissible busy floors, not simulated estimates, and
     /// utilization/occupancy/busy fields are zeroed.
     #[serde(default)]
     pub degraded: bool,
@@ -331,7 +331,7 @@ pub struct ServerStats {
     /// server actually saw again.
     #[serde(default)]
     pub retries_observed: u64,
-    /// Sweep requests answered from the analytic floor because the
+    /// Sweep requests answered from the busy floor because the
     /// queue was past its degrade high-water mark.
     #[serde(default)]
     pub degraded_responses: u64,
@@ -499,9 +499,11 @@ pub fn execute(request: &Request, cache: &Arc<ProfileCache>, threads: Option<usi
 /// [`execute`] in degraded bound-only mode — the load-shedding answer a
 /// saturated `vtrain serve --degrade bound-only` hands out instead of a
 /// `Busy` rejection. A `Sweep` request is priced at each candidate's
-/// admissible analytic floor ([`Sweep::bound_only`](vtrain_core::search::Sweep::bound_only))
-/// and flagged `degraded: true` in its report; every other kind runs
-/// exactly as [`execute`] (prediction and validation are already cheap).
+/// admissible busy floor ([`Sweep::bound_only`](vtrain_core::search::Sweep::bound_only)),
+/// which prices each candidate's slot table through the shared profile
+/// cache, and flagged `degraded: true` in its report; every other kind
+/// runs exactly as [`execute`] (prediction and validation are already
+/// cheap).
 ///
 /// Point budgets do not apply (floors are not evaluations); a deadline
 /// is still honored.

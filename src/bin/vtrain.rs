@@ -81,7 +81,7 @@ serve options:
                           the bad-request error, keeping the connection
                           (default 4194304)
   --degrade bound-only    once the queue passes its high-water mark,
-                          answer sweeps from the analytic lower bound
+                          answer sweeps from the busy-time lower bound
                           (flagged `degraded` in the report) instead of
                           shedding them with the busy error
   --degrade-high-water <n>  queue length that triggers degraded mode

@@ -233,7 +233,7 @@ pub struct SweepSection {
     /// `"exhaustive"` (default: every feasible point), `"front"` (the
     /// same points, filtered to the `(iteration time, GPUs)` Pareto
     /// frontier), or `"best"` (the fastest point; the only goal that
-    /// skips candidates by their analytic floor).
+    /// skips candidates by their busy floor).
     #[serde(default)]
     pub goal: Option<String>,
     /// Global batch for candidate enumeration (defaults to the

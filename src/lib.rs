@@ -93,7 +93,7 @@ pub use vtrain_scaling as scaling;
 /// The types most programs need, in one import.
 ///
 /// Engine, graph, and profiler internals (`Simulation`, `Handler`,
-/// `plan_signatures`, `EstimatorScratch`, …) are deliberately absent:
+/// `visit_plan_slots`, `EstimatorScratch`, …) are deliberately absent:
 /// programs that drive those layers directly should import them from
 /// their home crates.
 pub mod prelude {
@@ -105,7 +105,6 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::serve::faults::FaultPlan;
     pub use crate::serve::{DegradeMode, Server, ServerConfig};
-    pub use vtrain_core::bounds::iteration_floor;
     pub use vtrain_core::search::{
         self, AbortReason, CancelToken, DesignPoint, PlacementSweep, SearchLimits, StageProfile,
         Sweep, SweepGoal, SweepOutcome, SweepRun, SweepStats,

@@ -41,9 +41,10 @@
 //!   locks recover a poisoned guard), and a worker thread that
 //!   nevertheless dies is respawned by its supervisor.
 //! - Under `--degrade bound-only`, sweep requests arriving with the
-//!   queue past its high-water mark are answered from the analytic
-//!   floor ([`crate::api::execute_degraded`]) instead of being shed —
-//!   flagged `degraded: true` in the report.
+//!   queue past its high-water mark are answered from the busy floor
+//!   ([`crate::api::execute_degraded`], one slot pricing per candidate
+//!   through the shared profile cache) instead of being shed — flagged
+//!   `degraded: true` in the report.
 //! - With `--snapshot <path>`, the profile cache is persisted
 //!   crash-safely (tmp-file + atomic rename, versioned checksummed
 //!   header) every [`snapshot_every`](ServerConfig::snapshot_every)
@@ -89,7 +90,7 @@ use faults::{FaultPlan, FaultState, ResponseFault};
 /// How a saturated daemon degrades instead of shedding load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegradeMode {
-    /// Answer sweep requests from the admissible analytic floor
+    /// Answer sweep requests from the admissible busy floor
     /// ([`crate::api::execute_degraded`]) once the queue passes the
     /// high-water mark, flagged `degraded: true` in the report.
     BoundOnly,
@@ -165,7 +166,7 @@ struct Job {
     /// counts against it.
     deadline: Option<Instant>,
     admitted: Instant,
-    /// Answer from the analytic floor: the queue was past the degrade
+    /// Answer from the busy floor: the queue was past the degrade
     /// high-water mark at admission.
     degraded: bool,
     out: Arc<Mutex<TcpStream>>,

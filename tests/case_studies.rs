@@ -6,6 +6,33 @@ use vtrain::cluster::{
 use vtrain::prelude::*;
 use vtrain::scaling::{compute_optimal_search, CandidateSpec};
 
+/// Fig. 10's MT-NLG 530B grid (960 candidates, 195 feasible), swept on
+/// one thread for its fastest plan under the closed-form network: the
+/// busy floor prunes at least 177 points (the roofline floor it replaced
+/// pruned 167), and the winner is the exhaustive sweep's,
+/// (8, 32, 105) m=1 at 9.481 s.
+#[test]
+fn best_prunes_the_mtnlg_grid_and_keeps_the_exhaustive_winner() {
+    let scenario = Scenario::from_json(
+        r#"{"model": {"preset": "mt-nlg-530b"},
+            "cluster": {"preset": "dgx-a100-80gb", "total_gpus": 53760},
+            "sweep": {"global_batch": 1920, "goal": "best",
+                      "limits": {"max_tensor": 16, "max_data": 32, "max_pipeline": 105,
+                                 "max_micro_batch": 2}}}"#,
+    )
+    .unwrap();
+    let sweep = scenario.sweep().unwrap().threads(1);
+    let best = sweep.clone().run().into_outcome();
+    let exhaustive = sweep.goal(SweepGoal::Exhaustive).run().into_outcome();
+    assert_eq!((exhaustive.stats.candidates, exhaustive.stats.evaluated), (960, 195));
+    let want = exhaustive.points.iter().min_by_key(|p| p.estimate.iteration_time).unwrap();
+    assert_eq!(best.points, vec![want.clone()]);
+    let plan = want.plan;
+    assert_eq!((plan.tensor(), plan.data(), plan.pipeline(), plan.micro_batch()), (8, 32, 105, 1));
+    assert_eq!(format!("{:.3}", want.estimate.iteration_time.as_secs_f64()), "9.481");
+    assert!(best.stats.bound_pruned >= 177, "pruned {} of 195", best.stats.bound_pruned);
+}
+
 /// Case study #1: design-space exploration uncovers a plan at least as
 /// cost-effective as a fixed heuristic plan with a similar GPU budget.
 #[test]

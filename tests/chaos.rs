@@ -381,8 +381,8 @@ fn corrupt_or_truncated_snapshots_cold_start_without_crashing() {
 
 #[test]
 fn degraded_mode_answers_from_the_floor_instead_of_shedding() {
-    // High-water 0: every sweep is answered from the analytic floor —
-    // the deterministic way to pin the degraded path end-to-end.
+    // High-water 0: every sweep is answered from the busy floor — the
+    // deterministic way to pin the degraded path end-to-end.
     let (addr, daemon) = spawn_server(ServerConfig {
         workers: 1,
         threads: Some(1),
@@ -392,13 +392,29 @@ fn degraded_mode_answers_from_the_floor_instead_of_shedding() {
     });
     let mut client = retrying_client(addr, 0);
     let response = client.sweep("degraded-1", scenario()).expect("degraded sweep settles");
-    match response.outcome {
-        Outcome::Ok(Report::Sweep(report)) => {
-            assert!(report.degraded, "the report must be flagged degraded");
-            assert!(!report.variants.is_empty());
-            assert!(!report.variants[0].points.is_empty(), "floors are still full answers");
-        }
+    let degraded = match response.outcome {
+        Outcome::Ok(Report::Sweep(report)) => report,
         other => panic!("degraded sweep must succeed, got {other:?}"),
+    };
+    assert!(degraded.degraded, "the report must be flagged degraded");
+    assert!(!degraded.variants.is_empty());
+    assert!(!degraded.variants[0].points.is_empty(), "floors are still full answers");
+    // Every floor is admissible: no degraded point is slower than the
+    // same point's simulated time in a normal sweep.
+    let normal = scenario().sweep().expect("sweep builds").run().into_variants();
+    assert_eq!(normal.len(), degraded.variants.len());
+    for (floors, full) in degraded.variants.iter().zip(&normal) {
+        for floor in &floors.points {
+            let point = full.outcome.points.iter().find(|p| p.plan == floor.plan);
+            let point = point.expect("a degraded point is a feasible candidate");
+            assert!(
+                floor.estimate.iteration_time <= point.estimate.iteration_time,
+                "{}: floor {} above simulated {}",
+                floor.plan,
+                floor.estimate.iteration_time,
+                point.estimate.iteration_time
+            );
+        }
     }
     // Predict is not degraded even at high water.
     let response = client.predict("predict-1", scenario_with_plan()).expect("predict settles");
