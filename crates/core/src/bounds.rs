@@ -48,7 +48,8 @@ pub(crate) fn busy_floor(
     let values = compact.slot_values();
     visit_slot_multiplicities(model, plan, opts, |slot, stage, count| {
         let slot = slot as usize;
-        busy[stage][usize::from(compact.on_comm_stream(slot))] += values[slot].as_nanos() * count;
+        busy[stage][usize::from(compact.task_kind(slot).stream())] +=
+            values[slot].as_nanos() * count;
     });
     TimeNs::from_nanos(busy.iter().flatten().copied().max().unwrap_or(0))
 }
@@ -189,7 +190,7 @@ mod tests {
             let (comm, opts) = interconnect(net, false);
             let mut table = profiles(&model, &cfg, &opts);
             let mut compact = CompactScratch::default();
-            price_plan(&model, &cfg, &opts, &mut table, &comm, &mut compact, |_, _| {}).unwrap();
+            price_plan(&model, &cfg, &opts, &mut table, &comm, &mut compact);
             let mut busy = Vec::new();
             let floor = busy_floor(&model, &cfg, &opts, &compact, &mut busy);
             lower_plan(&model, &cfg, &opts, &mut compact);

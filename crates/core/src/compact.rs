@@ -88,11 +88,14 @@
 //! kinds, per-stage weight updates, the TP All-Reduce, per-boundary
 //! pipeline sends, per-stage DP buckets). The compact path prices all
 //! slots first ([`price_plan`]), before lowering, then each node is an
-//! O(1) table lookup instead of a signature-memo probe. The busy floor
-//! of a `Best` sweep ([`crate::bounds`]) reads the same table between
-//! pricing and lowering, and so does the full task graph that `measure`
-//! and `timeline` replay ([`price_slots`]), so one pricing serves the
-//! bound and both graph forms. Like vTrain's profiling, which measures
+//! O(1) table lookup instead of a signature-memo probe. The priced table
+//! is the one record of each slot: its latency, its [`TaskKind`] (which
+//! fixes its stream and busy category) and its [`OpTable`] entry. The
+//! busy floor of a `Best` sweep ([`crate::bounds`]) reads it between
+//! pricing and lowering, and so do the unrolled fair-sharing graph and
+//! the full task graph that `measure` and `timeline` replay
+//! ([`TaskGraph::lower_slots`]), so one pricing serves the bound and
+//! every graph form. Like vTrain's profiling, which measures
 //! each distinct operator once (§III-C), the slot pricing prices each
 //! distinct communication operator once per scratch, not once per slot
 //! or per point: the scratch's [`OpTable`] keeps every operator it has
@@ -127,8 +130,9 @@
 //! task count is `Σ nodes per copy · periods`, all in `u64`, so neither
 //! the periodic replay nor a patched graph changes a bit of the report.
 //!
-//! Measured mode keys noise on task ids and must replay the full graph;
-//! this path is Predicted-only by construction.
+//! Measured noise is a per-task duration keyed on full-graph task ids, so
+//! `measure` perturbs the full graph's durations and replays that; this
+//! path replays clean durations only.
 //!
 //! # Fair sharing: the unrolled graph
 //!
@@ -184,16 +188,16 @@ use vtrain_profile::CommModel;
 
 use crate::flow_replay::{replay_for_tallies, Programs};
 use crate::sim::{BusyBreakdown, SimReport, SimScratch};
-use crate::task_graph::{comm_kind, MissingProfile, TaskGraph, TaskKind};
+use crate::task_graph::{comm_kind, TaskGraph, TaskKind};
 
 /// Resolves compute-operator signatures to `(total latency, kernel
-/// count)` during compact lowering. Implemented by the estimator over the
-/// shared profile cache (with per-sweep hit/miss attribution) and by
-/// profile-set adapters in tests.
+/// count)` during slot pricing. Implemented by the estimator over the
+/// shared profile cache (with per-sweep hit/miss attribution), which
+/// profiles any signature it has not seen, and by profile-set adapters in
+/// tests.
 pub(crate) trait ProfileSource {
-    /// The profiled `(total latency, kernel count)` of `sig`, or `None`
-    /// if the signature cannot be resolved.
-    fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)>;
+    /// The profiled `(total latency, kernel count)` of `sig`.
+    fn op_latency(&mut self, sig: &OpSignature) -> (TimeNs, u32);
 }
 
 /// How [`lower_plan`] obtained the replayed graph.
@@ -229,13 +233,6 @@ const SCAN_ENTRIES: usize = 16;
 /// section walk looks for (max-plus cyclicity). The walk keeps this many
 /// past state vectors.
 pub(crate) const MAX_CYCLICITY: usize = 4;
-
-/// Busy-category codes of `slot_tags` (which [`BusyBreakdown`] field a
-/// slot's latency lands in).
-const CAT_COMPUTE: u8 = 0;
-const CAT_TP: u8 = 1;
-const CAT_DP: u8 = 2;
-const CAT_PP: u8 = 3;
 
 /// Reusable buffers of the compact lowering + replay, columnar throughout.
 ///
@@ -303,10 +300,10 @@ pub struct CompactScratch {
     // --- values: refilled per point ---
     /// Latency of each slot of the canonical enumeration.
     slot_values: Vec<TimeNs>,
-    /// Busy category (`CAT_*`) and [`OpTable`] entry ([`NO_FLOW`] for
-    /// compute slots) of each slot, in one column: a fresh scratch grows
-    /// one buffer, not two.
-    slot_tags: Vec<(u8, u32)>,
+    /// Task kind and [`OpTable`] entry ([`NO_FLOW`] for compute slots) of
+    /// each slot, in one column: a fresh scratch grows one buffer, not
+    /// two.
+    slot_tags: Vec<(TaskKind, u32)>,
     /// Whether any slot of the latest lowering carries a flow program.
     flows: bool,
     /// `(communication slots, operators priced)` of the latest lowering:
@@ -363,11 +360,9 @@ impl CompactScratch {
         &self.slot_values
     }
 
-    /// Whether slot `slot` of the latest pricing runs on the
-    /// communication stream (pipeline sends and DP All-Reduces) rather
-    /// than the compute stream (compute operators and TP All-Reduces).
-    pub(crate) fn on_comm_stream(&self, slot: usize) -> bool {
-        matches!(self.slot_tags[slot].0, CAT_DP | CAT_PP)
+    /// The task kind of slot `slot` in the latest pricing.
+    pub(crate) fn task_kind(&self, slot: usize) -> TaskKind {
+        self.slot_tags[slot].0
     }
 
     /// The flow program of latency slot `slot` in the latest lowering
@@ -664,11 +659,7 @@ impl CompactSink<'_> {
 }
 
 impl GraphSink for CompactSink<'_> {
-    fn push(&mut self, _node: OpNode) -> u32 {
-        unreachable!("the builder emits every node through push_slotted")
-    }
-
-    fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
+    fn push(&mut self, node: OpNode, slot: u32) -> u32 {
         let id = self.s.nodes;
         self.s.nodes += 1;
         self.count_nodes(node.device, 1);
@@ -758,9 +749,9 @@ impl GraphSink for CompactSink<'_> {
 }
 
 /// Prices every slot of the plan's canonical enumeration into
-/// `slot_values`/`slot_tags`, handing each slot's operator and
-/// kernel count (0 for communication) to `on_slot` in slot order.
-/// Returns `true` if any compute signature could not be resolved.
+/// `slot_values`, and records its task kind (a compute slot's profiled
+/// kernel count, a communication slot's collective) and operator-table
+/// entry in `slot_tags`.
 ///
 /// Communication is priced once per distinct operator, not once per
 /// slot: a communication slot takes the [`OpTable`] entry of its
@@ -779,8 +770,7 @@ fn resolve_slots<P: ProfileSource>(
     profiles: &mut P,
     comm: &CommModel,
     s: &mut CompactScratch,
-    mut on_slot: impl FnMut(&SlotOp, u32),
-) -> bool {
+) {
     let CompactScratch { slot_values, slot_tags, flows, comm_pricings, ops, .. } = s;
     slot_values.clear();
     slot_tags.clear();
@@ -790,25 +780,14 @@ fn resolve_slots<P: ProfileSource>(
     if ops.len() >= MAX_OP_ENTRIES {
         ops.clear();
     }
-    let mut missing = false;
     // The last operator seen for each collective kind, and its entry.
     let mut last: [Option<(CommOp, u32)>; 3] = [None; 3];
     let (mut slots, mut priced) = (0, 0);
     visit_plan_slots(model, plan, opts, |op| match op {
         SlotOp::Compute(sig) => {
-            let total = match profiles.op_latency(&sig) {
-                Some((total, kernels)) => {
-                    on_slot(&op, kernels);
-                    total
-                }
-                None => {
-                    missing = true;
-                    on_slot(&op, 0);
-                    TimeNs::ZERO
-                }
-            };
+            let (total, kernels) = profiles.op_latency(&sig);
             slot_values.push(total);
-            slot_tags.push((CAT_COMPUTE, NO_FLOW));
+            slot_tags.push((TaskKind::Compute { kernels }, NO_FLOW));
         }
         SlotOp::Comm(c) => {
             slots += 1;
@@ -821,65 +800,19 @@ fn resolve_slots<P: ProfileSource>(
                     entry
                 }
             };
-            on_slot(&op, 0);
             *flows |= ops.program(entry).is_some();
             slot_values.push(ops.latency[entry as usize]);
-            let cat = match c.kind {
-                CommKind::TpAllReduce => CAT_TP,
-                CommKind::DpAllReduce => CAT_DP,
-                CommKind::PpSendRecv => CAT_PP,
-            };
-            slot_tags.push((cat, entry));
+            slot_tags.push((comm_kind(&c), entry));
         }
     });
     *comm_pricings = (slots, priced);
-    missing
-}
-
-/// The task kind of slot `op` (`kernels`: its profiled kernel count, 0
-/// for communication).
-fn slot_kind(op: &SlotOp, kernels: u32) -> TaskKind {
-    match op {
-        SlotOp::Compute(_) => TaskKind::Compute { kernels },
-        SlotOp::Comm(c) => comm_kind(c),
-    }
-}
-
-/// [`price_plan`] for the full task graph ([`TaskGraph::lower_slots`]),
-/// also returning each slot's task kind. The slots' latencies are
-/// [`CompactScratch::slot_values`], and [`CompactScratch::task_programs`]
-/// gives the tasks' flow programs.
-///
-/// # Errors
-///
-/// Same conditions as [`price_plan`].
-pub(crate) fn price_slots<P: ProfileSource>(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
-    profiles: &mut P,
-    comm: &CommModel,
-    s: &mut CompactScratch,
-    mut on_slot: impl FnMut(&SlotOp, u32),
-) -> Result<Vec<TaskKind>, MissingProfile> {
-    let mut kinds = Vec::new();
-    price_plan(model, plan, opts, profiles, comm, s, |op, kernels| {
-        kinds.push(slot_kind(op, kernels));
-        on_slot(op, kernels);
-    })?;
-    Ok(kinds)
 }
 
 /// The first step of the compact path: prices every slot of the plan's
-/// canonical enumeration into `s`'s slot table, handing each slot's
-/// operator and kernel count to `on_slot` as [`resolve_slots`] does, and
-/// the period count of every section on every stage. [`lower_plan`] and
-/// the busy floor ([`crate::bounds`]) read what this leaves.
-///
-/// # Errors
-///
-/// Returns [`MissingProfile`] if `profiles` cannot resolve a signature
-/// the builder emits.
+/// canonical enumeration into `s`'s slot table ([`resolve_slots`]), and
+/// the period count of every section on every stage. [`lower_plan`], the
+/// busy floor ([`crate::bounds`]) and the full task graph
+/// ([`TaskGraph::lower_slots`]) read what this leaves.
 ///
 /// # Panics
 ///
@@ -891,18 +824,14 @@ pub(crate) fn price_plan<P: ProfileSource>(
     profiles: &mut P,
     comm: &CommModel,
     s: &mut CompactScratch,
-    on_slot: impl FnMut(&SlotOp, u32),
-) -> Result<(), MissingProfile> {
-    if resolve_slots(model, plan, opts, profiles, comm, s, on_slot) {
-        return Err(MissingProfile);
-    }
+) {
+    resolve_slots(model, plan, opts, profiles, comm, s);
     s.sec_periods.clear();
     let (p, n) = (plan.pipeline(), plan.num_micro_batches());
     for stage in 0..p {
         let periods = plan.schedule().section_periods(stage, p, n);
         s.sec_periods.extend(periods.map(|n| n as u64));
     }
-    Ok(())
 }
 
 /// The lowering half of the sweep's fused lower + simulate hot path: on
@@ -1152,19 +1081,8 @@ fn fold_tallies(
         }
         let periods = s.sec_periods[device as usize * n_sections + sec as usize];
         let total = scale(s.slot_values[slot as usize], mult * periods);
-        let device_busy = &mut report.device_busy[device as usize];
-        match s.slot_tags[slot as usize].0 {
-            CAT_COMPUTE => {
-                busy.compute += total;
-                *device_busy += total;
-            }
-            CAT_TP => {
-                busy.tp_comm += total;
-                *device_busy += total;
-            }
-            CAT_DP => busy.dp_comm += total,
-            _ => busy.pp_comm += total,
-        }
+        let kind = s.slot_tags[slot as usize].0;
+        kind.book(total, &mut busy, &mut report.device_busy[device as usize]);
     }
     let tasks: u64 = s.sec_nodes.iter().zip(&s.sec_periods).map(|(&n, &k)| n * k).sum();
     report.busy = busy;
@@ -1303,8 +1221,7 @@ fn common_shift(
     })
 }
 
-/// The fair-sharing half of the compact path: each latency slot's task
-/// kind, recorded next to the slot table, and the periodic graph unrolled
+/// The fair-sharing half of the compact path: the periodic graph unrolled
 /// into one task per (section copy, run) for the flow replay. The flow
 /// programs themselves live in the scratch's [`OpTable`], which the slot
 /// and instance entries index. Filled only under the fair-sharing
@@ -1312,9 +1229,6 @@ fn common_shift(
 /// buffer is cleared, not dropped, between points.
 #[derive(Default)]
 pub(crate) struct Unrolled {
-    /// Task kind of each latency slot: a compute slot's profiled kernel
-    /// count, a communication slot's collective.
-    slot_kind: Vec<TaskKind>,
     /// Each run's stream (0 = compute, 1 = comm), task kind and
     /// [`OpTable`] entry.
     run_stream: Vec<u8>,
@@ -1334,13 +1248,6 @@ pub(crate) struct Unrolled {
 }
 
 impl Unrolled {
-    /// The [`price_plan`] callback that records each slot's task kind,
-    /// which [`lower_unrolled`] reads.
-    pub(crate) fn slot_kinds(&mut self) -> impl FnMut(&SlotOp, u32) + '_ {
-        self.slot_kind.clear();
-        |op, kernels| self.slot_kind.push(slot_kind(op, kernels))
-    }
-
     /// Tasks of the latest unrolled graph.
     #[cfg(test)]
     pub(crate) fn num_tasks(&self) -> usize {
@@ -1369,12 +1276,13 @@ impl Unrolled {
     }
 
     /// Derives each run's stream, task kind and [`OpTable`] entry from
-    /// its composition. Communication-stream nodes (pipeline sends, DP
-    /// All-Reduces) never extend a run, so such a run is one node. A
-    /// one-node run takes its slot's kind; a longer compute-stream run
-    /// sums its compute members' kernel counts (its TP All-Reduces add
-    /// none). The run's entry is its first slot's, which carries the
-    /// program of a one-node communication run and none otherwise.
+    /// its composition and the slot table. Communication-stream nodes
+    /// (pipeline sends, DP All-Reduces) never extend a run, so such a run
+    /// is one node. A one-node run takes its slot's kind; a longer
+    /// compute-stream run sums its compute members' kernel counts (its TP
+    /// All-Reduces add none). The run's entry is its first slot's, which
+    /// carries the program of a one-node communication run and none
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -1392,26 +1300,22 @@ impl Unrolled {
             }
             let head = s.comp_slot[start] as usize;
             let one_node = e - start == 1 && s.comp_count[start] == 1;
-            let (cat, entry) = s.slot_tags[head];
-            let comm_stream = matches!(cat, CAT_DP | CAT_PP);
-            assert!(one_node || !comm_stream, "a communication-stream run is exactly one node");
+            let (head_kind, entry) = s.slot_tags[head];
+            let stream = head_kind.stream();
+            assert!(one_node || stream == 0, "a communication-stream run is exactly one node");
             let mut kernels = 0;
             for i in start..e {
                 let slot = s.comp_slot[i] as usize;
                 assert!(
-                    comm_stream || s.program(slot).is_none(),
+                    stream == 1 || s.program(slot).is_none(),
                     "only communication-stream runs carry flow programs"
                 );
-                if let TaskKind::Compute { kernels: k } = self.slot_kind[slot] {
+                if let TaskKind::Compute { kernels: k } = s.slot_tags[slot].0 {
                     kernels += k * s.comp_count[i];
                 }
             }
-            self.run_stream.push(u8::from(comm_stream));
-            self.run_kind.push(if one_node {
-                self.slot_kind[head]
-            } else {
-                TaskKind::Compute { kernels }
-            });
+            self.run_stream.push(stream);
+            self.run_kind.push(if one_node { head_kind } else { TaskKind::Compute { kernels } });
             self.run_entry.push(entry);
         }
     }
@@ -1485,10 +1389,9 @@ impl Unrolled {
     }
 }
 
-/// [`lower_plan`] for the fair-sharing network: on a scratch priced with
-/// [`Unrolled::slot_kinds`] recording each slot's task kind, also
-/// unrolls the periodic graph into `unrolled` for [`replay_unrolled`] if
-/// any slot carries a flow program ([`CompactScratch::has_flows`]).
+/// [`lower_plan`] for the fair-sharing network: also unrolls the periodic
+/// graph into `unrolled` for [`replay_unrolled`] if any slot carries a
+/// flow program ([`CompactScratch::has_flows`]).
 /// Shape-equal plans patch the compact graph exactly as under the closed
 /// form; the unrolled graph is rebuilt from it every time it is needed.
 ///
@@ -1552,9 +1455,14 @@ pub(crate) mod tests {
 
     /// The compact lowering's view of an operator table (the tests' profile
     /// source, here and in `sim.rs`).
+    ///
+    /// # Panics
+    ///
+    /// If the table does not hold `sig`.
     impl ProfileSource for OperatorTaskTable {
-        fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
-            self.get(sig).map(|p| (p.total(), p.kernel_count() as u32))
+        fn op_latency(&mut self, sig: &OpSignature) -> (TimeNs, u32) {
+            let p = self.get(sig).unwrap_or_else(|| panic!("{sig:?} was never profiled"));
+            (p.total(), p.kernel_count() as u32)
         }
     }
 
@@ -1581,13 +1489,12 @@ pub(crate) mod tests {
         profiles: &mut P,
         comm: &CommModel,
         scratch: &mut CompactScratch,
-    ) -> Result<LowerOutcome, MissingProfile> {
-        price_plan(model, plan, opts, profiles, comm, scratch, |_, _| {})?;
-        Ok(lower_plan(model, plan, opts, scratch))
+    ) -> LowerOutcome {
+        price_plan(model, plan, opts, profiles, comm, scratch);
+        lower_plan(model, plan, opts, scratch)
     }
 
-    /// [`price_plan`] recording the slots' task kinds, then
-    /// [`lower_unrolled`].
+    /// [`price_plan`], then [`lower_unrolled`].
     fn price_and_unroll<P: ProfileSource>(
         model: &ModelConfig,
         plan: &ParallelConfig,
@@ -1596,9 +1503,9 @@ pub(crate) mod tests {
         comm: &CommModel,
         scratch: &mut CompactScratch,
         unrolled: &mut Unrolled,
-    ) -> Result<LowerOutcome, MissingProfile> {
-        price_plan(model, plan, opts, profiles, comm, scratch, unrolled.slot_kinds())?;
-        Ok(lower_unrolled(model, plan, opts, scratch, unrolled))
+    ) -> LowerOutcome {
+        price_plan(model, plan, opts, profiles, comm, scratch);
+        lower_unrolled(model, plan, opts, scratch, unrolled)
     }
 
     /// The fused lower + replay: lowers `plan` on `scratch` (patching
@@ -1612,10 +1519,10 @@ pub(crate) mod tests {
         comm: &CommModel,
         scratch: &mut CompactScratch,
         report: &mut SimReport,
-    ) -> Result<LowerOutcome, MissingProfile> {
-        let outcome = price_and_lower(model, plan, opts, profiles, comm, scratch)?;
+    ) -> LowerOutcome {
+        let outcome = price_and_lower(model, plan, opts, profiles, comm, scratch);
         replay_lowered(scratch, plan.pipeline(), report);
-        Ok(outcome)
+        outcome
     }
 
     /// The flat or the two-tier communication model of a 512-GPU
@@ -1655,28 +1562,36 @@ pub(crate) mod tests {
     }
 
     /// Per-slot pricing, the reference of [`resolve_slots`]' table: every
-    /// slot's latency and flow program priced from its own operator. Also
-    /// returns the operator of each communication slot, in slot order.
+    /// slot's latency, flow program and task kind priced from its own
+    /// operator. Also returns the operator of each communication slot, in
+    /// slot order.
+    #[allow(clippy::type_complexity)]
     fn price_per_slot(
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
         profiles: &OperatorTaskTable,
         comm: &CommModel,
-    ) -> (Vec<TimeNs>, Vec<Option<FlowProgram>>, Vec<CommOp>) {
-        let (mut values, mut programs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+    ) -> (Vec<TimeNs>, Vec<Option<FlowProgram>>, Vec<TaskKind>, Vec<CommOp>) {
+        let (mut values, mut programs, mut kinds, mut ops) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         visit_plan_slots(model, plan, opts, |op| match op {
             SlotOp::Compute(sig) => {
-                values.push(profiles.get(&sig).map_or(TimeNs::ZERO, |p| p.total()));
+                let profile = profiles.get(&sig).expect("a profiled signature");
+                values.push(profile.total());
                 programs.push(None);
+                kinds.push(TaskKind::Compute { kernels: profile.kernel_count() as u32 });
             }
             SlotOp::Comm(c) => {
                 values.push(comm.latency(&c));
                 programs.push(comm.flow_program(&c));
+                let (kind, scope, overlappable) = (c.kind, c.scope, c.overlappable);
+                let concurrent_groups = c.concurrent_groups as u32;
+                kinds.push(TaskKind::Comm { kind, scope, overlappable, concurrent_groups });
                 ops.push(c);
             }
         });
-        (values, programs, ops)
+        (values, programs, kinds, ops)
     }
 
     fn compare_point(
@@ -1702,7 +1617,7 @@ pub(crate) mod tests {
         let expect = simulate(&full, SimMode::Predicted);
 
         let mut report = SimReport::default();
-        simulate_plan(model, plan, opts, &mut profiles, comm, scratch, &mut report).unwrap();
+        simulate_plan(model, plan, opts, &mut profiles, comm, scratch, &mut report);
 
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
@@ -1738,29 +1653,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn missing_profile_reported() {
-        let model = presets::megatron("1.7B");
-        let plan = ParallelConfig::builder().global_batch(4).build().unwrap();
-        let comm = CommModel::new(&ClusterSpec::aws_p4d(8), 1.0);
-        let err = simulate_plan(
-            &model,
-            &plan,
-            &GraphOptions::default(),
-            &mut OperatorTaskTable::new(),
-            &comm,
-            &mut CompactScratch::default(),
-            &mut SimReport::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, MissingProfile);
-        // The full lowering prices the same slot table and fails alike.
-        let (opts, mut empty) = (GraphOptions::default(), OperatorTaskTable::new());
-        let mut scratch = CompactScratch::default();
-        let full = price_slots(&model, &plan, &opts, &mut empty, &comm, &mut scratch, |_, _| {});
-        assert_eq!(full.unwrap_err(), MissingProfile);
-    }
-
     /// Runs `plan` on `walk_scratch` (patched when the shape matches) and
     /// through a from-scratch lowering on a throwaway scratch, asserting
     /// bit-identical reports. Returns the walk path's outcome.
@@ -1784,14 +1676,12 @@ pub(crate) mod tests {
             &comm,
             &mut fresh_scratch,
             &mut fresh_report,
-        )
-        .unwrap();
+        );
         assert_eq!(outcome, LowerOutcome::Fresh, "a fresh scratch always builds");
 
         let mut walk_report = SimReport::default();
         let outcome =
-            simulate_plan(model, plan, opts, &mut profiles, &comm, walk_scratch, &mut walk_report)
-                .unwrap();
+            simulate_plan(model, plan, opts, &mut profiles, &comm, walk_scratch, &mut walk_report);
 
         assert_eq!(walk_report.iteration_time, fresh_report.iteration_time, "{plan}");
         assert_eq!(walk_report.busy, fresh_report.busy, "{plan}");
@@ -1849,8 +1739,7 @@ pub(crate) mod tests {
 
         let mut report = SimReport::default();
         let outcome =
-            simulate_plan(model, plan, opts, &mut profiles, comm, walk_scratch, &mut report)
-                .unwrap();
+            simulate_plan(model, plan, opts, &mut profiles, comm, walk_scratch, &mut report);
         assert_eq!(report.iteration_time, expect.iteration_time, "{plan}");
         assert_eq!(report.busy, expect.busy, "{plan}");
         assert_eq!(report.device_busy, expect.device_busy, "{plan}");
@@ -1921,8 +1810,7 @@ pub(crate) mod tests {
                     let plan = plan_of((1, 1, p, 1, n), sched);
                     let opts = GraphOptions::default();
                     let mut profiles = profiles(&model, &plan, &opts);
-                    price_and_lower(&model, &plan, &opts, &mut profiles, &comm, &mut scratch)
-                        .unwrap();
+                    price_and_lower(&model, &plan, &opts, &mut profiles, &comm, &mut scratch);
                     let s = &scratch;
                     let n_sections = s.sec_periods.len() / p;
                     for sec in 0..n_sections {
@@ -2055,8 +1943,7 @@ pub(crate) mod tests {
         let mut report = SimReport::default();
         for round in 0..3 {
             let t0 = std::time::Instant::now();
-            price_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, |_, _| {})
-                .unwrap();
+            price_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch);
             let t1 = std::time::Instant::now();
             build_graph(&model, &plan, &opts, &mut scratch);
             let t2 = std::time::Instant::now();
@@ -2098,7 +1985,7 @@ pub(crate) mod tests {
         let (comm, opts) = interconnect(0, true);
         let mut profiles = profiles(&model, &plan, &opts);
         let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
-        let (_, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+        let (_, _, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
         let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len() as u64;
         assert_eq!(ops.len(), 3 + 24);
         assert!(distinct <= 1 + 8, "{distinct} distinct operators");
@@ -2111,8 +1998,7 @@ pub(crate) mod tests {
                 &comm,
                 &mut scratch,
                 &mut unrolled,
-            )
-            .unwrap();
+            );
             assert_eq!(scratch.comm_pricings(), (ops.len() as u64, priced));
             // The table holds the shared compute entry and one entry per
             // distinct operator.
@@ -2133,7 +2019,7 @@ pub(crate) mod tests {
         let plan = plan_of((2, 4, 2, 1, 16), PipelineSchedule::OneFOneB);
         let (comm, opts) = interconnect(1, true);
         let mut profiles = profiles(&model, &plan, &opts);
-        let (_, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+        let (_, _, _, ops) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
         let filler = |i: usize| CommOp { ranks: ops[0].ranks + 1_000 * i, ..ops[0] };
         let mut scratch = CompactScratch::default();
         for i in 1..MAX_OP_ENTRIES {
@@ -2143,7 +2029,7 @@ pub(crate) mod tests {
             assert_eq!(scratch.ops.entry(&filler(i), &comm), (i as u32, false));
         }
         assert_eq!(scratch.ops.len(), MAX_OP_ENTRIES);
-        price_and_lower(&model, &plan, &opts, &mut profiles, &comm, &mut scratch).unwrap();
+        price_and_lower(&model, &plan, &opts, &mut profiles, &comm, &mut scratch);
         let distinct = ops.iter().collect::<std::collections::HashSet<_>>().len();
         assert_eq!(scratch.comm_pricings(), (ops.len() as u64, distinct as u64));
         assert_eq!(scratch.ops.len(), 1 + distinct);
@@ -2155,10 +2041,12 @@ pub(crate) mod tests {
         /// Differential test of the operator table against per-slot
         /// pricing: on random plans over four interconnects, under both
         /// networks, a walk of points through one reused scratch gives
-        /// every slot the latency and the flow program its own operator
-        /// prices to, bit for bit, flags the flows exactly when some slot
-        /// carries a program, and prices exactly the operators no earlier
-        /// point of the walk emitted.
+        /// every slot the latency, the flow program and the task kind its
+        /// own operator prices to, bit for bit (a compute slot's kernel
+        /// count from its profile, a communication slot's kind from its
+        /// `CommOp`), flags the flows exactly when some slot carries a
+        /// program, and prices exactly the operators no earlier point of
+        /// the walk emitted.
         #[test]
         fn operator_pricing_matches_per_slot_pricing(
             walk in proptest::collection::vec(
@@ -2181,11 +2069,13 @@ pub(crate) mod tests {
                     .schedule(sched).gradient_bucketing(bucketing).build().unwrap();
                 let mut profiles = profiles(&model, &plan, &opts);
                 let (source, scratch) = (&mut profiles, &mut scratch);
-                price_and_unroll(&model, &plan, &opts, source, &comm, scratch, &mut unrolled).unwrap();
-                let (values, programs, ops) =
+                price_and_unroll(&model, &plan, &opts, source, &comm, scratch, &mut unrolled);
+                let (values, programs, kinds, ops) =
                     price_per_slot(&model, &plan, &opts, &profiles, &comm);
                 let nanos = |v: &[TimeNs]| v.iter().map(|t| t.as_nanos()).collect::<Vec<_>>();
                 prop_assert_eq!(nanos(&scratch.slot_values), nanos(&values));
+                let recorded: Vec<_> = scratch.slot_tags.iter().map(|&(kind, _)| kind).collect();
+                prop_assert_eq!(recorded, kinds);
                 let got: Vec<_> = (0..programs.len()).map(|slot| scratch.program(slot)).collect();
                 prop_assert_eq!(got, programs.iter().map(Option::as_ref).collect::<Vec<_>>());
                 prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));
@@ -2220,9 +2110,8 @@ pub(crate) mod tests {
             let (comm, opts) = interconnect(net, true);
             let mut profiles = profiles(&model, &plan, &opts);
             let (mut scratch, mut unrolled) = (CompactScratch::default(), Unrolled::default());
-            price_and_unroll(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled)
-                .unwrap();
-            let (_, programs, _) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
+            price_and_unroll(&model, &plan, &opts, &mut profiles, &comm, &mut scratch, &mut unrolled);
+            let (_, programs, _, _) = price_per_slot(&model, &plan, &opts, &profiles, &comm);
             prop_assert_eq!(scratch.has_flows(), programs.iter().any(Option::is_some));
             let mut flows = SimScratch::default();
             let mut dispatched = SimReport::default();

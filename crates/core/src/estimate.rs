@@ -14,11 +14,13 @@
 //!
 //! [`Estimator::measure`] and [`Estimator::timeline`] are thin
 //! compositions of the stages over the full task graph: measured-mode
-//! noise keys on task ids, and a timeline needs one span per task. The
-//! full graph and the compact graph below read one slot table, priced
-//! by the same code, so an operator has one price whichever graph
-//! replays it; the timeline labels each span and finds each flow
-//! program through its task's slot.
+//! noise is a per-task duration keyed on task ids, which `measure` writes
+//! into the graph's durations before a Predicted replay, and a timeline
+//! needs one span per task. The full graph and the compact graph below
+//! read one slot table, which records each slot's latency, task kind and
+//! flow program, so an operator has one price whichever graph replays it;
+//! the timeline labels each span and finds each flow program through its
+//! task's slot.
 //! [`Estimator::estimate`] fuses lowering and replay instead: it lowers
 //! straight into the run-aggregated compact graph the sweep uses and
 //! replays that, never materializing the task graph — by the max-plus
@@ -41,8 +43,8 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vtrain_gpu::NoiseModel;
 use vtrain_graph::{
-    plan_shape_key, plan_task_count, CommKind, CommOp, CompKind, GraphOptions, OpSignature,
-    PlanShapeKey, SlotOp,
+    plan_shape_key, plan_task_count, visit_plan_slots, CommKind, CommOp, CompKind, GraphOptions,
+    OpSignature, PlanShapeKey, SlotOp,
 };
 use vtrain_model::{ModelConfig, TimeNs};
 use vtrain_net::{NetworkBackend, Topology};
@@ -52,12 +54,12 @@ use vtrain_profile::{CacheStats, CommModel, GpuKey, ProfileCache, Profiler};
 
 use crate::bounds::busy_floor;
 use crate::compact::{
-    lower_plan, lower_unrolled, price_plan, price_slots, replay_lowered, replay_unrolled,
-    CompactScratch, LowerOutcome, ProfileSource, Unrolled,
+    lower_plan, lower_unrolled, price_plan, replay_lowered, replay_unrolled, CompactScratch,
+    LowerOutcome, ProfileSource, Unrolled,
 };
 use crate::flow_replay::{replay, Programs};
-use crate::sim::{simulate, BusyBreakdown, SimMode, SimReport, SimScratch};
-use crate::task_graph::TaskGraph;
+use crate::sim::{simulate, with_noise, BusyBreakdown, SimMode, SimReport, SimScratch};
+use crate::task_graph::{TaskGraph, TaskKind};
 
 /// The most tasks a full task graph may hold. [`Estimator::timeline`]
 /// and [`Estimator::measure`] materialize one task per operator, so their
@@ -418,12 +420,12 @@ struct CacheSource<'a> {
 }
 
 impl ProfileSource for CacheSource<'_> {
-    fn op_latency(&mut self, sig: &OpSignature) -> Option<(TimeNs, u32)> {
+    fn op_latency(&mut self, sig: &OpSignature) -> (TimeNs, u32) {
         if sig.kind == CompKind::WeightUpdate {
-            return Some(self.profiler.operator_latency(sig));
+            return self.profiler.operator_latency(sig);
         }
         let profile = self.cache.get_with(self.gpu_key, self.profiler, sig, self.stats);
-        Some((profile.total(), profile.kernel_count() as u32))
+        (profile.total(), profile.kernel_count() as u32)
     }
 }
 
@@ -547,19 +549,17 @@ impl Estimator {
     /// Panics if the plan is invalid for the model (run
     /// [`Estimator::validate`] first).
     pub fn lower(&self, model: &ModelConfig, plan: &ParallelConfig) -> TaskGraph {
-        self.lower_full(model, plan, &mut CompactScratch::default(), None, |_, _| {})
+        self.lower_full(model, plan, &mut CompactScratch::default(), None)
     }
 
-    /// [`Estimator::lower`] on `compact`'s slot table, handing every
-    /// slot's operator and kernel count to `on_slot`, and with
-    /// `task_slots` pushing each task's slot onto it.
+    /// [`Estimator::lower`] on `compact`'s slot table, with `task_slots`
+    /// pushing each task's slot onto it.
     fn lower_full(
         &self,
         model: &ModelConfig,
         plan: &ParallelConfig,
         compact: &mut CompactScratch,
         task_slots: Option<&mut Vec<u32>>,
-        on_slot: impl FnMut(&SlotOp, u32),
     ) -> TaskGraph {
         let mut stats = CacheStats::default();
         let mut source = CacheSource {
@@ -569,9 +569,8 @@ impl Estimator {
             stats: &mut stats,
         };
         let opts = &self.graph_opts;
-        let kinds = price_slots(model, plan, opts, &mut source, &self.comm, compact, on_slot)
-            .expect("estimator profile source resolves every signature");
-        TaskGraph::lower_slots(model, plan, opts, compact.slot_values(), &kinds, task_slots)
+        price_plan(model, plan, opts, &mut source, &self.comm, compact);
+        TaskGraph::lower_slots(model, plan, opts, compact, task_slots)
     }
 
     /// **Stage 3 — simulate.** Replays a lowered task graph (Algorithm 1).
@@ -674,7 +673,7 @@ impl Estimator {
         plan: &ParallelConfig,
         scratch: &mut EstimatorScratch,
     ) {
-        let EstimatorScratch { pricing_id, compact, unrolled, cache_stats, .. } = scratch;
+        let EstimatorScratch { pricing_id, compact, cache_stats, .. } = scratch;
         if *pricing_id != self.pricing_id {
             compact.forget_prices();
             *pricing_id = self.pricing_id;
@@ -685,13 +684,7 @@ impl Estimator {
             gpu_key: &self.gpu_key,
             stats: cache_stats,
         };
-        let (opts, comm) = (&self.graph_opts, &self.comm);
-        let priced = if self.network() == NetworkBackend::FairSharing {
-            price_plan(model, plan, opts, &mut source, comm, compact, unrolled.slot_kinds())
-        } else {
-            price_plan(model, plan, opts, &mut source, comm, compact, |_, _| {})
-        };
-        priced.expect("estimator profile source resolves every signature");
+        price_plan(model, plan, &self.graph_opts, &mut source, &self.comm, compact);
         if vtrain_obs::enabled() {
             let metrics = vtrain_obs::global();
             let (slots, priced) = compact.comm_pricings();
@@ -809,8 +802,10 @@ impl Estimator {
 
     /// Ground-truth emulated "measurement" of the same design point — the
     /// stand-in for the real training runs of the paper's validation
-    /// (Fig. 9, Table II). Same staged composition with the noise-model
-    /// replay plus a configuration-level iteration bias.
+    /// (Fig. 9, Table II). The same staged composition, with the noise
+    /// model's perturbations written into the task graph's durations
+    /// before the replay, plus a configuration-level iteration bias. The
+    /// straggler pool counts the nodes of the graph's placement.
     ///
     /// Uses the noise the estimator was
     /// [built with](EstimatorBuilder::noise) (the paper's §IV error
@@ -842,9 +837,9 @@ impl Estimator {
         plan.validate(model, &self.cluster)?;
         self.admit_full_graph(model, plan)?;
         count_full_lowering("measured");
-        let tg = self.lower(model, plan);
-        let nodes = plan.num_gpus().div_ceil(self.cluster.gpus_per_node);
-        let mut report = self.simulate(&tg, SimMode::Measured { noise, nodes });
+        let nodes = plan.num_gpus().div_ceil(self.graph_opts.gpus_per_node);
+        let tg = with_noise(self.lower(model, plan), SimMode::Measured { noise, nodes });
+        let mut report = self.simulate(&tg, SimMode::Predicted);
         // Configuration-level runtime bias a kernel replay cannot see
         // (framework effects); keyed deterministically on the config via a
         // toolchain-stable hash.
@@ -908,12 +903,13 @@ impl Estimator {
         plan.validate(model, &self.cluster)?;
         self.admit_full_graph(model, plan)?;
         count_full_lowering("timeline");
+        let (mut compact, mut slots) = (CompactScratch::default(), Vec::new());
+        let tg = self.lower_full(model, plan, &mut compact, Some(&mut slots));
         // One label per latency slot, its tier breakdown computed once: a
         // span takes the label of its task's slot.
         let mut labels = Vec::new();
-        let (mut compact, mut slots) = (CompactScratch::default(), Vec::new());
-        let tg = self.lower_full(model, plan, &mut compact, Some(&mut slots), |op, kernels| {
-            labels.push(slot_label(op, kernels, &self.comm))
+        visit_plan_slots(model, plan, &self.graph_opts, |op| {
+            labels.push(slot_label(&op, compact.task_kind(labels.len()), &self.comm));
         });
 
         let mut recorder = TimelineRecorder::new();
@@ -940,7 +936,7 @@ impl Estimator {
         };
         let mut entries = Vec::new();
         let programs = match self.network() {
-            NetworkBackend::ClosedForm => Programs::Fixed(SimMode::Predicted),
+            NetworkBackend::ClosedForm => Programs::Fixed,
             NetworkBackend::FairSharing => {
                 compact.task_programs(self.topology(), &slots, &mut entries)
             }
@@ -993,18 +989,19 @@ fn record_compact_size(compact: &CompactScratch) {
 }
 
 /// `(name, category, args)` of the spans of latency slot `op`, whose
-/// profiled kernel count is `kernels` (0 for communication).
+/// recorded task kind is `kind`.
 fn slot_label(
     op: &SlotOp,
-    kernels: u32,
+    kind: TaskKind,
     comm: &CommModel,
 ) -> (&'static str, &'static str, Vec<(String, u64)>) {
-    match op {
-        SlotOp::Compute(sig) => {
+    match (op, kind) {
+        (SlotOp::Compute(sig), TaskKind::Compute { kernels }) => {
             let (name, cat) = compute_label(sig.kind);
             (name, cat, vec![("kernels".to_owned(), u64::from(kernels))])
         }
-        SlotOp::Comm(c) => comm_label(c, comm),
+        (SlotOp::Comm(c), _) => comm_label(c, comm),
+        (SlotOp::Compute(_), TaskKind::Comm { .. }) => unreachable!("a compute slot's kind"),
     }
 }
 
@@ -1231,6 +1228,37 @@ mod tests {
         }
         let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
         assert!(mean > 1.0, "mean measured/predicted ratio {mean:.3} should exceed 1");
+    }
+
+    #[test]
+    fn measure_counts_the_nodes_of_the_graphs_placement() {
+        // Counts full-graph exits: keep out of the counter test's window.
+        let _flag = OBS_FLAG.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // A topology of 4-GPU nodes on a cluster of 8-GPU nodes: the
+        // graph's communication scopes follow the topology, and so must
+        // the straggler pool and the iteration bias.
+        let cluster = ClusterSpec::aws_p4d(64);
+        let tier = |bandwidth, latency| vtrain_net::TierSpec::new(bandwidth, latency, 1.0);
+        let topology = Topology::two_tier(
+            4,
+            tier(cluster.nvlink_bus_bandwidth, cluster.nvlink_latency),
+            tier(cluster.internode_bandwidth, cluster.internode_latency),
+        );
+        let est = Estimator::builder(cluster).topology(topology).build();
+        let model = presets::megatron("1.7B");
+        let p = plan(4, 4, 2, 1, 16);
+        let noise = NoiseModel::new(NoiseConfig::default());
+        let compose = |gpus_per_node: usize| {
+            let nodes = p.num_gpus().div_ceil(gpus_per_node);
+            let measured = SimMode::Measured { noise: &noise, nodes };
+            let mut report = simulate(&est.lower(&model, &p), measured);
+            let bias = noise.iteration_bias(stable_config_key(&model, &p), nodes);
+            report.iteration_time = report.iteration_time.scale(bias);
+            est.summarize(&model, &p, &report)
+        };
+        let measured = est.measure_with(&model, &p, &noise).unwrap();
+        assert_eq!(measured, compose(4));
+        assert_ne!(measured, compose(8), "the node count moves the measurement");
     }
 
     #[test]
@@ -2069,7 +2097,7 @@ mod tests {
             let reference = TaskGraph::lower(&graph, &table, &est.comm).unwrap();
             let mut compact = CompactScratch::default();
             let mut slots = Vec::new();
-            let tg = est.lower_full(&model, &plan, &mut compact, Some(&mut slots), |_, _| {});
+            let tg = est.lower_full(&model, &plan, &mut compact, Some(&mut slots));
             proptest::prop_assert_eq!(tg.len(), reference.len());
             proptest::prop_assert_eq!(tg.num_devices(), reference.num_devices());
             for i in 0..tg.len() as u32 {

@@ -14,8 +14,10 @@
 //! effective bandwidth max-min fairly, and a task's duration is whatever
 //! the contended drain actually took. Tasks without a flow program
 //! (intra-node collectives priced by the profiled tables, compute
-//! kernels) keep their fixed closed-form durations; only Measured mode
-//! perturbs a fixed duration, and it never meets a flow.
+//! kernels) run for the durations the graph holds. The loop has no mode:
+//! Measured noise is already in the durations of the graph it replays
+//! (`measure` perturbs its graph's durations, `simulate` in Measured mode
+//! those of a copy), and such a graph is replayed without a network.
 //!
 //! # The loop: dataflow plus time-ordered joins
 //!
@@ -91,13 +93,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use vtrain_graph::CommKind;
 use vtrain_model::TimeNs;
 use vtrain_net::flow::{FlowId, FlowProgram, FlowSim};
 use vtrain_net::Topology;
 
-use crate::sim::{effective_duration, BusyBreakdown, SimMode, SimReport};
-use crate::task_graph::{TaskGraph, TaskKind};
+use crate::sim::{BusyBreakdown, SimReport};
+use crate::task_graph::TaskGraph;
 
 /// Per-task observer of a traced replay: `(task id, start, finish)` on
 /// the simulated clock, invoked once per executed task.
@@ -110,13 +111,11 @@ pub(crate) type NetTrace<'t> = &'t mut dyn FnMut(TimeNs, &[f64]);
 /// Where the replayed graph's task durations come from.
 #[derive(Clone, Copy)]
 pub(crate) enum Programs<'a> {
-    /// No network: every task runs for its duration under the mode.
-    /// Only this form carries a mode, so Measured noise never meets a
-    /// flow: the forms with a network keep clean durations.
-    Fixed(SimMode<'a>),
-    /// Task `i` drains `table[index[i]]` on `topology` (`None` keeps its
-    /// clean duration): the tasks of one operator share its entry, in
-    /// the full and in the unrolled compact graph alike.
+    /// No network: every task runs for the duration the graph holds.
+    Fixed,
+    /// Task `i` drains `table[index[i]]` on `topology` (`None` keeps the
+    /// duration the graph holds): the tasks of one operator share its
+    /// entry, in the full and in the unrolled compact graph alike.
     Indexed {
         /// The network the flows share.
         topology: &'a Topology,
@@ -131,7 +130,7 @@ impl<'a> Programs<'a> {
     /// Task `task`'s bandwidth demand, or `None` for a fixed duration.
     fn of(self, task: u32) -> Option<&'a FlowProgram> {
         match self {
-            Programs::Fixed(_) => None,
+            Programs::Fixed => None,
             Programs::Indexed { table, index, .. } => table[index[task as usize] as usize].as_ref(),
         }
     }
@@ -140,7 +139,7 @@ impl<'a> Programs<'a> {
     /// `None` without a network.
     fn network(self) -> Option<(&'a Topology, usize)> {
         match self {
-            Programs::Fixed(_) => None,
+            Programs::Fixed => None,
             Programs::Indexed { topology, index, .. } => Some((topology, index.len())),
         }
     }
@@ -251,21 +250,8 @@ impl<'a, 't> Book<'a, 't> {
         if self.flows_only && !flow {
             return;
         }
-        let dev = self.graph.devices()[i] as usize;
-        match self.graph.kinds()[i] {
-            TaskKind::Compute { .. } => {
-                self.busy.compute += duration;
-                self.device_busy[dev] += duration;
-            }
-            TaskKind::Comm { kind, .. } => match kind {
-                CommKind::TpAllReduce => {
-                    self.busy.tp_comm += duration;
-                    self.device_busy[dev] += duration;
-                }
-                CommKind::DpAllReduce => self.busy.dp_comm += duration,
-                CommKind::PpSendRecv => self.busy.pp_comm += duration,
-            },
-        }
+        let device = &mut self.device_busy[self.graph.devices()[i] as usize];
+        self.graph.kinds()[i].book(duration, &mut self.busy, device);
     }
 
     /// Writes the report.
@@ -336,8 +322,6 @@ impl<'t> Observers<'t> {
 struct Dataflow<'a, 'b, 't> {
     graph: &'a TaskGraph,
     programs: Programs<'a>,
-    /// The fixed durations' mode: Predicted whenever there are flows.
-    mode: SimMode<'a>,
     in_degree: &'b mut [u32],
     ready: &'b mut [TimeNs],
     fixed: &'b mut Vec<u32>,
@@ -364,12 +348,10 @@ impl Dataflow<'_, '_, '_> {
     /// Finishes every released fixed-duration task, and those they
     /// release in turn, each at `ready + duration`.
     fn settle(&mut self) {
-        let (graph, mode) = (self.graph, self.mode);
+        let durations = self.graph.durations();
         while let Some(task) = self.fixed.pop() {
             let i = task as usize;
-            let (clean, kind) = (graph.durations()[i], &graph.kinds()[i]);
-            let duration = effective_duration(task, clean, kind, &mode);
-            self.complete(task, self.ready[i] + duration, false);
+            self.complete(task, self.ready[i] + durations[i], false);
         }
     }
 
@@ -396,8 +378,8 @@ impl Dataflow<'_, '_, '_> {
 /// Replays `graph`, writing the report into `report` (its vector is
 /// reused) and working in `scratch`.
 ///
-/// `programs` gives each task's duration: fixed under a [`SimMode`], or
-/// the bandwidth demand of a flow on a network. `trace` observes `(task,
+/// `programs` gives each task's duration: the one the graph holds, or the
+/// bandwidth demand of a flow on a network. `trace` observes `(task,
 /// start, finish)` per executed task; `net_trace` observes `(time,
 /// per-tier utilization)` at every refill.
 ///
@@ -462,11 +444,7 @@ fn run<'a, 't>(
     ready.resize(graph.len(), TimeNs::ZERO);
     fixed.clear();
     joins.clear();
-    let mode = match programs {
-        Programs::Fixed(mode) => mode,
-        _ => SimMode::Predicted,
-    };
-    let mut flow = Dataflow { graph, programs, mode, in_degree, ready, fixed, joins, book };
+    let mut flow = Dataflow { graph, programs, in_degree, ready, fixed, joins, book };
 
     for task in 0..graph.len() as u32 {
         if flow.in_degree[task as usize] == 0 {

@@ -98,7 +98,8 @@ impl SimReport {
 /// whenever its dependencies are, and the replay runs as a dataflow
 /// relaxation bit-identical to the paper's FIFO queue (see the differential
 /// property test). It is the same loop every fair-sharing replay runs,
-/// with every task at a fixed duration.
+/// with every task at a fixed duration. In Measured mode it replays a copy
+/// of the graph whose durations carry the noise.
 ///
 /// # Panics
 ///
@@ -112,8 +113,9 @@ pub fn simulate(graph: &TaskGraph, mode: SimMode<'_>) -> SimReport {
 }
 
 /// [`simulate`] over caller-owned scratch buffers, writing the result into
-/// `report` (whose `device_busy` vector is reused). Repeated calls on
-/// graphs of non-increasing size perform no heap allocation.
+/// `report` (whose `device_busy` vector is reused). In Predicted mode,
+/// repeated calls on graphs of non-increasing size perform no heap
+/// allocation; Measured mode copies the graph to perturb its durations.
 ///
 /// # Panics
 ///
@@ -125,7 +127,22 @@ pub fn simulate_into(
     report: &mut SimReport,
 ) {
     scratch.assert_chained(graph);
-    replay(graph, Programs::Fixed(mode), None, None, scratch, report);
+    let noisy;
+    let graph = match mode {
+        SimMode::Predicted => graph,
+        SimMode::Measured { .. } => {
+            noisy = with_noise(graph.clone(), mode);
+            &noisy
+        }
+    };
+    replay(graph, Programs::Fixed, None, None, scratch, report);
+}
+
+/// `graph` with each task's duration perturbed under `mode`, in one pass
+/// keyed on task ids ([`effective_duration`]).
+pub(crate) fn with_noise(mut graph: TaskGraph, mode: SimMode<'_>) -> TaskGraph {
+    graph.map_durations(|id, clean, kind| effective_duration(id, clean, kind, &mode));
+    graph
 }
 
 /// Applies the mode's perturbations to one task's clean duration.
@@ -451,7 +468,7 @@ mod tests {
 
             let mut compact = CompactScratch::default();
             let (model, opts) = (presets::megatron("1.7B"), GraphOptions::default());
-            price_plan(&model, &plan, &opts, &mut table, &comm, &mut compact, |_, _| {}).unwrap();
+            price_plan(&model, &plan, &opts, &mut table, &comm, &mut compact);
             lower_plan(&model, &plan, &opts, &mut compact);
             let mut walk = SimReport::default();
             replay_lowered(&mut compact, p, &mut walk);
@@ -464,7 +481,8 @@ mod tests {
         /// `SimReport` bit-identical to the untraced one, and the spans
         /// themselves are consistent — exactly one per task, each
         /// `finish − start` equal to the task's effective duration, and
-        /// the latest finish equal to the iteration time.
+        /// the latest finish equal to the iteration time. In Measured
+        /// mode the traced replay runs the graph carrying the noise.
         #[test]
         fn tracing_never_changes_the_report(
             t_exp in 0usize..=1,
@@ -485,14 +503,14 @@ mod tests {
                 SimMode::Measured { noise: &noise, nodes: (t * d * p).div_ceil(8) },
             ] {
                 let plain = simulate(&tg, mode);
+                let noisy = with_noise(tg.clone(), mode);
                 let mut spans: Vec<(u32, TimeNs, TimeNs)> = Vec::new();
                 let mut traced = SimReport::default();
                 let mut record = |id: u32, start: TimeNs, finish: TimeNs| {
                     spans.push((id, start, finish));
                 };
-                let programs = Programs::Fixed(mode);
                 let scratch = &mut SimScratch::default();
-                replay(&tg, programs, Some(&mut record), None, scratch, &mut traced);
+                replay(&noisy, Programs::Fixed, Some(&mut record), None, scratch, &mut traced);
                 assert_eq!(
                     serde_json::to_string(&plain).unwrap(),
                     serde_json::to_string(&traced).unwrap(),

@@ -20,10 +20,10 @@
 //!   communication model: the independently priced reference;
 //! * `TaskGraph::lower_slots` streams the builder's nodes straight into
 //!   tasks via [`GraphSink`], never allocating the operator graph. It
-//!   prices nothing: each node takes the duration and kind of its latency
-//!   slot ([`GraphSink::push_slotted`]) from a slot table priced once per
-//!   plan, the table the compact replay reads too. `Estimator::lower`,
-//!   `measure` and `timeline` take this path.
+//!   prices nothing: each node takes the duration and kind its latency
+//!   slot ([`GraphSink::push`]) records in the compact path's priced slot
+//!   table, the one record of each slot. `Estimator::lower`, `measure`
+//!   and `timeline` take this path.
 
 use std::fmt;
 
@@ -36,7 +36,11 @@ use vtrain_model::{ModelConfig, TimeNs};
 use vtrain_parallel::ParallelConfig;
 use vtrain_profile::{CommModel, OperatorTaskTable};
 
-/// What a task does (drives how the measured-mode perturbations apply).
+use crate::compact::CompactScratch;
+use crate::sim::BusyBreakdown;
+
+/// What a task does: its stream, its busy category, and how the
+/// measured-mode perturbations apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TaskKind {
     /// Aggregated compute-kernel sequence.
@@ -55,6 +59,39 @@ pub enum TaskKind {
         /// DP groups sharing the node uplinks.
         concurrent_groups: u32,
     },
+}
+
+impl TaskKind {
+    /// The stream the task runs on: 0, the compute stream (compute
+    /// kernels, TP All-Reduces), or 1, the communication stream (pipeline
+    /// sends, DP All-Reduces).
+    pub(crate) fn stream(self) -> u8 {
+        match self {
+            TaskKind::Comm { kind: CommKind::DpAllReduce | CommKind::PpSendRecv, .. } => 1,
+            _ => 0,
+        }
+    }
+
+    /// Adds `duration` to this kind's busy category and, for the kinds
+    /// on the compute stream ([`TaskKind::stream`] 0), to its device's
+    /// busy time. One match books both: deciding the device's share by a
+    /// second match on the stream cost ~3% more per task in the replay
+    /// (2-vCPU host).
+    #[inline]
+    pub(crate) fn book(self, duration: TimeNs, busy: &mut BusyBreakdown, device: &mut TimeNs) {
+        match self {
+            TaskKind::Compute { .. } => {
+                busy.compute += duration;
+                *device += duration;
+            }
+            TaskKind::Comm { kind: CommKind::TpAllReduce, .. } => {
+                busy.tp_comm += duration;
+                *device += duration;
+            }
+            TaskKind::Comm { kind: CommKind::DpAllReduce, .. } => busy.dp_comm += duration,
+            TaskKind::Comm { kind: CommKind::PpSendRecv, .. } => busy.pp_comm += duration,
+        }
+    }
 }
 
 /// One schedulable unit of the task-granularity graph — the assembled view
@@ -137,25 +174,26 @@ impl TaskGraph {
 
     /// Lowers `(model, plan)` in one streaming pass that prices nothing:
     /// the builder's nodes go straight into tasks without materializing
-    /// an [`OpGraph`], and a node of latency slot `s` takes the duration
-    /// `values[s]` and the kind `kinds[s]`, and with `slots` each task's
-    /// slot is pushed onto it, in task order. Given a slot table priced from the same profiles and communication
-    /// model, the graph is identical to [`TaskGraph::lower`]`(build_op_graph(..), ..)`.
+    /// an [`OpGraph`], each node taking the latency and kind its slot
+    /// records in `priced`, a scratch priced for `(model, plan)`; with
+    /// `slots`, each task's slot is pushed onto it, in task order. Given a
+    /// slot table priced from the same profiles and communication model,
+    /// the graph is identical to
+    /// [`TaskGraph::lower`]`(build_op_graph(..), ..)`.
     ///
     /// # Panics
     ///
     /// Same conditions as [`vtrain_graph::build_op_graph`], or if a slot
-    /// lies outside `values` or `kinds`.
+    /// lies outside `priced`'s slot table.
     pub(crate) fn lower_slots(
         model: &ModelConfig,
         plan: &ParallelConfig,
         opts: &GraphOptions,
-        values: &[TimeNs],
-        kinds: &[TaskKind],
+        priced: &CompactScratch,
         slots: Option<&mut Vec<u32>>,
     ) -> Self {
         let graph = TaskGraph { num_devices: plan.pipeline() as u32, ..TaskGraph::default() };
-        let mut sink = SlotSink { values, kinds, graph, slots, edges: Vec::new() };
+        let mut sink = SlotSink { priced, graph, slots, edges: Vec::new() };
         build_op_graph_into(model, plan, opts, &mut sink);
         let SlotSink { mut graph, edges, .. } = sink;
         graph.set_edges(&edges);
@@ -230,15 +268,23 @@ impl TaskGraph {
         }
     }
 
-    /// The clean-duration column, indexed consistently with
-    /// [`TaskGraph::children`] — the only per-task attribute the
-    /// predicted-mode replay reads per dispatch.
+    /// The duration column, indexed consistently with
+    /// [`TaskGraph::children`] — the only per-task attribute the replay
+    /// reads per dispatch besides the kind it books.
     pub fn durations(&self) -> &[TimeNs] {
         &self.duration
     }
 
-    /// The task-class column (read by the measured-mode perturbations and
-    /// the timeline labeler).
+    /// Replaces each task's duration with `f(task id, duration, kind)`, in
+    /// one pass (the measured-mode perturbations).
+    pub(crate) fn map_durations(&mut self, f: impl Fn(u32, TimeNs, &TaskKind) -> TimeNs) {
+        for (i, (duration, kind)) in self.duration.iter_mut().zip(&self.kind).enumerate() {
+            *duration = f(i as u32, *duration, kind);
+        }
+    }
+
+    /// The task-class column (read by the replay's busy booking and the
+    /// measured-mode perturbations).
     pub fn kinds(&self) -> &[TaskKind] {
         &self.kind
     }
@@ -343,21 +389,17 @@ pub(crate) fn comm_kind(c: &CommOp) -> TaskKind {
 /// A [`GraphSink`] writing each builder node as a task priced by its
 /// latency slot, and recording the slot if asked to.
 struct SlotSink<'a> {
-    values: &'a [TimeNs],
-    kinds: &'a [TaskKind],
+    priced: &'a CompactScratch,
     graph: TaskGraph,
     slots: Option<&'a mut Vec<u32>>,
     edges: Vec<(u32, u32)>,
 }
 
 impl GraphSink for SlotSink<'_> {
-    fn push(&mut self, _node: OpNode) -> u32 {
-        unreachable!("the builder emits every node through push_slotted")
-    }
-
-    fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
+    fn push(&mut self, node: OpNode, slot: u32) -> u32 {
         let (stream, s) = (stream_index(node.stream), slot as usize);
-        self.graph.push_task(node.device, stream, self.values[s], self.kinds[s]);
+        let (value, kind) = (self.priced.slot_values()[s], self.priced.task_kind(s));
+        self.graph.push_task(node.device, stream, value, kind);
         if let Some(slots) = self.slots.as_deref_mut() {
             slots.push(slot);
         }

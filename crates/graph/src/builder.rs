@@ -14,23 +14,16 @@ use crate::ops::{CommKind, CommOp, CommScope, CompKind, ComputeOp, Op, OpSignatu
 /// artifact (e.g. a lowered task graph) can implement this to skip
 /// materializing the operator graph entirely.
 pub trait GraphSink {
-    /// Appends a node, returning its index (dense, starting at 0).
-    fn push(&mut self, node: OpNode) -> u32;
-    /// [`GraphSink::push`] with the node's *latency slot* attached: the
-    /// index into the plan's canonical slot enumeration
-    /// ([`visit_plan_slots`]) identifying which latency source prices
-    /// this node. The builder routes every node through this method;
-    /// sinks that don't track slots inherit the default, which forwards
-    /// to `push`.
+    /// Appends a node, returning its index (dense, starting at 0), with
+    /// its *latency slot*: the index into the plan's canonical slot
+    /// enumeration ([`visit_plan_slots`]) identifying which latency
+    /// source prices this node. Sinks that don't track slots ignore it.
     ///
     /// Slot ids are *structural*: two plans with equal
     /// [`plan_shape_key`]s assign the same slot to the node at the same
     /// index, which is what licenses delta-lowering (re-pricing a cached
     /// graph by refreshing slot values only).
-    fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
-        let _ = slot;
-        self.push(node)
-    }
+    fn push(&mut self, node: OpNode, slot: u32) -> u32;
     /// Adds a dependency edge `from → to` between already-pushed nodes.
     fn add_edge(&mut self, from: u32, to: u32);
     /// Marks a chain-aggregation boundary on `device`'s compute stream.
@@ -50,7 +43,7 @@ pub trait GraphSink {
     /// first node's index.
     ///
     /// The default expands to exactly the per-node calls the builder
-    /// would otherwise make: each node goes through [`push_slotted`] and
+    /// would otherwise make: each node goes through [`push`] and
     /// is chained after its predecessor (starting from `prev`, the last
     /// compute-stream node of `device`, if any) with [`add_edge`] — so
     /// graph-materializing sinks see an unchanged node/edge sequence.
@@ -62,7 +55,7 @@ pub trait GraphSink {
     /// `pattern` must be non-empty and `repeat >= 1`; the builder never
     /// issues empty blocks.
     ///
-    /// [`push_slotted`]: GraphSink::push_slotted
+    /// [`push`]: GraphSink::push
     /// [`add_edge`]: GraphSink::add_edge
     fn push_chain(
         &mut self,
@@ -75,10 +68,8 @@ pub trait GraphSink {
         let mut first = None;
         for _ in 0..repeat {
             for item in pattern {
-                let id = self.push_slotted(
-                    OpNode { device, stream: StreamKind::Compute, op: item.op },
-                    item.slot,
-                );
+                let id = self
+                    .push(OpNode { device, stream: StreamKind::Compute, op: item.op }, item.slot);
                 if first.is_none() {
                     first = Some(id);
                 }
@@ -136,12 +127,12 @@ pub trait GraphSink {
 pub struct ChainOp {
     /// The operator each repetition emits.
     pub op: Op,
-    /// Its latency slot (see [`GraphSink::push_slotted`]).
+    /// Its latency slot (see [`GraphSink::push`]).
     pub slot: u32,
 }
 
 impl GraphSink for OpGraph {
-    fn push(&mut self, node: OpNode) -> u32 {
+    fn push(&mut self, node: OpNode, _slot: u32) -> u32 {
         OpGraph::push(self, node)
     }
 
@@ -259,7 +250,7 @@ fn fixed_comp_slot(kind: CompKind) -> u32 {
 ///
 /// A *slot* is one distinct latency source of the lowered graph: every
 /// node the builder emits carries a slot id (via
-/// [`GraphSink::push_slotted`]) that indexes into this enumeration, and
+/// [`GraphSink::push`]) that indexes into this enumeration, and
 /// two plans with equal [`plan_shape_key`]s assign identical slot ids to
 /// positionally corresponding nodes. Re-pricing a cached graph for a new
 /// plan therefore only requires re-running this enumeration — the basis
@@ -794,8 +785,7 @@ impl<'a, S: GraphSink> Builder<'a, S> {
     /// previous node on the same (device, stream) to enforce program
     /// order.
     fn emit(&mut self, device: usize, stream: StreamKind, op: Op, latency_slot: u32) -> u32 {
-        let idx =
-            self.sink.push_slotted(OpNode { device: device as u32, stream, op }, latency_slot);
+        let idx = self.sink.push(OpNode { device: device as u32, stream, op }, latency_slot);
         let (last, head) = match stream {
             StreamKind::Compute => (&mut self.last_compute[device], &mut self.head_compute),
             StreamKind::Comm => (&mut self.last_comm[device], &mut self.head_comm),
@@ -1434,10 +1424,7 @@ mod tests {
             ops: Vec<(Op, u32)>,
         }
         impl crate::GraphSink for SlotRecorder {
-            fn push(&mut self, _node: OpNode) -> u32 {
-                panic!("builder must route every node through push_slotted");
-            }
-            fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
+            fn push(&mut self, node: OpNode, slot: u32) -> u32 {
                 let idx = self.ops.len() as u32;
                 self.ops.push((node.op, slot));
                 idx
@@ -1521,10 +1508,7 @@ mod tests {
             counts: std::collections::BTreeMap<(usize, u32), u64>,
         }
         impl GraphSink for SlotCounter {
-            fn push(&mut self, _node: OpNode) -> u32 {
-                panic!("builder must route every node through push_slotted");
-            }
-            fn push_slotted(&mut self, node: OpNode, slot: u32) -> u32 {
+            fn push(&mut self, node: OpNode, slot: u32) -> u32 {
                 *self.counts.entry((node.device as usize, slot)).or_default() += self.periods;
                 self.next += 1;
                 self.next - 1
@@ -1693,7 +1677,7 @@ mod tests {
             edges: Vec<(u32, u32)>,
         }
         impl crate::GraphSink for Recorder {
-            fn push(&mut self, node: OpNode) -> u32 {
+            fn push(&mut self, node: OpNode, _slot: u32) -> u32 {
                 let idx = self.nodes.len() as u32;
                 self.nodes.push((node.device, node.stream));
                 idx

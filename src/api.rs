@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
-use vtrain_core::search::{AbortReason, CancelToken, DesignPoint, SweepGoal, SweepRun};
+use vtrain_core::search::{AbortReason, CancelToken, DesignPoint, Sweep, SweepGoal, SweepRun};
 use vtrain_core::{IterationEstimate, TrainingProjection};
 use vtrain_profile::ProfileCache;
 
@@ -120,6 +120,12 @@ impl Budget {
     /// True if neither limit is set.
     pub fn is_empty(&self) -> bool {
         self.deadline_ms.is_none() && self.max_points.is_none()
+    }
+
+    /// The instant the deadline falls on for a budget that starts now
+    /// (`None` without a deadline).
+    pub fn deadline_from_now(&self) -> Option<Instant> {
+        self.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
     }
 }
 
@@ -529,7 +535,7 @@ fn run_degraded(request: &Request, cache: &Arc<ProfileCache>) -> Result<Report, 
         )));
     }
     let budget = request.budget.unwrap_or_default();
-    let deadline = budget.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let deadline = budget.deadline_from_now();
     let scenario = request
         .scenario
         .as_ref()
@@ -548,6 +554,45 @@ fn run_degraded(request: &Request, cache: &Arc<ProfileCache>) -> Result<Report, 
     Ok(Report::Sweep(report))
 }
 
+/// Runs `sweep` within `budget`, whose deadline falls on `deadline` (its
+/// [`Budget::deadline_from_now`] at a request's entry on the wire, at the
+/// sweep's start in the CLI). A blown limit fails the sweep rather than
+/// truncating it: a budgeted caller asked for an answer within the
+/// budget, and a partial winner set is not one. A blown deadline or point
+/// budget maps to [`ErrorCode::DeadlineExceeded`], a cancellation to an
+/// internal error. The wire API and the CLI's text sweeps both run here,
+/// so they fail with the same message.
+///
+/// # Errors
+///
+/// The first aborted placement variant's limit, as above.
+pub fn run_within_budget(
+    mut sweep: Sweep,
+    budget: &Budget,
+    deadline: Option<Instant>,
+) -> Result<SweepRun, Error> {
+    if !budget.is_empty() {
+        sweep = sweep.cancel(CancelToken::with_limits(deadline, budget.max_points));
+    }
+    let run = sweep.run();
+    for variant in run.variants() {
+        let message = match variant.outcome.aborted {
+            None => continue,
+            Some(AbortReason::Deadline) => format!(
+                "sweep exceeded its {} ms deadline after {} evaluated points",
+                budget.deadline_ms.unwrap_or(0),
+                variant.outcome.stats.evaluated
+            ),
+            Some(AbortReason::Budget) => {
+                format!("sweep exceeded its {}-point budget", budget.max_points.unwrap_or(0))
+            }
+            Some(AbortReason::Cancelled) => return Err(Error::server("sweep cancelled")),
+        };
+        return Err(Error::deadline(message));
+    }
+    Ok(run)
+}
+
 fn run(
     request: &Request,
     cache: &Arc<ProfileCache>,
@@ -560,7 +605,7 @@ fn run(
         )));
     }
     let budget = request.budget.unwrap_or_default();
-    let deadline = budget.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let deadline = budget.deadline_from_now();
     let scenario = || {
         request.scenario.as_ref().ok_or_else(|| {
             Error::scenario(format!("{:?} request needs a `scenario`", request.kind))
@@ -604,34 +649,7 @@ fn run(
             if let Some(threads) = threads {
                 builder = builder.threads(threads);
             }
-            if !budget.is_empty() {
-                builder = builder.cancel(CancelToken::with_limits(deadline, budget.max_points));
-            }
-            let run = builder.run();
-            // A blown limit is a request failure, not a silently
-            // truncated result: budgeted callers asked for an answer
-            // within the budget, and a partial winner set is not one.
-            for variant in run.variants() {
-                match variant.outcome.aborted {
-                    None => {}
-                    Some(AbortReason::Deadline) => {
-                        return Err(Error::deadline(format!(
-                            "sweep exceeded its {} ms deadline after {} evaluated points",
-                            budget.deadline_ms.unwrap_or(0),
-                            variant.outcome.stats.evaluated
-                        )));
-                    }
-                    Some(AbortReason::Budget) => {
-                        return Err(Error::deadline(format!(
-                            "sweep exceeded its {}-point budget",
-                            budget.max_points.unwrap_or(0)
-                        )));
-                    }
-                    Some(AbortReason::Cancelled) => {
-                        return Err(Error::server("sweep cancelled"));
-                    }
-                }
-            }
+            let run = run_within_budget(builder, &budget, deadline)?;
             Ok(Report::Sweep(SweepReport::from_run(goal, &run)))
         }
         RequestKind::Validate => {

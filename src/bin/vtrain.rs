@@ -547,35 +547,10 @@ fn sweep_one(
     if opts.stage_profile {
         builder = builder.stage_profile(true);
     }
-    if let Some(budget) = opts.budget() {
-        let deadline = budget
-            .deadline_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        builder = builder.cancel(CancelToken::with_limits(deadline, budget.max_points));
-    }
-    let run = builder.run();
     // A blown limit fails the command (exit code 4), exactly like the
     // wire API: a truncated winner set is not the answer asked for.
-    for variant in run.variants() {
-        match variant.outcome.aborted {
-            None => {}
-            Some(AbortReason::Deadline) => {
-                return Err(Error::deadline(format!(
-                    "sweep exceeded its {} ms deadline",
-                    opts.deadline_ms.unwrap_or(0)
-                ))
-                .into());
-            }
-            Some(AbortReason::Budget) => {
-                return Err(Error::deadline(format!(
-                    "sweep exceeded its {}-point budget",
-                    opts.max_points.unwrap_or(0)
-                ))
-                .into());
-            }
-            Some(AbortReason::Cancelled) => return Err(Error::server("sweep cancelled").into()),
-        }
-    }
+    let budget = opts.budget().unwrap_or_default();
+    let run = api::run_within_budget(builder, &budget, budget.deadline_from_now())?;
     for variant in run.variants() {
         let outcome = &variant.outcome;
         let stats = outcome.stats;

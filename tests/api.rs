@@ -197,8 +197,10 @@ fn cli_exit_codes_follow_the_table() {
     }
     let _ = std::fs::remove_file(bad);
 
-    // Exit 4: the sweep blows its point budget (human mode and --json).
+    // Exit 4: the sweep blows its point budget (human mode and --json),
+    // with one message: the text mode's stderr carries the --json body's.
     let path = scenario_file("budget", SCENARIO);
+    let mut messages = Vec::new();
     for json_flag in [false, true] {
         let mut cmd = cli();
         cmd.arg("sweep").arg(&path).arg("--max-points").arg("1");
@@ -211,7 +213,25 @@ fn cli_exit_codes_follow_the_table() {
             Some(4),
             "deadline exits 4 (json={json_flag}): {output:?}"
         );
+        messages.push(if json_flag {
+            let response: Response =
+                serde_json::from_str(String::from_utf8_lossy(&output.stdout).trim())
+                    .expect("envelope");
+            match response.outcome {
+                Outcome::Err(body) => body.message,
+                Outcome::Ok(_) => panic!("a blown budget must fail"),
+            }
+        } else {
+            String::from_utf8_lossy(&output.stderr).into_owned()
+        });
     }
+    assert!(!messages[1].is_empty(), "the --json body names the blown limit");
+    assert!(
+        messages[0].contains(&messages[1]),
+        "text stderr {:?} lacks the --json message {:?}",
+        messages[0],
+        messages[1]
+    );
 
     // Exit 0 and a Validate report on the happy path.
     let output = cli().arg("validate").arg(&path).arg("--json").output().expect("run CLI");
