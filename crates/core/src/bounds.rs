@@ -6,12 +6,14 @@
 //! The replay runs one task at a time on each (device, stream) timeline,
 //! so no stream's busy time can exceed the iteration time. A stream's
 //! busy time is `Σ slot latency × the slot's multiplicity on that
-//! stream`: the latencies are the plan's priced slot table
+//! stream`, both read off the plan's priced slot record
 //! ([`price_plan`](crate::compact::price_plan), the paper's necessary
-//! operators, §III-C), and the multiplicities are closed-form per stage
-//! ([`visit_slot_multiplicities`]). So the floor costs one slot pricing
-//! and `O(p)` arithmetic, no lowering, and a point that survives the
-//! test reuses the pricing for its estimate.
+//! operators, §III-C): the latencies, and each slot's closed-form count
+//! per stage
+//! ([`visit_slot_multiplicities`](vtrain_graph::visit_slot_multiplicities)),
+//! from which the compact replays book their busy sums too. So the floor
+//! costs one slot pricing and `O(p)` arithmetic, no lowering, and a
+//! point that survives the test reuses the pricing for its estimate.
 //!
 //! * **Compute stream** — compute operators and TP All-Reduces. No TP
 //!   All-Reduce carries a flow program, so under either network this
@@ -27,47 +29,44 @@
 //! is proven by the property tests below; the sweep's goal tests
 //! additionally prove end to end that pruning never changes winners.
 
-use vtrain_graph::{visit_slot_multiplicities, GraphOptions};
-use vtrain_model::{ModelConfig, TimeNs};
-use vtrain_parallel::ParallelConfig;
+use vtrain_model::TimeNs;
 
 use crate::compact::CompactScratch;
 
-/// The busiest stream's busy time of `(model, plan)`, on the slot table
-/// priced into `compact` for that plan, leaving each stage's
+/// The busiest stream's busy time of the plan of `stages` stages whose
+/// slot record `compact` holds, leaving each stage's
 /// `[compute, communication]` busy nanoseconds in `busy`.
 pub(crate) fn busy_floor(
-    model: &ModelConfig,
-    plan: &ParallelConfig,
-    opts: &GraphOptions,
     compact: &CompactScratch,
+    stages: usize,
     busy: &mut Vec<[u64; 2]>,
 ) -> TimeNs {
     busy.clear();
-    busy.resize(plan.pipeline(), [0; 2]);
+    busy.resize(stages, [0; 2]);
     let values = compact.slot_values();
-    visit_slot_multiplicities(model, plan, opts, |slot, stage, count| {
+    for &(slot, stage, count) in compact.slot_counts() {
         let slot = slot as usize;
-        busy[stage][usize::from(compact.task_kind(slot).stream())] +=
+        busy[stage as usize][usize::from(compact.task_kind(slot).stream())] +=
             values[slot].as_nanos() * count;
-    });
+    }
     TimeNs::from_nanos(busy.iter().flatten().copied().max().unwrap_or(0))
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
-    use vtrain_graph::{visit_plan_slots, SlotOp};
+    use vtrain_graph::{build_op_graph, visit_plan_slots, SlotOp};
     use vtrain_model::presets;
     use vtrain_net::flow::FlowSim;
     use vtrain_net::{NetworkBackend, TierSpec};
     use vtrain_parallel::{ClusterSpec, ParallelConfig, PipelineSchedule};
 
     use super::*;
+    use crate::compact::price_plan;
     use crate::compact::tests::{interconnect, profiles};
-    use crate::compact::{lower_plan, price_plan, replay_lowered};
     use crate::estimate::Estimator;
-    use crate::sim::SimReport;
+    use crate::sim::{simulate, SimMode};
+    use crate::task_graph::TaskGraph;
 
     fn plan(
         t: usize,
@@ -172,8 +171,9 @@ mod tests {
         }
 
         /// Exactness: under the closed form, each stage's compute-stream
-        /// floor term is the replay's busy time of that device, to the
-        /// nanosecond, on every interconnect.
+        /// floor term is that device's busy time in the replay of the
+        /// independently priced full task graph, to the nanosecond, on
+        /// every interconnect.
         #[test]
         fn compute_stream_floor_equals_device_busy(
             exps in (0usize..=3, 0usize..=5, 0usize..=2),
@@ -192,10 +192,9 @@ mod tests {
             let mut compact = CompactScratch::default();
             price_plan(&model, &cfg, &opts, &mut table, &comm, &mut compact);
             let mut busy = Vec::new();
-            let floor = busy_floor(&model, &cfg, &opts, &compact, &mut busy);
-            lower_plan(&model, &cfg, &opts, &mut compact);
-            let mut report = SimReport::default();
-            replay_lowered(&mut compact, p, &mut report);
+            let floor = busy_floor(&compact, p, &mut busy);
+            let full = TaskGraph::lower(&build_op_graph(&model, &cfg, &opts), &table, &comm).unwrap();
+            let report = simulate(&full, SimMode::Predicted);
             let compute: Vec<u64> = busy.iter().map(|b| b[0]).collect();
             let device_busy: Vec<u64> = report.device_busy.iter().map(|t| t.as_nanos()).collect();
             prop_assert!(compute == device_busy, "{} net {}: {:?} vs {:?}", cfg, net, compute, device_busy);

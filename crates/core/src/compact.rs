@@ -90,10 +90,12 @@
 //! slots first ([`price_plan`]), before lowering, then each node is an
 //! O(1) table lookup instead of a signature-memo probe. The priced table
 //! is the one record of each slot: its latency, its [`TaskKind`] (which
-//! fixes its stream and busy category) and its [`OpTable`] entry. The
-//! busy floor of a `Best` sweep ([`crate::bounds`]) reads it between
-//! pricing and lowering, and so do the unrolled fair-sharing graph and
-//! the full task graph that `measure` and `timeline` replay
+//! fixes its stream and busy category), its [`OpTable`] entry, and how
+//! many nodes of it each stage runs in one iteration, in closed form
+//! ([`vtrain_graph::visit_slot_multiplicities`]). The busy floor of a
+//! `Best` sweep ([`crate::bounds`]) reads it between pricing and
+//! lowering, and so do the unrolled fair-sharing graph and the full task
+//! graph that `measure` and `timeline` replay
 //! ([`TaskGraph::lower_slots`]), so one pricing serves the bound and
 //! every graph form. Like vTrain's profiling, which measures
 //! each distinct operator once (§III-C), the slot pricing prices each
@@ -112,23 +114,22 @@
 //! ignores the micro-batch count once it passes
 //! [`PipelineSchedule::sections_stable_from`]). Everything that
 //! depends on structure alone is derived once per fresh build, right after
-//! the CSR: each section's topological order, its loop-carried and entry
-//! edges, and the `(section, device, slot, multiplicity)` tallies of one
-//! copy. Whether a section is nested depends on the period counts too,
-//! so the replay checks it per point.
+//! the CSR: each section's topological order and its loop-carried and
+//! entry edges. Whether a section is nested depends on the period counts
+//! too, so the replay checks it per point.
 //! When the scratch already holds a graph for the same key,
 //! [`lower_plan`] skips the builder and all of that derivation, and only
-//! refills the value columns — each run's duration, from the re-priced
-//! slot table and the cached run *compositions* (`(slot, multiplicity)`
-//! pairs per run), and the period counts. A fresh scratch always
-//! builds, and a sweep worker patches whenever its previous candidate
-//! shares the key, which the executor's shape-grouped visit order makes
-//! the common case.
+//! refills the runs' durations, from the re-priced slot table and the
+//! cached run *compositions* (`(slot, multiplicity)` pairs per run). A
+//! fresh scratch always builds, and a sweep worker patches whenever its
+//! previous candidate shares the key, which the executor's shape-grouped
+//! visit order makes the common case.
 //!
 //! The busy breakdown and per-device busy time are
-//! `Σ slot_value · multiplicity · periods` over the stored tallies and the
-//! task count is `Σ nodes per copy · periods`, all in `u64`, so neither
-//! the periodic replay nor a patched graph changes a bit of the report.
+//! `Σ slot_value · count` over the slot record's per-stage counts, and
+//! the task count is `Σ count`, all in `u64`, so neither the periodic
+//! replay nor a patched graph changes a bit of the report, and the graph
+//! holds only what the walk and the unroll read.
 //!
 //! Measured noise is a per-task duration keyed on full-graph task ids, so
 //! `measure` perturbs the full graph's durations and replays that; this
@@ -177,8 +178,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use vtrain_graph::{
-    build_op_graph_into, plan_shape_key, visit_plan_slots, ChainOp, CommKind, CommOp, GraphOptions,
-    GraphSink, OpNode, OpSignature, PlanShapeKey, SlotOp, StreamKind,
+    build_op_graph_into, plan_shape_key, visit_plan_slots, visit_slot_multiplicities, ChainOp,
+    CommKind, CommOp, GraphOptions, GraphSink, OpNode, OpSignature, PlanShapeKey, SlotOp,
+    StreamKind,
 };
 use vtrain_model::{ModelConfig, TimeNs};
 use vtrain_net::flow::FlowProgram;
@@ -186,7 +188,7 @@ use vtrain_net::Topology;
 use vtrain_parallel::ParallelConfig;
 use vtrain_profile::CommModel;
 
-use crate::flow_replay::{replay_for_tallies, Programs};
+use crate::flow_replay::{replay_booking_flows, Programs};
 use crate::sim::{BusyBreakdown, SimReport, SimScratch};
 use crate::task_graph::{comm_kind, TaskGraph, TaskKind};
 
@@ -237,10 +239,12 @@ pub(crate) const MAX_CYCLICITY: usize = 4;
 /// Reusable buffers of the compact lowering + replay, columnar throughout.
 ///
 /// The buffers split into *structure* (run boundaries, compositions,
-/// sections, edges, CSR, topological order, multiplicity tallies), which
-/// survives across points and is what a delta patch reuses, and *values*
-/// (the slot table, the runs' duration column and the sections' period
-/// counts), which are refilled per point. The [`OpTable`] of priced
+/// sections, edges, CSR, topological order), which survives across
+/// points and is what a delta patch reuses, and *values* (the slot
+/// record, the runs' duration column and the sections' period counts),
+/// which are refilled per point. The busy sums and the task count come
+/// from the slot record alone, so the structure holds only what the walk
+/// and the unroll read. The [`OpTable`] of priced
 /// communication operators also survives across points; it is valid for
 /// one communication model. None of them grows with the plan's
 /// micro-batch count.
@@ -255,9 +259,6 @@ pub struct CompactScratch {
     /// count: section `s` owns runs `sec_runs[s]..sec_runs[s + 1]` (the
     /// builder emits section-major).
     sec_runs: Vec<u32>,
-    /// Nodes one copy of each section holds on each device
-    /// (`device × section`, like `sec_periods`).
-    sec_nodes: Vec<u64>,
     /// Run compositions — `(owning run, latency slot, multiplicity)`
     /// triples, in emission order (so `comp_run` is non-decreasing: runs
     /// own consecutive node-id ranges and close before the next run
@@ -290,9 +291,6 @@ pub struct CompactScratch {
     /// intra-copy edges, section by section (section `s` fills
     /// `order[sec_runs[s]..sec_runs[s + 1]]`).
     order: Vec<u32>,
-    /// `(section, device, slot, multiplicity)` of every slot one copy of
-    /// a section runs on a device — the terms of the busy sums.
-    tally: Vec<(u32, u32, u32, u64)>,
     /// The shape key the structure buffers were built for.
     base_key: Option<PlanShapeKey>,
     /// Open (extendable) compute-stream run per device while building.
@@ -304,6 +302,9 @@ pub struct CompactScratch {
     /// each slot, in one column: a fresh scratch grows one buffer, not
     /// two.
     slot_tags: Vec<(TaskKind, u32)>,
+    /// `(slot, stage, count)`: how many nodes of each slot each stage
+    /// runs in one iteration — the terms of every busy sum.
+    slot_counts: Vec<(u32, u32, u64)>,
     /// Whether any slot of the latest lowering carries a flow program.
     flows: bool,
     /// `(communication slots, operators priced)` of the latest lowering:
@@ -360,6 +361,12 @@ impl CompactScratch {
         &self.slot_values
     }
 
+    /// `(slot, stage, count)` of the latest pricing: how many nodes of
+    /// each slot each stage runs in one iteration.
+    pub(crate) fn slot_counts(&self) -> &[(u32, u32, u64)] {
+        &self.slot_counts
+    }
+
     /// The task kind of slot `slot` in the latest pricing.
     pub(crate) fn task_kind(&self, slot: usize) -> TaskKind {
         self.slot_tags[slot].0
@@ -399,7 +406,6 @@ impl CompactScratch {
             v.capacity() * std::mem::size_of::<T>()
         }
         bytes(&self.sec_runs)
-            + bytes(&self.sec_nodes)
             + bytes(&self.comp_run)
             + bytes(&self.comp_slot)
             + bytes(&self.comp_count)
@@ -415,10 +421,10 @@ impl CompactScratch {
             + bytes(&self.in_degree)
             + bytes(&self.stack)
             + bytes(&self.order)
-            + bytes(&self.tally)
             + bytes(&self.open)
             + bytes(&self.slot_values)
             + bytes(&self.slot_tags)
+            + bytes(&self.slot_counts)
             + self.ops.capacity_bytes()
             + bytes(&self.run_duration)
             + bytes(&self.sec_periods)
@@ -647,22 +653,10 @@ struct CompactSink<'a> {
     s: &'a mut CompactScratch,
 }
 
-impl CompactSink<'_> {
-    /// Counts `n` new nodes on `device` into the open section's per-copy
-    /// total.
-    fn count_nodes(&mut self, device: u32, n: u32) {
-        let s = &mut *self.s;
-        let n_sections = s.sec_nodes.len() / s.open.len();
-        let section = s.sec_runs.len() - 1;
-        s.sec_nodes[device as usize * n_sections + section] += u64::from(n);
-    }
-}
-
 impl GraphSink for CompactSink<'_> {
     fn push(&mut self, node: OpNode, slot: u32) -> u32 {
         let id = self.s.nodes;
         self.s.nodes += 1;
-        self.count_nodes(node.device, 1);
         let compute = node.stream == StreamKind::Compute;
         let run_id = self.s.open_or_extend(node.device, id, compute);
         self.s.run_tail[run_id as usize] = id;
@@ -680,7 +674,6 @@ impl GraphSink for CompactSink<'_> {
         let first = self.s.nodes;
         let n_new = pattern.len() as u32 * repeat;
         self.s.nodes += n_new;
-        self.count_nodes(device, n_new);
         let was_open = self.s.open[device as usize] != NONE;
         let run_id = self.s.open_or_extend(device, first, true);
         self.s.run_tail[run_id as usize] = first + n_new - 1;
@@ -707,7 +700,7 @@ impl GraphSink for CompactSink<'_> {
     fn begin_section(&mut self, device: u32, section: u32, periods: u64) {
         let s = &mut *self.s;
         s.open[device as usize] = NONE;
-        let n_sections = s.sec_nodes.len() / s.open.len();
+        let n_sections = s.sec_periods.len() / s.open.len();
         debug_assert_eq!(s.sec_periods[device as usize * n_sections + section as usize], periods);
         while s.sec_runs.len() <= section as usize {
             s.sec_runs.push(s.run_device.len() as u32);
@@ -810,8 +803,10 @@ fn resolve_slots<P: ProfileSource>(
 
 /// The first step of the compact path: prices every slot of the plan's
 /// canonical enumeration into `s`'s slot table ([`resolve_slots`]), and
-/// the period count of every section on every stage. [`lower_plan`], the
-/// busy floor ([`crate::bounds`]) and the full task graph
+/// records how many nodes of each slot every stage runs
+/// ([`visit_slot_multiplicities`]) and the period count of every section
+/// on every stage. [`lower_plan`], the replays, the busy floor
+/// ([`crate::bounds`]) and the full task graph
 /// ([`TaskGraph::lower_slots`]) read what this leaves.
 ///
 /// # Panics
@@ -826,6 +821,10 @@ pub(crate) fn price_plan<P: ProfileSource>(
     s: &mut CompactScratch,
 ) {
     resolve_slots(model, plan, opts, profiles, comm, s);
+    s.slot_counts.clear();
+    visit_slot_multiplicities(model, plan, opts, |slot, stage, count| {
+        s.slot_counts.push((slot, stage as u32, count));
+    });
     s.sec_periods.clear();
     let (p, n) = (plan.pipeline(), plan.num_micro_batches());
     for stage in 0..p {
@@ -858,20 +857,12 @@ pub(crate) fn lower_plan(
 ) -> LowerOutcome {
     let key = plan_shape_key(model, plan, opts);
     if scratch.base_key == Some(key) {
-        debug_assert!(
-            scratch
-                .tally
-                .iter()
-                .all(|&(_, _, slot, _)| (slot as usize) < scratch.slot_values.len()),
-            "slot table shape"
-        );
         refill_runs(scratch);
         return LowerOutcome::Patched;
     }
     build_graph(model, plan, opts, scratch);
     build_csr(scratch);
     build_order(scratch);
-    build_tallies(scratch);
     // Fresh builds price their duration column through the same
     // composition refill the patch path uses: one value computation,
     // shared by both paths.
@@ -892,8 +883,6 @@ fn build_graph(
     s.base_key = None;
     s.nodes = 0;
     s.sec_runs.clear();
-    s.sec_nodes.clear();
-    s.sec_nodes.resize(s.sec_periods.len(), 0);
     s.comp_run.clear();
     s.comp_slot.clear();
     s.comp_count.clear();
@@ -974,31 +963,6 @@ fn build_order(s: &mut CompactScratch) {
     }
 }
 
-/// Sums the compositions into `(section, device, slot, multiplicity)`
-/// tallies of one copy — the structure half of the report's busy sums,
-/// which the replay scales by the slot values and the period counts.
-fn build_tallies(s: &mut CompactScratch) {
-    s.tally.clear();
-    let mut group = (u32::MAX, u32::MAX);
-    let mut group_start = 0;
-    let mut sec = 0;
-    for ((&r, &slot), &count) in s.comp_run.iter().zip(&s.comp_slot).zip(&s.comp_count) {
-        // `comp_run` is non-decreasing and runs are grouped by section,
-        // then by device.
-        while r >= s.sec_runs[sec + 1] {
-            sec += 1;
-        }
-        let key = (sec as u32, s.run_device[r as usize]);
-        if key != group {
-            (group, group_start) = (key, s.tally.len());
-        }
-        match s.tally[group_start..].iter_mut().find(|t| t.2 == slot) {
-            Some(t) => t.3 += u64::from(count),
-            None => s.tally.push((key.0, key.1, slot, u64::from(count))),
-        }
-    }
-}
-
 /// (Re)computes the runs' durations from the (re-priced) slot table and
 /// the run compositions, leaving all structure untouched — the value
 /// half of a fresh lowering and the entirety of a delta patch. Each run's
@@ -1034,9 +998,8 @@ fn edges_into(edges: &[(u32, u32)], lo: u32, hi: u32) -> &[(u32, u32)] {
 /// section is walked copy by copy over its stored order until a nested
 /// section's common shift shows (see the module docs); the busy
 /// breakdown, the per-device busy time and the task count come from the
-/// structure tallies ([`build_tallies`]) scaled by the current slot
-/// values and period counts, so a patched graph replays without touching
-/// any structure.
+/// slot record ([`book_slots`]), so a patched graph replays without
+/// touching any structure.
 pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mut SimReport) {
     let n_runs = s.run_duration.len();
     s.ready_at.clear();
@@ -1055,37 +1018,25 @@ pub(crate) fn replay_lowered(s: &mut CompactScratch, devices: usize, report: &mu
     s.periods = (walked, total);
     report.busy = BusyBreakdown::default();
     report.device_busy.clear();
-    fold_tallies(s, devices, report, |_| true);
+    report.device_busy.resize(devices, TimeNs::ZERO);
+    book_slots(s, report, |_| true);
     report.iteration_time = iteration_time;
 }
 
-/// Adds `Σ slot_value · multiplicity · periods` over the structure
-/// tallies of the slots `fixed` admits to the report's busy breakdown
-/// and per-device busy time, and writes the task count `Σ nodes per copy
-/// · periods`, all in `u64`. The closed form admits every slot onto an
-/// empty report; the flow replay has booked the slots it drains as flows
-/// already.
-#[inline(always)]
-fn fold_tallies(
-    s: &CompactScratch,
-    devices: usize,
-    report: &mut SimReport,
-    fixed: impl Fn(usize) -> bool,
-) {
-    let n_sections = s.sec_periods.len() / devices;
-    let mut busy = report.busy;
-    report.device_busy.resize(devices, TimeNs::ZERO);
-    for &(sec, device, slot, mult) in &s.tally {
-        if !fixed(slot as usize) {
-            continue;
+/// Books `slot value × count` of every record entry whose slot `fixed`
+/// admits into the report's busy breakdown and its stage's busy time,
+/// and writes the task count, the record's `Σ count`, all in `u64`. The
+/// closed form admits every slot onto an empty report; the flow replay
+/// has booked the slots it drains as flows already.
+fn book_slots(s: &CompactScratch, report: &mut SimReport, fixed: impl Fn(usize) -> bool) {
+    let mut tasks = 0;
+    for &(slot, stage, count) in &s.slot_counts {
+        tasks += count;
+        let (slot, device) = (slot as usize, &mut report.device_busy[stage as usize]);
+        if fixed(slot) {
+            s.slot_tags[slot].0.book(scale(s.slot_values[slot], count), &mut report.busy, device);
         }
-        let periods = s.sec_periods[device as usize * n_sections + sec as usize];
-        let total = scale(s.slot_values[slot as usize], mult * periods);
-        let kind = s.slot_tags[slot as usize].0;
-        kind.book(total, &mut busy, &mut report.device_busy[device as usize]);
     }
-    let tasks: u64 = s.sec_nodes.iter().zip(&s.sec_periods).map(|(&n, &k)| n * k).sum();
-    report.busy = busy;
     report.tasks_executed = tasks as usize;
 }
 
@@ -1229,11 +1180,9 @@ fn common_shift(
 /// buffer is cleared, not dropped, between points.
 #[derive(Default)]
 pub(crate) struct Unrolled {
-    /// Each run's stream (0 = compute, 1 = comm), task kind and
-    /// [`OpTable`] entry.
-    run_stream: Vec<u8>,
-    run_kind: Vec<TaskKind>,
-    run_entry: Vec<u32>,
+    /// Each run's task kind (which fixes its stream) and [`OpTable`]
+    /// entry: its head slot's.
+    run_tags: Vec<(TaskKind, u32)>,
     /// The unrolled graph: instances numbered section-major, then
     /// copy-major, each copy in its section's topological order.
     graph: TaskGraph,
@@ -1275,48 +1224,36 @@ impl Unrolled {
         Programs::Indexed { topology, table: &s.ops.programs, index: &self.inst_entry }
     }
 
-    /// Derives each run's stream, task kind and [`OpTable`] entry from
-    /// its composition and the slot table. Communication-stream nodes
-    /// (pipeline sends, DP All-Reduces) never extend a run, so such a run
-    /// is one node. A one-node run takes its slot's kind; a longer
-    /// compute-stream run sums its compute members' kernel counts (its TP
-    /// All-Reduces add none). The run's entry is its first slot's, which
-    /// carries the program of a one-node communication run and none
-    /// otherwise.
+    /// Gives each run its head slot's task kind and [`OpTable`] entry.
+    /// Communication-stream nodes (pipeline sends, DP All-Reduces) never
+    /// extend a run, so such a run is one node, and its entry carries its
+    /// flow program. A compute-stream run carries none, and the replay
+    /// books only flows from the graph ([`replay_unrolled`]), so its kind
+    /// serves only to fix its stream.
     ///
     /// # Panics
     ///
     /// If a communication-stream run is not exactly one node, or a
     /// compute-stream run holds a slot with a flow program.
     fn classify_runs(&mut self, s: &CompactScratch) {
-        self.run_stream.clear();
-        self.run_kind.clear();
-        self.run_entry.clear();
+        self.run_tags.clear();
         let mut e = 0;
         for r in 0..s.run_device.len() as u32 {
             let start = e;
             while e < s.comp_run.len() && s.comp_run[e] == r {
                 e += 1;
             }
-            let head = s.comp_slot[start] as usize;
             let one_node = e - start == 1 && s.comp_count[start] == 1;
-            let (head_kind, entry) = s.slot_tags[head];
-            let stream = head_kind.stream();
+            let tags = s.slot_tags[s.comp_slot[start] as usize];
+            let stream = tags.0.stream();
             assert!(one_node || stream == 0, "a communication-stream run is exactly one node");
-            let mut kernels = 0;
-            for i in start..e {
-                let slot = s.comp_slot[i] as usize;
+            for &slot in &s.comp_slot[start..e] {
                 assert!(
-                    stream == 1 || s.program(slot).is_none(),
+                    stream == 1 || s.program(slot as usize).is_none(),
                     "only communication-stream runs carry flow programs"
                 );
-                if let TaskKind::Compute { kernels: k } = s.slot_tags[slot].0 {
-                    kernels += k * s.comp_count[i];
-                }
             }
-            self.run_stream.push(stream);
-            self.run_kind.push(if one_node { head_kind } else { TaskKind::Compute { kernels } });
-            self.run_entry.push(entry);
+            self.run_tags.push(tags);
         }
     }
 
@@ -1333,9 +1270,7 @@ impl Unrolled {
         self.classify_runs(s);
         let n_runs = s.run_device.len();
         let n_sections = s.sec_periods.len() / devices;
-        let Unrolled {
-            run_stream, run_kind, run_entry, graph, inst_entry, edges, last, cur, ..
-        } = self;
+        let Unrolled { run_tags, graph, inst_entry, edges, last, cur, .. } = self;
         graph.clear(devices as u32);
         inst_entry.clear();
         edges.clear();
@@ -1356,8 +1291,9 @@ impl Unrolled {
                     let i = r as usize;
                     let device = s.run_device[i];
                     cur[i] = if periods_of(device as usize) > k {
-                        inst_entry.push(run_entry[i]);
-                        graph.push_task(device, run_stream[i], s.run_duration[i], run_kind[i]);
+                        let (kind, entry) = run_tags[i];
+                        inst_entry.push(entry);
+                        graph.push_task(device, kind.stream(), s.run_duration[i], kind);
                         (graph.len() - 1) as u32
                     } else {
                         NONE
@@ -1421,13 +1357,12 @@ pub(crate) fn lower_unrolled(
 }
 
 /// The fair-sharing replay of the unrolled graph.
-/// [`replay_for_tallies`] over the run instances gives the
-/// iteration time and books each flow's contended duration; the busy
-/// breakdown, per-device busy time and task count of the fixed-duration
-/// slots come from the structure tallies, as in [`replay_lowered`]
-/// (compute runs fold TP All-Reduces in, so a per-instance booking could
-/// not split them). The report is bit-identical to the flow replay of the
-/// full task graph.
+/// [`replay_booking_flows`] over the run instances gives the iteration
+/// time and books each flow's contended duration; the busy breakdown,
+/// per-device busy time and task count of the fixed-duration slots come
+/// from the slot record, as in [`replay_lowered`] (compute runs fold TP
+/// All-Reduces in, so a per-instance booking could not split them). The
+/// report is bit-identical to the flow replay of the full task graph.
 pub(crate) fn replay_unrolled(
     s: &CompactScratch,
     u: &Unrolled,
@@ -1435,9 +1370,8 @@ pub(crate) fn replay_unrolled(
     flows: &mut SimScratch,
     report: &mut SimReport,
 ) {
-    replay_for_tallies(&u.graph, u.instance_programs(s, topology), flows, report);
-    let devices = u.graph.num_devices() as usize;
-    fold_tallies(s, devices, report, |slot| s.program(slot).is_none());
+    replay_booking_flows(&u.graph, u.instance_programs(s, topology), flows, report);
+    book_slots(s, report, |slot| s.program(slot).is_none());
 }
 
 #[cfg(test)]
@@ -1923,54 +1857,54 @@ pub(crate) mod tests {
         build_order(&mut scratch);
     }
 
+    /// Times each step of a fresh compact build and replay of MT-NLG
+    /// (8, 1, 21) on a warm scratch and profile table, and prints each
+    /// step's minimum over the rounds and their sum: the minimum of many
+    /// warm rounds is what host noise inflates least. Run with
+    /// `cargo test --release -p vtrain-core profile_lower_breakdown --
+    /// --ignored --nocapture`.
     #[test]
     #[ignore = "manual profiling aid"]
     fn profile_lower_breakdown() {
+        const ROUNDS: usize = 500;
+        const STEPS: [&str; 6] = ["slots", "build", "csr", "order", "refill", "replay"];
         let model = presets::mt_nlg_530b();
-        let plan = ParallelConfig::builder()
-            .tensor(8)
-            .data(1)
-            .pipeline(21)
-            .micro_batch(1)
-            .global_batch(1920)
-            .build()
-            .unwrap();
+        let plan = plan_of((8, 1, 21, 1, 1920), PipelineSchedule::OneFOneB);
         let opts = GraphOptions::default();
-        let cluster = ClusterSpec::aws_p4d(21 * 8);
-        let comm = CommModel::new(&cluster, 1.0);
+        let comm = CommModel::new(&ClusterSpec::aws_p4d(21 * 8), 1.0);
         let mut profiles = profiles(&model, &plan, &opts);
         let mut scratch = CompactScratch::default();
         let mut report = SimReport::default();
-        for round in 0..3 {
-            let t0 = std::time::Instant::now();
+        let mut best = [std::time::Duration::MAX; STEPS.len()];
+        for _ in 0..ROUNDS {
+            let mut laps = [std::time::Instant::now(); STEPS.len() + 1];
             price_plan(&model, &plan, &opts, &mut profiles, &comm, &mut scratch);
-            let t1 = std::time::Instant::now();
+            laps[1] = std::time::Instant::now();
             build_graph(&model, &plan, &opts, &mut scratch);
-            let t2 = std::time::Instant::now();
+            laps[2] = std::time::Instant::now();
             build_csr(&mut scratch);
-            let t3 = std::time::Instant::now();
+            laps[3] = std::time::Instant::now();
             build_order(&mut scratch);
-            build_tallies(&mut scratch);
-            let t4 = std::time::Instant::now();
+            laps[4] = std::time::Instant::now();
             refill_runs(&mut scratch);
-            let t5 = std::time::Instant::now();
+            laps[5] = std::time::Instant::now();
             replay_lowered(&mut scratch, plan.pipeline(), &mut report);
-            let t6 = std::time::Instant::now();
-            eprintln!(
-                "round {round}: slots {:?} build {:?} csr {:?} order+tallies {:?} refill {:?} \
-                 replay {:?} | nodes {} runs {} comp {} edges {}",
-                t1 - t0,
-                t2 - t1,
-                t3 - t2,
-                t4 - t3,
-                t5 - t4,
-                t6 - t5,
-                scratch.nodes,
-                scratch.run_device.len(),
-                scratch.comp_run.len(),
-                scratch.edges.len(),
-            );
+            laps[6] = std::time::Instant::now();
+            for (step, lap) in best.iter_mut().zip(laps.windows(2)) {
+                *step = (*step).min(lap[1] - lap[0]);
+            }
         }
+        let steps: Vec<String> =
+            STEPS.iter().zip(&best).map(|(name, t)| format!("{name} {t:.1?}")).collect();
+        eprintln!(
+            "min of {ROUNDS} rounds: {} | sum {:.1?} | nodes {} runs {} comp {} edges {}",
+            steps.join(" "),
+            best.iter().sum::<std::time::Duration>(),
+            scratch.nodes,
+            scratch.run_device.len(),
+            scratch.comp_run.len(),
+            scratch.edges.len(),
+        );
     }
 
     #[test]

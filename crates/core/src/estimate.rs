@@ -698,11 +698,10 @@ impl Estimator {
     /// stream's exact busy time (see [`bounds`](crate::bounds)).
     pub(crate) fn busy_floor(
         &self,
-        model: &ModelConfig,
         plan: &ParallelConfig,
         scratch: &mut EstimatorScratch,
     ) -> TimeNs {
-        busy_floor(model, plan, &self.graph_opts, &scratch.compact, &mut scratch.floor)
+        busy_floor(&scratch.compact, plan.pipeline(), &mut scratch.floor)
     }
 
     /// The rest of the compact path, on a scratch
@@ -797,7 +796,7 @@ impl Estimator {
     pub fn lower_bound(&self, model: &ModelConfig, plan: &ParallelConfig) -> TimeNs {
         let mut scratch = EstimatorScratch::default();
         self.price_compact(model, plan, &mut scratch);
-        self.busy_floor(model, plan, &mut scratch)
+        self.busy_floor(plan, &mut scratch)
     }
 
     /// Ground-truth emulated "measurement" of the same design point — the
@@ -806,6 +805,14 @@ impl Estimator {
     /// model's perturbations written into the task graph's durations
     /// before the replay, plus a configuration-level iteration bias. The
     /// straggler pool counts the nodes of the graph's placement.
+    ///
+    /// The noisy graph is replayed without a network: every communication
+    /// task runs for its closed-form latency. Under
+    /// [`NetworkBackend::FairSharing`] the emulated ground truth therefore
+    /// sees no link contention, and equals what a closed-form estimator
+    /// on the same topology measures, while [`Estimator::estimate`]
+    /// prices the contention. Giving it contention needs a rule for how
+    /// noise applies to a contended flow.
     ///
     /// Uses the noise the estimator was
     /// [built with](EstimatorBuilder::noise) (the paper's §IV error
@@ -823,7 +830,10 @@ impl Estimator {
         self.measure_with(model, plan, &self.noise)
     }
 
-    /// [`Estimator::measure`] under an explicit noise oracle.
+    /// [`Estimator::measure`] under an explicit noise oracle. Like it, the
+    /// noisy graph is replayed without a network, so under
+    /// [`NetworkBackend::FairSharing`] the measurement has no link
+    /// contention and equals the closed-form one.
     ///
     /// # Errors
     ///
@@ -851,7 +861,7 @@ impl Estimator {
     /// [`Estimator::estimate`] with wall-clock stage attribution: each of
     /// the four pipeline stages is timed individually and accumulated
     /// into `stages`, on the same path [`Estimator::estimate`] takes (the
-    /// compact graph under the closed-form network), so the estimate is
+    /// compact path under either network), so the estimate is
     /// bit-identical and the attribution describes what a prediction
     /// actually costs.
     ///

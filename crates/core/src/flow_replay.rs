@@ -404,16 +404,17 @@ pub(crate) fn replay<'t>(
     run(graph, programs, book, net_trace, scratch, report);
 }
 
-/// [`replay`] for a caller that derives the fixed-duration tasks' busy
-/// time from tallies of its own (the unrolled compact graph): the
-/// report's iteration time and executed count cover every task, its busy
-/// breakdown and per-device busy time only the flow tasks. It takes no
-/// trace; with metrics on, the network histograms still record.
+/// [`replay`] booking the busy time of the flow tasks only, for a caller
+/// that books the fixed-duration tasks' share itself (the unrolled
+/// compact graph, from its slot record): the report's iteration time and
+/// executed count cover every task, its busy breakdown and per-device
+/// busy time only the flows' contended durations. It takes no trace;
+/// with metrics on, the network histograms still record.
 ///
 /// # Panics
 ///
 /// Same conditions as [`replay`].
-pub(crate) fn replay_for_tallies(
+pub(crate) fn replay_booking_flows(
     graph: &TaskGraph,
     programs: Programs<'_>,
     scratch: &mut SimScratch,
@@ -423,7 +424,7 @@ pub(crate) fn replay_for_tallies(
     run(graph, programs, book, None, scratch, report);
 }
 
-/// The replay loop behind [`replay`] and [`replay_for_tallies`], booking
+/// The replay loop behind [`replay`] and [`replay_booking_flows`], booking
 /// into `book`.
 fn run<'a, 't>(
     graph: &'a TaskGraph,

@@ -510,7 +510,7 @@ fn run_sweep(
                 estimator.price_compact(model, &plan, &mut scratch);
                 let mut lower_from = t0;
                 if prune {
-                    let floor = estimator.busy_floor(model, &plan, &mut scratch);
+                    let floor = estimator.busy_floor(&plan, &mut scratch);
                     lower_from = profile.then(Instant::now);
                     if let (Some(t0), Some(t1)) = (t0, lower_from) {
                         bound_ns += (t1 - t0).as_nanos() as u64;
@@ -702,7 +702,7 @@ fn bound_only_sweep(
             continue;
         }
         estimator.price_compact(model, plan, &mut scratch);
-        let floor = estimator.busy_floor(model, plan, &mut scratch);
+        let floor = estimator.busy_floor(plan, &mut scratch);
         points.push(DesignPoint {
             plan: *plan,
             estimate: IterationEstimate {

@@ -528,18 +528,8 @@ pub fn execute_degraded(
 }
 
 fn run_degraded(request: &Request, cache: &Arc<ProfileCache>) -> Result<Report, Error> {
-    if request.v != WIRE_VERSION {
-        return Err(Error::scenario(format!(
-            "unsupported wire version {} (this build speaks v{WIRE_VERSION})",
-            request.v
-        )));
-    }
-    let budget = request.budget.unwrap_or_default();
-    let deadline = budget.deadline_from_now();
-    let scenario = request
-        .scenario
-        .as_ref()
-        .ok_or_else(|| Error::scenario(format!("{:?} request needs a `scenario`", request.kind)))?;
+    let (budget, deadline, scenario) = preamble(request)?;
+    let scenario = scenario?;
     scenario.check()?;
     let goal = scenario.goal()?;
     let run = scenario.sweep()?.cache(Arc::clone(cache)).bound_only();
@@ -593,11 +583,18 @@ pub fn run_within_budget(
     Ok(run)
 }
 
-fn run(
-    request: &Request,
-    cache: &Arc<ProfileCache>,
-    threads: Option<usize>,
-) -> Result<Report, Error> {
+/// A request's budget, the deadline that budget sets from its entry, and
+/// its scenario, or the error a request that needs one gets without it (a
+/// server-state request never reads it).
+type Preamble<'a> = (Budget, Option<Instant>, Result<&'a Scenario, Error>);
+
+/// What every executed request starts with: its wire-version check, then
+/// its [`Preamble`].
+///
+/// # Errors
+///
+/// An unsupported wire version.
+fn preamble(request: &Request) -> Result<Preamble<'_>, Error> {
     if request.v != WIRE_VERSION {
         return Err(Error::scenario(format!(
             "unsupported wire version {} (this build speaks v{WIRE_VERSION})",
@@ -606,14 +603,22 @@ fn run(
     }
     let budget = request.budget.unwrap_or_default();
     let deadline = budget.deadline_from_now();
-    let scenario = || {
-        request.scenario.as_ref().ok_or_else(|| {
-            Error::scenario(format!("{:?} request needs a `scenario`", request.kind))
-        })
-    };
+    let scenario = request
+        .scenario
+        .as_ref()
+        .ok_or_else(|| Error::scenario(format!("{:?} request needs a `scenario`", request.kind)));
+    Ok((budget, deadline, scenario))
+}
+
+fn run(
+    request: &Request,
+    cache: &Arc<ProfileCache>,
+    threads: Option<usize>,
+) -> Result<Report, Error> {
+    let (budget, deadline, scenario) = preamble(request)?;
     match request.kind {
         RequestKind::Predict => {
-            let scenario = scenario()?;
+            let scenario = scenario?;
             scenario.check()?;
             let model = scenario.model()?;
             let plan = scenario.plan()?;
@@ -642,7 +647,7 @@ fn run(
             }))
         }
         RequestKind::Sweep => {
-            let scenario = scenario()?;
+            let scenario = scenario?;
             scenario.check()?;
             let goal = scenario.goal()?;
             let mut builder = scenario.sweep()?.cache(Arc::clone(cache));
@@ -653,7 +658,7 @@ fn run(
             Ok(Report::Sweep(SweepReport::from_run(goal, &run)))
         }
         RequestKind::Validate => {
-            let scenario = scenario()?;
+            let scenario = scenario?;
             scenario.check()?;
             let model = scenario.model()?;
             let cluster = scenario.cluster()?;

@@ -554,11 +554,7 @@ fn sweep_one(
     for variant in run.variants() {
         let outcome = &variant.outcome;
         let stats = outcome.stats;
-        if variant.label.is_empty() {
-            writeln!(out, "sweep (goal {goal:?}):")?;
-        } else {
-            writeln!(out, "placement {} (goal {goal:?}):", variant.label)?;
-        }
+        writeln!(out, "{}:", variant_heading(variant, goal))?;
         writeln!(
             out,
             "  {} candidates -> {} points ({} infeasible, {} bound-pruned) in {:.2}s \
@@ -599,6 +595,16 @@ fn sweep_one(
     Ok(())
 }
 
+/// How the sweep reports name a placement variant: `placement <label>`,
+/// or `sweep` for a sweep without a placement axis, and the goal.
+fn variant_heading(variant: &PlacementSweep, goal: SweepGoal) -> String {
+    if variant.label.is_empty() {
+        format!("sweep (goal {goal:?})")
+    } else {
+        format!("placement {} (goal {goal:?})", variant.label)
+    }
+}
+
 /// Prints a sweep's per-stage CPU-time attribution table.
 fn print_stage_profile(
     profile: &StageProfile,
@@ -609,10 +615,10 @@ fn print_stage_profile(
     let pct = |ns: u64| ns as f64 / budget * 100.0;
     writeln!(
         out,
-        "{indent}stage attribution ({} thread{}, {:.2}s wall):",
+        "{indent}stage attribution ({} thread{}, {:.3} ms wall):",
         profile.threads,
         if profile.threads == 1 { "" } else { "s" },
-        profile.wall_ns as f64 / 1e9
+        profile.wall_ns as f64 / 1e6
     )?;
     for (name, ns) in [
         ("order", profile.order_ns),
@@ -640,8 +646,8 @@ fn print_stage_profile(
 ///   per-stream busy table of the predicted iteration, derived from the
 ///   same traced replay `predict --timeline` exports.
 /// * For a scenario with a sweep section: a stage-profiled
-///   single-threaded sweep whose CPU-time attribution table accounts for
-///   (nearly all of) the wall clock.
+///   single-threaded sweep, with one CPU-time attribution table per
+///   placement variant that accounts for (nearly all of) its wall clock.
 fn explain(scenario: &Scenario, out: &mut impl Write) -> Result<(), Failure> {
     scenario.check()?;
     let model = scenario.model()?;
@@ -692,16 +698,21 @@ fn explain(scenario: &Scenario, out: &mut impl Write) -> Result<(), Failure> {
     if scenario.sweep.is_some() {
         // Single-threaded so CPU time ≈ wall time and the attribution
         // table accounts for the whole run.
-        let outcome = scenario.sweep()?.threads(1).stage_profile(true).run().into_outcome();
-        writeln!(
-            out,
-            "sweep: {} candidates -> {} points in {:.2}s",
-            outcome.stats.candidates,
-            outcome.points.len(),
-            outcome.stats.wall_s
-        )?;
-        let profile = outcome.stage_profile.expect("stage_profile(true) attaches a profile");
-        print_stage_profile(&profile, "  ", out)?;
+        let goal = scenario.goal()?;
+        let run = scenario.sweep()?.threads(1).stage_profile(true).run();
+        for variant in run.variants() {
+            let outcome = &variant.outcome;
+            writeln!(
+                out,
+                "{}: {} candidates -> {} points in {:.3} ms",
+                variant_heading(variant, goal),
+                outcome.stats.candidates,
+                outcome.points.len(),
+                outcome.stats.wall_s * 1e3
+            )?;
+            let profile = outcome.stage_profile.as_ref().expect("stage_profile(true) attaches one");
+            print_stage_profile(profile, "  ", out)?;
+        }
     }
     if scenario.parallelism.is_none() && scenario.sweep.is_none() {
         return Err(Error::scenario(

@@ -177,6 +177,13 @@ fn explain_attributes_sweep_wall_time() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("attributed"), "attribution summary missing:\n{stdout}");
+    // The shipped sweep declares three placements, and each gets its own
+    // block, labelled as `vtrain sweep` labels it.
+    for label in ["placement two-tier ", "placement multi-rack/4 ", "placement thin-spine/2 "] {
+        assert!(stdout.contains(label), "no block for `{label}`:\n{stdout}");
+    }
+    let rows = stdout.lines().filter(|l| l.trim_start().starts_with("attributed")).count();
+    assert_eq!(rows, 3, "one attribution table per placement:\n{stdout}");
     // The summary row reads `attributed <ms> ms <pct>% ...`.
     let pct: f64 = stdout
         .lines()
